@@ -208,16 +208,6 @@ def _spanning_subset(elements):
     return gens
 
 
-def is_normal(sub_elements, conjugators) -> bool:
-    keys = {g.key() for g in sub_elements}
-    for t in conjugators:
-        tinv = t.inverse()
-        for g in sub_elements:
-            if t.compose(g).compose(tinv).key() not in keys:
-                return False
-    return True
-
-
 # --- the point stabilizer on the Hermitian curve ---
 
 

@@ -19,23 +19,21 @@ from itertools import product
 
 from .gfield import CheckError, Felt, FieldCtx, ParameterError, _as_encoding
 from .models import admissible_b, family_I_model, family_II_model
-from .polyring import BiPoly
+from .polyring import BiPoly, p_power_exp
 
 INVENTORY_BOUND = 4096
 # full pairwise classifier cross-check only below this many parameters
 MATRIX_BOUND = 64
 
-_NORM = {}
-
 
 def _norm_preimage(ctx: FieldCtx, d: int) -> int:
     """Some sigma in F_{q^2} with sigma^(q+1) = d; the norm is onto F_q."""
-    tab = _NORM.get(id(ctx))
+    tab = ctx._norm
     if tab is None:
         tab = {}
         for s in ctx.subfield_encodings(2 * ctx.h):
             tab.setdefault(ctx.pow(s, ctx.q + 1), s)
-        _NORM[id(ctx)] = tab
+        ctx._norm = tab
     sig = tab.get(d)
     if sig is None:
         raise CheckError("norm map misses a value of F_q; field tower broken")
@@ -205,14 +203,6 @@ def class_inventory(family: str, ctx: FieldCtx) -> dict:
     }
 
 
-def _p_power_exp(n: int, p: int):
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e if n == 1 else None
-
-
 def oracle_iso(model_a, model_b, tier: int = 1) -> bool:
     """Exhaustive search for a coordinate map carrying model_a's polynomial
     to a nonzero scalar multiple of model_b's.
@@ -232,7 +222,7 @@ def oracle_iso(model_a, model_b, tier: int = 1) -> bool:
     A, B = model_a.F, model_b.F
     for F in (A, B):
         for (i, j) in F.terms:
-            if j and (i or _p_power_exp(j, ctx.p) is None):
+            if j and (i or p_power_exp(j, ctx.p) is None):
                 raise ParameterError(
                     "oracle needs pure p-power y-monomials in both models"
                 )
@@ -250,7 +240,7 @@ def oracle_iso(model_a, model_b, tier: int = 1) -> bool:
     # scale factor lam is pinned by the grlex-largest term of B, which for
     # every model here is a pure-X term whose exponent is not a p-power
     ae, je = max(B.terms, key=lambda k: (k[0] + k[1], k[0]))
-    if je != 0 or ae == 0 or _p_power_exp(ae, ctx.p) is not None:
+    if je != 0 or ae == 0 or p_power_exp(ae, ctx.p) is not None:
         raise CheckError("no usable anchor term; oracle not applicable")
     if b_x[ae] == 0 or a_x.get(ae, 0) == 0:
         return False

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .autgrp import AffineAlgMap, map_preserves
 from .gfield import CheckError, FieldCtx, LinearizedSolver, ParameterError, _as_encoding
 from .models import CurveModel, fpp_char2, genus_formula
-from .polyring import BiPoly
+from .polyring import BiPoly, p_power_exp
 
 # q^2 <= 2^16 for k = 1 scans, q^4 <= 2^24 for k = 2
 K1_BOUND = 1 << 16
@@ -49,14 +49,6 @@ def _scan_degree(ctx: FieldCtx, k: int) -> int:
     return m
 
 
-def _p_power_exp(n: int, p: int):
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e if n == 1 else None
-
-
 def _fiber_profile(F: BiPoly):
     """(linearized Y-coefficient vector, pure-X part), or None.
 
@@ -70,7 +62,7 @@ def _fiber_profile(F: BiPoly):
         if j == 0:
             xterms[(i, 0)] = c
             continue
-        e = _p_power_exp(j, ctx.p)
+        e = p_power_exp(j, ctx.p)
         if i != 0 or e is None:
             return None
         coeffs[e] = c
@@ -80,7 +72,7 @@ def _fiber_profile(F: BiPoly):
     return vec, BiPoly(ctx, xterms, F.names)
 
 
-def _iter_fibers(model: CurveModel, k: int):
+def iter_fibers(model: CurveModel, k: int):
     """Yield (x, sorted solution encodings) for every x in F_{q^(2k)}."""
     ctx = model.ctx
     m = _scan_degree(ctx, k)
@@ -105,7 +97,7 @@ def _iter_fibers(model: CurveModel, k: int):
 
 def affine_points(model: CurveModel, k: int = 1) -> PlaceTally:
     """Affine F_{q^(2k)}-point tally of the plane model, singular or not."""
-    n = sum(len(ys) for _, ys in _iter_fibers(model, k))
+    n = sum(len(ys) for _, ys in iter_fibers(model, k))
     return PlaceTally(k=k, affine_points=n, places_at_infinity=1, N=n + 1)
 
 
@@ -118,7 +110,7 @@ def singular_rational_points(model: CurveModel, k: int = 1) -> list[tuple[int, i
         return []
     fx = F.partial_deriv(0)
     bad = []
-    for x, ys in _iter_fibers(model, k):
+    for x, ys in iter_fibers(model, k):
         for y in ys:
             if fx.evaluate(x, y) == 0 and fy.evaluate(x, y) == 0:
                 bad.append((x, y))
@@ -138,7 +130,7 @@ def rational_places(model: CurveModel) -> PlaceTally:
             f"{model.family}: plane model is singular at {len(sing)} rational "
             f"point(s); count through the order-2 quotient instead"
         )
-    n = sum(len(ys) for _, ys in _iter_fibers(model, 1))
+    n = sum(len(ys) for _, ys in iter_fibers(model, 1))
     return PlaceTally(
         k=1,
         affine_points=n,
@@ -197,7 +189,7 @@ def quotient_places_order2(model: CurveModel, deck: AffineAlgMap) -> dict:
 
     a_count = 0
     fixed = 0
-    for x, ys in _iter_fibers(model, 1):
+    for x, ys in iter_fibers(model, 1):
         for y in ys:
             a_count += 1
             if deck.apply(x, y) == (x, y):
@@ -205,7 +197,7 @@ def quotient_places_order2(model: CurveModel, deck: AffineAlgMap) -> dict:
 
     s = 2 * ctx.h
     twisted = 0
-    for x, ys in _iter_fibers(model, 2):
+    for x, ys in iter_fibers(model, 2):
         fx = ctx.frob(x, s)
         x_rat = fx == x
         for y in ys:

@@ -16,6 +16,15 @@ from __future__ import annotations
 from .gfield import CheckError, FieldCtx, ParameterError, _as_encoding
 
 
+def p_power_exp(n: int, p: int):
+    """e with n = p^e, or None when n is not a power of p."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e if n == 1 else None
+
+
 class BiPoly:
     """Polynomial in two variables with dict-of-terms storage."""
 

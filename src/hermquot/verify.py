@@ -21,20 +21,13 @@ from .autgrp import (
 from .gfield import CheckError, FieldCtx, ParameterError, make_field, solve_linearized
 from .isocls import class_inventory, family_I_classify, family_I_iso, family_II_iso, oracle_iso
 from .placecount import (
-    _iter_fibers,
     family_III_place_count,
+    iter_fibers,
     maximality_check,
     rational_places,
 )
 
-_FIELDS: dict = {}
 _GROUPS: dict = {}
-
-
-def _field(p: int, h: int) -> FieldCtx:
-    if (p, h) not in _FIELDS:
-        _FIELDS[(p, h)] = make_field(p, h)
-    return _FIELDS[(p, h)]
 
 
 def _first_b(ctx: FieldCtx, family: str) -> int:
@@ -44,7 +37,7 @@ def _first_b(ctx: FieldCtx, family: str) -> int:
 def _group(kind: str, p: int, h: int, bn: int):
     key = (kind, p, h, bn)
     if key not in _GROUPS:
-        ctx = _field(p, h)
+        ctx = make_field(p, h)
         builder = {
             "I": family_I_group,
             "II": family_II_group,
@@ -58,7 +51,7 @@ def check_hermitian_baseline() -> dict:
     counts = {}
     ok = True
     for p, h in [(2, 1), (3, 1), (2, 2), (2, 3)]:
-        ctx = _field(p, h)
+        ctx = make_field(p, h)
         q = ctx.q
         m = models.hermitian_model(ctx)
         rep = maximality_check(m)
@@ -69,7 +62,7 @@ def check_hermitian_baseline() -> dict:
 
 
 def check_family_I_q8() -> dict:
-    ctx = _field(2, 3)
+    ctx = make_field(2, 3)
     q = ctx.q
     sg = numsg.semigroup_at_infinity("family_I", 2, 3)
     g = models.genus_formula("family_I", 2, 3)
@@ -89,7 +82,7 @@ def check_family_I_q8() -> dict:
 
 
 def check_family_I_q27() -> dict:
-    ctx = _field(3, 3)
+    ctx = make_field(3, 3)
     sg = numsg.semigroup_at_infinity("family_I", 3, 3)
     g = models.genus_formula("family_I", 3, 3)
     ok = g == 27 and sg.generators == (3, 28) and sg.genus == 27
@@ -106,7 +99,7 @@ def check_family_I_q27() -> dict:
 
 
 def check_family_II() -> dict:
-    ctx = _field(3, 2)
+    ctx = make_field(3, 2)
     sg = numsg.semigroup_at_infinity("family_II", 3, 2)
     g = models.genus_formula("family_II", 3, 2)
     lg = numsg.telescopic_largest_gap((3, 4, 10))
@@ -120,7 +113,7 @@ def check_family_II() -> dict:
         rep = maximality_check(models.family_II_model(ctx, b))
         ns.append(rep["N"])
         ok = ok and rep["N"] == 136 and rep["maximal"]
-    ctx5 = _field(5, 2)
+    ctx5 = make_field(5, 2)
     rep5 = maximality_check(
         models.family_II_model(ctx5, models.admissible_b(ctx5, "family_II")[0])
     )
@@ -142,7 +135,7 @@ def check_family_III() -> dict:
     ok = True
     per = {}
     for h in (2, 3):
-        ctx = _field(2, h)
+        ctx = make_field(2, h)
         q = ctx.q
         g = models.genus_formula("family_III", 2, h)
         ok = ok and g == q * (q - 2) // 8
@@ -161,7 +154,7 @@ def check_automorphism_groups() -> dict:
     details: dict = {}
     ok = True
 
-    t1 = _group("I", 2, 3, _first_b(_field(2, 3), "family_I"))
+    t1 = _group("I", 2, 3, _first_b(make_field(2, 3), "family_I"))
     d1 = t1.details
     ok = ok and d1["V_order"] == 128 and d1["Lambda_order"] == 9
     ok = ok and t1.order == 1152 and d1["V_normal"] and d1["V_cap_Lambda_trivial"]
@@ -174,7 +167,7 @@ def check_automorphism_groups() -> dict:
         "discrepancies": disc,
     }
 
-    t2 = _group("II", 3, 2, _first_b(_field(3, 2), "family_II"))
+    t2 = _group("II", 3, 2, _first_b(make_field(3, 2), "family_II"))
     d2 = t2.details
     ok = ok and d2["Psi_order"] == 27 and d2["total_order"] == 54
     ok = ok and d2["commutator_equals_Gamma"] and d2["Gamma_order"] == 3
@@ -189,7 +182,7 @@ def check_automorphism_groups() -> dict:
 
     fam3 = {}
     for h in (2, 3):
-        ctx = _field(2, h)
+        ctx = make_field(2, h)
         q = ctx.q
         bs = models.admissible_b(ctx, "family_III")
         picks = bs if h == 2 else bs[:1]
@@ -215,7 +208,7 @@ def _is_p_power(n: int, p: int) -> bool:
 
 def _affine_pts(model):
     pts = []
-    for x, ys in _iter_fibers(model, 1):
+    for x, ys in iter_fibers(model, 1):
         pts.extend((x, y) for y in ys)
     return pts
 
@@ -224,22 +217,22 @@ def check_unique_fixed_point() -> dict:
     """Nontrivial p-power-order elements must fix only the place at infinity."""
     scans = []
 
-    t = _group("I", 2, 3, _first_b(_field(2, 3), "family_I"))
+    t = _group("I", 2, 3, _first_b(make_field(2, 3), "family_I"))
     scans.append(("family_I(2,3)", t.model, t.elements, 2))
-    t = _group("II", 3, 2, _first_b(_field(3, 2), "family_II"))
+    t = _group("II", 3, 2, _first_b(make_field(3, 2), "family_II"))
     scans.append(("family_II(3,2)", t.model, t.elements, 3))
     for h in (2, 3):
-        ctx = _field(2, h)
+        ctx = make_field(2, h)
         rep = _group("III", 2, h, _first_b(ctx, "family_III"))
         scans.append((f"family_III(q={ctx.q})", rep["model"], rep["elements"], 2))
     for p, h in [(2, 2), (3, 2)]:
-        st = subgroup_types(_field(p, h))
+        st = subgroup_types(make_field(p, h))
         for name, table in st.items():
             if name == "notes":
                 continue
             scans.append((f"{name}({p},{h})", table.model, table.elements, p))
     for p in (2, 3):
-        t = pgu_stabilizer(_field(p, 1))
+        t = pgu_stabilizer(make_field(p, 1))
         scans.append((f"stabilizer(q={p})", t.model, t.elements, p))
 
     tested = 0
@@ -271,15 +264,15 @@ def check_unique_fixed_point() -> dict:
 
 def check_isomorphism_classes() -> dict:
     ok = True
-    inv23 = class_inventory("family_I", _field(2, 3))
+    inv23 = class_inventory("family_I", make_field(2, 3))
     ok = ok and inv23["class_sizes"] == [6] and inv23["classifier_agreement"]
-    inv25 = class_inventory("family_I", _field(2, 5))
+    inv25 = class_inventory("family_I", make_field(2, 5))
     ok = ok and inv25["class_sizes"] == [6] * 5 and inv25["classifier_agreement"]
-    inv2 = class_inventory("family_II", _field(3, 2))
+    inv2 = class_inventory("family_II", make_field(3, 2))
     ok = ok and inv2["class_sizes"] == [2] * 4
 
     # three-way agreement on every family I pair at q = 8
-    ctx = _field(2, 3)
+    ctx = make_field(2, 3)
     bs = [int(x) for x in models.admissible_b(ctx, "family_I")]
     pairs = agree = 0
     for i, x in enumerate(bs):
@@ -294,7 +287,7 @@ def check_isomorphism_classes() -> dict:
     ok = ok and agree == pairs
 
     # oracle agreement for family II at q = 9
-    ctx2 = _field(3, 2)
+    ctx2 = make_field(3, 2)
     bs2 = [int(x) for x in models.admissible_b(ctx2, "family_II")]
     pairs2 = agree2 = 0
     for i, x in enumerate(bs2):
@@ -310,7 +303,7 @@ def check_isomorphism_classes() -> dict:
     # explicit witness for bbar = 1/b where b is neither quadratic nor cubic
     witness_ok = True
     for p, h in [(2, 5), (3, 4)]:
-        fc = _field(p, h)
+        fc = make_field(p, h)
         b = next(
             e
             for e in fc.subfield_encodings(h)
@@ -347,7 +340,7 @@ def check_factorization_lemmas() -> dict:
         ok = ok and rep["ok"] and rep["total_degree"] == want == 2 * p**3 + p**2 + p
     bcounts = {}
     for h in (2, 3, 4):
-        ctx = _field(2, h)
+        ctx = make_field(2, h)
         bs = models.admissible_b(ctx, "family_III")
         bcounts[f"h={h}"] = len(bs)
         for b in bs:
@@ -386,7 +379,7 @@ def check_oracle_suites() -> dict:
     ]
     probes = 0
     for p, h, coeffs, m in solver_cases:
-        ctx = _field(p, h)
+        ctx = make_field(p, h)
         table: dict = {}
         for y in ctx.subfield_encodings(m):
             v = 0

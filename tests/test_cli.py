@@ -1,10 +1,14 @@
 """Exit codes, JSON shape, and determinism of the command line front end."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermquot import cli, models
 from hermquot.gfield import make_field
@@ -22,6 +26,35 @@ def test_field_payload(capsys):
     assert d["q"] == 8 and d["deg"] == 12 and d["order"] == 4096
     assert d["modulus"] == make_field(2, 3).modulus
     assert d["version"]
+
+
+def _field_cli(p, h):
+    """(exit code, stderr, seconds) of an in-process `field --p P --h H`."""
+    err = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["field", "--p", str(p), "--h", str(h)])
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+    return code, err.getvalue(), time.perf_counter() - t0
+
+
+def test_field_huge_prime_is_rejected_at_once():
+    # trial division of this prime used to run before the size bound
+    code, err, dt = _field_cli(1000000000000000003, 1)
+    assert code == 2 and "exceeds the bound" in err
+    assert dt < 1.0
+
+
+@given(p=st.one_of(st.integers(-3, 200), st.integers(-10**40, 10**40)),
+       h=st.one_of(st.integers(-2, 9), st.integers(-10**40, 10**40)))
+@settings(max_examples=40, deadline=None)
+def test_field_cli_fuzz(p, h):
+    code, err, dt = _field_cli(p, h)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert dt < 5.0
 
 
 def test_construct_defaults_to_first_admissible_b(capsys):

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermquot.gfield import (
+    TABLE_ORDER_BOUND,
     CheckError,
     Felt,
+    FieldCtx,
     LinearizedSolver,
     ParameterError,
     _find_modulus,
@@ -155,6 +157,78 @@ def test_pow_matches_repeated_multiplication():
         for e in range(1, 6):
             acc = ctx.mul(acc, a)
             assert ctx.pow(a, e) == acc
+
+
+# ---------------------------------------------------------------- table kernel
+
+# every table-kernel field the package builds; the digit methods are the oracle
+TABLE_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(2, 2),
+                make_field(2, 3), make_field(3, 2)]
+
+
+def _element(ctx):
+    return st.one_of(st.sampled_from([0, 1, ctx.p - 1, ctx.order - 1]),
+                     st.integers(0, ctx.order - 1))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_table_kernel_matches_digit_kernel(data):
+    ctx = data.draw(st.sampled_from(TABLE_FIELDS), label="ctx")
+    a = data.draw(_element(ctx), label="a")
+    b = data.draw(_element(ctx), label="b")
+    s = data.draw(st.integers(0, ctx.p - 1), label="s")
+    e = data.draw(st.one_of(st.integers(-3, 3),
+                            st.integers(-3 * ctx.order, 3 * ctx.order)), label="e")
+    k = data.draw(st.integers(-2 * ctx.deg, 3 * ctx.deg), label="k")
+    assert ctx.mul(a, b) == ctx._mul_digits(a, b)
+    assert ctx.add(a, b) == ctx._add_digits(a, b)
+    assert ctx.sub(a, b) == ctx._sub_digits(a, b)
+    assert ctx.neg(a) == ctx._neg_digits(a)
+    assert ctx.scale(a, s) == ctx._scale_digits(a, s)
+    assert ctx.frob(a, k) == ctx._frob_digits(a, k)
+    if a:
+        assert ctx.pow(a, e) == ctx._pow_digits(a, e)
+        assert ctx.inv(a) == ctx._inv_digits(a)
+    else:
+        assert ctx.pow(0, abs(e)) == ctx._pow_digits(0, abs(e))
+    assert ctx._log is not None  # pow always answers from the tables
+
+
+@pytest.mark.parametrize("ctx", TABLE_FIELDS, ids=lambda c: f"p{c.p}h{c.h}")
+def test_table_kernel_edge_cases(ctx):
+    p = ctx.p
+    assert ctx.pow(0, 0) == ctx._pow_digits(0, 0) == 1
+    assert ctx.pow(0, 5) == ctx._pow_digits(0, 5) == 0
+    for op in (ctx.inv, ctx._inv_digits, lambda x: ctx.pow(x, -1),
+               lambda x: ctx._pow_digits(x, -1)):
+        with pytest.raises(ZeroDivisionError):
+            op(0)
+    assert ctx.add(1, p - 1) == 0
+    assert ctx.neg(1) == p - 1 and ctx.sub(0, 1) == p - 1
+    a = ctx.order - 1
+    for k in (-1, -ctx.deg - 1, ctx.deg, ctx.deg + 1, 5 * ctx.deg + 2):
+        assert ctx.frob(a, k) == ctx._frob_digits(a, k) == ctx.frob(a, k % ctx.deg)
+    for e in (-1, -2, -ctx.order, ctx.order - 1):
+        assert ctx.pow(a, e) == ctx._pow_digits(a, e)
+
+
+def test_table_build_rejects_a_reducible_modulus():
+    ctx = FieldCtx(2, 1, 0b10001)  # X^4 + 1 = (X + 1)^4 over F_2
+    with pytest.raises(CheckError):
+        ctx.mul(2, 3)
+    assert ctx._log is None
+
+
+def test_large_fields_build_no_tables():
+    assert all(ctx.order <= TABLE_ORDER_BOUND for ctx in TABLE_FIELDS)
+    for ctx in (make_field(2, 4), make_field(3, 3)):
+        assert ctx.order > TABLE_ORDER_BOUND
+        x, y = ctx.order - 3, ctx.p + 1
+        for v in (ctx.mul(x, y), ctx.add(x, y), ctx.sub(x, y), ctx.neg(x),
+                  ctx.scale(x, ctx.p - 1), ctx.pow(x, 7), ctx.inv(x), ctx.frob(x, 1)):
+            assert 0 <= v < ctx.order
+        assert ctx._exp is None and ctx._log is None and ctx._zech is None
 
 
 def test_mult_order_bruteforce():
