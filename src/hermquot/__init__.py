@@ -23,7 +23,6 @@ from .gfield import (
     FieldCtx,
     LinearizedSolver,
     ParameterError,
-    arith,
     find_omega,
     frobenius,
     make_field,
@@ -81,7 +80,6 @@ __all__ = [
     "PlaceTally",
     "admissible_b",
     "affine_points",
-    "arith",
     "class_inventory",
     "family_III_place_count",
     "family_I_classify",

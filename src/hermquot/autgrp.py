@@ -1,10 +1,11 @@
-"""Explicit automorphisms as polynomial coordinate maps.
+"""Explicit automorphisms as triangular coordinate maps.
 
-Everything here acts on a CurveModel by substitution: a map is a pair of
-image polynomials, and membership in the automorphism group is decided by
-the pseudo-remainder oracle map_preserves, never by trusting a formula.
-Printed map formulas are candidates; when one fails the oracle we re-solve
-for the correction term by linear algebra.
+Every map here is (x, y) -> (lam x + a, mu y + f(x)), stored as (lam, a, mu,
+f) and composed, applied and inverted in closed form; BiPoly images are built
+only for the pseudo-remainder oracle map_preserves, which decides membership
+in the automorphism group, and for printing.  Printed map formulas are only
+candidates: when one fails the oracle we re-solve for the correction term by
+linear algebra.
 """
 
 import math
@@ -14,10 +15,10 @@ from dataclasses import dataclass, field
 from .gfield import (
     CheckError,
     FieldCtx,
+    LinearizedSolver,
     ParameterError,
     _as_encoding,
     find_omega,
-    solve_linearized,
 )
 from .polyring import BiPoly
 from .models import (
@@ -33,32 +34,73 @@ CLOSURE_BOUND = 100_000
 ORDER_BOUND = 4096
 
 
-class AffineAlgMap:
-    """A coordinate map (x, y) -> (x_image, y_image) on a fixed model."""
+def _shift(ctx: FieldCtx, f: dict, c: int, d: int) -> dict:
+    """The coefficient map of f(c x + d), zeros possibly included."""
+    if c == 1 and d == 0:
+        return dict(f)
+    out = {}
+    for e, coef in f.items():
+        for k in range(e + 1) if d else (e,):
+            b = math.comb(e, k) % ctx.p
+            if b:
+                t = ctx.mul(coef, ctx.mul(ctx.pow(c, k), ctx.pow(d, e - k)))
+                out[k] = ctx.add(out.get(k, 0), ctx.scale(t, b))
+    return out
 
-    __slots__ = ("ctx", "x_image", "y_image", "_key")
+
+class AffineAlgMap:
+    """(x, y) -> (lam x + a, mu y + f(x)) with lam mu != 0, f as {exponent: c}.
+
+    Every map is invertible and fixes the place at infinity.  The
+    constructor parses two BiPoly images and rejects any other shape;
+    internal builders use AffineAlgMap.triangular."""
+
+    __slots__ = ("ctx", "names", "lam", "a", "mu", "f", "_key")
 
     def __init__(self, x_image: BiPoly, y_image: BiPoly):
         if x_image.ctx is not y_image.ctx:
             raise ParameterError("map components from different fields")
         if x_image.names != y_image.names:
             raise ParameterError("map components use different variable names")
-        self.ctx = x_image.ctx
-        self.x_image = x_image
-        self.y_image = y_image
+        xt, yt = dict(x_image.terms), dict(y_image.terms)
+        lam, a, mu = xt.pop((1, 0), 0), xt.pop((0, 0), 0), yt.pop((0, 1), 0)
+        if xt or any(j for _, j in yt):
+            raise ParameterError("map is not of the form (lam x + a, mu y + f(x))")
+        f = {i: c for (i, _), c in yt.items()}
+        self._fill(x_image.ctx, lam, a, mu, f, x_image.names)
+
+    def _fill(self, ctx, lam, a, mu, f, names):
+        if not lam or not mu:
+            raise ParameterError("triangular map needs lam * mu != 0")
+        self.ctx, self.names = ctx, tuple(names)
+        self.lam, self.a, self.mu = lam, a, mu
+        self.f = {e: c for e, c in f.items() if c}
         self._key = None
 
     @classmethod
+    def triangular(cls, ctx: FieldCtx, lam: int, a: int, mu: int, f=None,
+                   names=("X", "Y")) -> "AffineAlgMap":
+        """The map with these parameters, all given as encodings."""
+        m = cls.__new__(cls)
+        m._fill(ctx, lam, a, mu, f or {}, names)
+        return m
+
+    @classmethod
     def identity(cls, ctx: FieldCtx, names=("X", "Y")) -> "AffineAlgMap":
-        X, Y = BiPoly.variables(ctx, names)
-        return cls(X, Y)
+        return cls.triangular(ctx, 1, 0, 1, None, names)
+
+    @property
+    def x_image(self) -> BiPoly:
+        return BiPoly.make(self.ctx, {(1, 0): self.lam, (0, 0): self.a}, self.names)
+
+    @property
+    def y_image(self) -> BiPoly:
+        terms = {(e, 0): c for e, c in self.f.items()}
+        return BiPoly.make(self.ctx, {**terms, (0, 1): self.mu}, self.names)
 
     def key(self):
-        # grlex-sorted coefficient lists of both components
         if self._key is None:
-            kx = tuple(sorted(self.x_image.terms.items()))
-            ky = tuple(sorted(self.y_image.terms.items()))
-            self._key = (kx, ky)
+            self._key = (self.lam, self.a, self.mu, tuple(sorted(self.f.items())))
         return self._key
 
     def __eq__(self, other):
@@ -69,17 +111,24 @@ class AffineAlgMap:
 
     def compose(self, other: "AffineAlgMap") -> "AffineAlgMap":
         """The map sending P to self(other(P))."""
-        return AffineAlgMap(
-            self.x_image.substitute(other.x_image, other.y_image),
-            self.y_image.substitute(other.x_image, other.y_image),
-        )
+        ctx = self.ctx
+        f = _shift(ctx, self.f, other.lam, other.a)
+        for e, c in other.f.items():
+            f[e] = ctx.add(f.get(e, 0), ctx.mul(self.mu, c))
+        lam = ctx.mul(self.lam, other.lam)
+        a = ctx.add(ctx.mul(self.lam, other.a), self.a)
+        return AffineAlgMap.triangular(ctx, lam, a, ctx.mul(self.mu, other.mu), f, self.names)
 
     def is_identity(self) -> bool:
-        X, Y = BiPoly.variables(self.ctx, self.x_image.names)
-        return self.x_image == X and self.y_image == Y
+        return self.lam == 1 and self.a == 0 and self.mu == 1 and not self.f
 
     def apply(self, xn: int, yn: int):
-        return (self.x_image.evaluate(xn, yn), self.y_image.evaluate(xn, yn))
+        ctx = self.ctx
+        x = _as_encoding(ctx, xn)
+        y = ctx.mul(self.mu, _as_encoding(ctx, yn))
+        for e, c in self.f.items():
+            y = ctx.add(y, ctx.mul(c, ctx.pow(x, e)))
+        return (ctx.add(ctx.mul(self.lam, x), self.a), y)
 
     def order(self, bound: int = ORDER_BOUND) -> int:
         g = self
@@ -91,19 +140,16 @@ class AffineAlgMap:
                 raise CheckError("element order exceeds bound %d" % bound)
         return n
 
-    def power(self, e: int) -> "AffineAlgMap":
-        if e < 0:
-            return self.inverse().power(-e)
-        g = AffineAlgMap.identity(self.ctx, self.x_image.names)
-        for _ in range(e):
-            g = self.compose(g)
-        return g
-
     def inverse(self) -> "AffineAlgMap":
-        return self.power(self.order() - 1)
+        """(lam^-1 (x - a), mu^-1 (y - f(lam^-1 (x - a))))."""
+        ctx = self.ctx
+        li, mi = ctx.inv(self.lam), ctx.inv(self.mu)
+        ai = ctx.neg(ctx.mul(li, self.a))
+        f = {e: ctx.neg(ctx.mul(mi, c)) for e, c in _shift(ctx, self.f, li, ai).items()}
+        return AffineAlgMap.triangular(ctx, li, ai, mi, f, self.names)
 
     def to_text(self) -> str:
-        nx, ny = self.x_image.names
+        nx, ny = self.names
         return "%s -> %s, %s -> %s" % (
             nx, self.x_image.to_text(), ny, self.y_image.to_text()
         )
@@ -114,22 +160,31 @@ class AffineAlgMap:
 
 def map_preserves(model: CurveModel, m: AffineAlgMap) -> bool:
     """True iff F(m(x,y)) lies in the ideal (F), checked by pseudo-division
-    in the second variable, with the degree preserved."""
-    comp = model.F.substitute(m.x_image, m.y_image)
-    if comp.total_degree() != model.F.total_degree():
+    in the second variable, with the degree preserved.
+
+    Precondition, checked: the Y-leading coefficient of F is a nonzero
+    constant, so the pseudo-remainder is a true remainder and zero means
+    F divides F(m(x,y)).  That F is irreducible, so that (F) is the ideal of
+    the curve, is taken from the paper and not checked here."""
+    F = model.F
+    dy = F.degree(1)
+    if [i for i, j in F.terms if j == dy] != [0]:
+        raise ParameterError("membership oracle needs a constant Y-leading coefficient")
+    comp = F.substitute(m.x_image, m.y_image)
+    if comp.total_degree() != F.total_degree():
         return False
-    return comp.pseudo_rem(model.F, k=1).is_zero()
+    return comp.pseudo_rem(F, k=1).is_zero()
 
 
 def group_closure(generators, bound: int = CLOSURE_BOUND):
-    """Breadth-first closure under composition. Generators must be
-    invertible maps of finite order; the result contains the identity."""
+    """Breadth-first closure under composition. Generators must have
+    finite order; the result contains the identity."""
     if not generators:
         raise ParameterError("no generators")
     gens = list(generators)
     for g in gens:
         g.order()  # raises if not of finite order within bound
-    ident = AffineAlgMap.identity(gens[0].ctx, gens[0].x_image.names)
+    ident = AffineAlgMap.identity(gens[0].ctx, gens[0].names)
     seen = {ident.key(): ident}
     frontier = [ident]
     while frontier:
@@ -165,9 +220,6 @@ class AutGroupTable:
     generators: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    def element_keys(self):
-        return {g.key() for g in self.elements}
-
 
 def _exponent(elements) -> int:
     e = 1
@@ -198,7 +250,7 @@ def _commutator_closure(elements, bound: int = CLOSURE_BOUND):
 
 def _spanning_subset(elements):
     """Greedy generating subset of a group given by its full element list."""
-    ident = AffineAlgMap.identity(elements[0].ctx, elements[0].x_image.names)
+    ident = AffineAlgMap.identity(elements[0].ctx, elements[0].names)
     gens = []
     have = {ident.key()}
     for g in elements:
@@ -231,28 +283,16 @@ def _y_shear(ctx: FieldCtx, variant: str) -> int:
 
 def stabilizer_map(ctx: FieldCtx, a, b, lam, variant="plus", names=("x", "y")) -> AffineAlgMap:
     an, bn, ln = _as_encoding(ctx, a), _as_encoding(ctx, b), _as_encoding(ctx, lam)
-    X, Y = BiPoly.variables(ctx, names)
     shear = ctx.mul(_y_shear(ctx, variant), ctx.mul(ctx.frob(an, ctx.h), ln))
-    ca = BiPoly.const(ctx, an, names)
-    cb = BiPoly.const(ctx, bn, names)
-    return AffineAlgMap(X.cmul(ln) + ca, X.cmul(shear) + Y + cb)
+    return AffineAlgMap.triangular(ctx, ln, an, 1, {1: shear, 0: bn}, names)
 
 
 def extract_stabilizer_params(ctx: FieldCtx, m: AffineAlgMap, variant="plus"):
-    """Read (a, b, lambda) back off a composed map and check the map is
-    exactly of the stabilizer shape."""
-    lam = m.x_image.coeff(1, 0)
-    a = m.x_image.coeff(0, 0)
-    b = m.y_image.coeff(0, 0)
-    if lam == 0 or len(m.x_image.terms) > 2:
-        raise CheckError("composition left the stabilizer family")
+    """Read (a, b, lambda) back off a composed map and check its y-image
+    is exactly the stabilizer's."""
+    lam, a, b = m.lam, m.a, m.f.get(0, 0)
     shear = ctx.mul(_y_shear(ctx, variant), ctx.mul(ctx.frob(a, ctx.h), lam))
-    expect = {(0, 1): 1}
-    if shear:
-        expect[(1, 0)] = shear
-    if b:
-        expect[(0, 0)] = b
-    if m.y_image.terms != expect:
+    if m.mu != 1 or m.f != {e: c for e, c in ((1, shear), (0, b)) if c}:
         raise CheckError("composition left the stabilizer family")
     coeffs, rhs = _stab_condition_coeffs(ctx, variant, a)
     lhs = ctx.add(
@@ -273,10 +313,11 @@ def pgu_stabilizer(ctx: FieldCtx, variant: str = "plus") -> AutGroupTable:
     names = model.variables
 
     unipotent = []
+    coeffs = _stab_condition_coeffs(ctx, variant, 0)[0]  # the same for every a
+    solver = LinearizedSolver(ctx, coeffs, 2 * ctx.h)
     for a in ctx.subfield_encodings(2 * ctx.h):
-        coeffs, rhs = _stab_condition_coeffs(ctx, variant, a)
-        for b in solve_linearized(ctx, coeffs, rhs, 2 * ctx.h):
-            unipotent.append(stabilizer_map(ctx, a, int(b), 1, variant, names))
+        for b in solver.solve(_stab_condition_coeffs(ctx, variant, a)[1]):
+            unipotent.append(stabilizer_map(ctx, a, b, 1, variant, names))
     if len(unipotent) != q**3:
         raise CheckError("unipotent parameter count %d != q^3" % len(unipotent))
 
@@ -472,7 +513,6 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
     p, q, h = ctx.p, ctx.q, ctx.h
     names = model.variables
     w = int(find_omega(ctx))
-    X, Y = BiPoly.variables(ctx, names)
     cs = _family_I_linear_part(ctx, bn)
     u = ctx.sub(ctx.frob(bn, 1), bn)
     up1 = ctx.pow(u, p - 1)
@@ -482,30 +522,22 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
         return ctx.sub(ctx.frob(vp, 1), ctx.mul(up1, vp))
 
     def build(a, rho_terms, const):
-        terms = {(0, 1): 1}
-        for e, c in rho_terms.items():
-            if c:
-                terms[(e, 0)] = c
-        if const:
-            terms[(0, 0)] = const
-        xt = {(1, 0): 1}
-        if a:
-            xt[(0, 0)] = a
-        return AffineAlgMap(BiPoly(ctx, xt, names), BiPoly(ctx, terms, names))
+        return AffineAlgMap.triangular(ctx, 1, a, 1, {**rho_terms, 0: const}, names)
 
+    printed_solver = LinearizedSolver(ctx, [ctx.neg(1)] + [0] * (h - 1) + [1], 2 * h)
+    correction_solver = LinearizedSolver(ctx, cs, 2 * h)
     V = {}
     fallback_used = 0
     for a in ctx.subfield_encodings(2 * h):
         rhs = ctx.neg(ctx.mul(w, ctx.pow(a, q + 1))) if a else 0
-        vs = solve_linearized(ctx, [ctx.neg(1)] + [0] * (h - 1) + [1], rhs, 2 * h)
         printed = _printed_family_I_rho_terms(ctx, bn, a, w) if a else {}
-        consts = [lval(int(v)) for v in vs]
+        consts = [lval(v) for v in printed_solver.solve(rhs)]
         block = [build(a, printed, K) for K in consts]
         if not all(map_preserves(model, m) for m in block):
             # printed formula is off for this a; re-solve from scratch
             fallback_used += 1
             rho_terms = _family_I_correction(ctx, bn, a, w) if a else {}
-            consts = [int(k) for k in solve_linearized(ctx, cs, rhs, 2 * h)]
+            consts = correction_solver.solve(rhs)
             block = [build(a, rho_terms, K) for K in consts]
             for m in block:
                 if not map_preserves(model, m):
@@ -524,7 +556,7 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
             continue
         mu = ctx.pow(lam, q + 1)
         if mu != 0 and ctx.in_subfield(mu, 1):
-            t = AffineAlgMap(X.cmul(lam), Y.cmul(mu))
+            t = AffineAlgMap.triangular(ctx, lam, 0, mu, None, names)
             Lam.append(t)
             if lam_gen is None or t.order() > lam_gen.order():
                 lam_gen = t
@@ -607,17 +639,14 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
     if q > 9:
         raise ParameterError("parameter box q^4 p too large past q = 9")
     names = model.variables
-    X, Y = BiPoly.variables(ctx, names)
 
     box = list(ctx.subfield_encodings(2 * h))
     psi = []
     params = {}
     for a in box:
         for nu in range(p):
-            shear = X.cmul(nu) if nu else BiPoly.zero(ctx, names)
-            base_x = X + BiPoly.const(ctx, a, names)
             for c in box:
-                m = AffineAlgMap(base_x, Y + shear + BiPoly.const(ctx, c, names))
+                m = AffineAlgMap.triangular(ctx, 1, a, 1, {1: nu, 0: c}, names)
                 if map_preserves(model, m):
                     psi.append(m)
                     params[m.key()] = (a, nu, c)
@@ -650,7 +679,7 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
         raise CheckError("commutator subgroup differs from Gamma")
 
     taus = [
-        AffineAlgMap(X.cmul(lam), Y.cmul(ctx.mul(lam, lam)))
+        AffineAlgMap.triangular(ctx, lam, 0, ctx.mul(lam, lam), None, names)
         for lam in range(1, p)
     ]
     for t in taus:
@@ -713,30 +742,19 @@ def family_III_group(ctx: FieldCtx, b) -> dict:
     if ctx.add(ctx.add(ctx.frob(bn, h), bn), 1) != 0:
         raise ParameterError("b must satisfy b^q + b + 1 = 0")
     names = model.variables
-    X, Y = BiPoly.variables(ctx, names)
 
     def build(a, c):
         aq = ctx.frob(a, h)
-        a2q = ctx.mul(aq, aq)
-        cc = ctx.add(ctx.mul(c, c), c)
-        terms = {(0, 1): 1}
-        if a2q:
-            terms[(2, 0)] = a2q
-        if aq:
-            terms[(1, 0)] = aq
-        if cc:
-            terms[(0, 0)] = cc
-        xt = {(1, 0): 1}
-        if a:
-            xt[(0, 0)] = a
-        return AffineAlgMap(BiPoly(ctx, xt, names), BiPoly(ctx, terms, names))
+        f = {2: ctx.mul(aq, aq), 1: aq, 0: ctx.add(ctx.mul(c, c), c)}
+        return AffineAlgMap.triangular(ctx, 1, a, 1, f, names)
 
+    solver = LinearizedSolver(ctx, [1] + [0] * (h - 1) + [1], 2 * h)
     big = {}
     a_of = {}
     for a in ctx.subfield_encodings(2 * h):
         rhs = ctx.neg(ctx.pow(a, q + 1)) if a else 0
-        for c in solve_linearized(ctx, [1] + [0] * (h - 1) + [1], rhs, 2 * h):
-            m = build(a, int(c))
+        for c in solver.solve(rhs):
+            m = build(a, c)
             if not map_preserves(model, m):
                 raise CheckError("translation candidate fails curve preservation")
             big[m.key()] = m
@@ -748,7 +766,7 @@ def family_III_group(ctx: FieldCtx, b) -> dict:
     deck = build(1, bn)
     if deck.order() != 2:
         raise CheckError("deck map is not of order 2")
-    if deck.x_image != X + 1:
+    if (deck.lam, deck.a) != (1, 1):
         raise CheckError("deck map does not shift x by 1")
 
     norm = [g for g in big_list if g.compose(deck) == deck.compose(g)]

@@ -760,26 +760,6 @@ def _as_encoding(ctx: FieldCtx, x) -> int:
     raise ParameterError(f"not a field element: {x!r}")
 
 
-def arith(ctx: FieldCtx, op: str, a, b=None) -> Felt:
-    """One arithmetic operation on encodings, as used by the CLI."""
-    x = _as_encoding(ctx, a)
-    if op in ("neg", "inv"):
-        if b is not None:
-            raise ParameterError(f"op {op!r} takes one operand")
-        return Felt(ctx, ctx.neg(x) if op == "neg" else ctx.inv(x))
-    if b is None:
-        raise ParameterError(f"op {op!r} takes two operands")
-    if op in ("pow", "frob"):
-        if not isinstance(b, int):
-            raise ParameterError(f"op {op!r} needs an integer second operand")
-        return Felt(ctx, ctx.pow(x, b) if op == "pow" else ctx.frob(x, b))
-    y = _as_encoding(ctx, b)
-    fn = {"add": ctx.add, "sub": ctx.sub, "mul": ctx.mul, "div": ctx.div}.get(op)
-    if fn is None:
-        raise ParameterError(f"unknown op {op!r}")
-    return Felt(ctx, fn(x, y))
-
-
 def frobenius(ctx: FieldCtx, x, k: int = 1) -> Felt:
     return Felt(ctx, ctx.frob(_as_encoding(ctx, x), k))
 

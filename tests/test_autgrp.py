@@ -1,6 +1,7 @@
 """Automorphism layer: affine maps, closures, stabilizer tables, family groups."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermquot import models
 from hermquot.autgrp import (
@@ -49,12 +50,12 @@ def test_order_and_power():
     c = ctx(2, 2)
     central = stabilizer_map(c, 0, 1, 1, "plus")
     assert central.order() == 2
-    assert central.power(2).is_identity()
-    assert central.power(3) == central
+    assert central.compose(central).is_identity()
+    assert central.compose(central).compose(central) == central
     c3 = ctx(3, 1)
     m = stabilizer_map(c3, 0, _central_b(c3), 1, "plus")
     assert m.order() == 3
-    assert m.power(-1) == m.inverse()
+    assert m.compose(m) == m.inverse()
     assert len(m.to_text()) > 0
 
 
@@ -93,6 +94,14 @@ def test_map_preserves_examples():
     )
 
 
+def test_map_preserves_rejects_nonconstant_leading_coefficient():
+    # the family III plane model at (2,2) has Y-leading coefficient x^4 + 188
+    c = ctx(2, 2)
+    fam = models.family_III_model(c, models.admissible_b(c, "family_III")[0])
+    with pytest.raises(ParameterError):
+        map_preserves(fam, AffineAlgMap.identity(c, fam.variables))
+
+
 def test_group_closure_small_cases():
     c = ctx(2, 2)
     ident = AffineAlgMap.identity(c)
@@ -120,11 +129,76 @@ def test_extract_roundtrip():
     a, b, lam = extract_stabilizer_params(c, m1.compose(m2))
     rebuilt = stabilizer_map(c, a, b, lam, "plus")
     assert rebuilt == m1.compose(m2)
-    quad = AffineAlgMap(
-        BiPoly(c, {(2, 0): 1}, ("x", "y")), BiPoly(c, {(0, 1): 1}, ("x", "y"))
-    )
+    # triangular, but y -> y + x^2 is not a stabilizer y-image
     with pytest.raises(CheckError):
-        extract_stabilizer_params(c, quad)
+        extract_stabilizer_params(c, AffineAlgMap.triangular(c, 1, 0, 1, {2: 1}))
+
+
+@pytest.mark.parametrize(
+    "x_terms, y_terms",
+    [
+        ({(2, 0): 1}, {(0, 1): 1}),
+        ({(1, 0): 1, (0, 1): 1}, {(0, 1): 1}),
+        ({(1, 0): 1}, {(0, 2): 1}),
+        ({(0, 0): 1}, {(0, 1): 1}),
+        ({(1, 0): 1}, {(1, 0): 1}),
+        ({(1, 0): 1, (2, 0): 1}, {(0, 1): 1}),
+        ({(1, 0): 1}, {(0, 1): 1, (0, 2): 1}),
+        ({(1, 0): 1}, {(0, 1): 1, (1, 1): 1}),
+    ],
+    ids=["x->x^2", "x->x+y", "y->y^2", "lam=0", "mu=0", "x->x+x^2", "y->y+y^2",
+         "y->y+xy"],
+)
+def test_construction_rejects_non_triangular_maps(x_terms, y_terms):
+    c = ctx(2, 2)
+    with pytest.raises(ParameterError):
+        AffineAlgMap(BiPoly(c, x_terms), BiPoly(c, y_terms))
+
+
+def test_triangular_constructor_rejects_zero_scalars():
+    c = ctx(2, 2)
+    with pytest.raises(ParameterError):
+        AffineAlgMap.triangular(c, 0, 1, 1)
+    with pytest.raises(ParameterError):
+        AffineAlgMap.triangular(c, 1, 1, 0)
+
+
+# the table fields (2,2), (3,2), (2,3) and the digit-path field (2,4)
+_DIFF_FIELDS = [(2, 2), (3, 2), (2, 3), (2, 4)]
+
+
+@st.composite
+def _triangular_map(draw, c):
+    elem = st.one_of(st.sampled_from([0, 1]), st.integers(0, c.order - 1))
+    scalar = st.one_of(st.just(1), st.integers(1, c.order - 1))
+    f = draw(st.dictionaries(st.integers(0, c.q), elem, max_size=4))
+    return AffineAlgMap.triangular(
+        c, draw(scalar), draw(elem), draw(scalar), f, ("x", "y")
+    )
+
+
+@given(key=st.sampled_from(_DIFF_FIELDS), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_triangular_map_matches_bipoly_oracle(key, data):
+    """Closed-form compose, apply, inverse, key and to_text against the
+    generic substitution and evaluation of the BiPoly images."""
+    c = ctx(*key)
+    m = data.draw(_triangular_map(c))
+    g = data.draw(_triangular_map(c))
+    mx, my, gx, gy = m.x_image, m.y_image, g.x_image, g.y_image
+    mg = m.compose(g)
+    assert mg.x_image == mx.substitute(gx, gy)
+    assert mg.y_image == my.substitute(gx, gy)
+    pt = data.draw(st.tuples(st.integers(0, c.order - 1), st.integers(0, c.order - 1)))
+    assert m.apply(*pt) == (mx.evaluate(*pt), my.evaluate(*pt))
+    assert m.compose(m.inverse()).is_identity()
+    assert m.inverse().compose(m).is_identity()
+    back = mg.compose(g.inverse())
+    assert back.key() == m.key() and (back.x_image, back.y_image) == (mx, my)
+    twin = AffineAlgMap(mx, my)
+    assert twin.key() == m.key() and twin == m
+    assert (m.key() == g.key()) == (mx == gx and my == gy)
+    assert m.to_text() == "x -> %s, y -> %s" % (mx.to_text(), my.to_text())
 
 
 # stabilizer tables

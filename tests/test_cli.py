@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -196,6 +197,24 @@ def test_stdout_is_byte_identical_across_runs(capsys):
     assert cli.main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+_GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["aut", "--family", "I", "--p", "2", "--h", "3"], "aut_family_I_p2_h3.json"),
+        (["aut", "--family", "hermitian", "--p", "3", "--h", "1"],
+         "aut_hermitian_p3_h1.json"),
+    ],
+    ids=["family_I_2_3", "hermitian_3_1"],
+)
+def test_aut_stdout_matches_golden(capsys, argv, golden):
+    # family I generators with xi^4 and xi^2 terms, and the stabilizer's shear
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (_GOLDEN / golden).read_text()
 
 
 def test_module_entry_point():

@@ -10,7 +10,6 @@ from hermquot.gfield import (
     ParameterError,
     _find_modulus,
     _int_digits,
-    arith,
     find_omega,
     frobenius,
     make_field,
@@ -364,7 +363,7 @@ def test_solve_linearized_wrapper():
     assert [s.n for s in sols] == brute
 
 
-# ---------------------------------------------------------------- Felt and arith
+# ---------------------------------------------------------------- Felt
 
 def test_felt_operators():
     ctx = make_field(3, 1)
@@ -392,23 +391,6 @@ def test_felt_rejects_foreign_operands():
         Felt(ctx, 5) + 3  # 3 is not a prime-field constant here
     with pytest.raises(ParameterError):
         Felt(ctx, ctx.order)
-
-
-def test_arith_dispatcher():
-    ctx = make_field(2, 2)
-    assert arith(ctx, "add", 3, 5).n == 3 ^ 5
-    assert arith(ctx, "mul", 3, 5).n == ctx.mul(3, 5)
-    assert arith(ctx, "inv", 7).n == ctx.inv(7)
-    assert arith(ctx, "pow", 3, -1).n == ctx.inv(3)
-    assert arith(ctx, "frob", 3, 2).n == ctx.frob(3, 2)
-    with pytest.raises(ParameterError):
-        arith(ctx, "xor", 1, 2)
-    with pytest.raises(ParameterError):
-        arith(ctx, "add", 1)
-    with pytest.raises(ParameterError):
-        arith(ctx, "add", 1, ctx.order + 5)
-    with pytest.raises(ZeroDivisionError):
-        arith(ctx, "inv", 0)
 
 
 def test_checkerror_is_distinct_from_parametererror():
