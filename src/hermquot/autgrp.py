@@ -345,17 +345,18 @@ def pgu_stabilizer(ctx: FieldCtx, variant: str = "plus") -> AutGroupTable:
     # a small generating set for the unipotent part, then the center
     gens = _spanning_subset(unipotent)
 
-    center = _center_order(unipotent, gens)
-    profile = {}
     central_keys = {
         g.key()
         for g in unipotent
         if all(g.compose(t) == t.compose(g) for t in gens)
     }
+    center = len(central_keys)
+    profile = {}
     for g in unipotent:
         if g.key() in central_keys:
             continue
-        profile[g.order()] = profile.get(g.order(), 0) + 1
+        o = g.order()
+        profile[o] = profile.get(o, 0) + 1
 
     # composition stays inside the family and parameters re-extract
     rng = random.Random(17)

@@ -34,7 +34,7 @@ from .isocls import (
 from .placecount import (
     affine_points,
     family_III_place_count,
-    maximality_check,
+    maximality_report,
     rational_places,
 )
 
@@ -173,7 +173,7 @@ def cmd_count(cfg: RunConfig):
         return rep, 0
     model, bn = _build(ctx, cfg.family, cfg.b)
     tally = rational_places(model)
-    rep = maximality_check(model)
+    rep = maximality_report(model, tally.N, "direct")
     payload = {
         "version": __version__,
         "modulus": ctx.modulus,

@@ -814,7 +814,9 @@ class LinearizedSolver:
     L(y) = sum_i coeffs[i] * y^(p^i) is F_p-linear, so over digit
     coordinates it is a (4h x m) matrix on the subfield basis.  The row
     reduction is performed once and its operation log replayed per
-    right-hand side, which keeps per-fiber work small.
+    right-hand side, which keeps per-fiber work small.  count skips the
+    replay: the zero rows of the reduced system are fixed F_p-combinations
+    of the right-hand side's digits, kept as the solvability checks.
     """
 
     def __init__(self, ctx: FieldCtx, coeffs, m: int):
@@ -846,6 +848,19 @@ class LinearizedSolver:
         self.kernel_basis = kb
         self.kernel_size = ctx.p ** len(kb)
         self._kernel = None
+        # row r >= rank of the replayed rhs is sum_j units[j][r] * digit_j
+        units = []
+        for j in range(deg):
+            e = [0] * deg
+            e[j] = 1
+            _replay(e, self.ops, ctx.p)
+            units.append(e)
+        checks = [[e[r] for e in units] for r in range(self.rank, deg)]
+        checks = [w for w in checks if any(w)]
+        if ctx.p == 2:
+            # a check is a bit mask; it passes when rhs & mask has even parity
+            checks = [sum(1 << j for j, t in enumerate(w) if t) for w in checks]
+        self._checks = checks
 
     def _combine(self, vec) -> int:
         ctx = self.ctx
@@ -870,21 +885,25 @@ class LinearizedSolver:
             self._kernel = span
         return self._kernel
 
-    def _reduced(self, rhs: int) -> list[int]:
-        v = self.ctx._digits(rhs)
-        _replay(v, self.ops, self.ctx.p)
-        return v
-
     def count(self, rhs: int) -> int:
-        v = self._reduced(rhs)
-        for r in range(self.rank, self.ctx.deg):
-            if v[r]:
+        """Number of solutions: kernel_size, or 0 when inconsistent."""
+        ctx = self.ctx
+        if ctx.p == 2:
+            for mask in self._checks:
+                if (rhs & mask).bit_count() & 1:
+                    return 0
+            return self.kernel_size
+        p = ctx.p
+        v = ctx._digits(rhs)
+        for w in self._checks:
+            if sum(t * d for t, d in zip(w, v)) % p:
                 return 0
         return self.kernel_size
 
     def solve(self, rhs: int) -> list[int]:
         """Sorted encodings of all solutions; empty when inconsistent."""
-        v = self._reduced(rhs)
+        v = self.ctx._digits(rhs)
+        _replay(v, self.ops, self.ctx.p)
         for r in range(self.rank, self.ctx.deg):
             if v[r]:
                 return []

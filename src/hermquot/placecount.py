@@ -2,10 +2,20 @@
 
 Affine points over F_{q^(2k)} are counted fiberwise.  Every model except the
 family III plane equation is F_p-linear in Y after the pure-X part moves to
-the right-hand side, so each vertical fiber is one linearized solve; the
-remaining case falls back to exhaustive evaluation, capped at 4096 field
-elements.  The single place at infinity is added by convention; every model
-here has exactly one, rational over F_{q^2}.
+the right-hand side, so each vertical fiber is one linearized system
+L(y) = -xpart(x); the remaining case falls back to exhaustive evaluation,
+capped at 4096 field elements.  The single place at infinity is added by
+convention; every model here has exactly one, rational over F_{q^2}.
+
+Counting needs only the size of each fiber, which LinearizedSolver.count
+gives without listing solutions.  The x-values are walked multiplicatively:
+with gamma a generator of F_{q^(2k)}^*, x runs through gamma^0, gamma^1, ...,
+and each pure-X term c X^i keeps a running value updated by one multiply
+with gamma^i per step, so no power of x is ever taken.  After q^(2k) - 1
+steps every running value must be back at its coefficient; the x = 0 fiber
+is the constant term.  iter_fibers keeps the ascending scan with sorted
+solutions for the callers that need the points themselves, and is the
+reference the tests hold the walk to.
 
 Models whose plane equation is singular at a rational point (family III) are
 counted through their smooth degree-2 cover instead: rational places of the
@@ -95,9 +105,50 @@ def iter_fibers(model: CurveModel, k: int):
         yield x, [y for y in ys if F.evaluate(x, y) == 0]
 
 
+def _subfield_generator(ctx: FieldCtx, m: int) -> int:
+    """An element of multiplicative order exactly p^m - 1, inside F_{p^m}."""
+    n = ctx.p**m - 1
+    e = (ctx.order - 1) // n
+    for c in range(2, ctx.order):
+        gamma = ctx.pow(c, e)
+        if ctx.mult_order(gamma) == n:
+            return gamma
+    raise CheckError(f"no generator of F_(p^{m})^*; the modulus is not irreducible")
+
+
+def _count_points(model: CurveModel, k: int) -> int:
+    """Number of affine F_{q^(2k)}-points, without listing any fiber."""
+    ctx = model.ctx
+    m = _scan_degree(ctx, k)
+    prof = _fiber_profile(model.F)
+    if prof is None:
+        return sum(len(ys) for _, ys in iter_fibers(model, k))
+    vec, xpart = prof
+    solver = LinearizedSolver(ctx, vec, m)
+    const = xpart.terms.get((0, 0), 0)
+    terms = sorted((i, c) for (i, _), c in xpart.terms.items() if i)
+    coeffs = [c for _, c in terms]
+    gamma = _subfield_generator(ctx, m)
+    steps = [ctx.pow(gamma, i) for i, _ in terms]
+    # L is F_p-linear, so y -> -y maps the solutions of L(y) = -r onto
+    # those of L(y) = r: the count of r stands for the fiber's own -r
+    n = solver.count(const)  # x = 0
+    vals = coeffs
+    for _ in range(ctx.p**m - 1):
+        rhs = const
+        for v in vals:
+            # skip 0 + v: on the digit kernel that is a full digit add
+            rhs = ctx.add(rhs, v) if rhs else v
+        n += solver.count(rhs)
+        vals = [ctx.mul(v, s) for v, s in zip(vals, steps)]
+    if vals != coeffs:
+        raise CheckError(f"gamma^{ctx.p**m - 1} != 1; the x-walk missed elements")
+    return n
+
+
 def affine_points(model: CurveModel, k: int = 1) -> PlaceTally:
     """Affine F_{q^(2k)}-point tally of the plane model, singular or not."""
-    n = sum(len(ys) for _, ys in iter_fibers(model, k))
+    n = _count_points(model, k)
     return PlaceTally(k=k, affine_points=n, places_at_infinity=1, N=n + 1)
 
 
@@ -130,7 +181,7 @@ def rational_places(model: CurveModel) -> PlaceTally:
             f"{model.family}: plane model is singular at {len(sing)} rational "
             f"point(s); count through the order-2 quotient instead"
         )
-    n = sum(len(ys) for _, ys in iter_fibers(model, 1))
+    n = _count_points(model, 1)
     return PlaceTally(
         k=1,
         affine_points=n,
@@ -146,15 +197,17 @@ def maximality_check(model: CurveModel) -> dict:
     Family III models are routed through the quotient count of their smooth
     cover; everything else is counted directly on the plane model.
     """
-    ctx = model.ctx
-    q = ctx.q
+    if model.family == "family_III":
+        n = family_III_place_count(model.ctx, model.params["b"])["N"]
+        return maximality_report(model, n, "quotient")
+    return maximality_report(model, rational_places(model).N, "direct")
+
+
+def maximality_report(model: CurveModel, n: int, path: str) -> dict:
+    """maximality_check's report for a place count n already taken."""
+    q = model.ctx.q
     g = model.claimed_genus
     expected = q * q + 2 * g * q + 1
-    if model.family == "family_III":
-        rep = family_III_place_count(ctx, model.params["b"])
-        n, path = rep["N"], "quotient"
-    else:
-        n, path = rational_places(model).N, "direct"
     return {
         "family": model.family,
         "q": q,

@@ -185,10 +185,6 @@ class BiPoly:
     def total_degree(self) -> int:
         return max((i + j for i, j in self.terms), default=-1)
 
-    def term_key(self):
-        """Canonical hashable form, used to key maps and group elements."""
-        return tuple(sorted(self.terms.items()))
-
     # evaluation and substitution
 
     def evaluate(self, x, y) -> int:

@@ -217,6 +217,22 @@ def test_aut_stdout_matches_golden(capsys, argv, golden):
     assert capsys.readouterr().out == (_GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["count", "--family", "II", "--p", "5", "--h", "2"], "count_II_p5_h2.json"),
+        (["count", "--family", "I", "--p", "3", "--h", "3"], "count_I_p3_h3.json"),
+        (["count", "--family", "hermitian", "--p", "2", "--h", "4", "--k", "2"],
+         "count_hermitian_p2_h4_k2.json"),
+    ],
+    ids=["family_II_5_2", "family_I_3_3", "hermitian_2_4_k2"],
+)
+def test_count_stdout_matches_golden(capsys, argv, golden):
+    # digit-kernel fields and the affine_k2 scan
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (_GOLDEN / golden).read_text()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hermquot", "field", "--p", "2", "--h", "1"],

@@ -1,14 +1,18 @@
 """Place counts: fiber tallies, singular detection, order-2 quotient counts."""
 
-import pytest
+import dataclasses
 
-from hermquot import models
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hermquot import models, placecount
 from hermquot.autgrp import AffineAlgMap
 from hermquot.autgrp import stabilizer_map
-from hermquot.gfield import CheckError, ParameterError, make_field
+from hermquot.gfield import TABLE_ORDER_BOUND, CheckError, ParameterError, make_field
 from hermquot.placecount import (
     affine_points,
     family_III_place_count,
+    iter_fibers,
     maximality_check,
     quotient_places_order2,
     rational_places,
@@ -211,3 +215,99 @@ def test_family_III_place_count_rejects_bad_input():
         family_III_place_count(ctx(3, 2), 1)
     with pytest.raises(ParameterError):
         family_III_place_count(ctx(2, 2), 0)
+
+
+# ---------------------------------------------------- the count walk vs fibers
+
+# table kernel at (2,2) and (3,2), digit kernel at (2,4), (3,3) and (5,2)
+_WALK_FIELDS = [(2, 2), (3, 2), (2, 4), (3, 3), (5, 2)]
+
+
+def _fiber_total(m, k):
+    """The slow path the walk replaces: ascending x, sorted solution lists."""
+    return sum(len(ys) for _, ys in iter_fibers(m, k))
+
+
+def _walk_ks(c):
+    # the oracle's k = 2 scan evaluates F at each of the q^4 x-values, so it
+    # runs on the table fields; test_cli's golden count output at (2, 4),
+    # captured from the oracle path, pins one digit-kernel k = 2 walk
+    return (1, 2) if c.order <= TABLE_ORDER_BOUND else (1,)
+
+
+def _fixed_models(c):
+    out = [models.hermitian_model(c, v) for v in ("plus", "minus_omega", "plus_one")]
+    out.append(models.subcover_center(c))
+    out.append(models.subcover_noncenter(c) if c.p > 2 else models.fpp_char2(c))
+    # no paper model has an X-linear or constant term; this one walks both
+    herm = out[0]
+    extra = BiPoly(c, {(1, 0): 2, (0, 0): c.p + 1}, herm.F.names)
+    out.append(dataclasses.replace(herm, F=herm.F + extra))
+    return out
+
+
+@pytest.mark.parametrize("p,h", _WALK_FIELDS)
+def test_count_walk_matches_fibers(p, h):
+    c = ctx(p, h)
+    for m in _fixed_models(c):
+        for k in _walk_ks(c):
+            assert affine_points(m, k).affine_points == _fiber_total(m, k), (m.family, k)
+
+
+@pytest.mark.parametrize(
+    "p,h,family",
+    [(p, h, "family_I") for p, h in _WALK_FIELDS]
+    + [(p, h, "family_II") for p, h in _WALK_FIELDS if p > 2],
+)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_family_count_walk_matches_fibers(p, h, family, data):
+    c = ctx(p, h)
+    b = data.draw(st.sampled_from(models.admissible_b(c, family)))
+    build = models.family_I_model if family == "family_I" else models.family_II_model
+    m = build(c, b)
+    n1 = _fiber_total(m, 1)
+    assert affine_points(m, 1).affine_points == n1
+    if 2 in _walk_ks(c):
+        assert affine_points(m, 2).affine_points == _fiber_total(m, 2)
+    rep = maximality_check(m)
+    assert rep["N"] == n1 + 1 and rep["maximal"]
+
+
+def _prime_divisors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+@pytest.mark.parametrize("p,h", _WALK_FIELDS)
+def test_walk_generator_has_exact_order(p, h):
+    c = ctx(p, h)
+    for m in (2 * h, 4 * h):
+        n = p**m - 1
+        g = placecount._subfield_generator(c, m)
+        assert c.mult_order(g) == n
+        # again through the digit kernel, with a factorization of its own
+        assert c._pow_digits(g, n) == 1
+        assert all(c._pow_digits(g, n // r) != 1 for r in _prime_divisors(n))
+        if n < TABLE_ORDER_BOUND:
+            # the walk visits every nonzero element of F_{p^m} once
+            powers, x = [], 1
+            for _ in range(n):
+                powers.append(x)
+                x = c.mul(x, g)
+            assert x == 1
+            assert sorted(powers) == list(c.subfield_encodings(m))[1:]
+
+
+def test_count_walk_rejects_a_generator_outside_the_subfield(monkeypatch):
+    c = ctx(3, 2)
+    outside = placecount._subfield_generator(c, 4 * c.h)  # generates F_{q^4}^*
+    monkeypatch.setattr(placecount, "_subfield_generator", lambda ctx, m: outside)
+    with pytest.raises(CheckError):
+        affine_points(models.hermitian_model(c), 1)
