@@ -8,10 +8,11 @@ p^3 collapses to a single class; from h = 4 on, several classes of size
 orbits, all of size p - 1... printed here to have the actual numbers.
 """
 
+import pathlib
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from hermquot.gfield import make_field
 from hermquot.isocls import class_inventory

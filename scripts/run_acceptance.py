@@ -5,9 +5,10 @@ Exit status 0 when everything passes, 1 otherwise.  Same engine as
 `hermquot verify --all`, but with a human table instead of JSON.
 """
 
+import pathlib
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from hermquot import verify
 

@@ -8,10 +8,11 @@ quotient.  Pass a size cap (ambient field order) as the only argument to
 trim the sweep, default 600000.
 """
 
+import pathlib
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from hermquot import models
 from hermquot.gfield import make_field

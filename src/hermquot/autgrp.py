@@ -3,7 +3,10 @@
 Every map here is (x, y) -> (lam x + a, mu y + f(x)), stored as (lam, a, mu,
 f) and composed, applied and inverted in closed form; BiPoly images are built
 only for the pseudo-remainder oracle map_preserves, which decides membership
-in the automorphism group, and for printing.  Printed map formulas are only
+in the automorphism group, and for printing.  Every group table is built the
+same way: a linearized system is solved for the candidate translations, and
+the oracle confirms them (each one in families I-III, an evenly spaced sample
+of the stabilizer's q^3(q+1) maps).  Family I's printed map formulas are only
 candidates: when one fails the oracle we re-solve for the correction term by
 linear algebra.
 """
@@ -633,37 +636,39 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
 
 
 def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
-    """Candidate maps (xi, rho) -> (xi + a, rho + nu xi + c) filtered by the
-    membership oracle over the full parameter box, then the diagonal part."""
+    """The translations (xi, rho) -> (xi + a, rho + nu xi + c), solved from
+    their linearized conditions and each confirmed by the membership oracle,
+    then the diagonal part."""
     model = family_II_model(ctx, b)
+    bn = _as_encoding(ctx, b)
     p, q, h = ctx.p, ctx.q, ctx.h
     if q > 9:
-        raise ParameterError("parameter box q^4 p too large past q = 9")
+        raise ParameterError("family II group tables are limited to q <= 9")
     names = model.variables
 
-    box = list(ctx.subfield_encodings(2 * h))
-    psi = []
-    params = {}
-    for a in box:
-        for nu in range(p):
-            for c in box:
-                m = AffineAlgMap.triangular(ctx, 1, a, 1, {1: nu, 0: c}, names)
-                if map_preserves(model, m):
-                    psi.append(m)
-                    params[m.key()] = (a, nu, c)
+    # F = T(xi)^2 - 2b T(rho) with T additive and nu in F_p, so F(m) - F =
+    # 2(T(a) - nu b) T(xi) + T(a)^2 - 2b T(c) has no rho and lower xi-degree
+    # than F; it lies in (F) only if it vanishes: T(a) = nu b, T(c) = nu^2 b/2.
+    solver = LinearizedSolver(ctx, [1] * h, 2 * h)
+    half_b = ctx.div(bn, 2)
+    triples = sorted(
+        (a, nu, c)
+        for nu in range(p)
+        for a in solver.solve(ctx.scale(bn, nu))
+        for c in solver.solve(ctx.scale(half_b, nu * nu % p))
+    )
+    psi = [AffineAlgMap.triangular(ctx, 1, a, 1, {1: nu, 0: c}, names)
+           for a, nu, c in triples]
+    if not all(map_preserves(model, m) for m in psi):
+        raise CheckError("solved translation fails curve preservation")
     if len(psi) != q * q // p:
         raise CheckError("|Psi| = %d, expected q^2/p = %d" % (len(psi), q * q // p))
 
-    psi_keys = {g.key() for g in psi}
-    gamma = [g for g in psi if params[g.key()][0] == 0 and params[g.key()][1] == 0]
-    gamma = [g for g in gamma if not g.is_identity()] + [
-        g for g in psi if g.is_identity()
-    ]
-    gamma_keys = {g.key() for g in gamma}
-    delta = [g for g in psi if params[g.key()][1] == 0 and params[g.key()][2] == 0]
-    omega_set = {g.key() for g in psi if params[g.key()][1] == 0}
+    gamma = {g.key(): g for (a, nu, _), g in zip(triples, psi) if a == nu == 0}
+    delta = [g for (_, nu, c), g in zip(triples, psi) if nu == c == 0]
+    omega_set = {g.key() for (_, nu, _), g in zip(triples, psi) if nu == 0}
     prod_keys = set()
-    for g1 in gamma:
+    for g1 in gamma.values():
         for g2 in delta:
             prod_keys.add(g1.compose(g2).key())
     if prod_keys != omega_set:
@@ -676,7 +681,7 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
         profile[n] = profile.get(n, 0) + 1
 
     comm = _commutator_closure(psi)
-    if {g.key() for g in comm} != gamma_keys:
+    if {g.key() for g in comm} != set(gamma):
         raise CheckError("commutator subgroup differs from Gamma")
 
     taus = [

@@ -728,24 +728,28 @@ class Felt:
 
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, h: int, size_bound: int = DEFAULT_SIZE_BOUND) -> FieldCtx:
-    """Context for the tower over F_p with q = p^h, ambient degree 4h.
+    """Context for the tower over F_p with q = p^h, ambient degree 4h."""
+    _checked_prime_power(p, h, 4, size_bound)
+    return FieldCtx(p, h, _find_modulus(p, 4 * h))
 
-    The size bound is checked before primality, and without forming
-    p^(4h), so that a huge p or h is rejected at once.
-    """
+
+def _checked_prime_power(p, h, k: int, bound: int) -> int:
+    """p^(k h) for a prime p and a positive integer h, at most bound.
+
+    The bound is checked before primality, and without forming p^(k h),
+    so that a huge p or h is rejected at once."""
     if not isinstance(p, int) or p < 2:
         raise ParameterError(f"p = {p!r} is not prime")
     if not isinstance(h, int) or h < 1:
         raise ParameterError(f"h = {h!r} must be a positive integer")
-    order = 1
-    for _ in range(4 * h):
-        order *= p
-        if order > size_bound:
-            raise ParameterError(
-                f"ambient order p^(4h) = {p}^{4 * h} exceeds the bound {size_bound}")
+    power = 1
+    for _ in range(k * h):
+        power *= p
+        if power > bound:
+            raise ParameterError(f"{p}^{k * h} exceeds the bound {bound}")
     if not _is_prime(p):
         raise ParameterError(f"p = {p!r} is not prime")
-    return FieldCtx(p, h, _find_modulus(p, 4 * h))
+    return power
 
 
 def _as_encoding(ctx: FieldCtx, x) -> int:

@@ -27,12 +27,17 @@ MATRIX_BOUND = 64
 
 
 def _norm_preimage(ctx: FieldCtx, d: int) -> int:
-    """Some sigma in F_{q^2} with sigma^(q+1) = d; the norm is onto F_q."""
+    """Some sigma in F_{q^2} with sigma^(q+1) = d; the norm is onto F_q.
+
+    The table keeps the least preimage of each norm, so the ascending scan
+    stops once all q values have one."""
     tab = ctx._norm
     if tab is None:
         tab = {}
         for s in ctx.subfield_encodings(2 * ctx.h):
             tab.setdefault(ctx.pow(s, ctx.q + 1), s)
+            if len(tab) == ctx.q:
+                break
         ctx._norm = tab
     sig = tab.get(d)
     if sig is None:

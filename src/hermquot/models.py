@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gfield import (
+    DEFAULT_SIZE_BOUND,
     CheckError,
     Felt,
     FieldCtx,
     ParameterError,
     _as_encoding,
+    _checked_prime_power,
     find_omega,
     make_field,
     solve_linearized,
@@ -376,9 +378,12 @@ def genus_formula(family: str, p: int, h: int) -> int:
     I:   q(q/p^2 - 1)/2        (h >= 2)
     II:  (q/p)(q/p - 1)/2      (p > 2)
     III: q(q - 2)/8            (p = 2, h >= 2)
+
+    q must be at most DEFAULT_SIZE_BOUND and p prime, checked in that
+    order so that a huge p or h is rejected at once.
     """
     fam = str(family).replace("family_", "").upper()
-    q = p**h
+    q = _checked_prime_power(p, h, 1, DEFAULT_SIZE_BOUND)
     if fam == "I":
         if h < 2:
             raise ParameterError("family I needs h >= 2")

@@ -8,6 +8,8 @@ from functools import reduce
 
 from .gfield import CheckError, ParameterError
 
+SIEVE_BOUND = 1 << 20
+
 
 def _clean(gens) -> list[int]:
     out = [int(g) for g in gens]
@@ -21,7 +23,8 @@ def gap_set(gens) -> list[int]:
 
     Needs gcd(gens) = 1.  The sieve stops once min(gens) consecutive
     integers are reachable; everything past that point is one of them
-    plus a multiple of min(gens).
+    plus a multiple of min(gens).  The sieve has max(gens)^2 + 2 max(gens)
+    entries, at most SIEVE_BOUND.
     """
     gens = sorted(set(_clean(gens)))
     if reduce(math.gcd, gens) != 1:
@@ -30,6 +33,8 @@ def gap_set(gens) -> list[int]:
     if m == 1:
         return []
     cap = gens[-1] ** 2 + 2 * gens[-1]
+    if cap > SIEVE_BOUND:
+        raise ParameterError(f"gap sieve of {cap} entries exceeds the bound {SIEVE_BOUND}")
     reach = bytearray(cap + 1)
     reach[0] = 1
     run = 0
@@ -163,6 +168,9 @@ def semigroup_at_infinity(family: str, p: int, h: int) -> NumSemigroup:
     No generator set is on record for family III, so that request is
     refused rather than guessed at.
     """
+    from .models import genus_formula
+
+    expect = genus_formula(family, p, h)  # checks p and h first
     fam = str(family).replace("family_", "").upper()
     q = p**h
     if fam == "I":
@@ -180,9 +188,6 @@ def semigroup_at_infinity(family: str, p: int, h: int) -> NumSemigroup:
     else:
         raise ParameterError(f"unknown family {family!r}")
     sg = from_generators(gens)
-    from .models import genus_formula
-
-    expect = genus_formula(fam, p, h)
     if sg.genus != expect:
         raise CheckError(
             f"semigroup genus {sg.genus} != curve genus {expect} for family {fam}"

@@ -324,6 +324,47 @@ def test_family_II_group_3_2():
     assert d["discrepancies"][0]["check"] == "family_II_elementary_abelian"
 
 
+def _family_II_box(model):
+    """(a, nu, c) of every map (xi, rho) -> (xi + a, rho + nu xi + c) with
+    a, c in F_{q^2} and nu in F_p that the oracle accepts: a full scan of the
+    parameter box, independent of the linearized conditions."""
+    c = model.ctx
+    box = c.subfield_encodings(2 * c.h)
+    return {
+        (a, nu, k)
+        for a in box
+        for nu in range(c.p)
+        for k in box
+        if map_preserves(
+            model, AffineAlgMap.triangular(c, 1, a, 1, {1: nu, 0: k}, model.variables)
+        )
+    }
+
+
+def test_family_II_solved_translations_match_box_scan():
+    c = ctx(3, 2)
+    t = family_II_group(c, models.admissible_b(c, "family_II")[0])
+    # Psi is the lam = 1 part of the table
+    psi = [g for g in t.elements if g.lam == 1]
+    assert all(g.mu == 1 and set(g.f) <= {0, 1} for g in psi)
+    solved = {(g.a, g.f.get(1, 0), g.f.get(0, 0)) for g in psi}
+    assert len(solved) == len(psi) == 27
+    assert solved == _family_II_box(t.model)
+
+
+def test_family_II_rejected_solved_map_raises(monkeypatch):
+    from hermquot import autgrp
+
+    oracle = autgrp.map_preserves
+    # an oracle that refuses every solved map with a nonzero nu
+    monkeypatch.setattr(
+        autgrp, "map_preserves", lambda model, m: 1 not in m.f and oracle(model, m)
+    )
+    c = ctx(3, 2)
+    with pytest.raises(CheckError, match="solved translation"):
+        family_II_group(c, models.admissible_b(c, "family_II")[0])
+
+
 def test_family_III_group_q4():
     c = ctx(2, 2)
     for b in models.admissible_b(c, "family_III")[:2]:

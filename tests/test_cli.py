@@ -29,13 +29,13 @@ def test_field_payload(capsys):
     assert d["version"]
 
 
-def _field_cli(p, h):
-    """(exit code, stderr, seconds) of an in-process `field --p P --h H`."""
+def _cli(*argv):
+    """(exit code, stderr, seconds) of an in-process run of argv."""
     err = io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(["field", "--p", str(p), "--h", str(h)])
+            code = cli.main([str(a) for a in argv])
         except SystemExit as e:  # argparse usage errors
             code = e.code
     return code, err.getvalue(), time.perf_counter() - t0
@@ -43,19 +43,61 @@ def _field_cli(p, h):
 
 def test_field_huge_prime_is_rejected_at_once():
     # trial division of this prime used to run before the size bound
-    code, err, dt = _field_cli(1000000000000000003, 1)
+    code, err, dt = _cli("field", "--p", 1000000000000000003, "--h", 1)
     assert code == 2 and "exceeds the bound" in err
     assert dt < 1.0
 
 
-@given(p=st.one_of(st.integers(-3, 200), st.integers(-10**40, 10**40)),
-       h=st.one_of(st.integers(-2, 9), st.integers(-10**40, 10**40)))
-@settings(max_examples=40, deadline=None)
-def test_field_cli_fuzz(p, h):
-    code, err, dt = _field_cli(p, h)
+def _assert_contract(code, err, dt):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert dt < 5.0
+
+
+_P = st.one_of(st.integers(-3, 200), st.integers(-10**40, 10**40))
+_H = st.one_of(st.integers(-2, 9), st.integers(-10**40, 10**40))
+
+
+@given(p=_P, h=_H)
+@settings(max_examples=40, deadline=None)
+def test_field_cli_fuzz(p, h):
+    _assert_contract(*_cli("field", "--p", p, "--h", h))
+
+
+@given(family=st.sampled_from(sorted(cli.FAMILIES)), p=_P, h=_H)
+@settings(max_examples=40, deadline=None)
+def test_genus_cli_fuzz(family, p, h):
+    _assert_contract(*_cli("genus", "--family", family, "--p", p, "--h", h))
+
+
+@given(gens=st.lists(st.one_of(st.integers(-2, 1100), st.integers(-10**40, 10**40)),
+                     min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_semigroup_gens_cli_fuzz(gens):
+    _assert_contract(*_cli("semigroup", "--gens", ",".join(map(str, gens))))
+
+
+@given(family=st.sampled_from(cli.PARAMETRIZED), p=_P, h=_H)
+@settings(max_examples=40, deadline=None)
+def test_semigroup_family_cli_fuzz(family, p, h):
+    _assert_contract(*_cli("semigroup", "--family", family, "--p", p, "--h", h))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("semigroup", "--gens", "1000003,1000033"),  # a 10^12-entry gap sieve
+        ("semigroup", "--family", "II", "--p", "3", "--h", "50"),
+        ("genus", "--family", "II", "--p", "3", "--h", "100000"),  # a 47,000-digit genus
+        ("genus", "--family", "II", "--p", "1000000000000000003", "--h", "1"),
+        ("genus", "--family", "I", "--p", "4", "--h", "2"),  # p not prime
+        ("semigroup", "--family", "I", "--p", "4", "--h", "3"),
+    ],
+)
+def test_out_of_range_argv_is_rejected_at_once(argv):
+    code, err, dt = _cli(*argv)
+    assert code == 2 and err.startswith("parameter error")
+    assert dt < 1.0
 
 
 def test_construct_defaults_to_first_admissible_b(capsys):
@@ -208,11 +250,13 @@ _GOLDEN = pathlib.Path(__file__).parent / "golden"
         (["aut", "--family", "I", "--p", "2", "--h", "3"], "aut_family_I_p2_h3.json"),
         (["aut", "--family", "hermitian", "--p", "3", "--h", "1"],
          "aut_hermitian_p3_h1.json"),
+        (["aut", "--family", "II", "--p", "3", "--h", "2"], "aut_family_II_p3_h2.json"),
     ],
-    ids=["family_I_2_3", "hermitian_3_1"],
+    ids=["family_I_2_3", "hermitian_3_1", "family_II_3_2"],
 )
 def test_aut_stdout_matches_golden(capsys, argv, golden):
-    # family I generators with xi^4 and xi^2 terms, and the stabilizer's shear
+    # family I generators with xi^4 and xi^2 terms, the stabilizer's shear,
+    # and the family II generators, which depend on the order of Psi
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (_GOLDEN / golden).read_text()
 

@@ -3,9 +3,10 @@
 import pytest
 
 from hermquot import models
-from hermquot.gfield import ParameterError, make_field
+from hermquot.gfield import FieldCtx, ParameterError, make_field
 from hermquot.isocls import (
     IsoWitness,
+    _norm_preimage,
     class_inventory,
     family_I_classify,
     family_I_iso,
@@ -198,3 +199,19 @@ def test_parameter_validation():
     c2 = ctx(3, 2)
     with pytest.raises(ParameterError):
         family_II_iso(c2, 1, 1)  # 1^q + 1 != 0
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 2), (2, 3), (3, 3), (5, 2)])
+def test_norm_table_stops_once_complete(monkeypatch, p, h):
+    c = ctx(p, h)
+    full = {}
+    for s in c.subfield_encodings(2 * h):
+        full.setdefault(c.pow(s, c.q + 1), s)
+    assert len(full) == c.q
+    calls = []
+    pow_ = FieldCtx.pow
+    monkeypatch.setattr(FieldCtx, "pow", lambda self, a, e: calls.append(a) or pow_(self, a, e))
+    c._norm = None
+    assert all(_norm_preimage(c, d) == s for d, s in full.items())
+    # the ascending scan ends at the last least preimage
+    assert calls[-1] == max(full.values()) and len(calls) < c.q**2

@@ -343,6 +343,8 @@ def test_genus_formula_frozen_values():
     assert models.genus_formula("III", 2, 3) == 6
     # long-tag spelling accepted
     assert models.genus_formula("family_I", 2, 3) == 4
+    # q = 3^18 is the largest power of 3 under the size bound
+    assert models.genus_formula("II", 3, 18) == 3**17 * (3**17 - 1) // 2
 
 
 def test_genus_formula_errors():
@@ -354,6 +356,15 @@ def test_genus_formula_errors():
         models.genus_formula("III", 3, 2)
     with pytest.raises(ParameterError):
         models.genus_formula("IV", 2, 3)
+    for p, h in [(4, 2), (1, 3), (9, 2)]:
+        with pytest.raises(ParameterError, match="not prime"):
+            models.genus_formula("I", p, h)
+    with pytest.raises(ParameterError, match="positive integer"):
+        models.genus_formula("II", 3, 0)
+    # the size bound comes first: no 47,000-digit power, no trial division
+    for p, h in [(3, 100000), (1000000000000000003, 1)]:
+        with pytest.raises(ParameterError, match="exceeds the bound"):
+            models.genus_formula("II", p, h)
 
 
 def test_gsx1_table():

@@ -45,6 +45,17 @@ def test_gap_set_rejects_nonpositive():
         numsg.gap_set([])
 
 
+def test_gap_set_bounds_the_sieve():
+    # the sieve has max^2 + 2 max entries: 1023 is the largest max allowed
+    assert len(numsg.gap_set([1022, 1023])) == 1021 * 1022 // 2
+    with pytest.raises(ParameterError, match="exceeds the bound"):
+        numsg.gap_set([1023, 1024])
+    with pytest.raises(ParameterError, match="exceeds the bound"):
+        numsg.gap_set([1000003, 1000033])
+    with pytest.raises(ParameterError, match="exceeds the bound"):
+        numsg.semigroup_at_infinity("II", 3, 7)
+
+
 def test_full_semigroup_has_no_gaps():
     assert numsg.gap_set([1]) == []
     assert numsg.genus([1, 9]) == 0
@@ -208,6 +219,8 @@ def test_semigroup_at_infinity_bad_params():
         numsg.semigroup_at_infinity("II", 2, 3)
     with pytest.raises(ParameterError):
         numsg.semigroup_at_infinity("hermitian", 2, 3)
+    with pytest.raises(ParameterError, match="not prime"):
+        numsg.semigroup_at_infinity("I", 4, 3)
 
 
 def test_semigroup_at_infinity_matches_genus_formula():
