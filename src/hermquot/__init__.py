@@ -24,9 +24,7 @@ from .gfield import (
     LinearizedSolver,
     ParameterError,
     find_omega,
-    frobenius,
     make_field,
-    rel_trace,
     solve_linearized,
     subfield_elements,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "find_omega",
     "fpp_char2",
     "from_generators",
-    "frobenius",
     "genus_formula",
     "group_closure",
     "hermitian_model",
@@ -105,7 +102,6 @@ __all__ = [
     "pgu_stabilizer",
     "quotient_places_order2",
     "rational_places",
-    "rel_trace",
     "semigroup_at_infinity",
     "solve_linearized",
     "stabilizer_map",

@@ -26,9 +26,10 @@ from .gfield import (
 from .polyring import BiPoly
 from .models import (
     CurveModel,
+    admissible_b,
+    check_b,
     family_I_model,
     family_II_model,
-    family_III_model,
     fpp_char2,
     hermitian_model,
 )
@@ -326,8 +327,8 @@ def pgu_stabilizer(ctx: FieldCtx, variant: str = "plus") -> AutGroupTable:
 
     scalars = [
         stabilizer_map(ctx, 0, 0, lam, variant, names)
-        for lam in range(1, ctx.order)
-        if ctx.in_subfield(lam, 2 * ctx.h) and ctx.pow(lam, q + 1) == 1
+        for lam in ctx.subfield_encodings(2 * ctx.h)[1:]
+        if ctx.pow(lam, q + 1) == 1
     ]
     if len(scalars) != q + 1:
         raise CheckError("scalar class count %d != q+1" % len(scalars))
@@ -389,30 +390,19 @@ def pgu_stabilizer(ctx: FieldCtx, variant: str = "plus") -> AutGroupTable:
 
 def subgroup_types(ctx: FieldCtx) -> dict:
     """The order-p^2 subgroups used to cut out the three families, each
-    re-verified by closure on its Hermitian variant."""
-    p, q, h = ctx.p, ctx.q, ctx.h
+    generator confirmed by the membership oracle on its Hermitian variant
+    and each group re-verified by closure."""
+    p, h = ctx.p, ctx.h
     out = {"notes": []}
+    types = []  # (name, model, generators, exponent, details)
 
     if h >= 2:
         model = hermitian_model(ctx, "minus_omega")
         names = model.variables
-        b = next(
-            e
-            for e in ctx.subfield_encodings(h)
-            if not ctx.in_subfield(e, 1)
-        )
+        b = int(admissible_b(ctx, "I")[0])
         g1 = stabilizer_map(ctx, 0, 1, 1, "minus_omega", names)
         g2 = stabilizer_map(ctx, 0, b, 1, "minus_omega", names)
-        for g in (g1, g2):
-            if not map_preserves(model, g):
-                raise CheckError("U generator fails curve preservation")
-        elems = group_closure([g1, g2])
-        if len(elems) != p * p or _exponent(elems) != p:
-            raise CheckError("U is not elementary abelian of order p^2")
-        out["U"] = AutGroupTable(
-            model=model, elements=elems, order=len(elems), exponent=p,
-            generators=[g1, g2], details={"b": b, "central": True},
-        )
+        types.append(("U", model, [g1, g2], p, {"b": b, "central": True}))
     else:
         out["notes"].append("no U type at h=1: F_q has no element outside F_p")
 
@@ -420,40 +410,32 @@ def subgroup_types(ctx: FieldCtx) -> dict:
         model = hermitian_model(ctx, "plus")
         names = model.variables
         half = ctx.inv(2)
-        c = next(
-            e
-            for e in range(1, ctx.order)
-            if ctx.in_subfield(e, 2 * h)
-            and ctx.add(ctx.frob(e, h), e) == 0
-        )
+        c = int(admissible_b(ctx, "II")[0])
         g1 = stabilizer_map(ctx, 1, half, 1, "plus", names)
         g2 = stabilizer_map(ctx, 0, c, 1, "plus", names)
-        elems = group_closure([g1, g2])
-        if len(elems) != p * p or _exponent(elems) != p:
-            raise CheckError("V is not elementary abelian of order p^2")
-        out["V"] = AutGroupTable(
-            model=model, elements=elems, order=len(elems), exponent=p,
-            generators=[g1, g2], details={"c": c, "central": False},
-        )
+        types.append(("V", model, [g1, g2], p, {"c": c, "central": False}))
     else:
         model = hermitian_model(ctx, "plus_one")
         names = model.variables
-        c = next(
-            e
-            for e in range(ctx.order)
-            if ctx.in_subfield(e, 2 * h)
-            and ctx.add(ctx.add(ctx.frob(e, h), e), 1) == 0
-        )
+        # the least c that puts the map below in the stabilizer; family III
+        # shares the condition but needs h >= 2
+        coeffs, rhs = _stab_condition_coeffs(ctx, "plus_one", 1)
+        c = LinearizedSolver(ctx, coeffs, 2 * h).solve(rhs)[0]
         g = stabilizer_map(ctx, 1, c, 1, "plus_one", names)
-        if g.order() != 4:
-            raise CheckError("generator is not of order 4")
-        sq = g.compose(g)
-        if sq != stabilizer_map(ctx, 0, 1, 1, "plus_one", names):
+        if g.compose(g) != stabilizer_map(ctx, 0, 1, 1, "plus_one", names):
             raise CheckError("square of the order-4 generator is wrong")
-        elems = group_closure([g])
-        out["cyclic4"] = AutGroupTable(
-            model=model, elements=elems, order=len(elems), exponent=4,
-            generators=[g], details={"c": c, "cyclic": True},
+        types.append(("cyclic4", model, [g], 4, {"c": c, "cyclic": True}))
+
+    for name, model, gens, exponent, details in types:
+        for g in gens:
+            if not map_preserves(model, g):
+                raise CheckError("%s generator fails curve preservation" % name)
+        elems = group_closure(gens)
+        if len(elems) != p * p or _exponent(elems) != exponent:
+            raise CheckError("%s is not of order p^2 and exponent %d" % (name, exponent))
+        out[name] = AutGroupTable(
+            model=model, elements=elems, order=len(elems), exponent=exponent,
+            generators=gens, details=details,
         )
     return out
 
@@ -555,11 +537,9 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
     lam_gen = None
     Lam = []
     target = (q + 1) * (p - 1)
-    for lam in range(1, ctx.order):
-        if not ctx.in_subfield(lam, 2 * h):
-            continue
+    for lam in ctx.subfield_encodings(2 * h)[1:]:
         mu = ctx.pow(lam, q + 1)
-        if mu != 0 and ctx.in_subfield(mu, 1):
+        if ctx.in_subfield(mu, 1):
             t = AffineAlgMap.triangular(ctx, lam, 0, mu, None, names)
             Lam.append(t)
             if lam_gen is None or t.order() > lam_gen.order():
@@ -738,15 +718,11 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
 def family_III_group(ctx: FieldCtx, b) -> dict:
     """Build the verified translation maps on the smooth plane model, find
     the normalizer of the degree-2 deck map, and measure the quotient."""
-    p, q, h = ctx.p, ctx.q, ctx.h
-    if p != 2:
-        raise ParameterError("only defined in characteristic 2")
+    bn = check_b(ctx, "III", b)
+    q, h = ctx.q, ctx.h
     if q > 16:
         raise ParameterError("q > 16 exceeds the enumeration budget")
     model = fpp_char2(ctx)
-    bn = _as_encoding(ctx, b)
-    if ctx.add(ctx.add(ctx.frob(bn, h), bn), 1) != 0:
-        raise ParameterError("b must satisfy b^q + b + 1 = 0")
     names = model.variables
 
     def build(a, c):

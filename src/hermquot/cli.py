@@ -268,14 +268,11 @@ def cmd_aut(cfg: RunConfig):
                     "notes": st["notes"]}, 0
         t = pgu_stabilizer(ctx)
         return {**base, "family": "Hermitian", "b": None, **_table_payload(t)}, 0
-    if cfg.family == "I":
-        bn = _pick_b(ctx, "family_I", cfg.b)
-        t = family_I_group(ctx, bn)
-        return {**base, "family": "family_I", "b": bn, **_table_payload(t)}, 0
-    if cfg.family == "II":
-        bn = _pick_b(ctx, "family_II", cfg.b)
-        t = family_II_group(ctx, bn)
-        return {**base, "family": "family_II", "b": bn, **_table_payload(t)}, 0
+    if cfg.family in ("I", "II"):
+        tag = FAMILIES[cfg.family]
+        bn = _pick_b(ctx, tag, cfg.b)
+        build = family_I_group if cfg.family == "I" else family_II_group
+        return {**base, "family": tag, "b": bn, **_table_payload(build(ctx, bn))}, 0
     if cfg.family == "III":
         bn = _pick_b(ctx, "family_III", cfg.b)
         rep = dict(family_III_group(ctx, bn))

@@ -237,12 +237,13 @@ class FieldCtx:
       private methods (_mul_digits, _add_digits, ...) are also the
       reference the tests hold the table kernel to.
 
-    Other caches (reduction rows, Frobenius rows, subfield enumerations,
-    norm preimages) are built lazily as well.
+    Other caches (reduction rows, Frobenius rows, the per-subfield solvers
+    of x^(p^m) = x that give subfield bases and enumerations, norm
+    preimages) are built lazily as well.
     """
 
     __slots__ = ("p", "h", "q", "deg", "order", "modulus", "_tabled",
-                 "_exp", "_log", "_zech", "_red", "_frows", "_sub", "_sbasis",
+                 "_exp", "_log", "_zech", "_red", "_frows", "_sbasis",
                  "_ofac", "_omega", "_norm")
 
     def __init__(self, p: int, h: int, modulus: int):
@@ -258,7 +259,6 @@ class FieldCtx:
         self._zech = None
         self._red = None
         self._frows = {}
-        self._sub = {}
         self._sbasis = {}
         self._ofac = None
         self._omega = None
@@ -563,59 +563,32 @@ class FieldCtx:
             raise ParameterError(f"no subfield of degree {m} inside degree {self.deg}")
         return self.frob(a, m) == a
 
-    def subfield_basis(self, m: int) -> list[int]:
-        """F_p-basis of F_{p^m} inside the ambient field."""
+    def _subfield_solver(self, m: int) -> "LinearizedSolver":
+        """The solver of x^(p^m) - x = 0 over the whole field, kept per m:
+        its kernel is F_{p^m}."""
         if m < 1 or self.deg % m:
             raise ParameterError(f"no subfield of degree {m} inside degree {self.deg}")
-        got = self._sbasis.get(m)
-        if got is not None:
-            return got
-        if m == self.deg:
-            basis = [self.p ** i for i in range(self.deg)]
-        else:
-            # kernel of the F_p-linear map x -> x^(p^m) - x
-            p = self.p
-            cols = [self._digits(self.sub(self.frob(p ** j, m), p ** j))
-                    for j in range(self.deg)]
-            mat = [[cols[j][r] for j in range(self.deg)] for r in range(self.deg)]
-            pivots, _ = _rref(mat, p)
-            pivcols = {c for _, c in pivots}
-            basis = []
-            for f in range(self.deg):
-                if f in pivcols:
-                    continue
-                vec = [0] * self.deg
-                vec[f] = 1
-                for r, c in pivots:
-                    vec[c] = (-mat[r][f]) % p
-                enc = 0
-                for j, t in enumerate(vec):
-                    if t:
-                        enc = self.add(enc, self.scale(p ** j, t))
-                basis.append(enc)
-            if len(basis) != m:
+        solver = self._sbasis.get(m)
+        if solver is None:
+            solver = LinearizedSolver(self, [self.neg(1)] + [0] * (m - 1) + [1], self.deg)
+            if len(solver.kernel_basis) != m:
                 raise CheckError("subfield dimension mismatch")
-        self._sbasis[m] = basis
-        return basis
+            self._sbasis[m] = solver
+        return solver
+
+    def subfield_basis(self, m: int) -> list[int]:
+        """F_p-basis of F_{p^m} inside the ambient field."""
+        if m == self.deg:
+            return [self.p ** i for i in range(self.deg)]
+        return self._subfield_solver(m).kernel_basis
 
     def subfield_encodings(self, m: int):
         """All encodings of F_{p^m}, ascending.  Returns range() for m = 4h."""
-        got = self._sub.get(m)
-        if got is not None:
-            return got
         if m == self.deg:
-            out = range(self.order)
-        else:
-            span = [0]
-            for b in self.subfield_basis(m):
-                layer = list(span)
-                for t in range(1, self.p):
-                    tb = self.scale(b, t)
-                    span.extend(self.add(x, tb) for x in layer)
-            if len(span) != self.p ** m:
-                raise CheckError("subfield enumeration mismatch")
-            out = sorted(span)
-        self._sub[m] = out
+            return range(self.order)
+        out = self._subfield_solver(m).kernel()
+        if len(out) != self.p ** m:
+            raise CheckError("subfield enumeration mismatch")
         return out
 
     def mult_order(self, a: int) -> int:
@@ -764,25 +737,6 @@ def _as_encoding(ctx: FieldCtx, x) -> int:
     raise ParameterError(f"not a field element: {x!r}")
 
 
-def frobenius(ctx: FieldCtx, x, k: int = 1) -> Felt:
-    return Felt(ctx, ctx.frob(_as_encoding(ctx, x), k))
-
-
-def rel_trace(ctx: FieldCtx, x, m: int, n: int) -> Felt:
-    """Trace from F_{p^n} down to F_{p^m}; needs m | n and n | 4h."""
-    if m < 1 or n < 1 or n % m or ctx.deg % n:
-        raise ParameterError(f"bad trace degrees m={m}, n={n}")
-    a = _as_encoding(ctx, x)
-    if ctx.frob(a, n) != a:
-        raise ParameterError(f"encoding {a} does not lie in the degree {n} subfield")
-    acc = 0
-    for i in range(n // m):
-        acc = ctx.add(acc, ctx.frob(a, m * i))
-    if ctx.frob(acc, m) != acc:
-        raise CheckError("trace image left the target subfield")
-    return Felt(ctx, acc)
-
-
 def find_omega(ctx: FieldCtx) -> Felt:
     """omega with omega^(q-1) = -1.
 
@@ -875,7 +829,7 @@ class LinearizedSolver:
         return enc
 
     def kernel(self) -> list[int]:
-        """All kernel elements, enumerated once and cached."""
+        """All kernel elements, ascending, enumerated once and cached."""
         if self._kernel is None:
             if self.kernel_size > (1 << 20):
                 raise CheckError("kernel too large to enumerate")
@@ -886,6 +840,7 @@ class LinearizedSolver:
                 for t in range(1, ctx.p):
                     tb = ctx.scale(b, t)
                     span.extend(ctx.add(x, tb) for x in layer)
+            span.sort()
             self._kernel = span
         return self._kernel
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .gfield import CheckError, Felt, FieldCtx, ParameterError, _as_encoding
-from .models import admissible_b, family_I_model, family_II_model
+from .gfield import CheckError, Felt, FieldCtx, ParameterError
+from .models import admissible_b, check_b, family_I_model, family_II_model
 from .polyring import BiPoly, p_power_exp
 
 INVENTORY_BOUND = 4096
@@ -43,24 +43,6 @@ def _norm_preimage(ctx: FieldCtx, d: int) -> int:
     if sig is None:
         raise CheckError("norm map misses a value of F_q; field tower broken")
     return sig
-
-
-def _family_I_param(ctx: FieldCtx, b) -> int:
-    bn = _as_encoding(ctx, b)
-    if bn < ctx.p or not ctx.in_subfield(bn, ctx.h):
-        raise ParameterError("parameter must lie in F_q outside F_p")
-    return bn
-
-
-def _family_II_param(ctx: FieldCtx, b) -> int:
-    bn = _as_encoding(ctx, b)
-    if (
-        bn == 0
-        or not ctx.in_subfield(bn, 2 * ctx.h)
-        or ctx.add(ctx.frob(bn, ctx.h), bn) != 0
-    ):
-        raise ParameterError("parameter must be nonzero with b^q + b = 0")
-    return bn
 
 
 @dataclass(frozen=True)
@@ -95,8 +77,8 @@ def _certify_family_I(ctx: FieldCtx, bn: int, be: int, c: int, delta: int, sigma
 def family_I_iso(ctx: FieldCtx, b, bbar) -> IsoWitness | None:
     """Search c in F_q^* for the full condition set; delta is pinned by the
     i = 1 condition, sigma by the norm equation.  None when no pair works."""
-    bn = _family_I_param(ctx, b)
-    be = _family_I_param(ctx, bbar)
+    bn = check_b(ctx, "I", b)
+    be = check_b(ctx, "I", bbar)
     h = ctx.h
     diffs = [ctx.sub(bn, ctx.frob(bn, i)) for i in range(1, h)]
     diffs_bar = [ctx.sub(be, ctx.frob(be, i)) for i in range(1, h)]
@@ -124,8 +106,8 @@ def family_I_iso(ctx: FieldCtx, b, bbar) -> IsoWitness | None:
 def family_I_classify(ctx: FieldCtx, b, bbar) -> dict:
     """Membership-based decision: quadratic pair, cubic pair, or a
     fractional-linear relation over F_p; anything else is not isomorphic."""
-    bn = _family_I_param(ctx, b)
-    be = _family_I_param(ctx, bbar)
+    bn = check_b(ctx, "I", b)
+    be = check_b(ctx, "I", bbar)
     if ctx.frob(bn, 2) == bn and ctx.frob(be, 2) == be:
         return {"iso": True, "case": "both_quadratic"}
     if ctx.frob(bn, 3) == bn and ctx.frob(be, 3) == be:
@@ -144,8 +126,8 @@ def family_I_classify(ctx: FieldCtx, b, bbar) -> dict:
 
 def family_II_iso(ctx: FieldCtx, b, bbar) -> Felt | None:
     """kappa = bbar/b when it lands in F_p^*, certified by substitution."""
-    bn = _family_II_param(ctx, b)
-    be = _family_II_param(ctx, bbar)
+    bn = check_b(ctx, "II", b)
+    be = check_b(ctx, "II", bbar)
     kappa = ctx.div(be, bn)
     if kappa == 0 or kappa >= ctx.p:
         return None

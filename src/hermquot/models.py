@@ -183,11 +183,7 @@ def family_I_model(ctx: FieldCtx, b) -> CurveModel:
     is kept and flagged rational instead of rejected.
     """
     q, p, h = ctx.q, ctx.p, ctx.h
-    bn = _as_encoding(ctx, b)
-    if not ctx.in_subfield(bn, h):
-        raise ParameterError(f"b encoding {bn} is not in F_q")
-    if ctx.in_subfield(bn, 1):
-        raise ParameterError(f"b encoding {bn} lies in the prime field")
+    bn = check_b(ctx, "I", b)
     w = find_omega(ctx)
     X, Y = BiPoly.variables(ctx, ("xi", "rho"))
     F = (X ** (q + 1)).cmul(w)
@@ -196,19 +192,7 @@ def family_I_model(ctx: FieldCtx, b) -> CurveModel:
         F = F + (Y ** (p ** (i - 1))).cmul(ci)
     if ctx.sub(bn, ctx.frob(bn, h - 1)) == 0:
         raise CheckError("leading Y-coefficient b - b^(p^(h-1)) vanished")
-    g = q * (q // p**2 - 1) // 2
-    params: dict = {"b": Felt(ctx, bn), "omega": w}
-    if g == 0:
-        params["rational"] = True
-    return CurveModel(
-        F=F,
-        ctx=ctx,
-        family="family_I",
-        params=params,
-        claimed_genus=g,
-        claimed_semigroup_gens=(p ** (h - 2), q + 1),
-        variables=("xi", "rho"),
-    )
+    return _family_model(ctx, "I", F, {"b": Felt(ctx, bn), "omega": w})
 
 
 def family_II_model(ctx: FieldCtx, b) -> CurveModel:
@@ -218,14 +202,8 @@ def family_II_model(ctx: FieldCtx, b) -> CurveModel:
     The quotient by an order-p^2 subgroup meeting the center of the
     Sylow p-subgroup in order p.
     """
-    q, p, h = ctx.q, ctx.p, ctx.h
-    if p == 2:
-        raise ParameterError("family II needs p > 2")
-    bn = _as_encoding(ctx, b)
-    if bn == 0:
-        raise ParameterError("b = 0 degenerates the equation")
-    if ctx.add(ctx.frob(bn, h), bn) != 0:
-        raise ParameterError(f"b encoding {bn} fails b^q + b = 0")
+    p, h = ctx.p, ctx.h
+    bn = check_b(ctx, "II", b)
     X, Y = BiPoly.variables(ctx, ("xi", "rho"))
     TX = BiPoly.zero(ctx, ("xi", "rho"))
     TY = BiPoly.zero(ctx, ("xi", "rho"))
@@ -233,20 +211,24 @@ def family_II_model(ctx: FieldCtx, b) -> CurveModel:
         TX = TX + X ** (p ** (i - 1))
         TY = TY + Y ** (p ** (i - 1))
     F = TX * TX - TY.cmul(ctx.add(bn, bn))
-    g = (q // p) * (q // p - 1) // 2
-    params: dict = {"b": Felt(ctx, bn)}
+    return _family_model(ctx, "II", F, {"b": Felt(ctx, bn)})
+
+
+def _family_model(ctx: FieldCtx, fam: str, F: BiPoly, params: dict,
+                  variables=("xi", "rho")) -> CurveModel:
+    """The family's plane model with the genus and the Weierstrass
+    generators its rules state; a genus-0 model is flagged rational."""
+    g = genus_formula(fam, ctx.p, ctx.h)
     if g == 0:
         params["rational"] = True
     return CurveModel(
         F=F,
         ctx=ctx,
-        family="family_II",
+        family="family_" + fam,
         params=params,
         claimed_genus=g,
-        claimed_semigroup_gens=(
-            (q // p, q // p + q // p**2, q + 1) if h >= 2 else None
-        ),
-        variables=("xi", "rho"),
+        claimed_semigroup_gens=semigroup_gens(fam, ctx.p, ctx.h),
+        variables=variables,
     )
 
 
@@ -274,17 +256,6 @@ class CoeffList:
         return G
 
 
-def _check_family_III_b(ctx: FieldCtx, b) -> int:
-    if ctx.p != 2:
-        raise ParameterError("family III needs p = 2")
-    if ctx.h < 2:
-        raise ParameterError("family III needs h >= 2")
-    bn = _as_encoding(ctx, b)
-    if ctx.add(ctx.frob(bn, ctx.h), ctx.add(bn, 1)) != 0:
-        raise ParameterError(f"b encoding {bn} fails b^q + b + 1 = 0")
-    return bn
-
-
 def family_III_coeffs(ctx: FieldCtx, b) -> CoeffList:
     """Recursive Y-coefficients g_0, ..., g_{h-1} with c = b + b^2:
 
@@ -296,7 +267,7 @@ def family_III_coeffs(ctx: FieldCtx, b) -> CoeffList:
     means the recursion deviated and is reported as a check error.
     """
     q, h = ctx.q, ctx.h
-    bn = _check_family_III_b(ctx, b)
+    bn = check_b(ctx, "III", b)
     cn = ctx.add(bn, ctx.mul(bn, bn))
     if ctx.frob(cn, h) != cn:  # c = b + b^2 must land in F_q
         raise CheckError("c = b + b^2 left F_q")
@@ -339,37 +310,67 @@ def family_III_model(ctx: FieldCtx, b) -> CurveModel:
         F = F + gi * Y ** (2**i)
     if F.degree(1) != q // 2:
         raise CheckError(f"Y-degree {F.degree(1)} != q/2")
-    return CurveModel(
-        F=F,
-        ctx=ctx,
-        family="family_III",
-        params={"b": cl.b, "c": cl.c},
-        claimed_genus=q * (q - 2) // 8,
-        claimed_semigroup_gens=None,
-        variables=("x", "kappa"),
-    )
+    return _family_model(ctx, "III", F, {"b": cl.b, "c": cl.c}, ("x", "kappa"))
+
+
+def family_key(family) -> str:
+    """The short tag I, II or III of a family, given with or without the
+    "family_" prefix."""
+    fam = str(family).replace("family_", "").upper()
+    if fam not in ("I", "II", "III"):
+        raise ParameterError(f"unknown family {family!r}")
+    return fam
+
+
+def _family_domain(family, p: int, h: int) -> str:
+    """family_key(family), once the family is checked to exist at (p, h):
+    II needs p > 2, III needs p = 2 and h >= 2.  Family I exists at every
+    (p, h), with no admissible b at h = 1, where F_q = F_p."""
+    fam = family_key(family)
+    if fam == "II" and p == 2:
+        raise ParameterError("family II needs p > 2")
+    if fam == "III" and (p != 2 or h < 2):
+        raise ParameterError("family III needs p = 2 and h >= 2")
+    return fam
+
+
+def check_b(ctx: FieldCtx, family, b) -> int:
+    """The encoding of b when the family admits it, else ParameterError.
+
+    I: b in F_q \\ F_p.  II: b != 0 with b^q + b = 0.
+    III: b^q + b + 1 = 0.  The family must first exist at (p, h): II
+    needs p > 2, III needs p = 2 and h >= 2.
+    """
+    fam = _family_domain(family, ctx.p, ctx.h)
+    bn = _as_encoding(ctx, b)
+    bq = ctx.frob(bn, ctx.h)
+    if fam == "I":
+        ok, rule = bq == bn and not ctx.in_subfield(bn, 1), "b in F_q outside F_p"
+    elif fam == "II":
+        ok, rule = bn != 0 and ctx.add(bq, bn) == 0, "b != 0 with b^q + b = 0"
+    else:
+        ok, rule = ctx.add(ctx.add(bq, bn), 1) == 0, "b^q + b + 1 = 0"
+    if not ok:
+        raise ParameterError(f"b encoding {bn} fails {rule} (family {fam})")
+    return bn
 
 
 def admissible_b(ctx: FieldCtx, family: str) -> list[Felt]:
     """Every b the family accepts, ascending by encoding.
 
-    I: F_q minus the prime field.  II: nonzero kernel of b^q + b.
-    III: solutions of b^q + b + 1 = 0.
+    Listed by enumeration and by solving, the second route to the
+    check_b test.  I: F_q minus the prime field.  II: nonzero kernel of
+    b^q + b.  III: solutions of b^q + b + 1 = 0.
     """
-    fam = str(family).replace("family_", "").upper()
+    fam = _family_domain(family, ctx.p, ctx.h)
     h = ctx.h
     if fam == "I":
-        return [x for x in subfield_elements(ctx, h) if not ctx.in_subfield(int(x), 1)]
+        prime = set(ctx.subfield_encodings(1))
+        return [x for x in subfield_elements(ctx, h) if int(x) not in prime]
     trace_coeffs = [1] + [0] * (h - 1) + [1]  # b + b^q as a linearized map
     if fam == "II":
-        if ctx.p == 2:
-            raise ParameterError("family II needs p > 2")
         return [x for x in solve_linearized(ctx, trace_coeffs, 0, 2 * h) if int(x)]
-    if fam == "III":
-        if ctx.p != 2:
-            raise ParameterError("family III needs p = 2")
-        return solve_linearized(ctx, trace_coeffs, 1, 2 * h)
-    raise ParameterError(f"unknown family {family!r}")
+    return solve_linearized(ctx, trace_coeffs, 1, 2 * h)
 
 
 def genus_formula(family: str, p: int, h: int) -> int:
@@ -382,21 +383,31 @@ def genus_formula(family: str, p: int, h: int) -> int:
     q must be at most DEFAULT_SIZE_BOUND and p prime, checked in that
     order so that a huge p or h is rejected at once.
     """
-    fam = str(family).replace("family_", "").upper()
     q = _checked_prime_power(p, h, 1, DEFAULT_SIZE_BOUND)
+    fam = _family_domain(family, p, h)
     if fam == "I":
         if h < 2:
             raise ParameterError("family I needs h >= 2")
         return q * (q // p**2 - 1) // 2
     if fam == "II":
-        if p == 2:
-            raise ParameterError("family II needs p > 2")
         return (q // p) * (q // p - 1) // 2
-    if fam == "III":
-        if p != 2 or h < 2:
-            raise ParameterError("family III needs p = 2 and h >= 2")
-        return q * (q - 2) // 8
-    raise ParameterError(f"unknown family {family!r}")
+    return q * (q - 2) // 8
+
+
+def semigroup_gens(family: str, p: int, h: int) -> tuple[int, ...] | None:
+    """Weierstrass generators at the place at infinity, or None where none
+    are stated (h = 1, family III).
+
+    I:  (p^(h-2), q + 1)
+    II: (q/p, q/p + q/p^2, q + 1)
+    """
+    fam = _family_domain(family, p, h)
+    if fam == "III" or h < 2:
+        return None
+    q = p**h
+    if fam == "I":
+        return (p ** (h - 2), q + 1)
+    return (q // p, q // p + q // p**2, q + 1)
 
 
 def gsx1_genus(p: int, h: int, z_order: int) -> int:
@@ -491,8 +502,7 @@ def verify_lemma_b(ctx: FieldCtx, b) -> dict:
     with T(Z) = Z + Z^2 + ... + Z^(q/2) and c = b + b^2.
     """
     q, h = ctx.q, ctx.h
-    bn = _check_family_III_b(ctx, b)
-    cl = family_III_coeffs(ctx, bn)
+    cl = family_III_coeffs(ctx, b)
     names = ("x", "kappa")
     X, Y = BiPoly.variables(ctx, names)
     TX = BiPoly.zero(ctx, names)
@@ -516,7 +526,7 @@ def verify_lemma_b(ctx: FieldCtx, b) -> dict:
         "p": 2,
         "h": h,
         "q": q,
-        "b": bn,
+        "b": int(cl.b),
         "c": int(cl.c),
         "divisions": h,
         "terminal_ok": True,

@@ -66,6 +66,8 @@ def largest_gap(gens) -> int:
 def _member(n: int, gens) -> bool:
     if n == 0:
         return True
+    if n > SIEVE_BOUND:
+        raise ParameterError(f"membership sieve of {n} entries exceeds the bound {SIEVE_BOUND}")
     reach = bytearray(n + 1)
     reach[0] = 1
     for k in range(1, n + 1):
@@ -107,7 +109,8 @@ def telescopic_trace(gens) -> dict:
     """Step-by-step telescopic test, sensitive to the generator order.
 
     Each step records d_i = gcd(a_1..a_i), the scaled prefix A_{i-1}/d_i,
-    and whether a_i/d_i lands in the semigroup of that prefix.
+    and whether a_i/d_i lands in the semigroup of that prefix.  Each
+    membership sieve has a_i/d_i + 1 entries, at most SIEVE_BOUND.
     """
     gens = _clean(gens)
     d = gens[0]
@@ -163,30 +166,21 @@ def telescopic_genus(gens) -> int:
 
 
 def semigroup_at_infinity(family: str, p: int, h: int) -> NumSemigroup:
-    """Weierstrass semigroup at the place at infinity, families I and II.
+    """Weierstrass semigroup at the place at infinity, from the generators
+    models.semigroup_gens states.
 
-    No generator set is on record for family III, so that request is
+    Where none are stated (family III, family II at h = 1) the request is
     refused rather than guessed at.
     """
-    from .models import genus_formula
+    from .models import family_key, genus_formula, semigroup_gens
 
     expect = genus_formula(family, p, h)  # checks p and h first
-    fam = str(family).replace("family_", "").upper()
-    q = p**h
-    if fam == "I":
-        if h < 2:
-            raise ParameterError("family I needs h >= 2")
-        gens = (p ** (h - 2), q + 1)
-    elif fam == "II":
-        if p == 2:
-            raise ParameterError("family II needs p > 2")
-        if h < 2:
-            raise ParameterError("family II semigroup generators need h >= 2")
-        gens = (q // p, q // p + q // p**2, q + 1)
-    elif fam == "III":
-        raise ParameterError("no semigroup generators are stated for family III")
-    else:
-        raise ParameterError(f"unknown family {family!r}")
+    gens = semigroup_gens(family, p, h)
+    fam = family_key(family)
+    if gens is None:
+        raise ParameterError(
+            f"no semigroup generators are stated for family {fam} at p = {p}, h = {h}"
+        )
     sg = from_generators(gens)
     if sg.genus != expect:
         raise CheckError(

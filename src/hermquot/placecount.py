@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autgrp import AffineAlgMap, map_preserves
-from .gfield import CheckError, FieldCtx, LinearizedSolver, ParameterError, _as_encoding
-from .models import CurveModel, fpp_char2, genus_formula
+from .gfield import CheckError, FieldCtx, LinearizedSolver, ParameterError
+from .models import CurveModel, check_b, fpp_char2, genus_formula
 from .polyring import BiPoly, p_power_exp
 
 # q^2 <= 2^16 for k = 1 scans, q^4 <= 2^24 for k = 2
@@ -274,14 +274,8 @@ def family_III_place_count(ctx: FieldCtx, b) -> dict:
     characteristic-2 central quotient model by the involution
     (x, eta) -> (x + 1, eta + x^2 + x + b^2 + b).
     """
-    if ctx.p != 2:
-        raise ParameterError("family III place counts need p = 2")
+    bn = check_b(ctx, "III", b)
     q, h = ctx.q, ctx.h
-    if h < 2:
-        raise ParameterError("family III needs h >= 2")
-    bn = _as_encoding(ctx, b)
-    if ctx.add(ctx.add(ctx.frob(bn, h), bn), 1) != 0:
-        raise ParameterError("b must satisfy b^q + b + 1 = 0")
     cover = fpp_char2(ctx)
     names = cover.variables
     cc = ctx.add(ctx.mul(bn, bn), bn)

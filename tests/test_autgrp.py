@@ -258,6 +258,23 @@ def test_subgroup_types():
     assert st["U"].order == 9 and st["V"].order == 9
 
 
+def test_subgroup_types_confirm_every_generator(monkeypatch):
+    from hermquot import autgrp
+
+    oracle = autgrp.map_preserves
+
+    def refuse(variant):
+        # an oracle that refuses every map on one Hermitian variant
+        return lambda model, m: model.params["variant"] != variant and oracle(model, m)
+
+    monkeypatch.setattr(autgrp, "map_preserves", refuse("plus"))
+    with pytest.raises(CheckError, match="V generator"):
+        subgroup_types(ctx(3, 2))
+    monkeypatch.setattr(autgrp, "map_preserves", refuse("plus_one"))
+    with pytest.raises(CheckError, match="cyclic4 generator"):
+        subgroup_types(ctx(2, 2))
+
+
 # family groups
 
 

@@ -92,6 +92,7 @@ def test_semigroup_family_cli_fuzz(family, p, h):
         ("genus", "--family", "II", "--p", "1000000000000000003", "--h", "1"),
         ("genus", "--family", "I", "--p", "4", "--h", "2"),  # p not prime
         ("semigroup", "--family", "I", "--p", "4", "--h", "3"),
+        ("aut", "--family", "III", "--p", "2", "--h", "1"),  # family III needs h >= 2
     ],
 )
 def test_out_of_range_argv_is_rejected_at_once(argv):

@@ -11,9 +11,7 @@ from hermquot.gfield import (
     _find_modulus,
     _int_digits,
     find_omega,
-    frobenius,
     make_field,
-    rel_trace,
     solve_linearized,
     subfield_elements,
 )
@@ -268,41 +266,7 @@ def test_prime_subfield_is_the_digit_constants():
     assert list(ctx.subfield_encodings(1)) == [0, 1, 2]
 
 
-# ---------------------------------------------------------------- trace, omega
-
-@pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"p{c.p}h{c.h}")
-def test_rel_trace_lands_in_subfield_and_is_additive(ctx):
-    h = ctx.h
-    els = list(ctx.subfield_encodings(2 * h))[:25]
-    for a in els:
-        t = rel_trace(ctx, a, h, 2 * h)
-        assert ctx.in_subfield(t.n, h)
-        # trace of the tower composes
-        assert rel_trace(ctx, t, 1, h).n == rel_trace(ctx, a, 1, 2 * h).n
-    for a in els[:8]:
-        for b in els[:8]:
-            lhs = rel_trace(ctx, ctx.add(a, b), h, 2 * h).n
-            rhs = ctx.add(rel_trace(ctx, a, h, 2 * h).n, rel_trace(ctx, b, h, 2 * h).n)
-            assert lhs == rhs
-
-
-def test_rel_trace_surjective_onto_subfield():
-    ctx = make_field(3, 1)
-    images = {rel_trace(ctx, a, 1, 2).n for a in ctx.subfield_encodings(2)}
-    assert images == {0, 1, 2}
-
-
-def test_rel_trace_rejects_bad_degrees():
-    ctx = make_field(2, 2)
-    with pytest.raises(ParameterError):
-        rel_trace(ctx, 1, 3, 4)
-    with pytest.raises(ParameterError):
-        rel_trace(ctx, 1, 1, 3)
-    # element outside the claimed subfield
-    outside = next(n for n in range(ctx.order) if not ctx.in_subfield(n, 2))
-    with pytest.raises(ParameterError):
-        rel_trace(ctx, outside, 1, 2)
-
+# ---------------------------------------------------------------- omega
 
 @pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"p{c.p}h{c.h}")
 def test_omega_defining_property(ctx):
@@ -397,10 +361,3 @@ def test_checkerror_is_distinct_from_parametererror():
     assert issubclass(ParameterError, ValueError)
     assert issubclass(CheckError, ArithmeticError)
     assert not issubclass(CheckError, ParameterError)
-
-
-def test_frobenius_wrapper():
-    ctx = make_field(2, 2)
-    x = Felt(ctx, 9)
-    assert frobenius(ctx, x, 2).n == ctx.frob(9, 2)
-    assert frobenius(ctx, 9).n == ctx.frob(9, 1)

@@ -395,6 +395,24 @@ def test_admissible_b_all_accepted():
     ctx = make_field(2, 3)
     for b in models.admissible_b(ctx, "III"):
         models.family_III_coeffs(ctx, b)
+    # check_b tests b directly; admissible_b lists by enumeration and by
+    # solving: over all of F_{q^2} the two must pick the same b
+    for p, h in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]:
+        ctx = make_field(p, h)
+        for fam in ("I", "II", "III"):
+            if fam == ("III" if p > 2 else "II"):
+                with pytest.raises(ParameterError):
+                    models.admissible_b(ctx, fam)
+                with pytest.raises(ParameterError):
+                    models.check_b(ctx, fam, 1)
+                continue
+            accepted = []
+            for b in ctx.subfield_encodings(2 * h):
+                try:
+                    accepted.append(models.check_b(ctx, fam, b))
+                except ParameterError:
+                    pass
+            assert accepted == [int(x) for x in models.admissible_b(ctx, fam)]
 
 
 # --- CurveModel plumbing ---

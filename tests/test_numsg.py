@@ -1,4 +1,5 @@
 import math
+import time
 from functools import reduce
 
 import pytest
@@ -189,6 +190,14 @@ def test_telescopic_trace_steps():
 def test_telescopic_is_order_sensitive():
     assert numsg.is_telescopic([4, 6, 9])
     assert not numsg.is_telescopic([9, 4, 6])
+
+
+def test_telescopic_trace_bounds_the_membership_sieve():
+    # a_2/d_2 = 10^13 would need a 10^13-entry sieve
+    t0 = time.perf_counter()
+    with pytest.raises(ParameterError, match="exceeds the bound"):
+        numsg.is_telescopic([3, 10**13])
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_semigroup_at_infinity_family_I():
