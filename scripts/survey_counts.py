@@ -61,7 +61,7 @@ def main() -> int:
             bs = models.admissible_b(ctx, f"family_{fam}")
             if not bs:
                 continue
-            b = int(bs[0])
+            b = bs[0]
         t0 = time.perf_counter()
         if fam == "III":
             rep = family_III_place_count(ctx, b)

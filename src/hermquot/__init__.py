@@ -19,14 +19,11 @@ from .autgrp import (
 )
 from .gfield import (
     CheckError,
-    Felt,
     FieldCtx,
     LinearizedSolver,
     ParameterError,
     find_omega,
     make_field,
-    solve_linearized,
-    subfield_elements,
 )
 from .isocls import (
     IsoWitness,
@@ -69,7 +66,6 @@ __all__ = [
     "BiPoly",
     "CheckError",
     "CurveModel",
-    "Felt",
     "FieldCtx",
     "IsoWitness",
     "LinearizedSolver",
@@ -103,11 +99,9 @@ __all__ = [
     "quotient_places_order2",
     "rational_places",
     "semigroup_at_infinity",
-    "solve_linearized",
     "stabilizer_map",
     "subcover_center",
     "subcover_noncenter",
-    "subfield_elements",
     "subgroup_types",
     "verify_lemma_a",
     "verify_lemma_b",

@@ -269,7 +269,7 @@ def _spanning_subset(elements):
 
 def _stab_condition_coeffs(ctx: FieldCtx, variant: str, a: int):
     # b-condition per model variant, as a linearized equation in b
-    w = int(find_omega(ctx))
+    w = find_omega(ctx)
     aq1 = ctx.pow(a, ctx.q + 1)
     if variant == "plus":
         return [1] + [0] * (ctx.h - 1) + [1], aq1
@@ -282,7 +282,7 @@ def _stab_condition_coeffs(ctx: FieldCtx, variant: str, a: int):
 
 def _y_shear(ctx: FieldCtx, variant: str) -> int:
     # coefficient in front of a^q lambda x in the y-image
-    return int(find_omega(ctx)) if variant == "minus_omega" else 1
+    return find_omega(ctx) if variant == "minus_omega" else 1
 
 
 def stabilizer_map(ctx: FieldCtx, a, b, lam, variant="plus", names=("x", "y")) -> AffineAlgMap:
@@ -308,8 +308,13 @@ def extract_stabilizer_params(ctx: FieldCtx, m: AffineAlgMap, variant="plus"):
 
 
 def pgu_stabilizer(ctx: FieldCtx, variant: str = "plus") -> AutGroupTable:
-    """All maps (x,y) -> (lambda x + a, shear a^q lambda x + y + b) fixing
-    the point at infinity of the Hermitian model, built by enumeration."""
+    """The mu = 1 part of the stabilizer of the point at infinity of the
+    Hermitian model: all maps (x,y) -> (lambda x + a, shear a^q lambda x +
+    y + b) with lambda^(q+1) = 1, built by enumeration.
+
+    Its order is q^3(q+1).  The full stabilizer over F_{q^2} also holds
+    (x, y) -> (lambda x, lambda^(q+1) y) for every lambda != 0 and has order
+    q^3(q^2-1); the two agree only at q = 2."""
     q = ctx.q
     if q**3 * (q + 1) > CLOSURE_BOUND:
         raise ParameterError("stabilizer of size q^3(q+1) exceeds the bound")
@@ -399,7 +404,7 @@ def subgroup_types(ctx: FieldCtx) -> dict:
     if h >= 2:
         model = hermitian_model(ctx, "minus_omega")
         names = model.variables
-        b = int(admissible_b(ctx, "I")[0])
+        b = admissible_b(ctx, "I")[0]
         g1 = stabilizer_map(ctx, 0, 1, 1, "minus_omega", names)
         g2 = stabilizer_map(ctx, 0, b, 1, "minus_omega", names)
         types.append(("U", model, [g1, g2], p, {"b": b, "central": True}))
@@ -410,7 +415,7 @@ def subgroup_types(ctx: FieldCtx) -> dict:
         model = hermitian_model(ctx, "plus")
         names = model.variables
         half = ctx.inv(2)
-        c = int(admissible_b(ctx, "II")[0])
+        c = admissible_b(ctx, "II")[0]
         g1 = stabilizer_map(ctx, 1, half, 1, "plus", names)
         g2 = stabilizer_map(ctx, 0, c, 1, "plus", names)
         types.append(("V", model, [g1, g2], p, {"c": c, "central": False}))
@@ -498,7 +503,7 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
     bn = _as_encoding(ctx, b)
     p, q, h = ctx.p, ctx.q, ctx.h
     names = model.variables
-    w = int(find_omega(ctx))
+    w = find_omega(ctx)
     cs = _family_I_linear_part(ctx, bn)
     u = ctx.sub(ctx.frob(bn, 1), bn)
     up1 = ctx.pow(u, p - 1)

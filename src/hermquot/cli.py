@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__, models, numsg
 from . import verify as acceptance
@@ -51,64 +50,23 @@ FAMILIES = {
 PARAMETRIZED = ("I", "II", "III")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    p: int = 0
-    h: int = 0
-    family: str | None = None
-    b: int | None = None
-    bbar: int | None = None
-    k: int = 1
-    gens: tuple[int, ...] | None = None
-    checks: tuple[str, ...] = ()
-    all_checks: bool = False
-    oracle: int = 0
-    inventory: bool = False
-    subgroups: bool = False
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        gens = None
-        if getattr(ns, "gens", None):
-            try:
-                gens = tuple(int(t) for t in ns.gens.split(","))
-            except ValueError:
-                raise ParameterError(f"cannot parse generator list {ns.gens!r}")
-        return cls(
-            command=ns.command,
-            p=getattr(ns, "p", 0) or 0,
-            h=getattr(ns, "h", 0) or 0,
-            family=getattr(ns, "family", None),
-            b=getattr(ns, "b", None),
-            bbar=getattr(ns, "bbar", None),
-            k=getattr(ns, "k", 1),
-            gens=gens,
-            checks=tuple(getattr(ns, "check", None) or ()),
-            all_checks=bool(getattr(ns, "all", False)),
-            oracle=getattr(ns, "oracle", 0) or 0,
-            inventory=bool(getattr(ns, "inventory", False)),
-            subgroups=bool(getattr(ns, "subgroups", False)),
-        )
-
-
-def _ctx(cfg: RunConfig) -> FieldCtx:
-    if cfg.p <= 0 or cfg.h <= 0:
+def _ctx(ns: argparse.Namespace) -> FieldCtx:
+    if ns.p <= 0 or ns.h <= 0:
         raise ParameterError("this command needs --p and --h")
-    return make_field(cfg.p, cfg.h)
+    return make_field(ns.p, ns.h)
 
 
 def _pick_b(ctx: FieldCtx, tag: str, bn) -> int:
     """Default b: the first admissible parameter, so every command runs
     without the caller hunting for encodings by hand."""
     if bn is not None:
-        return int(bn)
+        return bn
     bs = models.admissible_b(ctx, tag)
     if not bs:
         raise ParameterError(
             f"no admissible b for {tag} at p={ctx.p}, h={ctx.h}"
         )
-    return int(bs[0])
+    return bs[0]
 
 
 def _build(ctx: FieldCtx, famkey: str, bn):
@@ -132,8 +90,8 @@ def _build(ctx: FieldCtx, famkey: str, bn):
     return builder(ctx, bn), bn
 
 
-def cmd_field(cfg: RunConfig):
-    ctx = _ctx(cfg)
+def cmd_field(ns: argparse.Namespace):
+    ctx = _ctx(ns)
     return {
         "version": __version__,
         "p": ctx.p,
@@ -145,9 +103,9 @@ def cmd_field(cfg: RunConfig):
     }, 0
 
 
-def cmd_construct(cfg: RunConfig):
-    ctx = _ctx(cfg)
-    model, _ = _build(ctx, cfg.family, cfg.b)
+def cmd_construct(ns: argparse.Namespace):
+    ctx = _ctx(ns)
+    model, _ = _build(ctx, ns.family, ns.b)
     payload = model.to_dict()
     payload["version"] = __version__
     payload["modulus"] = ctx.modulus
@@ -155,12 +113,12 @@ def cmd_construct(cfg: RunConfig):
     return payload, 0
 
 
-def cmd_count(cfg: RunConfig):
-    ctx = _ctx(cfg)
-    if cfg.family == "III":
-        if cfg.k != 1:
+def cmd_count(ns: argparse.Namespace):
+    ctx = _ctx(ns)
+    if ns.family == "III":
+        if ns.k != 1:
             raise ParameterError("degree-2 counting is not wired to the quotient path")
-        bn = _pick_b(ctx, "family_III", cfg.b)
+        bn = _pick_b(ctx, "family_III", ns.b)
         rep = dict(family_III_place_count(ctx, bn))
         rep.update(
             version=__version__,
@@ -171,7 +129,7 @@ def cmd_count(cfg: RunConfig):
             path="quotient",
         )
         return rep, 0
-    model, bn = _build(ctx, cfg.family, cfg.b)
+    model, bn = _build(ctx, ns.family, ns.b)
     tally = rational_places(model)
     rep = maximality_report(model, tally.N, "direct")
     payload = {
@@ -190,21 +148,21 @@ def cmd_count(cfg: RunConfig):
         "genus_used": rep["genus_used"],
         "path": rep["path"],
     }
-    if cfg.k == 2:
+    if ns.k == 2:
         payload["affine_k2"] = affine_points(model, 2).affine_points
     return payload, 0
 
 
-def cmd_genus(cfg: RunConfig):
-    famkey = cfg.family
+def cmd_genus(ns: argparse.Namespace):
+    famkey = ns.family
     if famkey in PARAMETRIZED:
-        if cfg.p <= 0 or cfg.h <= 0:
+        if ns.p <= 0 or ns.h <= 0:
             raise ParameterError("genus needs --p and --h")
-        g = models.genus_formula(FAMILIES[famkey], cfg.p, cfg.h)
-        q = cfg.p**cfg.h
-        payload = {"family": FAMILIES[famkey], "p": cfg.p, "h": cfg.h, "q": q, "genus": g}
+        g = models.genus_formula(FAMILIES[famkey], ns.p, ns.h)
+        q = ns.p**ns.h
+        payload = {"family": FAMILIES[famkey], "p": ns.p, "h": ns.h, "q": q, "genus": g}
     else:
-        ctx = _ctx(cfg)
+        ctx = _ctx(ns)
         model, _ = _build(ctx, famkey, None)
         payload = {
             "family": model.family,
@@ -217,21 +175,23 @@ def cmd_genus(cfg: RunConfig):
     return payload, 0
 
 
-def cmd_semigroup(cfg: RunConfig):
-    if cfg.gens:
-        gens = cfg.gens
+def cmd_semigroup(ns: argparse.Namespace):
+    if ns.gens:
+        try:
+            gens = tuple(int(t) for t in ns.gens.split(","))
+        except ValueError:
+            raise ParameterError(f"cannot parse generator list {ns.gens!r}")
         payload = {"family": "custom", "version": __version__}
     else:
-        if cfg.family not in PARAMETRIZED:
+        if ns.family not in PARAMETRIZED:
             raise ParameterError("semigroup needs --family I/II/III or --gens")
-        if cfg.p <= 0 or cfg.h <= 0:
+        if ns.p <= 0 or ns.h <= 0:
             raise ParameterError("semigroup needs --p and --h")
-        ns = numsg.semigroup_at_infinity(FAMILIES[cfg.family], cfg.p, cfg.h)
-        gens = ns.generators
+        gens = numsg.semigroup_at_infinity(FAMILIES[ns.family], ns.p, ns.h).generators
         payload = {
-            "family": FAMILIES[cfg.family],
-            "p": cfg.p,
-            "h": cfg.h,
+            "family": FAMILIES[ns.family],
+            "p": ns.p,
+            "h": ns.h,
             "version": __version__,
         }
     payload.update(numsg.summary(gens))
@@ -253,11 +213,11 @@ def _table_payload(table, extra=None) -> dict:
     return payload
 
 
-def cmd_aut(cfg: RunConfig):
-    ctx = _ctx(cfg)
+def cmd_aut(ns: argparse.Namespace):
+    ctx = _ctx(ns)
     base = {"version": __version__, "modulus": ctx.modulus, "p": ctx.p, "h": ctx.h}
-    if cfg.family == "hermitian":
-        if cfg.subgroups:
+    if ns.family == "hermitian":
+        if ns.subgroups:
             st = subgroup_types(ctx)
             tables = {
                 name: _table_payload(t)
@@ -268,98 +228,93 @@ def cmd_aut(cfg: RunConfig):
                     "notes": st["notes"]}, 0
         t = pgu_stabilizer(ctx)
         return {**base, "family": "Hermitian", "b": None, **_table_payload(t)}, 0
-    if cfg.family in ("I", "II"):
-        tag = FAMILIES[cfg.family]
-        bn = _pick_b(ctx, tag, cfg.b)
-        build = family_I_group if cfg.family == "I" else family_II_group
+    if ns.family in ("I", "II"):
+        tag = FAMILIES[ns.family]
+        bn = _pick_b(ctx, tag, ns.b)
+        build = family_I_group if ns.family == "I" else family_II_group
         return {**base, "family": tag, "b": bn, **_table_payload(build(ctx, bn))}, 0
-    if cfg.family == "III":
-        bn = _pick_b(ctx, "family_III", cfg.b)
+    if ns.family == "III":
+        bn = _pick_b(ctx, "family_III", ns.b)
         rep = dict(family_III_group(ctx, bn))
         # maps and models are not JSON material; keep the numeric summary
         for key in ("model", "elements", "normalizer", "deck"):
             rep.pop(key, None)
         return {**base, "family": "family_III", **rep}, 0
-    raise ParameterError(f"aut does not handle family {cfg.family!r}")
+    raise ParameterError(f"aut does not handle family {ns.family!r}")
 
 
-def cmd_iso(cfg: RunConfig):
-    ctx = _ctx(cfg)
+def cmd_iso(ns: argparse.Namespace):
+    ctx = _ctx(ns)
     base = {"version": __version__, "modulus": ctx.modulus, "p": ctx.p, "h": ctx.h}
-    if cfg.inventory:
-        if cfg.family not in ("I", "II"):
+    if ns.inventory:
+        if ns.family not in ("I", "II"):
             raise ParameterError("inventory needs --family I or II")
-        inv = class_inventory(FAMILIES[cfg.family], ctx)
+        inv = class_inventory(FAMILIES[ns.family], ctx)
         return {**base, **inv}, 0
-    if cfg.b is None or cfg.bbar is None:
+    if ns.b is None or ns.bbar is None:
         raise ParameterError("iso needs --b and --bbar (or --inventory)")
-    if cfg.family == "I":
-        w = family_I_iso(ctx, cfg.b, cfg.bbar)
-        cl = family_I_classify(ctx, cfg.b, cfg.bbar)
+    if ns.family == "I":
+        w = family_I_iso(ctx, ns.b, ns.bbar)
+        cl = family_I_classify(ctx, ns.b, ns.bbar)
         if (w is not None) != cl["iso"]:
             raise CheckError("isomorphism solver and classifier disagree")
         payload = {
             **base,
             "family": "family_I",
-            "b": cfg.b,
-            "bbar": cfg.bbar,
+            "b": ns.b,
+            "bbar": ns.bbar,
             "iso": w is not None,
             "case": cl["case"],
             "witness": w.as_dict() if w else None,
         }
-        model_a = models.family_I_model(ctx, cfg.b)
-        model_b = models.family_I_model(ctx, cfg.bbar)
-    elif cfg.family == "II":
-        kappa = family_II_iso(ctx, cfg.b, cfg.bbar)
+        model_a = models.family_I_model(ctx, ns.b)
+        model_b = models.family_I_model(ctx, ns.bbar)
+    elif ns.family == "II":
+        kappa = family_II_iso(ctx, ns.b, ns.bbar)
         payload = {
             **base,
             "family": "family_II",
-            "b": cfg.b,
-            "bbar": cfg.bbar,
+            "b": ns.b,
+            "bbar": ns.bbar,
             "iso": kappa is not None,
-            "kappa": int(kappa) if kappa is not None else None,
+            "kappa": kappa,
         }
-        model_a = models.family_II_model(ctx, cfg.b)
-        model_b = models.family_II_model(ctx, cfg.bbar)
+        model_a = models.family_II_model(ctx, ns.b)
+        model_b = models.family_II_model(ctx, ns.bbar)
     else:
         raise ParameterError("iso handles families I and II")
-    if cfg.oracle:
-        got = oracle_iso(model_a, model_b, tier=cfg.oracle)
+    if ns.oracle:
+        got = oracle_iso(model_a, model_b, tier=ns.oracle)
         if got != payload["iso"]:
             raise CheckError("isomorphism oracle disagrees with the solver")
-        payload["oracle_tier"] = cfg.oracle
+        payload["oracle_tier"] = ns.oracle
         payload["oracle"] = got
     return payload, 0
 
 
-def cmd_lemma_a(cfg: RunConfig):
-    if cfg.p <= 0:
+def cmd_lemma_a(ns: argparse.Namespace):
+    if ns.p <= 0:
         raise ParameterError("verify-lemma-a needs --p")
-    rep = dict(models.verify_lemma_a(cfg.p))
+    rep = dict(models.verify_lemma_a(ns.p))
     rep["version"] = __version__
     return rep, 0
 
 
-def cmd_lemma_b(cfg: RunConfig):
-    ctx = _ctx(cfg)
-    if cfg.b is not None:
-        bs = [cfg.b]
+def cmd_lemma_b(ns: argparse.Namespace):
+    ctx = _ctx(ns)
+    if ns.b is not None:
+        bs = [ns.b]
     else:
-        bs = [int(x) for x in models.admissible_b(ctx, "family_III")]
-    results = []
-    for bn in bs:
-        rep = dict(models.verify_lemma_b(ctx, bn))
-        rep["b"] = int(rep["b"])
-        rep["c"] = int(rep["c"])
-        results.append(rep)
+        bs = models.admissible_b(ctx, "family_III")
+    results = [models.verify_lemma_b(ctx, bn) for bn in bs]
     return {"version": __version__, "modulus": ctx.modulus, "results": results}, 0
 
 
-def cmd_verify(cfg: RunConfig):
-    if cfg.all_checks:
+def cmd_verify(ns: argparse.Namespace):
+    if ns.all:
         ids = None
-    elif cfg.checks:
-        ids = list(cfg.checks)
+    elif ns.check:
+        ids = list(ns.check)
     else:
         return {"results": []}, 0
     res = acceptance.run_all(ids)
@@ -384,9 +339,9 @@ _DISPATCH = {
 
 
 def _add_pq(sp, need_h=True):
-    sp.add_argument("--p", type=int, help="field characteristic, a prime")
+    sp.add_argument("--p", type=int, default=0, help="field characteristic, a prime")
     if need_h:
-        sp.add_argument("--h", type=int, help="the curve lives over GF(p^(2h))")
+        sp.add_argument("--h", type=int, default=0, help="the curve lives over GF(p^(2h))")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -455,10 +410,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = _parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_namespace(ns)
         t0 = time.perf_counter()
-        payload, code = _DISPATCH[cfg.command](cfg)
-        print(f"# {cfg.command}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+        payload, code = _DISPATCH[ns.command](ns)
+        print(f"# {ns.command}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     except ParameterError as e:
         print(f"parameter error: {e}", file=sys.stderr)
         return 2

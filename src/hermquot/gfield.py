@@ -10,8 +10,8 @@ and encodings are stable across runs and machines.
 Subfields are cut out by Frobenius, F_{p^m} = {x : x^(p^m) = x}; there
 is no embedding bookkeeping anywhere downstream.
 
-Hot loops work on raw encodings through FieldCtx methods.  Felt is a
-thin wrapper for formula-heavy code where operator syntax reads better.
+Every element the package computes or returns is such an int, and all
+arithmetic on it goes through FieldCtx methods; there is no element class.
 
 FieldCtx has two kernels behind the same methods and the same encodings.
 Fields of order at most TABLE_ORDER_BOUND = 2^13 use log/antilog tables,
@@ -603,102 +603,6 @@ class FieldCtx:
         return t
 
 
-class Felt:
-    """A field element bound to its context.
-
-    Mixed arithmetic accepts a plain int in [0, p), which embeds as a
-    prime-field constant; anything else is rejected so that encodings
-    never sneak into formulas unlabelled.
-    """
-
-    __slots__ = ("ctx", "n")
-
-    def __init__(self, ctx: FieldCtx, n: int):
-        if not isinstance(n, int) or not 0 <= n < ctx.order:
-            raise ParameterError(f"encoding {n!r} outside [0, {ctx.order})")
-        self.ctx = ctx
-        self.n = n
-
-    def _co(self, other):
-        if isinstance(other, Felt):
-            if other.ctx is not self.ctx:
-                raise ParameterError("elements from different field contexts")
-            return other.n
-        if isinstance(other, int) and 0 <= other < self.ctx.p:
-            return other
-        return None
-
-    def __add__(self, other):
-        m = self._co(other)
-        if m is None:
-            return NotImplemented
-        return Felt(self.ctx, self.ctx.add(self.n, m))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        m = self._co(other)
-        if m is None:
-            return NotImplemented
-        return Felt(self.ctx, self.ctx.sub(self.n, m))
-
-    def __rsub__(self, other):
-        m = self._co(other)
-        if m is None:
-            return NotImplemented
-        return Felt(self.ctx, self.ctx.sub(m, self.n))
-
-    def __mul__(self, other):
-        m = self._co(other)
-        if m is None:
-            return NotImplemented
-        return Felt(self.ctx, self.ctx.mul(self.n, m))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        m = self._co(other)
-        if m is None:
-            return NotImplemented
-        return Felt(self.ctx, self.ctx.div(self.n, m))
-
-    def __rtruediv__(self, other):
-        m = self._co(other)
-        if m is None:
-            return NotImplemented
-        return Felt(self.ctx, self.ctx.div(m, self.n))
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        return Felt(self.ctx, self.ctx.pow(self.n, e))
-
-    def __neg__(self):
-        return Felt(self.ctx, self.ctx.neg(self.n))
-
-    def frob(self, k: int = 1) -> "Felt":
-        return Felt(self.ctx, self.ctx.frob(self.n, k))
-
-    def __eq__(self, other):
-        if isinstance(other, Felt):
-            return other.ctx is self.ctx and other.n == self.n
-        if isinstance(other, int) and 0 <= other < self.ctx.p:
-            return self.n == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.ctx.p, self.ctx.modulus))
-
-    def __bool__(self):
-        return self.n != 0
-
-    def __int__(self):
-        return self.n
-
-    def __repr__(self):
-        return f"Felt({self.n})"
-
-
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, h: int, size_bound: int = DEFAULT_SIZE_BOUND) -> FieldCtx:
     """Context for the tower over F_p with q = p^h, ambient degree 4h."""
@@ -726,10 +630,6 @@ def _checked_prime_power(p, h, k: int, bound: int) -> int:
 
 
 def _as_encoding(ctx: FieldCtx, x) -> int:
-    if isinstance(x, Felt):
-        if x.ctx is not ctx:
-            raise ParameterError("element from a different field context")
-        return x.n
     if isinstance(x, int):
         if 0 <= x < ctx.order:
             return x
@@ -737,7 +637,7 @@ def _as_encoding(ctx: FieldCtx, x) -> int:
     raise ParameterError(f"not a field element: {x!r}")
 
 
-def find_omega(ctx: FieldCtx) -> Felt:
+def find_omega(ctx: FieldCtx) -> int:
     """omega with omega^(q-1) = -1.
 
     1 in characteristic 2; otherwise g^((q+1)/2) for the first primitive
@@ -758,12 +658,7 @@ def find_omega(ctx: FieldCtx) -> Felt:
         if ctx.pow(w, ctx.q - 1) != ctx.neg(1):
             raise CheckError("omega sanity check failed")
         ctx._omega = w
-    return Felt(ctx, ctx._omega)
-
-
-def subfield_elements(ctx: FieldCtx, m: int) -> list[Felt]:
-    """Elements of F_{p^m} as Felts, ascending by encoding."""
-    return [Felt(ctx, n) for n in ctx.subfield_encodings(m)]
+    return ctx._omega
 
 
 class LinearizedSolver:
@@ -873,13 +768,3 @@ class LinearizedSolver:
         ctx = self.ctx
         return sorted(ctx.add(part, k) for k in self.kernel())
 
-
-def solve_linearized(ctx: FieldCtx, coeffs, rhs, m: int) -> list[Felt]:
-    """All y in F_{p^m} with sum_i coeffs[i] * y^(p^i) = rhs, ascending."""
-    if m < 1 or ctx.deg % m:
-        raise ParameterError(f"no subfield of degree {m} inside degree {ctx.deg}")
-    cs = [_as_encoding(ctx, c) for c in coeffs]
-    if not cs:
-        raise ParameterError("empty coefficient list")
-    r = _as_encoding(ctx, rhs)
-    return [Felt(ctx, n) for n in LinearizedSolver(ctx, cs, m).solve(r)]

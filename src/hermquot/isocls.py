@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .gfield import CheckError, Felt, FieldCtx, ParameterError
+from .gfield import CheckError, FieldCtx, ParameterError
 from .models import admissible_b, check_b, family_I_model, family_II_model
 from .polyring import BiPoly, p_power_exp
 
@@ -50,18 +50,18 @@ class IsoWitness:
     """Certificate that (x, y) -> (sigma*x, c*y) carries the b-model onto
     delta times the bbar-model.  sigma^(q+1) = delta ties the two scalings."""
 
-    c: Felt
-    delta: Felt
-    sigma: Felt
-    direction: tuple[Felt, Felt]
+    c: int
+    delta: int
+    sigma: int
+    direction: tuple[int, int]
 
     def as_dict(self) -> dict:
         return {
-            "c": int(self.c),
-            "delta": int(self.delta),
-            "sigma": int(self.sigma),
-            "b": int(self.direction[0]),
-            "bbar": int(self.direction[1]),
+            "c": self.c,
+            "delta": self.delta,
+            "sigma": self.sigma,
+            "b": self.direction[0],
+            "bbar": self.direction[1],
         }
 
 
@@ -94,12 +94,7 @@ def family_I_iso(ctx: FieldCtx, b, bbar) -> IsoWitness | None:
             continue
         sigma = _norm_preimage(ctx, delta)
         _certify_family_I(ctx, bn, be, c, delta, sigma)
-        return IsoWitness(
-            c=Felt(ctx, c),
-            delta=Felt(ctx, delta),
-            sigma=Felt(ctx, sigma),
-            direction=(Felt(ctx, bn), Felt(ctx, be)),
-        )
+        return IsoWitness(c=c, delta=delta, sigma=sigma, direction=(bn, be))
     return None
 
 
@@ -124,7 +119,7 @@ def family_I_classify(ctx: FieldCtx, b, bbar) -> dict:
     return {"iso": False, "case": "not_isomorphic"}
 
 
-def family_II_iso(ctx: FieldCtx, b, bbar) -> Felt | None:
+def family_II_iso(ctx: FieldCtx, b, bbar) -> int | None:
     """kappa = bbar/b when it lands in F_p^*, certified by substitution."""
     bn = check_b(ctx, "II", b)
     be = check_b(ctx, "II", bbar)
@@ -137,7 +132,7 @@ def family_II_iso(ctx: FieldCtx, b, bbar) -> Felt | None:
     # kappa in F_p commutes with the trace polynomial: y -> kappa*y
     if not (ma.F.substitute(X, Y.cmul(kappa)) - mb.F).is_zero():
         raise CheckError("kappa witness fails the substitution check")
-    return Felt(ctx, kappa)
+    return kappa
 
 
 def class_inventory(family: str, ctx: FieldCtx) -> dict:
@@ -148,10 +143,10 @@ def class_inventory(family: str, ctx: FieldCtx) -> dict:
     the kappa ratio test.
     """
     if family == "family_I":
-        bs = [int(x) for x in admissible_b(ctx, "family_I")]
+        bs = admissible_b(ctx, "family_I")
         decide = lambda x, y: family_I_iso(ctx, x, y) is not None
     elif family == "family_II":
-        bs = [int(x) for x in admissible_b(ctx, "family_II")]
+        bs = admissible_b(ctx, "family_II")
         decide = lambda x, y: family_II_iso(ctx, x, y) is not None
     else:
         raise ParameterError(f"no isomorphism criterion for {family!r}")

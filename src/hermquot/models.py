@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 from .gfield import (
     DEFAULT_SIZE_BOUND,
     CheckError,
-    Felt,
     FieldCtx,
+    LinearizedSolver,
     ParameterError,
     _as_encoding,
     _checked_prime_power,
     find_omega,
     make_field,
-    solve_linearized,
-    subfield_elements,
 )
 from .polyring import BiPoly
 
@@ -55,12 +53,11 @@ class CurveModel:
             raise ParameterError("zero model polynomial")
 
     def to_dict(self) -> dict:
-        b = self.params.get("b")
         return {
             "family": self.family,
             "p": self.ctx.p,
             "h": self.ctx.h,
-            "b": int(b) if b is not None else None,
+            "b": self.params.get("b"),
             "poly": self.F.to_text(),
             "claimed_genus": self.claimed_genus,
             "claimed_semigroup_gens": (
@@ -192,7 +189,7 @@ def family_I_model(ctx: FieldCtx, b) -> CurveModel:
         F = F + (Y ** (p ** (i - 1))).cmul(ci)
     if ctx.sub(bn, ctx.frob(bn, h - 1)) == 0:
         raise CheckError("leading Y-coefficient b - b^(p^(h-1)) vanished")
-    return _family_model(ctx, "I", F, {"b": Felt(ctx, bn), "omega": w})
+    return _family_model(ctx, "I", F, {"b": bn, "omega": w})
 
 
 def family_II_model(ctx: FieldCtx, b) -> CurveModel:
@@ -211,7 +208,7 @@ def family_II_model(ctx: FieldCtx, b) -> CurveModel:
         TX = TX + X ** (p ** (i - 1))
         TY = TY + Y ** (p ** (i - 1))
     F = TX * TX - TY.cmul(ctx.add(bn, bn))
-    return _family_model(ctx, "II", F, {"b": Felt(ctx, bn)})
+    return _family_model(ctx, "II", F, {"b": bn})
 
 
 def _family_model(ctx: FieldCtx, fam: str, F: BiPoly, params: dict,
@@ -242,8 +239,8 @@ class CoeffList:
     """
 
     ctx: FieldCtx
-    b: Felt
-    c: Felt
+    b: int
+    c: int
     constant: BiPoly
     coeffs: tuple[BiPoly, ...]
 
@@ -288,8 +285,8 @@ def family_III_coeffs(ctx: FieldCtx, b) -> CoeffList:
         raise CheckError("terminal coefficient is not (X + c)^q")
     return CoeffList(
         ctx=ctx,
-        b=Felt(ctx, bn),
-        c=Felt(ctx, cn),
+        b=bn,
+        c=cn,
         constant=X ** (q + 1),
         coeffs=tuple(coeffs),
     )
@@ -303,12 +300,8 @@ def family_III_model(ctx: FieldCtx, b) -> CurveModel:
     Weierstrass generators are on record for this family.
     """
     cl = family_III_coeffs(ctx, b)
-    q = ctx.q
-    _, Y = BiPoly.variables(ctx, ("x", "kappa"))
-    F = cl.constant
-    for i, gi in enumerate(cl.coeffs):
-        F = F + gi * Y ** (2**i)
-    if F.degree(1) != q // 2:
+    F = cl.assemble()
+    if F.degree(1) != ctx.q // 2:
         raise CheckError(f"Y-degree {F.degree(1)} != q/2")
     return _family_model(ctx, "III", F, {"b": cl.b, "c": cl.c}, ("x", "kappa"))
 
@@ -355,7 +348,7 @@ def check_b(ctx: FieldCtx, family, b) -> int:
     return bn
 
 
-def admissible_b(ctx: FieldCtx, family: str) -> list[Felt]:
+def admissible_b(ctx: FieldCtx, family: str) -> list[int]:
     """Every b the family accepts, ascending by encoding.
 
     Listed by enumeration and by solving, the second route to the
@@ -366,11 +359,12 @@ def admissible_b(ctx: FieldCtx, family: str) -> list[Felt]:
     h = ctx.h
     if fam == "I":
         prime = set(ctx.subfield_encodings(1))
-        return [x for x in subfield_elements(ctx, h) if int(x) not in prime]
-    trace_coeffs = [1] + [0] * (h - 1) + [1]  # b + b^q as a linearized map
+        return [x for x in ctx.subfield_encodings(h) if x not in prime]
+    # b + b^q as a linearized map on F_{q^2}
+    trace = LinearizedSolver(ctx, [1] + [0] * (h - 1) + [1], 2 * h)
     if fam == "II":
-        return [x for x in solve_linearized(ctx, trace_coeffs, 0, 2 * h) if int(x)]
-    return solve_linearized(ctx, trace_coeffs, 1, 2 * h)
+        return [x for x in trace.solve(0) if x]
+    return trace.solve(1)
 
 
 def genus_formula(family: str, p: int, h: int) -> int:
@@ -526,8 +520,8 @@ def verify_lemma_b(ctx: FieldCtx, b) -> dict:
         "p": 2,
         "h": h,
         "q": q,
-        "b": int(cl.b),
-        "c": int(cl.c),
+        "b": cl.b,
+        "c": cl.c,
         "divisions": h,
         "terminal_ok": True,
         "identity_ok": True,

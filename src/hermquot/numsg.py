@@ -51,18 +51,6 @@ def gap_set(gens) -> list[int]:
     raise CheckError("gap sieve cap too small")  # unreachable when gcd is 1
 
 
-def genus(gens) -> int:
-    """Number of gaps."""
-    return len(gap_set(gens))
-
-
-def largest_gap(gens) -> int:
-    gaps = gap_set(gens)
-    if not gaps:
-        raise ParameterError("the semigroup has no gaps")
-    return gaps[-1]
-
-
 def _member(n: int, gens) -> bool:
     if n == 0:
         return True
@@ -205,9 +193,7 @@ def summary(gens) -> dict:
     if out["telescopic"]:
         lg = telescopic_largest_gap(gens)
         out["telescopic_largest_gap"] = lg
-        out["telescopic_genus"] = (lg + 1) // 2
-        if gaps and (lg != gaps[-1] or (lg + 1) // 2 != len(gaps)):
-            raise CheckError("telescopic formula disagrees with the gap sieve")
-        if not gaps and lg != -1:
+        out["telescopic_genus"] = telescopic_genus(gens)
+        if lg != (gaps[-1] if gaps else -1) or out["telescopic_genus"] != len(gaps):
             raise CheckError("telescopic formula disagrees with the gap sieve")
     return out

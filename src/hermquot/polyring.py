@@ -1,8 +1,8 @@
 """Sparse bivariate polynomials over one field context.
 
-Coefficients are raw int encodings from gfield; Felt appears only at the
-construction and formatting boundary.  Terms map (i, j) -> coefficient
-where i is the X-degree and j the Y-degree; zeros are never stored.
+Coefficients are int encodings from gfield, the package's one element
+type.  Terms map (i, j) -> coefficient where i is the X-degree and j the
+Y-degree; zeros are never stored.
 
 Exponentiation uses the characteristic-p shortcut (f^p is termwise), so
 the q-th powers that dominate the curve formulas stay cheap.  exact_div
@@ -124,14 +124,13 @@ class BiPoly:
             if other.ctx is not self.ctx:
                 raise ParameterError("polynomials from different field contexts")
             return other
-        # Felt, or a prime-field constant; bare encodings must come via const()
-        from .gfield import Felt
-        if isinstance(other, Felt) or (isinstance(other, int) and 0 <= other < self.ctx.p):
+        # a prime-field constant; other encodings must come via const() or cmul()
+        if isinstance(other, int) and 0 <= other < self.ctx.p:
             return BiPoly.const(self.ctx, other, self.names)
         return None
 
     def cmul(self, c) -> "BiPoly":
-        """Multiply by a scalar given as Felt or encoding."""
+        """Multiply by the scalar with encoding c."""
         n = _as_encoding(self.ctx, c)
         if n == 0:
             return self._new({})
@@ -188,7 +187,7 @@ class BiPoly:
     # evaluation and substitution
 
     def evaluate(self, x, y) -> int:
-        """Value at encodings (or Felts) x, y; returns an encoding."""
+        """Value at encodings x, y; returns an encoding."""
         ctx = self.ctx
         xe = _as_encoding(ctx, x)
         ye = _as_encoding(ctx, y)

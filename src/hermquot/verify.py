@@ -24,7 +24,6 @@ from .gfield import (
     LinearizedSolver,
     ParameterError,
     make_field,
-    solve_linearized,
 )
 from .isocls import class_inventory, family_I_classify, family_I_iso, family_II_iso, oracle_iso
 from .placecount import (
@@ -38,7 +37,7 @@ _GROUPS: dict = {}
 
 
 def _first_b(ctx: FieldCtx, family: str) -> int:
-    return int(models.admissible_b(ctx, family)[0])
+    return models.admissible_b(ctx, family)[0]
 
 
 def _group(kind: str, p: int, h: int, bn: int):
@@ -194,7 +193,7 @@ def check_automorphism_groups() -> dict:
         bs = models.admissible_b(ctx, "family_III")
         picks = bs if h == 2 else bs[:1]
         for b in picks:
-            rep = _group("III", 2, h, int(b))
+            rep = _group("III", 2, h, b)
             ok = ok and rep["quotient_order"] == q * q // 2
             ok = ok and rep["quotient_exponent"] == 4
         fam3[f"q={q}"] = {
@@ -277,7 +276,7 @@ def check_isomorphism_classes() -> dict:
 
     # three-way agreement on every family I pair at q = 8
     ctx = make_field(2, 3)
-    bs = [int(x) for x in models.admissible_b(ctx, "family_I")]
+    bs = models.admissible_b(ctx, "family_I")
     pairs = agree = 0
     for i, x in enumerate(bs):
         for y in bs[i:]:
@@ -292,7 +291,7 @@ def check_isomorphism_classes() -> dict:
 
     # oracle agreement for family II at q = 9
     ctx2 = make_field(3, 2)
-    bs2 = [int(x) for x in models.admissible_b(ctx2, "family_II")]
+    bs2 = models.admissible_b(ctx2, "family_II")
     pairs2 = agree2 = 0
     for i, x in enumerate(bs2):
         for y in bs2[i:]:
@@ -396,9 +395,6 @@ def check_oracle_suites() -> dict:
             if solver.solve(rhs) != sorted(table.get(rhs, [])):
                 ok = False
             probes += 1
-        # the public wrapper, once per case
-        if [int(t) for t in solve_linearized(ctx, coeffs, 1, m)] != sorted(table.get(1, [])):
-            ok = False
     return {
         "id": "oracle_suites",
         "ok": ok,

@@ -238,6 +238,24 @@ def test_stabilizer_table_larger_q():
         assert t.details["scalar_classes"] == scal
 
 
+def test_stabilizer_table_is_the_mu_1_subgroup():
+    # every (x, y) -> (lam x, lam^(q+1) y) preserves y^q + y = x^(q+1), but
+    # the table keeps only lam^(q+1) = 1; the gap is pinned here, not patched
+    for (p, h), missing in {(2, 1): 0, (3, 1): 4}.items():
+        c = ctx(p, h)
+        q = c.q
+        t = pgu_stabilizer(c)
+        model = models.hermitian_model(c)
+        diagonal = [
+            AffineAlgMap.triangular(c, lam, 0, c.pow(lam, q + 1), None, model.variables)
+            for lam in c.subfield_encodings(2 * h)[1:]
+        ]
+        assert len(diagonal) == q * q - 1
+        assert all(map_preserves(model, m) for m in diagonal)
+        keys = {m.key() for m in t.elements}
+        assert sum(m.key() not in keys for m in diagonal) == missing
+
+
 def test_subgroup_types():
     st = subgroup_types(ctx(2, 1))
     assert sorted(k for k in st if k != "notes") == ["cyclic4"]

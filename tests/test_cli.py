@@ -93,17 +93,24 @@ def test_semigroup_family_cli_fuzz(family, p, h):
         ("genus", "--family", "I", "--p", "4", "--h", "2"),  # p not prime
         ("semigroup", "--family", "I", "--p", "4", "--h", "3"),
         ("aut", "--family", "III", "--p", "2", "--h", "1"),  # family III needs h >= 2
+        # encodings outside [0, p^(4h))
+        ("construct", "--family", "I", "--p", "2", "--h", "3", "--b", "4096"),
+        ("construct", "--family", "I", "--p", "2", "--h", "3", "--b", "-1"),
+        ("iso", "--family", "II", "--p", "3", "--h", "2", "--b", "99", "--bbar", "-5"),
+        ("verify-lemma-b", "--p", "2", "--h", "2", "--b", "70000"),
     ],
 )
 def test_out_of_range_argv_is_rejected_at_once(argv):
     code, err, dt = _cli(*argv)
     assert code == 2 and err.startswith("parameter error")
+    if "--b" in argv:
+        assert "outside [0, " in err
     assert dt < 1.0
 
 
 def test_construct_defaults_to_first_admissible_b(capsys):
     ctx = make_field(2, 3)
-    first = int(models.admissible_b(ctx, "family_I")[0])
+    first = models.admissible_b(ctx, "family_I")[0]
     code, d = run_cli(capsys, "construct", "--family", "I", "--p", "2", "--h", "3")
     assert code == 0 and d["b"] == first
     code, d2 = run_cli(
@@ -162,7 +169,7 @@ def test_semigroup_modes(capsys):
 
 def test_iso_family_I_with_oracle(capsys):
     ctx = make_field(2, 3)
-    bs = [int(x) for x in models.admissible_b(ctx, "family_I")]
+    bs = models.admissible_b(ctx, "family_I")
     code, d = run_cli(
         capsys, "iso", "--family", "I", "--p", "2", "--h", "3",
         "--b", str(bs[0]), "--bbar", str(bs[1]), "--oracle", "1",
@@ -176,8 +183,8 @@ def test_iso_family_I_with_oracle(capsys):
 
 def test_iso_family_II_kappa(capsys):
     ctx = make_field(3, 2)
-    b = int(models.admissible_b(ctx, "family_II")[0])
-    bbar = int(ctx.mul(b, 2))
+    b = models.admissible_b(ctx, "family_II")[0]
+    bbar = ctx.mul(b, 2)
     code, d = run_cli(
         capsys, "iso", "--family", "II", "--p", "3", "--h", "2",
         "--b", str(b), "--bbar", str(bbar),

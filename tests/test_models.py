@@ -5,12 +5,10 @@ import pytest
 
 from hermquot.gfield import (
     CheckError,
-    Felt,
+    LinearizedSolver,
     ParameterError,
     make_field,
     find_omega,
-    solve_linearized,
-    subfield_elements,
 )
 from hermquot.polyring import BiPoly
 from hermquot import models
@@ -43,16 +41,16 @@ def test_hermitian_char2_sign_collapse():
     a = models.hermitian_model(ctx, "minus_omega")
     b = models.hermitian_model(ctx, "plus_one")
     assert a.F == b.F
-    assert int(a.params["omega"]) == 1
+    assert a.params["omega"] == 1
 
 
 def test_hermitian_minus_omega_coefficient():
     ctx = make_field(3, 1)
     m = models.hermitian_model(ctx, "minus_omega")
     w = find_omega(ctx)
-    assert m.F.coeff(ctx.q + 1, 0) == int(w)
+    assert m.F.coeff(ctx.q + 1, 0) == w
     # omega^(q-1) = -1 pins the variant
-    assert ctx.pow(int(w), ctx.q - 1) == ctx.neg(1)
+    assert ctx.pow(w, ctx.q - 1) == ctx.neg(1)
 
 
 def test_hermitian_unknown_variant():
@@ -130,9 +128,8 @@ def test_fpp_covering_identity():
 
 def test_family_I_instantiation_2_3():
     ctx = make_field(2, 3)
-    b = first_b(ctx, "I")
-    m = models.family_I_model(ctx, b)
-    bn = int(b)
+    bn = first_b(ctx, "I")
+    m = models.family_I_model(ctx, bn)
     assert m.F.coeff(ctx.q + 1, 0) == 1  # omega = 1 in char 2
     assert m.F.coeff(0, 1) == ctx.sub(bn, ctx.frob(bn, 1))
     assert m.F.coeff(0, 2) == ctx.sub(bn, ctx.frob(bn, 2))
@@ -178,9 +175,8 @@ def test_family_I_covering_identity():
     for p, h in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         ctx = make_field(p, h)
         center = models.subcover_center(ctx).F
-        for b in models.admissible_b(ctx, "I"):
-            fI = models.family_I_model(ctx, b).F
-            bn = int(b)
+        for bn in models.admissible_b(ctx, "I"):
+            fI = models.family_I_model(ctx, bn).F
             uinv = ctx.inv(ctx.sub(ctx.frob(bn, 1), bn))
             X, Y = BiPoly.variables(ctx, center.names)
             t = Y.cmul(uinv)
@@ -196,7 +192,7 @@ def test_family_II_instantiation_3_2():
     m = models.family_II_model(ctx, b)
     X, Y = BiPoly.variables(ctx, ("xi", "rho"))
     T = X + X**3
-    expect = T * T - (Y + Y**3).cmul(ctx.add(int(b), int(b)))
+    expect = T * T - (Y + Y**3).cmul(ctx.add(b, b))
     assert m.F == expect
     assert m.claimed_genus == 3
     assert m.claimed_semigroup_gens == (3, 4, 10)
@@ -228,7 +224,7 @@ def test_family_II_smooth_in_rho():
     for b in models.admissible_b(ctx, "II"):
         d = models.family_II_model(ctx, b).F.partial_deriv(1)
         assert list(d.terms) == [(0, 0)]
-        assert d.terms[(0, 0)] == ctx.neg(ctx.add(int(b), int(b)))
+        assert d.terms[(0, 0)] == ctx.neg(ctx.add(b, b))
 
 
 def test_family_II_covered_numeric():
@@ -236,20 +232,19 @@ def test_family_II_covered_numeric():
     # rho = (eta/b)^p - eta/b lands on the family II equation
     ctx = make_field(3, 2)
     p, q, h = ctx.p, ctx.q, ctx.h
-    b = first_b(ctx, "II")
-    fII = models.family_II_model(ctx, b).F
-    bn = int(b)
+    bn = first_b(ctx, "II")
+    fII = models.family_II_model(ctx, bn).F
     bp = ctx.pow(bn, p)
     binv = ctx.inv(bn)
     half = ctx.inv(2)
     X, _ = BiPoly.variables(ctx)
     T = sum((X ** p ** (i - 1) for i in range(2, h + 1)), X)
+    trace = LinearizedSolver(ctx, [1] + [0] * (h - 1) + [1], 2 * h)
     seen = 0
     for xn in ctx.subfield_encodings(2 * h):
         tv = T.evaluate(xn, 0)
         rhs = ctx.neg(ctx.mul(half, ctx.mul(tv, tv)))
-        for eta in solve_linearized(ctx, [1] + [0] * (h - 1) + [1], rhs, 2 * h):
-            en = int(eta)
+        for en in trace.solve(rhs):
             rho = ctx.sub(ctx.div(ctx.pow(en, p), bp), ctx.mul(en, binv))
             assert fII.evaluate(xn, rho) == 0
             seen += 1
@@ -264,7 +259,7 @@ def test_family_III_coeffs_q4_frozen():
     ctx = make_field(2, 2)
     b = first_b(ctx, "III")
     cl = models.family_III_coeffs(ctx, b)
-    cn = int(cl.c)
+    cn = cl.c
     X, _ = BiPoly.variables(ctx, ("x", "kappa"))
     one_c = BiPoly.const(ctx, ctx.add(1, cn), ("x", "kappa"))
     g0_expect = BiPoly.const(ctx, cn, ("x", "kappa")) + one_c * X + one_c * X * X + X**3
@@ -310,12 +305,12 @@ def test_family_III_covered_numeric():
         q = ctx.q
         for b in models.admissible_b(ctx, "III"):
             m = models.family_III_model(ctx, b)
-            cn = int(m.params["c"])
+            cn = m.params["c"]
+            fiber = LinearizedSolver(ctx, [1] * h, 2 * h)
             seen = skipped = 0
             for xn in ctx.subfield_encodings(2 * h):
                 rhs = ctx.pow(xn, q + 1)
-                for eta in solve_linearized(ctx, [1] * h, rhs, 2 * h):
-                    en = int(eta)
+                for en in fiber.solve(rhs):
                     xi = ctx.add(ctx.mul(xn, xn), xn)
                     den = ctx.add(xi, cn)
                     if den == 0:
@@ -388,6 +383,29 @@ def test_admissible_b_counts():
     assert len(models.admissible_b(make_field(2, 3), "III")) == 8
 
 
+def test_public_elements_are_plain_ints():
+    # the int encoding is the package's one element type, at every boundary
+    from hermquot.isocls import family_I_iso, family_II_iso
+
+    for p, h, fam in [(2, 3, "I"), (3, 2, "II"), (2, 2, "III")]:
+        ctx = make_field(p, h)
+        bs = models.admissible_b(ctx, fam)
+        assert bs and all(type(b) is int for b in bs)
+        build = {"I": models.family_I_model, "II": models.family_II_model,
+                 "III": models.family_III_model}[fam]
+        assert type(build(ctx, bs[0]).params["b"]) is int
+    for p, h in [(2, 2), (3, 1), (3, 2)]:
+        assert type(find_omega(make_field(p, h))) is int
+    ctx = make_field(2, 3)
+    b = models.admissible_b(ctx, "I")[0]
+    w = family_I_iso(ctx, b, b)
+    for x in (w.c, w.delta, w.sigma, *w.direction):
+        assert type(x) is int
+    ctx = make_field(3, 2)
+    b = models.admissible_b(ctx, "II")[0]
+    assert type(family_II_iso(ctx, b, b)) is int
+
+
 def test_admissible_b_all_accepted():
     ctx = make_field(3, 2)
     for b in models.admissible_b(ctx, "II"):
@@ -412,7 +430,7 @@ def test_admissible_b_all_accepted():
                     accepted.append(models.check_b(ctx, fam, b))
                 except ParameterError:
                     pass
-            assert accepted == [int(x) for x in models.admissible_b(ctx, fam)]
+            assert accepted == models.admissible_b(ctx, fam)
 
 
 # --- CurveModel plumbing ---
@@ -437,7 +455,7 @@ def test_to_dict_shape():
     d = models.family_I_model(ctx, b).to_dict()
     assert d["family"] == "family_I"
     assert d["p"] == 2 and d["h"] == 3
-    assert d["b"] == int(b)
+    assert d["b"] == b
     assert d["claimed_genus"] == 4
     assert d["claimed_semigroup_gens"] == [2, 9]
     assert "rho" in d["poly"]

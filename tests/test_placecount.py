@@ -151,8 +151,7 @@ def test_quotient_of_center_subcover_matches_family_I():
     c = ctx(2, 3)
     cen = models.subcover_center(c)
     names = cen.variables
-    for b in models.admissible_b(c, "family_I")[:2]:
-        bn = int(b)
+    for bn in models.admissible_b(c, "family_I")[:2]:
         u = c.add(c.mul(bn, bn), bn)
         deck = AffineAlgMap(
             BiPoly(c, {(1, 0): 1}, names),
