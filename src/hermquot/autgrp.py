@@ -3,12 +3,14 @@
 Every map here is (x, y) -> (lam x + a, mu y + f(x)), stored as (lam, a, mu,
 f) and composed, applied and inverted in closed form; BiPoly images are built
 only for the pseudo-remainder oracle map_preserves, which decides membership
-in the automorphism group, and for printing.  Every group table is built the
-same way: a linearized system is solved for the candidate translations, and
-the oracle confirms them (each one in families I-III, an evenly spaced sample
-of the stabilizer's q^3(q+1) maps).  Family I's printed map formulas are only
-candidates: when one fails the oracle we re-solve for the correction term by
-linear algebra.
+in the automorphism group, and for printing.  Every group table gets its
+translations (x, y) -> (x + a, y + f(x)) from one solver, _translations,
+which needs a model F = A(x) + L(y) with L additive and solves
+L(f(x)) = A(x) - A(x + a) for each a; the oracle then confirms them (each
+one in families I-III, an evenly spaced sample of the stabilizer's
+q^3(q+1) maps).  Family I's printed map formula is a checked claim: where
+it fails the oracle for some a, the solved maps for that a take its place,
+and details["fallback_used"] counts those a.
 """
 
 import math
@@ -23,7 +25,7 @@ from .gfield import (
     _as_encoding,
     find_omega,
 )
-from .polyring import BiPoly
+from .polyring import BiPoly, additive_split
 from .models import (
     CurveModel,
     admissible_b,
@@ -240,7 +242,7 @@ def _center_order(elements, generators) -> int:
     return n
 
 
-def _commutator_closure(elements, bound: int = CLOSURE_BOUND):
+def _commutator_closure(elements):
     if len(elements) > 256:
         raise CheckError("commutator scan limited to 256 elements")
     inv = {g.key(): g.inverse() for g in elements}
@@ -249,7 +251,7 @@ def _commutator_closure(elements, bound: int = CLOSURE_BOUND):
         for h in elements:
             c = g.compose(h).compose(inv[g.key()]).compose(inv[h.key()])
             comms[c.key()] = c
-    return group_closure(list(comms.values()), bound)
+    return group_closure(list(comms.values()))
 
 
 def _spanning_subset(elements):
@@ -264,53 +266,85 @@ def _spanning_subset(elements):
     return gens
 
 
+# --- translations ---
+
+
+def _translations(model: CurveModel) -> list:
+    """Every map (x, y) -> (x + a, y + f(x)) over F_{q^2} with
+    F(x + a, y + f(x)) = F(x, y), in ascending (a, f(0)) order.
+
+    F must be A(x) + L(y) with L(y) = sum_e L_e y^(p^e) and L_0 = L'(0) != 0,
+    else ParameterError.  For each a, f solves L(f(x)) = A(x) - A(x + a).
+    The x^n coefficient of L(f) is L_0 f_n plus terms in f_(n/p^e), e >= 1,
+    so f_1, f_2, ... follow low to high; L(f) has degree p^top deg f for the
+    top exponent of L, so they stop at deg A / p^top.  If any coefficient
+    of L(f) then differs from the right-hand side, no map shifts x by a;
+    otherwise f(0) runs through the solutions of L(f(0)) = A(0) - A(a)."""
+    ctx = model.ctx
+    split = additive_split(model.F)
+    if split is None or not split[0][0]:
+        raise ParameterError("translations need F = A(x) + L(y) with L additive, L'(0) != 0")
+    vec, xpart = split
+    p = ctx.p
+    A = {i: c for (i, _), c in xpart.terms.items()}
+    deg_f = max(A, default=0) // p ** (len(vec) - 1)
+    inv0 = ctx.inv(vec[0])
+    solver = LinearizedSolver(ctx, vec, 2 * ctx.h)
+    out = []
+    for a in ctx.subfield_encodings(2 * ctx.h):
+        # A(x + a) keeps every exponent of A, so rhs misses none of them
+        rhs = {n: ctx.sub(A.get(n, 0), c) for n, c in _shift(ctx, A, 1, a).items()}
+        f = {}
+        for n in range(1, deg_f + 1):
+            acc, e, k = rhs.get(n, 0), 1, n
+            while k % p == 0 and e < len(vec):
+                k //= p
+                acc = ctx.sub(acc, ctx.mul(vec[e], ctx.frob(f[k], e)))
+                e += 1
+            f[n] = ctx.mul(acc, inv0)
+        lf = {}
+        for e, c in enumerate(vec):
+            for k, fk in f.items():
+                n = k * p**e
+                lf[n] = ctx.add(lf.get(n, 0), ctx.mul(c, ctx.frob(fk, e)))
+        if any(lf.get(n, 0) != rhs.get(n, 0) for n in lf.keys() | rhs.keys() if n):
+            continue
+        for f0 in solver.solve(rhs.get(0, 0)):
+            out.append(AffineAlgMap.triangular(ctx, 1, a, 1, {**f, 0: f0}, model.variables))
+    return out
+
+
 # --- the point stabilizer on the Hermitian curve ---
 
 
-def _stab_condition_coeffs(ctx: FieldCtx, variant: str, a: int):
-    # b-condition per model variant, as a linearized equation in b
-    w = find_omega(ctx)
-    aq1 = ctx.pow(a, ctx.q + 1)
-    if variant == "plus":
-        return [1] + [0] * (ctx.h - 1) + [1], aq1
-    if variant == "plus_one":
-        return [1] + [0] * (ctx.h - 1) + [1], ctx.neg(aq1)
-    if variant == "minus_omega":
-        return [ctx.neg(1)] + [0] * (ctx.h - 1) + [1], ctx.neg(ctx.mul(w, aq1))
-    raise ParameterError("unknown variant %r" % variant)
-
-
-def _y_shear(ctx: FieldCtx, variant: str) -> int:
-    # coefficient in front of a^q lambda x in the y-image
-    return find_omega(ctx) if variant == "minus_omega" else 1
-
-
 def stabilizer_map(ctx: FieldCtx, a, b, lam, variant="plus", names=("x", "y")) -> AffineAlgMap:
+    """(x, y) -> (lam x + a, y + s a^q lam x + b), with shear s = omega on
+    the minus_omega variant and 1 on the others."""
     an, bn, ln = _as_encoding(ctx, a), _as_encoding(ctx, b), _as_encoding(ctx, lam)
-    shear = ctx.mul(_y_shear(ctx, variant), ctx.mul(ctx.frob(an, ctx.h), ln))
+    shear = ctx.mul(ctx.frob(an, ctx.h), ln)
+    if variant == "minus_omega":
+        shear = ctx.mul(find_omega(ctx), shear)
     return AffineAlgMap.triangular(ctx, ln, an, 1, {1: shear, 0: bn}, names)
 
 
-def extract_stabilizer_params(ctx: FieldCtx, m: AffineAlgMap, variant="plus"):
+def extract_stabilizer_params(ctx: FieldCtx, m: AffineAlgMap):
     """Read (a, b, lambda) back off a composed map and check its y-image
-    is exactly the stabilizer's."""
+    is exactly the stabilizer's on y^q + y = x^(q+1)."""
     lam, a, b = m.lam, m.a, m.f.get(0, 0)
-    shear = ctx.mul(_y_shear(ctx, variant), ctx.mul(ctx.frob(a, ctx.h), lam))
+    shear = ctx.mul(ctx.frob(a, ctx.h), lam)
     if m.mu != 1 or m.f != {e: c for e, c in ((1, shear), (0, b)) if c}:
         raise CheckError("composition left the stabilizer family")
-    coeffs, rhs = _stab_condition_coeffs(ctx, variant, a)
-    lhs = ctx.add(
-        ctx.mul(coeffs[0], b), ctx.mul(coeffs[-1], ctx.frob(b, ctx.h))
-    )
-    if lhs != rhs:
+    if ctx.add(b, ctx.frob(b, ctx.h)) != ctx.pow(a, ctx.q + 1):
         raise CheckError("extracted parameters violate the b-condition")
     return a, b, lam
 
 
-def pgu_stabilizer(ctx: FieldCtx, variant: str = "plus") -> AutGroupTable:
+def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
     """The mu = 1 part of the stabilizer of the point at infinity of the
-    Hermitian model: all maps (x,y) -> (lambda x + a, shear a^q lambda x +
-    y + b) with lambda^(q+1) = 1, built by enumeration.
+    Hermitian model y^q + y = x^(q+1): all maps (x,y) -> (lambda x + a,
+    a^q lambda x + y + b) with lambda^(q+1) = 1.  The lambda = 1 maps are
+    the solved translations, each scalar class is listed, and their
+    products are confirmed by the oracle on an evenly spaced sample.
 
     Its order is q^3(q+1).  The full stabilizer over F_{q^2} also holds
     (x, y) -> (lambda x, lambda^(q+1) y) for every lambda != 0 and has order
@@ -318,20 +352,15 @@ def pgu_stabilizer(ctx: FieldCtx, variant: str = "plus") -> AutGroupTable:
     q = ctx.q
     if q**3 * (q + 1) > CLOSURE_BOUND:
         raise ParameterError("stabilizer of size q^3(q+1) exceeds the bound")
-    model = hermitian_model(ctx, variant)
+    model = hermitian_model(ctx)
     names = model.variables
 
-    unipotent = []
-    coeffs = _stab_condition_coeffs(ctx, variant, 0)[0]  # the same for every a
-    solver = LinearizedSolver(ctx, coeffs, 2 * ctx.h)
-    for a in ctx.subfield_encodings(2 * ctx.h):
-        for b in solver.solve(_stab_condition_coeffs(ctx, variant, a)[1]):
-            unipotent.append(stabilizer_map(ctx, a, b, 1, variant, names))
+    unipotent = _translations(model)
     if len(unipotent) != q**3:
         raise CheckError("unipotent parameter count %d != q^3" % len(unipotent))
 
     scalars = [
-        stabilizer_map(ctx, 0, 0, lam, variant, names)
+        stabilizer_map(ctx, 0, 0, lam, names=names)
         for lam in ctx.subfield_encodings(2 * ctx.h)[1:]
         if ctx.pow(lam, q + 1) == 1
     ]
@@ -371,8 +400,8 @@ def pgu_stabilizer(ctx: FieldCtx, variant: str = "plus") -> AutGroupTable:
     rng = random.Random(17)
     for _ in range(64):
         g, h = rng.choice(elements), rng.choice(elements)
-        a, b, lam = extract_stabilizer_params(ctx, g.compose(h), variant)
-        rebuilt = stabilizer_map(ctx, a, b, lam, variant, names)
+        a, b, lam = extract_stabilizer_params(ctx, g.compose(h))
+        rebuilt = stabilizer_map(ctx, a, b, lam, names=names)
         if rebuilt != g.compose(h):
             raise CheckError("parameter re-extraction mismatch")
 
@@ -385,7 +414,7 @@ def pgu_stabilizer(ctx: FieldCtx, variant: str = "plus") -> AutGroupTable:
         center_order=center,
         generators=gens,
         details={
-            "variant": variant,
+            "variant": "plus",
             "unipotent_order": len(unipotent),
             "scalar_classes": len(scalars),
             "noncentral_order_profile": profile,
@@ -422,11 +451,10 @@ def subgroup_types(ctx: FieldCtx) -> dict:
     else:
         model = hermitian_model(ctx, "plus_one")
         names = model.variables
-        # the least c that puts the map below in the stabilizer; family III
-        # shares the condition but needs h >= 2
-        coeffs, rhs = _stab_condition_coeffs(ctx, "plus_one", 1)
-        c = LinearizedSolver(ctx, coeffs, 2 * h).solve(rhs)[0]
-        g = stabilizer_map(ctx, 1, c, 1, "plus_one", names)
+        # (x, y) -> (x + 1, y + x + c) with the least c; family III shares
+        # the condition c^q + c = 1 but needs h >= 2
+        g = next(m for m in _translations(model) if m.a == 1)
+        c = g.f[0]
         if g.compose(g) != stabilizer_map(ctx, 0, 1, 1, "plus_one", names):
             raise CheckError("square of the order-4 generator is wrong")
         types.append(("cyclic4", model, [g], 4, {"c": c, "cyclic": True}))
@@ -448,11 +476,6 @@ def subgroup_types(ctx: FieldCtx) -> dict:
 # --- family I ---
 
 
-def _family_I_linear_part(ctx: FieldCtx, b: int):
-    # the additive polynomial L(t) = sum (b - b^(p^i)) t^(p^(i-1))
-    return [ctx.sub(b, ctx.frob(b, i)) for i in range(1, ctx.h)]
-
-
 def _printed_family_I_rho_terms(ctx: FieldCtx, b: int, a: int, w: int):
     # candidate xi-coefficients as printed: indices p^2, p, 1
     p = ctx.p
@@ -471,40 +494,17 @@ def _printed_family_I_rho_terms(ctx: FieldCtx, b: int, a: int, w: int):
     return {p * p: c_p2, p: c_p, 1: c_1}
 
 
-def _family_I_correction(ctx: FieldCtx, b: int, a: int, w: int):
-    """Solve L(u(xi)) = -omega (a xi^q + a^q xi) for u = sum w_k xi^(p^k)
-    with k up to h, coefficient cascade, the overdetermined tail checked.
-    Composition of additive polynomials is injective, so the solution is
-    unique up to the constant, which is enumerated separately."""
-    p, h = ctx.p, ctx.h
-    cs = _family_I_linear_part(ctx, b)  # c_1 .. c_(h-1) at exponents p^0..p^(h-2)
-    t = {0: ctx.neg(ctx.mul(w, ctx.frob(a, ctx.h))), h: ctx.neg(ctx.mul(w, a))}
-    ws = []
-    for m in range(h + 1):
-        acc = t.get(m, 0)
-        for j in range(1, min(m, h - 2) + 1):
-            acc = ctx.sub(acc, ctx.mul(cs[j], ctx.frob(ws[m - j], j)))
-        ws.append(ctx.div(acc, cs[0]))
-    for m in range(h + 1, 2 * h - 1):
-        acc = 0
-        for j in range(h - 1):
-            k = m - j
-            if 0 <= k <= h:
-                acc = ctx.add(acc, ctx.mul(cs[j], ctx.frob(ws[k], j)))
-        if acc != t.get(m, 0):
-            raise CheckError("correction cascade is inconsistent")
-    return {p**k: wk for k, wk in enumerate(ws) if wk}
-
-
 def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
-    """The translation-type automorphisms of the family I model, one map
-    per solution of the additive system, plus the diagonal complement."""
+    """The translation-type automorphisms of the family I model, plus the
+    diagonal complement.  For each shift a the paper's printed map formula
+    is a claim checked by the oracle; where it fails, the block for a is
+    the solved translations instead, each confirmed by the oracle, and
+    details["fallback_used"] counts those a."""
     model = family_I_model(ctx, b)
     bn = _as_encoding(ctx, b)
     p, q, h = ctx.p, ctx.q, ctx.h
     names = model.variables
     w = find_omega(ctx)
-    cs = _family_I_linear_part(ctx, bn)
     u = ctx.sub(ctx.frob(bn, 1), bn)
     up1 = ctx.pow(u, p - 1)
 
@@ -512,24 +512,21 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
         vp = ctx.sub(ctx.frob(v, 1), v)
         return ctx.sub(ctx.frob(vp, 1), ctx.mul(up1, vp))
 
-    def build(a, rho_terms, const):
-        return AffineAlgMap.triangular(ctx, 1, a, 1, {**rho_terms, 0: const}, names)
-
+    solved = {}
+    for m in _translations(model):
+        solved.setdefault(m.a, []).append(m)
     printed_solver = LinearizedSolver(ctx, [ctx.neg(1)] + [0] * (h - 1) + [1], 2 * h)
-    correction_solver = LinearizedSolver(ctx, cs, 2 * h)
     V = {}
     fallback_used = 0
     for a in ctx.subfield_encodings(2 * h):
         rhs = ctx.neg(ctx.mul(w, ctx.pow(a, q + 1))) if a else 0
         printed = _printed_family_I_rho_terms(ctx, bn, a, w) if a else {}
-        consts = [lval(v) for v in printed_solver.solve(rhs)]
-        block = [build(a, printed, K) for K in consts]
+        block = [AffineAlgMap.triangular(ctx, 1, a, 1, {**printed, 0: lval(v)}, names)
+                 for v in printed_solver.solve(rhs)]
         if not all(map_preserves(model, m) for m in block):
-            # printed formula is off for this a; re-solve from scratch
+            # the printed formula fails at this a; take the solved maps
             fallback_used += 1
-            rho_terms = _family_I_correction(ctx, bn, a, w) if a else {}
-            consts = correction_solver.solve(rhs)
-            block = [build(a, rho_terms, K) for K in consts]
+            block = solved.get(a, [])
             for m in block:
                 if not map_preserves(model, m):
                     raise CheckError("translation candidate fails curve preservation")
@@ -594,7 +591,7 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
         ],
     }
 
-    if order <= CLOSURE_BOUND and order <= 2048:
+    if order <= 2048:
         v_gens = _spanning_subset(V)
         W = group_closure(v_gens + [lam_gen])
         if len(W) != order:
@@ -621,37 +618,32 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
 
 
 def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
-    """The translations (xi, rho) -> (xi + a, rho + nu xi + c), solved from
-    their linearized conditions and each confirmed by the membership oracle,
-    then the diagonal part."""
+    """The translations Psi: (xi, rho) -> (xi + a, rho + nu xi + c) with nu
+    in F_p, solved and each confirmed by the membership oracle, then the
+    diagonal part.
+
+    F = T(xi)^2 - 2b T(rho) with T(t) = sum_(i<h) t^(p^i), so F(m) - F =
+    2(T(a) - nu b) T(xi) + T(a)^2 - 2b T(c) must vanish: T(a) = nu b and
+    T(c) = nu^2 b/2.  At h >= 2 the solve forces nu into F_p; at h = 1 (a
+    conic) every nu solves, and the table keeps the paper's nu in F_p.
+    Gamma is the a = nu = 0 part, Delta the nu = c = 0 part and Omega the
+    nu = 0 part."""
     model = family_II_model(ctx, b)
-    bn = _as_encoding(ctx, b)
-    p, q, h = ctx.p, ctx.q, ctx.h
+    p, q = ctx.p, ctx.q
     if q > 9:
         raise ParameterError("family II group tables are limited to q <= 9")
     names = model.variables
 
-    # F = T(xi)^2 - 2b T(rho) with T additive and nu in F_p, so F(m) - F =
-    # 2(T(a) - nu b) T(xi) + T(a)^2 - 2b T(c) has no rho and lower xi-degree
-    # than F; it lies in (F) only if it vanishes: T(a) = nu b, T(c) = nu^2 b/2.
-    solver = LinearizedSolver(ctx, [1] * h, 2 * h)
-    half_b = ctx.div(bn, 2)
-    triples = sorted(
-        (a, nu, c)
-        for nu in range(p)
-        for a in solver.solve(ctx.scale(bn, nu))
-        for c in solver.solve(ctx.scale(half_b, nu * nu % p))
-    )
-    psi = [AffineAlgMap.triangular(ctx, 1, a, 1, {1: nu, 0: c}, names)
-           for a, nu, c in triples]
+    # nu in F_p: the prime field is the encodings below p
+    psi = [m for m in _translations(model) if m.f.get(1, 0) < p]
     if not all(map_preserves(model, m) for m in psi):
         raise CheckError("solved translation fails curve preservation")
     if len(psi) != q * q // p:
         raise CheckError("|Psi| = %d, expected q^2/p = %d" % (len(psi), q * q // p))
 
-    gamma = {g.key(): g for (a, nu, _), g in zip(triples, psi) if a == nu == 0}
-    delta = [g for (_, nu, c), g in zip(triples, psi) if nu == c == 0]
-    omega_set = {g.key() for (_, nu, _), g in zip(triples, psi) if nu == 0}
+    gamma = {g.key(): g for g in psi if g.a == 0 and 1 not in g.f}
+    delta = [g for g in psi if not g.f]
+    omega_set = {g.key() for g in psi if 1 not in g.f}
     prod_keys = set()
     for g1 in gamma.values():
         for g2 in delta:
@@ -730,31 +722,17 @@ def family_III_group(ctx: FieldCtx, b) -> dict:
     model = fpp_char2(ctx)
     names = model.variables
 
-    def build(a, c):
-        aq = ctx.frob(a, h)
-        f = {2: ctx.mul(aq, aq), 1: aq, 0: ctx.add(ctx.mul(c, c), c)}
-        return AffineAlgMap.triangular(ctx, 1, a, 1, f, names)
-
-    solver = LinearizedSolver(ctx, [1] + [0] * (h - 1) + [1], 2 * h)
-    big = {}
-    a_of = {}
-    for a in ctx.subfield_encodings(2 * h):
-        rhs = ctx.neg(ctx.pow(a, q + 1)) if a else 0
-        for c in solver.solve(rhs):
-            m = build(a, c)
-            if not map_preserves(model, m):
-                raise CheckError("translation candidate fails curve preservation")
-            big[m.key()] = m
-            a_of[m.key()] = a
-    big_list = list(big.values())
+    big_list = _translations(model)
+    if not all(map_preserves(model, m) for m in big_list):
+        raise CheckError("translation candidate fails curve preservation")
     if len(big_list) != q**3 // 2:
         raise CheckError("|Psi| = %d, expected q^3/2" % len(big_list))
 
-    deck = build(1, bn)
+    # (x, eta) -> (x + 1, eta + x^2 + x + b^2 + b)
+    cc = ctx.add(ctx.mul(bn, bn), bn)
+    deck = AffineAlgMap.triangular(ctx, 1, 1, 1, {2: 1, 1: 1, 0: cc}, names)
     if deck.order() != 2:
         raise CheckError("deck map is not of order 2")
-    if (deck.lam, deck.a) != (1, 1):
-        raise CheckError("deck map does not shift x by 1")
 
     norm = [g for g in big_list if g.compose(deck) == deck.compose(g)]
     if len(norm) != q * q:
@@ -762,9 +740,9 @@ def family_III_group(ctx: FieldCtx, b) -> dict:
 
     # stated membership criterion, checked as a set identity
     crit = {
-        k
-        for k, a in a_of.items()
-        if ctx.in_subfield(a, h) or ctx.add(ctx.frob(a, h), a) == 1
+        g.key()
+        for g in big_list
+        if ctx.in_subfield(g.a, h) or ctx.add(ctx.frob(g.a, h), g.a) == 1
     }
     if crit != {g.key() for g in norm}:
         raise CheckError("normalizer criterion set mismatch")

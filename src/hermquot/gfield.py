@@ -30,7 +30,6 @@ kernel stays as the large-field path and as the test reference.
 from __future__ import annotations
 
 import functools
-import math
 
 DEFAULT_SIZE_BOUND = 1 << 30
 # largest ambient order served by the table kernel (see FieldCtx)
@@ -604,9 +603,10 @@ class FieldCtx:
 
 
 @functools.lru_cache(maxsize=None)
-def make_field(p: int, h: int, size_bound: int = DEFAULT_SIZE_BOUND) -> FieldCtx:
-    """Context for the tower over F_p with q = p^h, ambient degree 4h."""
-    _checked_prime_power(p, h, 4, size_bound)
+def make_field(p: int, h: int) -> FieldCtx:
+    """Context for the tower over F_p with q = p^h, ambient degree 4h, at
+    most DEFAULT_SIZE_BOUND."""
+    _checked_prime_power(p, h, 4, DEFAULT_SIZE_BOUND)
     return FieldCtx(p, h, _find_modulus(p, 4 * h))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .autgrp import AffineAlgMap, map_preserves
 from .gfield import CheckError, FieldCtx, LinearizedSolver, ParameterError
 from .models import CurveModel, check_b, fpp_char2, genus_formula
-from .polyring import BiPoly, p_power_exp
+from .polyring import additive_split
 
 # q^2 <= 2^16 for k = 1 scans, q^4 <= 2^24 for k = 2
 K1_BOUND = 1 << 16
@@ -59,34 +59,11 @@ def _scan_degree(ctx: FieldCtx, k: int) -> int:
     return m
 
 
-def _fiber_profile(F: BiPoly):
-    """(linearized Y-coefficient vector, pure-X part), or None.
-
-    Usable when every Y-bearing term is c * Y^(p^e) with c free of X; the
-    fiber over x is then L(y) = -xpart(x) for the F_p-linear map L.
-    """
-    ctx = F.ctx
-    coeffs: dict[int, int] = {}
-    xterms: dict[tuple[int, int], int] = {}
-    for (i, j), c in F.terms.items():
-        if j == 0:
-            xterms[(i, 0)] = c
-            continue
-        e = p_power_exp(j, ctx.p)
-        if i != 0 or e is None:
-            return None
-        coeffs[e] = c
-    if not coeffs:
-        return None
-    vec = [coeffs.get(e, 0) for e in range(max(coeffs) + 1)]
-    return vec, BiPoly(ctx, xterms, F.names)
-
-
 def iter_fibers(model: CurveModel, k: int):
     """Yield (x, sorted solution encodings) for every x in F_{q^(2k)}."""
     ctx = model.ctx
     m = _scan_degree(ctx, k)
-    prof = _fiber_profile(model.F)
+    prof = additive_split(model.F)
     xs = ctx.subfield_encodings(m)
     if prof is not None:
         vec, xpart = prof
@@ -120,7 +97,7 @@ def _count_points(model: CurveModel, k: int) -> int:
     """Number of affine F_{q^(2k)}-points, without listing any fiber."""
     ctx = model.ctx
     m = _scan_degree(ctx, k)
-    prof = _fiber_profile(model.F)
+    prof = additive_split(model.F)
     if prof is None:
         return sum(len(ys) for _, ys in iter_fibers(model, k))
     vec, xpart = prof

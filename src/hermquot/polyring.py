@@ -25,6 +25,30 @@ def p_power_exp(n: int, p: int):
     return e if n == 1 else None
 
 
+def additive_split(F: "BiPoly"):
+    """(L, A) with F = A(X) + L(Y) and L additive, or None.
+
+    L is the coefficient vector of sum_e L[e] Y^(p^e) and A the pure-X part
+    as a BiPoly.  Usable when every Y-bearing term is c * Y^(p^e) with c
+    free of X; the fiber over x is then L(y) = -A(x).
+    """
+    ctx = F.ctx
+    coeffs: dict[int, int] = {}
+    xterms: dict[tuple[int, int], int] = {}
+    for (i, j), c in F.terms.items():
+        if j == 0:
+            xterms[(i, 0)] = c
+            continue
+        e = p_power_exp(j, ctx.p)
+        if i != 0 or e is None:
+            return None
+        coeffs[e] = c
+    if not coeffs:
+        return None
+    vec = [coeffs.get(e, 0) for e in range(max(coeffs) + 1)]
+    return vec, BiPoly(ctx, xterms, F.names)
+
+
 class BiPoly:
     """Polynomial in two variables with dict-of-terms storage."""
 

@@ -30,8 +30,8 @@ from .placecount import (
     family_III_place_count,
     iter_fibers,
     maximality_check,
-    rational_places,
 )
+from .polyring import p_power_exp
 
 _GROUPS: dict = {}
 
@@ -205,11 +205,8 @@ def check_automorphism_groups() -> dict:
 
 
 def _is_p_power(n: int, p: int) -> bool:
-    if n < p:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
+    # n > 1 first: p_power_exp(0, p) never returns
+    return n > 1 and p_power_exp(n, p) is not None
 
 
 def _affine_pts(model):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hermquot import models
 from hermquot.autgrp import (
     AffineAlgMap,
+    _translations,
     extract_stabilizer_params,
     family_I_group,
     family_II_group,
@@ -400,6 +401,15 @@ def test_family_II_rejected_solved_map_raises(monkeypatch):
         family_II_group(c, models.admissible_b(c, "family_II")[0])
 
 
+def test_family_II_group_conic():
+    # at h = 1 the solve lets every nu through; the table keeps nu in F_p
+    for p in (3, 5, 7):
+        c = ctx(p, 1)
+        t = family_II_group(c, models.admissible_b(c, "family_II")[0])
+        assert t.details["Psi_order"] == p
+        assert t.details["total_order"] == (p - 1) * p
+
+
 def test_family_III_group_q4():
     c = ctx(2, 2)
     for b in models.admissible_b(c, "family_III")[:2]:
@@ -442,3 +452,98 @@ def test_every_table_element_preserves_its_model():
     c = ctx(2, 2)
     t = family_I_group(c, models.admissible_b(c, "family_I")[0])
     assert all(map_preserves(t.model, g) for g in t.elements)
+
+
+# the one translation solver against the laws stated for each family
+
+
+def _law_maps(model, params):
+    # maps (x, y) -> (x + a, y + sum_e f_e x^e) from (a, {e: f_e}) pairs
+    c = model.ctx
+    return [AffineAlgMap.triangular(c, 1, a, 1, f, model.variables) for a, f in params]
+
+
+@pytest.mark.parametrize("key", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+def test_translations_follow_the_stabilizer_law(key):
+    # b^q + b = a^(q+1), shear a^q, by a scan of every (a, b)
+    c = ctx(*key)
+    box = c.subfield_encodings(2 * c.h)
+    law = [
+        (a, {1: c.frob(a, c.h), 0: b})
+        for a in box
+        for b in box
+        if c.add(c.frob(b, c.h), b) == c.pow(a, c.q + 1)
+    ]
+    model = models.hermitian_model(c)
+    assert _translations(model) == _law_maps(model, law)
+    assert len(law) == c.q**3
+
+
+def _family_II_law(model):
+    # T(a) = nu b and T(c) = nu^2 b/2 with nu in F_p, as sorted (a, nu, c)
+    c = model.ctx
+    box = c.subfield_encodings(2 * c.h)
+
+    def T(t):
+        acc = 0
+        for i in range(c.h):
+            acc = c.add(acc, c.frob(t, i))
+        return acc
+
+    b = model.params["b"]
+    triples = sorted(
+        (a, nu, k)
+        for nu in range(c.p)
+        for a in box
+        if T(a) == c.scale(b, nu)
+        for k in box
+        if T(k) == c.div(c.scale(b, nu * nu % c.p), 2)
+    )
+    return _law_maps(model, [(a, {1: nu, 0: k}) for a, nu, k in triples])
+
+
+def test_translations_follow_the_family_II_law():
+    c = ctx(3, 2)
+    for b in models.admissible_b(c, "family_II"):
+        model = models.family_II_model(c, b)
+        assert _translations(model) == _family_II_law(model)
+    for p in (3, 5):
+        c = ctx(p, 1)
+        model = models.family_II_model(c, models.admissible_b(c, "family_II")[0])
+        solved = _translations(model)
+        assert len(solved) == c.q**2  # every nu in F_{q^2} at h = 1
+        law = _family_II_law(model)
+        assert [m for m in solved if m.f.get(1, 0) < p] == law
+        assert len(law) == p
+
+
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_translations_follow_the_family_III_law(h):
+    # f = a^(2q) x^2 + a^q x + c^2 + c with c^q + c = a^(q+1), as sets: the
+    # law lists c and c + 1, which give the same map, and orders differently
+    c = ctx(2, h)
+    box = c.subfield_encodings(2 * h)
+    by_trace = {}
+    for k in box:
+        by_trace.setdefault(c.add(c.frob(k, h), k), []).append(k)
+    law = [
+        (a, {2: c.frob(a, h + 1), 1: c.frob(a, h), 0: c.add(c.mul(k, k), k)})
+        for a in box
+        for k in by_trace.get(c.pow(a, c.q + 1), [])
+    ]
+    model = models.fpp_char2(c)
+    solved = _translations(model)
+    assert len(solved) == c.q**3 // 2
+    assert set(solved) == set(_law_maps(model, law))
+
+
+def test_translations_need_an_additive_y_part():
+    c = ctx(2, 2)
+    # Y-coefficients that depend on x
+    plane = models.family_III_model(c, models.admissible_b(c, "family_III")[0])
+    with pytest.raises(ParameterError):
+        _translations(plane)
+    # L(y) = y^2 has L'(0) = 0, so the cascade cannot divide
+    F = BiPoly(c, {(0, 2): 1, (5, 0): 1}, ("x", "y"))
+    with pytest.raises(ParameterError):
+        _translations(models.CurveModel(F=F, ctx=c, family="Hermitian"))

@@ -259,12 +259,15 @@ _GOLDEN = pathlib.Path(__file__).parent / "golden"
         (["aut", "--family", "hermitian", "--p", "3", "--h", "1"],
          "aut_hermitian_p3_h1.json"),
         (["aut", "--family", "II", "--p", "3", "--h", "2"], "aut_family_II_p3_h2.json"),
+        (["aut", "--family", "I", "--p", "2", "--h", "4"], "aut_family_I_p2_h4.json"),
     ],
-    ids=["family_I_2_3", "hermitian_3_1", "family_II_3_2"],
+    ids=["family_I_2_3", "hermitian_3_1", "family_II_3_2", "family_I_2_4"],
 )
 def test_aut_stdout_matches_golden(capsys, argv, golden):
     # family I generators with xi^4 and xi^2 terms, the stabilizer's shear,
-    # and the family II generators, which depend on the order of Psi
+    # the family II generators, which depend on the order of Psi, and family
+    # I in counted mode, whose generators are the printed a = 0 block in its
+    # printed order
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (_GOLDEN / golden).read_text()
 

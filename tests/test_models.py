@@ -4,7 +4,6 @@ the family III recursion, and both appendix factorization checks."""
 import pytest
 
 from hermquot.gfield import (
-    CheckError,
     LinearizedSolver,
     ParameterError,
     make_field,

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermquot.gfield import CheckError, ParameterError
+from hermquot.gfield import ParameterError
 from hermquot import numsg
 
 
