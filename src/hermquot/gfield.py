@@ -13,23 +13,34 @@ is no embedding bookkeeping anywhere downstream.
 Every element the package computes or returns is such an int, and all
 arithmetic on it goes through FieldCtx methods; there is no element class.
 
-FieldCtx has two kernels behind the same methods and the same encodings.
-Fields of order at most TABLE_ORDER_BOUND = 2^13 use log/antilog tables,
-with Zech logarithms for addition when p is odd (Lidl-Niederreiter,
-Finite Fields, ch. 10): in the suite that is (2,1), (3,1), (2,2), (2,3)
-and (3,2).  Every larger field uses digit vectors, or carry-less
-arithmetic when p = 2.  The bound sits where the work is: one acceptance
-run makes about 3.4 M mul and 1.9 M add calls at (2,3) and 2.3 M and
-1.5 M at (3,2), and only 0.2 M mul calls at the next busiest field
-(2,5).  Tables at order 3^12 would take tens of MB and seconds to
-build, for some 20 k calls.  The tables are built on the first
-arithmetic call (about 0.1 s at 3^8), not in make_field, and the digit
-kernel stays as the large-field path and as the test reference.
+FieldCtx has three kernels behind the same methods and the same encodings.
+Two are log/antilog tables, with Zech logarithms for addition when p is
+odd (Lidl-Niederreiter, Finite Fields, ch. 10):
+
+* fields of order at most TABLE_ORDER_BOUND = 2^13 table the whole field:
+  in the suite that is (2,1), (3,1), (2,2), (2,3) and (3,2), where one
+  acceptance run makes about 3.4 M mul and 1.9 M add calls at (2,3) and
+  2.3 M and 1.5 M at (3,2);
+* every larger field tables F_{q^2} only.  Whole-field tables at 3^12
+  would take tens of MB and seconds to build, but the paper's counts,
+  group tables and isomorphism tests work in F_{q^2}: in maximality_check
+  at II(7,2), I(3,4) and I(5,3), 97-99% of the multiplications have both
+  operands there, and one takes 0.6-1 us by table against 3-32 us by
+  digits.  make_field's cap gives q^2 <= 2^15, so every log fits in 16
+  bits, and the tables take 20 bytes per element of F_{q^2} (14 for
+  p = 2): 0.56 MB at (13,2), built in about 0.1 s;
+* every operand outside F_{q^2} goes to digit vectors, or carry-less
+  arithmetic when p = 2.  This digit kernel is also the reference the
+  tests hold both table kernels to.
+
+Tables are built on the first arithmetic call, never in make_field.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
+from typing import NamedTuple
 
 DEFAULT_SIZE_BOUND = 1 << 30
 # largest ambient order served by the table kernel (see FieldCtx)
@@ -220,30 +231,79 @@ def _replay(v: list[int], ops, p: int) -> None:
             v[i], v[j] = v[j], v[i]
 
 
+def _kernel_vectors(mat, pivots, p: int) -> list[tuple[int, list[int]]]:
+    """(f, v) for each free column f of the row-reduced mat: v is the
+    kernel vector with v[f] = 1 and 0 at every other free column."""
+    ncols = len(mat[0])
+    pivcols = {c for _, c in pivots}
+    out = []
+    for f in range(ncols):
+        if f not in pivcols:
+            vec = [0] * ncols
+            vec[f] = 1
+            for r, c in pivots:
+                vec[c] = (-mat[r][f]) % p
+            out.append((f, vec))
+    return out
+
+
+def _digit_form(weights, p: int) -> array:
+    """tab[n] = sum_k weights[k] * (base-p digit k of n), n < p^len(weights)."""
+    tab = array("H", [0])
+    for w in weights:
+        block = tab[:]
+        for t in range(1, p):
+            tab.extend(v + t * w for v in block)
+    return tab
+
+
+class _SubfieldTables(NamedTuple):
+    """The F_{q^2} tables of a field above TABLE_ORDER_BOUND (see FieldCtx)."""
+
+    q2: int
+    lo: array    # idx(a) = lo[a % q2] + hi[a // q2]
+    hi: array
+    log: array   # log[idx(gamma^i)] = i, and log[0] = 0
+    exp: array   # gamma^0 .. gamma^(q2-2) twice, then q2-1 zeros for odd p
+    zech: array  # odd p: log(1 + gamma^d), or 2(q2-1) where 1 + gamma^d = 0
+
+
+# a log slot the walk has not reached yet; every real log is below 2^15
+_UNSET = 0xFFFF
+
+
 class FieldCtx:
     """Arithmetic context for the ambient field F_{p^(4h)}.
 
-    Methods take and return raw int encodings.  Two kernels sit behind
+    Methods take and return raw int encodings.  Three kernels sit behind
     them and give the same encodings:
 
     * the table kernel, when the order is at most TABLE_ORDER_BOUND: exp
       and log tables over a primitive element g, and for odd p a Zech
       table zech[d] = log(1 + g^d), so that every method is index
-      arithmetic on logs.  The tables are built on the first arithmetic
-      call, never in make_field;
-    * the digit kernel for every larger field: base-p digit vectors
+      arithmetic on logs;
+    * the subfield tables, for every larger field: the same three tables
+      over a generator gamma of F_{q^2}^*, consulted when every operand
+      lies in F_{q^2}.  The log is indexed by idx(a), the 2h digits of a
+      at the free columns of F_{q^2}'s echelon basis, read off the two
+      base-q^2 halves of a as lo[a % q^2] + hi[a // q^2]; the free columns
+      are disjoint, so the sum never carries.  A nonzero a lies in F_{q^2}
+      exactly when exp[log[idx(a)]] == a;
+    * the digit kernel for every other operand: base-p digit vectors
       reduced by the modulus, carry-less shift-and-xor when p = 2.  Its
       private methods (_mul_digits, _add_digits, ...) are also the
-      reference the tests hold the table kernel to.
+      reference the tests hold both table kernels to.
 
-    Other caches (reduction rows, Frobenius rows, the per-subfield solvers
-    of x^(p^m) = x that give subfield bases and enumerations, norm
-    preimages) are built lazily as well.
+    Both kinds of table are built on the first arithmetic call, never in
+    make_field, with the digit kernel alone.  Other caches (reduction
+    rows, Frobenius rows, subfield generators, the per-subfield solvers of
+    x^(p^m) = x that give subfield bases and enumerations, norm preimages)
+    are built lazily as well.
     """
 
     __slots__ = ("p", "h", "q", "deg", "order", "modulus", "_tabled",
-                 "_exp", "_log", "_zech", "_red", "_frows", "_sbasis",
-                 "_ofac", "_omega", "_norm")
+                 "_exp", "_log", "_zech", "_sub", "_red", "_frows", "_sbasis",
+                 "_gens", "_ofac", "_omega", "_norm")
 
     def __init__(self, p: int, h: int, modulus: int):
         self.p = p
@@ -256,9 +316,11 @@ class FieldCtx:
         self._exp = None
         self._log = None
         self._zech = None
+        self._sub = None
         self._red = None
         self._frows = {}
         self._sbasis = {}
+        self._gens = {}
         self._ofac = None
         self._omega = None
         self._norm = None
@@ -284,21 +346,28 @@ class FieldCtx:
         return n
 
     # ring operations on encodings.  Each method answers from the tables
-    # once they exist; the first call on a small field builds them, and a
-    # field above TABLE_ORDER_BOUND goes to the digit kernel.
+    # once they exist; the first call builds them.  Above TABLE_ORDER_BOUND
+    # an operand outside F_{q^2} sends the call to the digit kernel; 0 is
+    # never in the subfield log, so a 0 the method does not settle first
+    # goes there too.
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        log = self._log
-        if log is None:
-            if not self._tabled:
-                return self._add_digits(a, b)
-            log = self._build_tables()
         if a == 0:
             return b
         if b == 0:
             return a
+        log = self._log
+        if log is None:
+            if not self._tabled:
+                q2, lo, hi, slog, exp, zech = self._sub or self._build_subfield_tables()
+                la = slog[lo[a % q2] + hi[a // q2]]
+                lb = slog[lo[b % q2] + hi[b // q2]]
+                if exp[la] == a and exp[lb] == b:
+                    return exp[la + zech[lb - la]]
+                return self._add_digits(a, b)
+            log = self._build_tables()
         la = log[a]
         # a negative index wraps, so this is zech[(log b - log a) mod (order-1)]
         return self._exp[la + self._zech[log[b] - la]]
@@ -306,13 +375,22 @@ class FieldCtx:
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if b == 0:
+            return a
         log = self._log
         if log is None:
             if not self._tabled:
+                q2, lo, hi, slog, exp, zech = self._sub or self._build_subfield_tables()
+                lb = slog[lo[b % q2] + hi[b // q2]]
+                if exp[lb] == b:
+                    lb = (lb + (q2 - 1) // 2) % (q2 - 1)  # log of -b
+                    if a == 0:
+                        return exp[lb]
+                    la = slog[lo[a % q2] + hi[a // q2]]
+                    if exp[la] == a:
+                        return exp[la + zech[lb - la]]
                 return self._sub_digits(a, b)
             log = self._build_tables()
-        if b == 0:
-            return a
         n1 = self.order - 1
         lb = (log[b] + n1 // 2) % n1  # log of -b
         if a == 0:
@@ -326,6 +404,10 @@ class FieldCtx:
         log = self._log
         if log is None:
             if not self._tabled:
+                q2, lo, hi, slog, exp, _ = self._sub or self._build_subfield_tables()
+                la = slog[lo[a % q2] + hi[a // q2]]
+                if exp[la] == a:
+                    return exp[la + (q2 - 1) // 2]
                 return self._neg_digits(a)
             log = self._build_tables()
         return self._exp[log[a] + (self.order - 1) // 2]
@@ -334,13 +416,17 @@ class FieldCtx:
         """a times a prime-field constant s, 0 <= s < p."""
         if self.p == 2:
             return a if s else 0
+        if a == 0 or s == 0:
+            return 0
         log = self._log
         if log is None:
             if not self._tabled:
+                q2, lo, hi, slog, exp, _ = self._sub or self._build_subfield_tables()
+                la = slog[lo[a % q2] + hi[a // q2]]
+                if exp[la] == a:
+                    return exp[la + slog[lo[s]]]  # idx(s) = lo[s], as s < p
                 return self._scale_digits(a, s)
             log = self._build_tables()
-        if a == 0 or s == 0:
-            return 0
         return self._exp[log[a] + log[s]]
 
     def mul(self, a: int, b: int) -> int:
@@ -349,6 +435,11 @@ class FieldCtx:
         log = self._log
         if log is None:
             if not self._tabled:
+                q2, lo, hi, slog, exp, _ = self._sub or self._build_subfield_tables()
+                la = slog[lo[a % q2] + hi[a // q2]]
+                lb = slog[lo[b % q2] + hi[b // q2]]
+                if exp[la] == a and exp[lb] == b:
+                    return exp[la + lb]
                 return self._mul_digits(a, b)
             log = self._build_tables()
         return self._exp[log[a] + log[b]]
@@ -357,6 +448,10 @@ class FieldCtx:
         log = self._log
         if log is None:
             if not self._tabled:
+                q2, lo, hi, slog, exp, _ = self._sub or self._build_subfield_tables()
+                la = slog[lo[a % q2] + hi[a // q2]]
+                if exp[la] == a:
+                    return exp[la * e % (q2 - 1)]
                 return self._pow_digits(a, e)
             log = self._build_tables()
         if a == 0:
@@ -371,6 +466,10 @@ class FieldCtx:
         log = self._log
         if log is None:
             if not self._tabled:
+                q2, lo, hi, slog, exp, _ = self._sub or self._build_subfield_tables()
+                la = slog[lo[a % q2] + hi[a // q2]]
+                if exp[la] == a:
+                    return exp[q2 - 1 - la]
                 return self._inv_digits(a)
             log = self._build_tables()
         return self._exp[self.order - 1 - log[a]]
@@ -386,6 +485,10 @@ class FieldCtx:
         log = self._log
         if log is None:
             if not self._tabled:
+                q2, lo, hi, slog, exp, _ = self._sub or self._build_subfield_tables()
+                la = slog[lo[a % q2] + hi[a // q2]]
+                if exp[la] == a:
+                    return exp[la * self.p ** k % (q2 - 1)]
                 return self._frob_digits(a, k)
             log = self._build_tables()
         return self._exp[log[a] * self.p ** k % (self.order - 1)]
@@ -395,19 +498,14 @@ class FieldCtx:
     def _build_tables(self) -> list:
         """Fill exp, log and, for odd p, zech with the digit kernel alone.
 
-        g is the first primitive element >= 2.  exp holds g^0 .. g^(order-2)
-        twice, so a sum of two logs needs no reduction; for odd p it ends
-        with order-1 zeros, where the sentinel zech entry for 1 + g^d = 0
-        points.  Returns the log table, whose entry at 0 stays None.
+        g = subfield_generator(4h), the first primitive element >= 2.  exp
+        holds g^0 .. g^(order-2) twice, so a sum of two logs needs no
+        reduction; for odd p it ends with order-1 zeros, where the sentinel
+        zech entry for 1 + g^d = 0 points.  Returns the log table, whose
+        entry at 0 stays None.
         """
         p, n1 = self.p, self.order - 1
-        if self._ofac is None:
-            self._ofac = _factorize(n1)
-        g = next((g for g in range(2, self.order)
-                  if all(self._pow_digits(g, n1 // r) != 1 for r, _ in self._ofac)),
-                 None)
-        if g is None:
-            raise CheckError("no primitive element; the modulus is not irreducible")
+        g = self.subfield_generator(self.deg)
         cycle = [1]
         for _ in range(n1 - 1):
             cycle.append(self._mul_digits(cycle[-1], g))
@@ -434,8 +532,84 @@ class FieldCtx:
         self._log = log
         return log
 
-    # the digit kernel: every field above TABLE_ORDER_BOUND, and the
-    # reference for the table kernel
+    # the subfield tables
+
+    def _build_subfield_tables(self) -> _SubfieldTables:
+        """Fill the F_{q^2} tables with the digit kernel alone.
+
+        The public methods would come back here, and subfield_basis(2h) and
+        subfield_encodings(2h) go through them, so F_{q^2} is taken as the
+        kernel of x -> x^(q^2) - x row-reduced from the Frobenius rows.
+        gamma = subfield_generator(2h) is walked in the 2h coordinates of
+        that kernel: the images of gamma times either half of the
+        coordinates are tabled, so a step is one digit-wise sum.  Raises
+        CheckError, with nothing installed, unless the kernel has dimension
+        2h, gamma times each basis vector stays in it, the walk meets every
+        log slot once (gamma has order q^2 - 1, its powers are the nonzero
+        elements of F_{q^2}, and idx is injective on them) and it ends at 1.
+        """
+        p, h, deg, q = self.p, self.h, self.deg, self.q
+        m, q2 = 2 * h, q * q
+        n1 = q2 - 1
+        rows = self._frows.get(m) or self._build_frow(m)
+        if p == 2:
+            rows = [self._digits(r) for r in rows]
+        # column i is the image of X^i under x -> x^(q^2) - x
+        mat = [[(rows[i][r] - (i == r)) % p for i in range(deg)] for r in range(deg)]
+        pivots, _ = _rref(mat, p)
+        kernel = _kernel_vectors(mat, pivots, p)
+        if len(kernel) != m:
+            raise CheckError("subfield dimension mismatch")
+        # idx(a) = sum_j (digit f_j of a) p^j over the free columns f_j
+        weight = [0] * deg
+        for j, (f, _) in enumerate(kernel):
+            weight[f] = p ** j
+        lo, hi = _digit_form(weight[:m], p), _digit_form(weight[m:], p)
+        gamma = self.subfield_generator(m)
+        images = [self._mul_digits(gamma, self._undigits(v)) for _, v in kernel]
+        if any(self._frob_digits(x, m) != x for x in images):
+            raise CheckError(f"gamma = {gamma} does not map F_(q^2) into itself")
+
+        def span(gens):
+            # tab[u] = sum_k (digit k of u) * gens[k]: digits, or ints to xor for p = 2
+            tab = [[0] * deg]
+            for g in gens:
+                gd, block = self._digits(g), tab[:]
+                for t in range(1, p):
+                    tab += [[(x + t * y) % p for x, y in zip(v, gd)] for v in block]
+            return [self._undigits(v) for v in tab] if p == 2 else tab
+
+        lo_img, hi_img = span(images[:h]), span(images[h:])
+        residue = [s % p for s in range(2 * p - 1)]
+        log = array("H", [_UNSET]) * q2
+        log[0] = 0
+        exp = array("I", [0]) * ((2 if p == 2 else 3) * n1)
+        x = 1
+        for i in range(n1):
+            v = lo[x % q2] + hi[x // q2]
+            if log[v] != _UNSET:
+                raise CheckError(f"gamma^{i} = {x} meets a log slot taken before")
+            log[v] = i
+            exp[i] = x
+            u, w = lo_img[v % q], hi_img[v // q]
+            x = u ^ w if p == 2 else self._undigits([residue[s + t] for s, t in zip(u, w)])
+        if x != 1:
+            raise CheckError(f"gamma = {gamma} does not satisfy gamma^(q^2-1) = 1")
+        exp[n1:2 * n1] = exp[:n1]
+        zech = array("H")
+        if p != 2:
+            # 1 + x only changes the lowest base-p digit of x
+            def zech_log(x):
+                if x == p - 1:
+                    return 2 * n1
+                y = x + 1 if x % p != p - 1 else x - p + 1
+                return log[lo[y % q2] + hi[y // q2]]
+            zech.extend(map(zech_log, exp[:n1]))
+        self._sub = _SubfieldTables(q2, lo, hi, log, exp, zech)
+        return self._sub
+
+    # the digit kernel: every operand no table covers, and the reference
+    # for both table kernels
 
     def _add_digits(self, a: int, b: int) -> int:
         p = self.p
@@ -556,6 +730,28 @@ class FieldCtx:
         return rows
 
     # subfields
+
+    def subfield_generator(self, m: int) -> int:
+        """A generator of F_{p^m}^*, kept per m: gamma = c^((order-1)/(p^m-1))
+        for the least c >= 2 that gives gamma order exactly p^m - 1.
+
+        Found with the digit kernel alone, so that the table builds can use
+        it; the subfield tables and the point-count walk share it."""
+        gamma = self._gens.get(m)
+        if gamma is None:
+            if m < 1 or self.deg % m:
+                raise ParameterError(f"no subfield of degree {m} inside degree {self.deg}")
+            n = self.p ** m - 1
+            e = (self.order - 1) // n
+            primes = [r for r, _ in _factorize(n)]
+            pw = self._pow_digits
+            gamma = next((g for g in (pw(c, e) for c in range(2, self.order))
+                          if pw(g, n) == 1 and all(pw(g, n // r) != 1 for r in primes)),
+                         None)
+            if gamma is None:
+                raise CheckError(f"no generator of F_(p^{m})^*; the modulus is not irreducible")
+            self._gens[m] = gamma
+        return gamma
 
     def in_subfield(self, a: int, m: int) -> bool:
         if m < 1 or self.deg % m:
@@ -688,16 +884,7 @@ class LinearizedSolver:
         mat = [[cols[j][r] for j in range(m)] for r in range(deg)]
         self.pivots, self.ops = _rref(mat, ctx.p)
         self.rank = len(self.pivots)
-        pivcols = {c for _, c in self.pivots}
-        kb = []
-        for f in range(m):
-            if f in pivcols:
-                continue
-            vec = [0] * m
-            vec[f] = 1
-            for r, c in self.pivots:
-                vec[c] = (-mat[r][f]) % ctx.p
-            kb.append(self._combine(vec))
+        kb = [self._combine(vec) for _, vec in _kernel_vectors(mat, self.pivots, ctx.p)]
         self.kernel_basis = kb
         self.kernel_size = ctx.p ** len(kb)
         self._kernel = None

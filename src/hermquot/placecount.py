@@ -82,17 +82,6 @@ def iter_fibers(model: CurveModel, k: int):
         yield x, [y for y in ys if F.evaluate(x, y) == 0]
 
 
-def _subfield_generator(ctx: FieldCtx, m: int) -> int:
-    """An element of multiplicative order exactly p^m - 1, inside F_{p^m}."""
-    n = ctx.p**m - 1
-    e = (ctx.order - 1) // n
-    for c in range(2, ctx.order):
-        gamma = ctx.pow(c, e)
-        if ctx.mult_order(gamma) == n:
-            return gamma
-    raise CheckError(f"no generator of F_(p^{m})^*; the modulus is not irreducible")
-
-
 def _count_points(model: CurveModel, k: int) -> int:
     """Number of affine F_{q^(2k)}-points, without listing any fiber."""
     ctx = model.ctx
@@ -105,7 +94,7 @@ def _count_points(model: CurveModel, k: int) -> int:
     const = xpart.terms.get((0, 0), 0)
     terms = sorted((i, c) for (i, _), c in xpart.terms.items() if i)
     coeffs = [c for _, c in terms]
-    gamma = _subfield_generator(ctx, m)
+    gamma = ctx.subfield_generator(m)
     steps = [ctx.pow(gamma, i) for i, _ in terms]
     # L is F_p-linear, so y -> -y maps the solutions of L(y) = -r onto
     # those of L(y) = r: the count of r stands for the fiber's own -r

@@ -153,26 +153,34 @@ def test_pow_matches_repeated_multiplication():
             assert ctx.pow(a, e) == acc
 
 
-# ---------------------------------------------------------------- table kernel
+# ---------------------------------------------------------------- table kernels
 
 # every table-kernel field the package builds; the digit methods are the oracle
 TABLE_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(2, 2),
                 make_field(2, 3), make_field(3, 2)]
+# fields above TABLE_ORDER_BOUND: F_{q^2} by table, every other operand by digits
+SUBFIELD_FIELDS = [make_field(2, 4), make_field(2, 5), make_field(3, 3), make_field(3, 4),
+                   make_field(5, 2), make_field(7, 2), make_field(13, 1)]
 
 
 def _element(ctx):
-    return st.one_of(st.sampled_from([0, 1, ctx.p - 1, ctx.order - 1]),
+    # biased to 0, 1, p - 1, order - 1 and gamma^(q^2 - 2), and drawn from
+    # F_{q^2} as well as from the whole field, so that operands mix
+    g_inv = ctx._pow_digits(ctx.subfield_generator(2 * ctx.h), ctx.q ** 2 - 2)
+    return st.one_of(st.sampled_from([0, 1, ctx.p - 1, ctx.order - 1, g_inv]),
+                     st.sampled_from(ctx.subfield_encodings(2 * ctx.h)),
                      st.integers(0, ctx.order - 1))
 
 
 @given(data=st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=700, deadline=None)
 def test_table_kernel_matches_digit_kernel(data):
-    ctx = data.draw(st.sampled_from(TABLE_FIELDS), label="ctx")
+    ctx = data.draw(st.sampled_from(TABLE_FIELDS + SUBFIELD_FIELDS), label="ctx")
     a = data.draw(_element(ctx), label="a")
     b = data.draw(_element(ctx), label="b")
     s = data.draw(st.integers(0, ctx.p - 1), label="s")
-    e = data.draw(st.one_of(st.integers(-3, 3),
+    q2 = ctx.q ** 2
+    e = data.draw(st.one_of(st.integers(-3, 3), st.integers(-3 * q2, 3 * q2),
                             st.integers(-3 * ctx.order, 3 * ctx.order)), label="e")
     k = data.draw(st.integers(-2 * ctx.deg, 3 * ctx.deg), label="k")
     assert ctx.mul(a, b) == ctx._mul_digits(a, b)
@@ -186,7 +194,8 @@ def test_table_kernel_matches_digit_kernel(data):
         assert ctx.inv(a) == ctx._inv_digits(a)
     else:
         assert ctx.pow(0, abs(e)) == ctx._pow_digits(0, abs(e))
-    assert ctx._log is not None  # pow always answers from the tables
+    # pow always answers from the tables
+    assert (ctx._log if ctx._tabled else ctx._sub) is not None
 
 
 @pytest.mark.parametrize("ctx", TABLE_FIELDS, ids=lambda c: f"p{c.p}h{c.h}")
@@ -223,6 +232,110 @@ def test_large_fields_build_no_tables():
                   ctx.scale(x, ctx.p - 1), ctx.pow(x, 7), ctx.inv(x), ctx.frob(x, 1)):
             assert 0 <= v < ctx.order
         assert ctx._exp is None and ctx._log is None and ctx._zech is None
+
+
+# ---------------------------------------------------------------- subfield tables
+
+@pytest.mark.parametrize("ctx", SUBFIELD_FIELDS, ids=lambda c: f"p{c.p}h{c.h}")
+def test_subfield_operands_never_reach_the_digit_kernel(ctx, monkeypatch):
+    box = ctx.subfield_encodings(2 * ctx.h)  # builds the tables first
+    sample = list(box)[1::max(1, len(box) // 97)]
+
+    def refuse(*args):
+        raise AssertionError("an F_{q^2} operand reached the digit kernel")
+
+    for name in ("_mul_digits", "_add_digits", "_sub_digits", "_neg_digits",
+                 "_scale_digits", "_pow_digits", "_inv_digits", "_frob_digits"):
+        monkeypatch.setattr(FieldCtx, name, refuse)
+    for a, b in zip(sample, reversed(sample)):
+        ctx.mul(a, b)
+        ctx.add(a, b)
+        ctx.sub(a, b)
+        ctx.sub(0, b)
+        ctx.neg(a)
+        ctx.scale(a, ctx.p - 1)
+        ctx.pow(a, -5)
+        ctx.inv(a)
+        ctx.frob(a, 1)
+        ctx.frob(a, -1)
+
+
+@pytest.mark.parametrize("ctx", SUBFIELD_FIELDS, ids=lambda c: f"p{c.p}h{c.h}")
+def test_subfield_table_edge_cases(ctx):
+    p, q2 = ctx.p, ctx.q ** 2
+    assert ctx.pow(0, 0) == ctx._pow_digits(0, 0) == 1
+    assert ctx.pow(0, 5) == ctx._pow_digits(0, 5) == 0
+    for op in (ctx.inv, ctx._inv_digits, lambda x: ctx.pow(x, -1),
+               lambda x: ctx._pow_digits(x, -1)):
+        with pytest.raises(ZeroDivisionError):
+            op(0)
+    gamma = ctx.subfield_generator(2 * ctx.h)
+    g_inv = ctx._pow_digits(gamma, q2 - 2)
+    assert ctx.inv(gamma) == g_inv and ctx.mul(gamma, g_inv) == 1
+    # sums that vanish take the Zech sentinel
+    for a in (1, gamma, g_inv):
+        assert ctx.add(a, ctx.neg(a)) == 0 == ctx.sub(a, a)
+        assert ctx.add(ctx.scale(a, p - 1), a) == 0
+    for k in (-1, -ctx.deg - 1, 2 * ctx.h, ctx.deg + 1, 5 * ctx.deg + 2):
+        assert ctx.frob(g_inv, k) == ctx._frob_digits(g_inv, k)
+    for e in (-1, -q2, q2 - 1, q2, 3 * q2 + 1):
+        assert ctx.pow(gamma, e) == ctx._pow_digits(gamma, e)
+
+
+@pytest.mark.parametrize("ctx", SUBFIELD_FIELDS, ids=lambda c: f"p{c.p}h{c.h}")
+def test_subfield_tables_walk_F_q2(ctx):
+    box = ctx.subfield_encodings(2 * ctx.h)
+    tabs = ctx._sub
+    q2 = tabs.q2
+    n1 = q2 - 1
+    # the powers of gamma are the nonzero elements of F_{q^2}, each once
+    assert sorted(tabs.exp[:n1]) == list(box)[1:]
+    assert tabs.exp[1] == ctx.subfield_generator(2 * ctx.h)
+    assert tabs.exp[:n1] == tabs.exp[n1:2 * n1]
+    assert not any(tabs.exp[2 * n1:])
+    # idx is a bijection from F_{q^2} onto [0, q^2)
+    assert sorted(tabs.lo[x % q2] + tabs.hi[x // q2] for x in box) == list(range(q2))
+
+
+@pytest.mark.parametrize("p,h", [(3, 3), (2, 4)])
+def test_fresh_ctx_can_start_with_subfield_encodings(p, h):
+    # the solver behind subfield_encodings calls mul, which builds the tables
+    fresh = FieldCtx(p, h, _find_modulus(p, 4 * h))
+    assert fresh.subfield_encodings(2 * h) == make_field(p, h).subfield_encodings(2 * h)
+    assert fresh._sub is not None
+
+
+def _clmul(a, b):
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a, b = a << 1, b >> 1
+    return r
+
+
+@pytest.mark.parametrize("p,h,modulus", [
+    (2, 4, (1 << 16) | 1),                # X^16 + 1 = (X + 1)^16
+    (2, 4, _clmul(0b100011011, 0b100011101)),  # two irreducible octics
+    (3, 3, 3 ** 12 + 2),                  # X^12 - 1 = (X^4 - 1)^3
+])
+def test_subfield_build_rejects_a_reducible_modulus(p, h, modulus):
+    ctx = FieldCtx(p, h, modulus)
+    with pytest.raises(CheckError):
+        ctx.mul(2, 3)
+    assert ctx._sub is None
+
+
+def test_subfield_build_rejects_a_bad_generator(monkeypatch):
+    ref = make_field(3, 3)
+    gamma = ref.subfield_generator(6)
+    for bad in (ref._pow_digits(gamma, 2),     # order (q^2 - 1)/2
+                ref.subfield_generator(12)):   # generates F_{q^4}^*
+        monkeypatch.setattr(FieldCtx, "subfield_generator", lambda self, m: bad)
+        ctx = FieldCtx(3, 3, ref.modulus)
+        with pytest.raises(CheckError):
+            ctx.mul(2, 3)
+        assert ctx._sub is None
 
 
 def test_mult_order_bruteforce():

@@ -5,10 +5,10 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermquot import models, placecount
+from hermquot import models
 from hermquot.autgrp import AffineAlgMap
 from hermquot.autgrp import stabilizer_map
-from hermquot.gfield import TABLE_ORDER_BOUND, CheckError, ParameterError, make_field
+from hermquot.gfield import TABLE_ORDER_BOUND, CheckError, FieldCtx, ParameterError, make_field
 from hermquot.placecount import (
     affine_points,
     family_III_place_count,
@@ -91,6 +91,24 @@ def test_family_II_counts():
     c = ctx(5, 2)
     rep = maximality_check(models.family_II_model(c, models.admissible_b(c, "family_II")[0]))
     assert rep["N"] == 1126 and rep["maximal"]
+
+
+@pytest.mark.parametrize("family,p,h,n", [
+    ("family_I", 3, 4, 59050),
+    ("family_I", 5, 3, 78126),
+    ("family_II", 7, 2, 4460),
+    ("family_II", 11, 2, 27952),
+    ("hermitian", 7, 2, 117650),
+])
+def test_large_field_counts_are_frozen(family, p, h, n):
+    c = ctx(p, h)
+    if family == "hermitian":
+        m = models.hermitian_model(c)
+    else:
+        build = models.family_I_model if family == "family_I" else models.family_II_model
+        m = build(c, models.admissible_b(c, family)[0])
+    rep = maximality_check(m)
+    assert rep["N"] == n and rep["maximal"]
 
 
 def test_family_III_counts():
@@ -289,7 +307,7 @@ def test_walk_generator_has_exact_order(p, h):
     c = ctx(p, h)
     for m in (2 * h, 4 * h):
         n = p**m - 1
-        g = placecount._subfield_generator(c, m)
+        g = c.subfield_generator(m)
         assert c.mult_order(g) == n
         # again through the digit kernel, with a factorization of its own
         assert c._pow_digits(g, n) == 1
@@ -306,7 +324,7 @@ def test_walk_generator_has_exact_order(p, h):
 
 def test_count_walk_rejects_a_generator_outside_the_subfield(monkeypatch):
     c = ctx(3, 2)
-    outside = placecount._subfield_generator(c, 4 * c.h)  # generates F_{q^4}^*
-    monkeypatch.setattr(placecount, "_subfield_generator", lambda ctx, m: outside)
+    outside = c.subfield_generator(4 * c.h)  # generates F_{q^4}^*
+    monkeypatch.setattr(FieldCtx, "subfield_generator", lambda self, m: outside)
     with pytest.raises(CheckError):
         affine_points(models.hermitian_model(c), 1)
