@@ -13,27 +13,38 @@ is no embedding bookkeeping anywhere downstream.
 Every element the package computes or returns is such an int, and all
 arithmetic on it goes through FieldCtx methods; there is no element class.
 
-FieldCtx has three kernels behind the same methods and the same encodings.
-Two are log/antilog tables, with Zech logarithms for addition when p is
-odd (Lidl-Niederreiter, Finite Fields, ch. 10):
+FieldCtx answers from log/antilog tables over a generator of F_{p^m}^*,
+with Zech logarithms for addition when p is odd (Lidl-Niederreiter,
+Finite Fields, ch. 10).  One builder makes them on the first arithmetic
+call, never in make_field, and reads them two ways:
 
-* fields of order at most TABLE_ORDER_BOUND = 2^13 table the whole field:
-  in the suite that is (2,1), (3,1), (2,2), (2,3) and (3,2), where one
+* fields of order at most TABLE_ORDER_BOUND = 2^13 table the whole field
+  (m = 4h) and read it through plain lists indexed by the encoding: in
+  the suite that is (2,1), (3,1), (2,2), (2,3) and (3,2), where one
   acceptance run makes about 3.4 M mul and 1.9 M add calls at (2,3) and
   2.3 M and 1.5 M at (3,2);
-* every larger field tables F_{q^2} only.  Whole-field tables at 3^12
-  would take tens of MB and seconds to build, but the paper's counts,
-  group tables and isomorphism tests work in F_{q^2}: in maximality_check
-  at II(7,2), I(3,4) and I(5,3), 97-99% of the multiplications have both
-  operands there, and one takes 0.6-1 us by table against 3-32 us by
-  digits.  make_field's cap gives q^2 <= 2^15, so every log fits in 16
-  bits, and the tables take 20 bytes per element of F_{q^2} (14 for
-  p = 2): 0.56 MB at (13,2), built in about 0.1 s;
-* every operand outside F_{q^2} goes to digit vectors, or carry-less
-  arithmetic when p = 2.  This digit kernel is also the reference the
-  tests hold both table kernels to.
+* every larger field tables F_{q^2} (m = 2h) and reads it through the
+  index of an operand's free echelon digits, falling through to digit
+  vectors (carry-less arithmetic when p = 2) for any operand outside
+  F_{q^2}.  Whole-field tables at 3^12 would take tens of MB and seconds
+  to build, but the paper's counts, group tables and isomorphism tests
+  work in F_{q^2}: in maximality_check at II(7,2), I(3,4) and I(5,3),
+  97-99% of the multiplications have both operands there, and one takes
+  0.6-1 us by table against 3-32 us by digits.  make_field's cap gives
+  q^2 <= 2^15, so every log fits in 16 bits, and the tables take 20 bytes
+  per element of F_{q^2} (14 for p = 2): 0.56 MB at (13,2), built in
+  about 0.1 s.
 
-Tables are built on the first arithmetic call, never in make_field.
+The digit kernel is also the reference the tests hold the tables to.
+
+Both read paths stay because each alternative made the acceptance run
+slower: 2.10 s with both paths against 2.52 s with array reads in place
+of the whole-field lists (every array read boxes a fresh int), 4.07 s
+with the F_{q^2}-style index read on every field, and 4.82 s with F_{q^2}
+tables alone, which send every operand outside F_{q^2} at the small
+fields to the digit kernel (in one run of scripts/run_acceptance.py,
+family III's check went from 0.49 s to 1.61 s).  Medians of 3 runs of
+perfbench's acceptance workload on a 2-CPU Intel Xeon Linux machine.
 """
 
 from __future__ import annotations
@@ -257,15 +268,15 @@ def _digit_form(weights, p: int) -> array:
     return tab
 
 
-class _SubfieldTables(NamedTuple):
-    """The F_{q^2} tables of a field above TABLE_ORDER_BOUND (see FieldCtx)."""
+class _Tables(NamedTuple):
+    """The log/Zech tables over a generator gamma of F_{p^m} (see FieldCtx)."""
 
-    q2: int
-    lo: array    # idx(a) = lo[a % q2] + hi[a // q2]
+    n: int       # p^m; idx(a) = lo[a % n] + hi[a // n]
+    lo: array
     hi: array
     log: array   # log[idx(gamma^i)] = i, and log[0] = 0
-    exp: array   # gamma^0 .. gamma^(q2-2) twice, then q2-1 zeros for odd p
-    zech: array  # odd p: log(1 + gamma^d), or 2(q2-1) where 1 + gamma^d = 0
+    exp: array   # gamma^0 .. gamma^(n-2) twice, then n-1 zeros for odd p
+    zech: array  # odd p: log(1 + gamma^d), or 2(n-1) where 1 + gamma^d = 0
 
 
 # a log slot the walk has not reached yet; every real log is below 2^15
@@ -275,33 +286,36 @@ _UNSET = 0xFFFF
 class FieldCtx:
     """Arithmetic context for the ambient field F_{p^(4h)}.
 
-    Methods take and return raw int encodings.  Three kernels sit behind
-    them and give the same encodings:
+    Methods take and return raw int encodings.  One builder, _build_tables,
+    makes exp and log tables over a generator gamma of F_{p^m}^* and, for
+    odd p, a Zech table zech[d] = log(1 + gamma^d), so that every method is
+    index arithmetic on logs.  m = 4h (the whole field) when the order is
+    at most TABLE_ORDER_BOUND, m = 2h (F_{q^2}) above it.  The log is
+    indexed by idx(a), the m digits of a at the free columns of F_{p^m}'s
+    echelon basis, read off the low m and the high 4h - m base-p digits of
+    a as lo[a % p^m] + hi[a // p^m]; the free columns are disjoint, so the
+    sum never carries, and for m = 4h every column is free, so idx(a) = a.  A
+    nonzero a lies in F_{p^m} exactly when exp[log[idx(a)]] == a.
 
-    * the table kernel, when the order is at most TABLE_ORDER_BOUND: exp
-      and log tables over a primitive element g, and for odd p a Zech
-      table zech[d] = log(1 + g^d), so that every method is index
-      arithmetic on logs;
-    * the subfield tables, for every larger field: the same three tables
-      over a generator gamma of F_{q^2}^*, consulted when every operand
-      lies in F_{q^2}.  The log is indexed by idx(a), the 2h digits of a
-      at the free columns of F_{q^2}'s echelon basis, read off the two
-      base-q^2 halves of a as lo[a % q^2] + hi[a // q^2]; the free columns
-      are disjoint, so the sum never carries.  A nonzero a lies in F_{q^2}
-      exactly when exp[log[idx(a)]] == a;
-    * the digit kernel for every other operand: base-p digit vectors
-      reduced by the modulus, carry-less shift-and-xor when p = 2.  Its
-      private methods (_mul_digits, _add_digits, ...) are also the
-      reference the tests hold both table kernels to.
+    Each method has two read paths over those tables:
 
-    Both kinds of table are built on the first arithmetic call, never in
+    * a whole field is read through list views of exp, log and zech
+      indexed by the encoding itself, held in _exp, _log and _zech;
+    * a larger field reads the F_{q^2} record in _sub through idx when
+      every operand lies in F_{q^2}, and sends any other operand to the
+      digit kernel: base-p digit vectors reduced by the modulus,
+      carry-less shift-and-xor when p = 2.  Its private methods
+      (_mul_digits, _add_digits, ...) are also the reference the tests
+      hold the tables to.
+
+    The tables are built on the first arithmetic call, never in
     make_field, with the digit kernel alone.  Other caches (reduction
     rows, Frobenius rows, subfield generators, the per-subfield solvers of
     x^(p^m) = x that give subfield bases and enumerations, norm preimages)
     are built lazily as well.
     """
 
-    __slots__ = ("p", "h", "q", "deg", "order", "modulus", "_tabled",
+    __slots__ = ("p", "h", "q", "deg", "order", "modulus",
                  "_exp", "_log", "_zech", "_sub", "_red", "_frows", "_sbasis",
                  "_gens", "_ofac", "_omega", "_norm")
 
@@ -312,7 +326,6 @@ class FieldCtx:
         self.deg = 4 * h
         self.order = p ** self.deg
         self.modulus = modulus
-        self._tabled = self.order <= TABLE_ORDER_BOUND
         self._exp = None
         self._log = None
         self._zech = None
@@ -345,11 +358,11 @@ class FieldCtx:
             n = n * self.p + d
         return n
 
-    # ring operations on encodings.  Each method answers from the tables
-    # once they exist; the first call builds them.  Above TABLE_ORDER_BOUND
-    # an operand outside F_{q^2} sends the call to the digit kernel; 0 is
-    # never in the subfield log, so a 0 the method does not settle first
-    # goes there too.
+    # ring operations on encodings.  Each method reads the whole-field list
+    # views once they exist, else the record of the tables, which the first
+    # call builds.  An operand outside the tabled field sends the call to
+    # the digit kernel.  0 is no power of gamma, so every method settles it
+    # before it reads a log.
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -359,18 +372,16 @@ class FieldCtx:
         if b == 0:
             return a
         log = self._log
-        if log is None:
-            if not self._tabled:
-                q2, lo, hi, slog, exp, zech = self._sub or self._build_subfield_tables()
-                la = slog[lo[a % q2] + hi[a // q2]]
-                lb = slog[lo[b % q2] + hi[b // q2]]
-                if exp[la] == a and exp[lb] == b:
-                    return exp[la + zech[lb - la]]
-                return self._add_digits(a, b)
-            log = self._build_tables()
-        la = log[a]
-        # a negative index wraps, so this is zech[(log b - log a) mod (order-1)]
-        return self._exp[la + self._zech[log[b] - la]]
+        if log is not None:
+            la = log[a]
+            # a negative index wraps, so this is zech[(log b - log a) mod (order-1)]
+            return self._exp[la + self._zech[log[b] - la]]
+        n, lo, hi, slog, exp, zech = self._sub or self._build_tables()
+        la = slog[lo[a % n] + hi[a // n]]
+        lb = slog[lo[b % n] + hi[b // n]]
+        if exp[la] == a and exp[lb] == b:
+            return exp[la + zech[lb - la]]
+        return self._add_digits(a, b)
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -378,39 +389,35 @@ class FieldCtx:
         if b == 0:
             return a
         log = self._log
-        if log is None:
-            if not self._tabled:
-                q2, lo, hi, slog, exp, zech = self._sub or self._build_subfield_tables()
-                lb = slog[lo[b % q2] + hi[b // q2]]
-                if exp[lb] == b:
-                    lb = (lb + (q2 - 1) // 2) % (q2 - 1)  # log of -b
-                    if a == 0:
-                        return exp[lb]
-                    la = slog[lo[a % q2] + hi[a // q2]]
-                    if exp[la] == a:
-                        return exp[la + zech[lb - la]]
-                return self._sub_digits(a, b)
-            log = self._build_tables()
-        n1 = self.order - 1
-        lb = (log[b] + n1 // 2) % n1  # log of -b
-        if a == 0:
-            return self._exp[lb]
-        la = log[a]
-        return self._exp[la + self._zech[lb - la]]
+        if log is not None:
+            n1 = self.order - 1
+            lb = (log[b] + n1 // 2) % n1  # log of -b
+            if a == 0:
+                return self._exp[lb]
+            la = log[a]
+            return self._exp[la + self._zech[lb - la]]
+        n, lo, hi, slog, exp, zech = self._sub or self._build_tables()
+        lb = slog[lo[b % n] + hi[b // n]]
+        if exp[lb] == b:
+            lb = (lb + (n - 1) // 2) % (n - 1)  # log of -b
+            if a == 0:
+                return exp[lb]
+            la = slog[lo[a % n] + hi[a // n]]
+            if exp[la] == a:
+                return exp[la + zech[lb - la]]
+        return self._sub_digits(a, b)
 
     def neg(self, a: int) -> int:
         if self.p == 2 or a == 0:
             return a
         log = self._log
-        if log is None:
-            if not self._tabled:
-                q2, lo, hi, slog, exp, _ = self._sub or self._build_subfield_tables()
-                la = slog[lo[a % q2] + hi[a // q2]]
-                if exp[la] == a:
-                    return exp[la + (q2 - 1) // 2]
-                return self._neg_digits(a)
-            log = self._build_tables()
-        return self._exp[log[a] + (self.order - 1) // 2]
+        if log is not None:
+            return self._exp[log[a] + (self.order - 1) // 2]
+        n, lo, hi, slog, exp, _ = self._sub or self._build_tables()
+        la = slog[lo[a % n] + hi[a // n]]
+        if exp[la] == a:
+            return exp[la + (n - 1) // 2]
+        return self._neg_digits(a)
 
     def scale(self, a: int, s: int) -> int:
         """a times a prime-field constant s, 0 <= s < p."""
@@ -419,60 +426,52 @@ class FieldCtx:
         if a == 0 or s == 0:
             return 0
         log = self._log
-        if log is None:
-            if not self._tabled:
-                q2, lo, hi, slog, exp, _ = self._sub or self._build_subfield_tables()
-                la = slog[lo[a % q2] + hi[a // q2]]
-                if exp[la] == a:
-                    return exp[la + slog[lo[s]]]  # idx(s) = lo[s], as s < p
-                return self._scale_digits(a, s)
-            log = self._build_tables()
-        return self._exp[log[a] + log[s]]
+        if log is not None:
+            return self._exp[log[a] + log[s]]
+        n, lo, hi, slog, exp, _ = self._sub or self._build_tables()
+        la = slog[lo[a % n] + hi[a // n]]
+        if exp[la] == a:
+            return exp[la + slog[lo[s]]]  # idx(s) = lo[s], as s < p
+        return self._scale_digits(a, s)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         log = self._log
-        if log is None:
-            if not self._tabled:
-                q2, lo, hi, slog, exp, _ = self._sub or self._build_subfield_tables()
-                la = slog[lo[a % q2] + hi[a // q2]]
-                lb = slog[lo[b % q2] + hi[b // q2]]
-                if exp[la] == a and exp[lb] == b:
-                    return exp[la + lb]
-                return self._mul_digits(a, b)
-            log = self._build_tables()
-        return self._exp[log[a] + log[b]]
+        if log is not None:
+            return self._exp[log[a] + log[b]]
+        n, lo, hi, slog, exp, _ = self._sub or self._build_tables()
+        la = slog[lo[a % n] + hi[a // n]]
+        lb = slog[lo[b % n] + hi[b // n]]
+        if exp[la] == a and exp[lb] == b:
+            return exp[la + lb]
+        return self._mul_digits(a, b)
 
     def pow(self, a: int, e: int) -> int:
-        log = self._log
-        if log is None:
-            if not self._tabled:
-                q2, lo, hi, slog, exp, _ = self._sub or self._build_subfield_tables()
-                la = slog[lo[a % q2] + hi[a // q2]]
-                if exp[la] == a:
-                    return exp[la * e % (q2 - 1)]
-                return self._pow_digits(a, e)
-            log = self._build_tables()
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("field inverse of 0")
             return 0 if e else 1
-        return self._exp[log[a] * e % (self.order - 1)]
+        log = self._log
+        if log is not None:
+            return self._exp[log[a] * e % (self.order - 1)]
+        n, lo, hi, slog, exp, _ = self._sub or self._build_tables()
+        la = slog[lo[a % n] + hi[a // n]]
+        if exp[la] == a:
+            return exp[la * e % (n - 1)]
+        return self._pow_digits(a, e)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("field inverse of 0")
         log = self._log
-        if log is None:
-            if not self._tabled:
-                q2, lo, hi, slog, exp, _ = self._sub or self._build_subfield_tables()
-                la = slog[lo[a % q2] + hi[a // q2]]
-                if exp[la] == a:
-                    return exp[q2 - 1 - la]
-                return self._inv_digits(a)
-            log = self._build_tables()
-        return self._exp[self.order - 1 - log[a]]
+        if log is not None:
+            return self._exp[self.order - 1 - log[a]]
+        n, lo, hi, slog, exp, _ = self._sub or self._build_tables()
+        la = slog[lo[a % n] + hi[a // n]]
+        if exp[la] == a:
+            return exp[n - 1 - la]
+        return self._inv_digits(a)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -483,83 +482,50 @@ class FieldCtx:
         if k == 0 or a < self.p:
             return a
         log = self._log
-        if log is None:
-            if not self._tabled:
-                q2, lo, hi, slog, exp, _ = self._sub or self._build_subfield_tables()
-                la = slog[lo[a % q2] + hi[a // q2]]
-                if exp[la] == a:
-                    return exp[la * self.p ** k % (q2 - 1)]
-                return self._frob_digits(a, k)
-            log = self._build_tables()
-        return self._exp[log[a] * self.p ** k % (self.order - 1)]
+        if log is not None:
+            return self._exp[log[a] * self.p ** k % (self.order - 1)]
+        n, lo, hi, slog, exp, _ = self._sub or self._build_tables()
+        la = slog[lo[a % n] + hi[a // n]]
+        if exp[la] == a:
+            return exp[la * self.p ** k % (n - 1)]
+        return self._frob_digits(a, k)
 
-    # the table kernel
+    # the tables
 
-    def _build_tables(self) -> list:
-        """Fill exp, log and, for odd p, zech with the digit kernel alone.
+    def _build_tables(self) -> _Tables:
+        """Table F_{p^m} with the digit kernel alone: the whole field
+        (m = 4h) up to TABLE_ORDER_BOUND, F_{q^2} (m = 2h) above it.
 
-        g = subfield_generator(4h), the first primitive element >= 2.  exp
-        holds g^0 .. g^(order-2) twice, so a sum of two logs needs no
-        reduction; for odd p it ends with order-1 zeros, where the sentinel
-        zech entry for 1 + g^d = 0 points.  Returns the log table, whose
-        entry at 0 stays None.
-        """
-        p, n1 = self.p, self.order - 1
-        g = self.subfield_generator(self.deg)
-        cycle = [1]
-        for _ in range(n1 - 1):
-            cycle.append(self._mul_digits(cycle[-1], g))
-        if self._mul_digits(cycle[-1], g) != 1:
-            raise CheckError(f"g = {g} does not satisfy g^(order-1) = 1")
-        # the powers must be the nonzero elements, each once; the logs then
-        # reuse exp's int objects, which cuts the tables' memory by about 30%
-        ints = [0] + sorted(cycle)
-        if ints != list(range(self.order)):
-            raise CheckError(f"powers of g = {g} repeat; log table not onto")
-        log = [None] * self.order
-        for i, x in enumerate(cycle):
-            log[x] = ints[i]
-        if p == 2:
-            self._exp = cycle + cycle
-        else:
-            if cycle[n1 // 2] != p - 1:
-                raise CheckError("g^((order-1)/2) is not -1")
-            # 1 + x only changes the lowest base-p digit of x
-            self._zech = [log[x + 1] if x % p != p - 1
-                          else log[x - p + 1] if x != p - 1 else 2 * n1
-                          for x in cycle]
-            self._exp = cycle + cycle + [0] * n1
-        self._log = log
-        return log
-
-    # the subfield tables
-
-    def _build_subfield_tables(self) -> _SubfieldTables:
-        """Fill the F_{q^2} tables with the digit kernel alone.
-
-        The public methods would come back here, and subfield_basis(2h) and
-        subfield_encodings(2h) go through them, so F_{q^2} is taken as the
-        kernel of x -> x^(q^2) - x row-reduced from the Frobenius rows.
-        gamma = subfield_generator(2h) is walked in the 2h coordinates of
+        The public methods would come back here, and subfield_basis and
+        subfield_encodings go through them, so F_{p^m} is taken as the
+        kernel of x -> x^(p^m) - x row-reduced from the Frobenius rows.
+        gamma = subfield_generator(m) is walked in the m coordinates of
         that kernel: the images of gamma times either half of the
         coordinates are tabled, so a step is one digit-wise sum.  Raises
         CheckError, with nothing installed, unless the kernel has dimension
-        2h, gamma times each basis vector stays in it, the walk meets every
-        log slot once (gamma has order q^2 - 1, its powers are the nonzero
-        elements of F_{q^2}, and idx is injective on them) and it ends at 1.
+        m, gamma times each basis vector stays in it, the walk meets every
+        log slot once (gamma has order p^m - 1, its powers are the nonzero
+        elements of F_{p^m}, and idx is injective on them), it ends at 1
+        and, for odd p, gamma^((p^m - 1)/2) = -1.
+
+        F_{q^2}'s record is kept in _sub.  A whole field keeps list views
+        of exp, log and zech instead, which share one int object per value,
+        and only the call that built the tables reads its record.
         """
-        p, h, deg, q = self.p, self.h, self.deg, self.q
-        m, q2 = 2 * h, q * q
-        n1 = q2 - 1
+        p, deg = self.p, self.deg
+        whole = self.order <= TABLE_ORDER_BOUND
+        m = deg if whole else 2 * self.h
+        n = p ** m
+        n1 = n - 1
         rows = self._frows.get(m) or self._build_frow(m)
         if p == 2:
             rows = [self._digits(r) for r in rows]
-        # column i is the image of X^i under x -> x^(q^2) - x
+        # column i is the image of X^i under x -> x^(p^m) - x
         mat = [[(rows[i][r] - (i == r)) % p for i in range(deg)] for r in range(deg)]
         pivots, _ = _rref(mat, p)
         kernel = _kernel_vectors(mat, pivots, p)
         if len(kernel) != m:
-            raise CheckError("subfield dimension mismatch")
+            raise CheckError(f"F_(p^{m}) does not have dimension {m}")
         # idx(a) = sum_j (digit f_j of a) p^j over the free columns f_j
         weight = [0] * deg
         for j, (f, _) in enumerate(kernel):
@@ -568,7 +534,7 @@ class FieldCtx:
         gamma = self.subfield_generator(m)
         images = [self._mul_digits(gamma, self._undigits(v)) for _, v in kernel]
         if any(self._frob_digits(x, m) != x for x in images):
-            raise CheckError(f"gamma = {gamma} does not map F_(q^2) into itself")
+            raise CheckError(f"gamma = {gamma} does not map F_(p^{m}) into itself")
 
         def span(gens):
             # tab[u] = sum_k (digit k of u) * gens[k]: digits, or ints to xor for p = 2
@@ -579,22 +545,25 @@ class FieldCtx:
                     tab += [[(x + t * y) % p for x, y in zip(v, gd)] for v in block]
             return [self._undigits(v) for v in tab] if p == 2 else tab
 
-        lo_img, hi_img = span(images[:h]), span(images[h:])
+        half = p ** (m // 2)
+        lo_img, hi_img = span(images[:m // 2]), span(images[m // 2:])
         residue = [s % p for s in range(2 * p - 1)]
-        log = array("H", [_UNSET]) * q2
+        log = array("H", [_UNSET]) * n
         log[0] = 0
         exp = array("I", [0]) * ((2 if p == 2 else 3) * n1)
         x = 1
         for i in range(n1):
-            v = lo[x % q2] + hi[x // q2]
+            v = lo[x % n] + hi[x // n]
             if log[v] != _UNSET:
                 raise CheckError(f"gamma^{i} = {x} meets a log slot taken before")
             log[v] = i
             exp[i] = x
-            u, w = lo_img[v % q], hi_img[v // q]
+            u, w = lo_img[v % half], hi_img[v // half]
             x = u ^ w if p == 2 else self._undigits([residue[s + t] for s, t in zip(u, w)])
         if x != 1:
-            raise CheckError(f"gamma = {gamma} does not satisfy gamma^(q^2-1) = 1")
+            raise CheckError(f"gamma = {gamma} does not satisfy gamma^(p^{m}-1) = 1")
+        if p != 2 and exp[n1 // 2] != p - 1:
+            raise CheckError(f"gamma^((p^{m}-1)/2) is not -1")
         exp[n1:2 * n1] = exp[:n1]
         zech = array("H")
         if p != 2:
@@ -603,13 +572,23 @@ class FieldCtx:
                 if x == p - 1:
                     return 2 * n1
                 y = x + 1 if x % p != p - 1 else x - p + 1
-                return log[lo[y % q2] + hi[y // q2]]
+                return log[lo[y % n] + hi[y // n]]
             zech.extend(map(zech_log, exp[:n1]))
-        self._sub = _SubfieldTables(q2, lo, hi, log, exp, zech)
-        return self._sub
+        tables = _Tables(n, lo, hi, log, exp, zech)
+        if not whole:
+            self._sub = tables
+            return tables
+        # lists, not arrays: an array read boxes a fresh int on every call.
+        # The views take their ints from one list, so each value is one
+        # object (the sentinel 2(n-1) is the only value above n - 1).
+        ints = list(range(n))
+        self._exp = list(map(ints.__getitem__, exp))
+        self._zech = [ints[z] if z < n else z for z in zech]
+        self._log = list(map(ints.__getitem__, log))
+        return tables
 
     # the digit kernel: every operand no table covers, and the reference
-    # for both table kernels
+    # for the tables
 
     def _add_digits(self, a: int, b: int) -> int:
         p = self.p
@@ -735,8 +714,8 @@ class FieldCtx:
         """A generator of F_{p^m}^*, kept per m: gamma = c^((order-1)/(p^m-1))
         for the least c >= 2 that gives gamma order exactly p^m - 1.
 
-        Found with the digit kernel alone, so that the table builds can use
-        it; the subfield tables and the point-count walk share it."""
+        Found with the digit kernel alone, so that the table build can use
+        it; the tables and the point-count walk share it."""
         gamma = self._gens.get(m)
         if gamma is None:
             if m < 1 or self.deg % m:

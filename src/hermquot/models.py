@@ -198,6 +198,11 @@ def family_II_model(ctx: FieldCtx, b) -> CurveModel:
 
     The quotient by an order-p^2 subgroup meeting the center of the
     Sylow p-subgroup in order p.
+
+    Reported discrepancy: the family's genus (q/p)(q/p - 1)/2 is
+    gsx1_genus(p, h, 1), the row for subgroups that meet the center
+    trivially (3, 36, 10, 21 at (3,2), (3,3), (5,2), (7,2)), not
+    gsx1_genus(p, h, p), the row for order p (4, 39, 12, 24).
     """
     p, h = ctx.p, ctx.h
     bn = check_b(ctx, "II", b)

@@ -18,6 +18,8 @@ from .gfield import CheckError, FieldCtx, ParameterError, _as_encoding
 
 def p_power_exp(n: int, p: int):
     """e with n = p^e, or None when n is not a power of p."""
+    if n < 1:
+        return None
     e = 0
     while n % p == 0:
         n //= p

@@ -205,7 +205,6 @@ def check_automorphism_groups() -> dict:
 
 
 def _is_p_power(n: int, p: int) -> bool:
-    # n > 1 first: p_power_exp(0, p) never returns
     return n > 1 and p_power_exp(n, p) is not None
 
 

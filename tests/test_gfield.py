@@ -194,33 +194,64 @@ def test_table_kernel_matches_digit_kernel(data):
         assert ctx.inv(a) == ctx._inv_digits(a)
     else:
         assert ctx.pow(0, abs(e)) == ctx._pow_digits(0, abs(e))
-    # pow always answers from the tables
-    assert (ctx._log if ctx._tabled else ctx._sub) is not None
+    # pow always answers from the tables: whole-field lists up to the bound,
+    # the F_{q^2} record above it
+    whole = ctx.order <= TABLE_ORDER_BOUND
+    assert (ctx._log is not None) == whole and (ctx._sub is None) == whole
 
 
-@pytest.mark.parametrize("ctx", TABLE_FIELDS, ids=lambda c: f"p{c.p}h{c.h}")
+def _assert_nothing_installed(ctx):
+    assert ctx._log is None and ctx._exp is None and ctx._zech is None and ctx._sub is None
+
+
+@pytest.mark.parametrize("ctx", TABLE_FIELDS + SUBFIELD_FIELDS, ids=lambda c: f"p{c.p}h{c.h}")
 def test_table_kernel_edge_cases(ctx):
     p = ctx.p
+    m = ctx.deg if ctx.order <= TABLE_ORDER_BOUND else 2 * ctx.h
+    n = p ** m
     assert ctx.pow(0, 0) == ctx._pow_digits(0, 0) == 1
     assert ctx.pow(0, 5) == ctx._pow_digits(0, 5) == 0
     for op in (ctx.inv, ctx._inv_digits, lambda x: ctx.pow(x, -1),
                lambda x: ctx._pow_digits(x, -1)):
         with pytest.raises(ZeroDivisionError):
             op(0)
-    assert ctx.add(1, p - 1) == 0
     assert ctx.neg(1) == p - 1 and ctx.sub(0, 1) == p - 1
-    a = ctx.order - 1
-    for k in (-1, -ctx.deg - 1, ctx.deg, ctx.deg + 1, 5 * ctx.deg + 2):
-        assert ctx.frob(a, k) == ctx._frob_digits(a, k) == ctx.frob(a, k % ctx.deg)
-    for e in (-1, -2, -ctx.order, ctx.order - 1):
-        assert ctx.pow(a, e) == ctx._pow_digits(a, e)
+    gamma = ctx.subfield_generator(m)
+    g_inv = ctx._pow_digits(gamma, n - 2)
+    assert ctx.inv(gamma) == g_inv and ctx.mul(gamma, g_inv) == 1
+    # sums that vanish take the Zech sentinel
+    for a in (1, gamma, g_inv):
+        assert ctx.add(a, ctx.neg(a)) == 0 == ctx.sub(a, a)
+        assert ctx.add(ctx.scale(a, p - 1), a) == 0
+    # order - 1 lies outside F_{q^2} above the bound
+    for a in (g_inv, ctx.order - 1):
+        for k in (-1, -ctx.deg - 1, 2 * ctx.h, ctx.deg, ctx.deg + 1, 5 * ctx.deg + 2):
+            assert ctx.frob(a, k) == ctx._frob_digits(a, k) == ctx.frob(a, k % ctx.deg)
+    for a in (gamma, ctx.order - 1):
+        for e in (-1, -2, -n, n - 1, n, 3 * n + 1, -ctx.order, ctx.order - 1):
+            assert ctx.pow(a, e) == ctx._pow_digits(a, e)
+
+
+def _clmul(a, b):
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a, b = a << 1, b >> 1
+    return r
 
 
 def test_table_build_rejects_a_reducible_modulus():
-    ctx = FieldCtx(2, 1, 0b10001)  # X^4 + 1 = (X + 1)^4 over F_2
-    with pytest.raises(CheckError):
-        ctx.mul(2, 3)
-    assert ctx._log is None
+    for p, h, modulus in (
+        (2, 1, 0b10001),                          # X^4 + 1 = (X + 1)^4: a whole field
+        (2, 4, (1 << 16) | 1),                    # X^16 + 1 = (X + 1)^16
+        (2, 4, _clmul(0b100011011, 0b100011101)),  # two irreducible octics
+        (3, 3, 3 ** 12 + 2),                      # X^12 - 1 = (X^4 - 1)^3
+    ):
+        ctx = FieldCtx(p, h, modulus)
+        with pytest.raises(CheckError):
+            ctx.mul(2, 3)
+        _assert_nothing_installed(ctx)
 
 
 def test_large_fields_build_no_tables():
@@ -261,32 +292,10 @@ def test_subfield_operands_never_reach_the_digit_kernel(ctx, monkeypatch):
 
 
 @pytest.mark.parametrize("ctx", SUBFIELD_FIELDS, ids=lambda c: f"p{c.p}h{c.h}")
-def test_subfield_table_edge_cases(ctx):
-    p, q2 = ctx.p, ctx.q ** 2
-    assert ctx.pow(0, 0) == ctx._pow_digits(0, 0) == 1
-    assert ctx.pow(0, 5) == ctx._pow_digits(0, 5) == 0
-    for op in (ctx.inv, ctx._inv_digits, lambda x: ctx.pow(x, -1),
-               lambda x: ctx._pow_digits(x, -1)):
-        with pytest.raises(ZeroDivisionError):
-            op(0)
-    gamma = ctx.subfield_generator(2 * ctx.h)
-    g_inv = ctx._pow_digits(gamma, q2 - 2)
-    assert ctx.inv(gamma) == g_inv and ctx.mul(gamma, g_inv) == 1
-    # sums that vanish take the Zech sentinel
-    for a in (1, gamma, g_inv):
-        assert ctx.add(a, ctx.neg(a)) == 0 == ctx.sub(a, a)
-        assert ctx.add(ctx.scale(a, p - 1), a) == 0
-    for k in (-1, -ctx.deg - 1, 2 * ctx.h, ctx.deg + 1, 5 * ctx.deg + 2):
-        assert ctx.frob(g_inv, k) == ctx._frob_digits(g_inv, k)
-    for e in (-1, -q2, q2 - 1, q2, 3 * q2 + 1):
-        assert ctx.pow(gamma, e) == ctx._pow_digits(gamma, e)
-
-
-@pytest.mark.parametrize("ctx", SUBFIELD_FIELDS, ids=lambda c: f"p{c.p}h{c.h}")
 def test_subfield_tables_walk_F_q2(ctx):
     box = ctx.subfield_encodings(2 * ctx.h)
     tabs = ctx._sub
-    q2 = tabs.q2
+    q2 = tabs.n
     n1 = q2 - 1
     # the powers of gamma are the nonzero elements of F_{q^2}, each once
     assert sorted(tabs.exp[:n1]) == list(box)[1:]
@@ -305,37 +314,31 @@ def test_fresh_ctx_can_start_with_subfield_encodings(p, h):
     assert fresh._sub is not None
 
 
-def _clmul(a, b):
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a, b = a << 1, b >> 1
-    return r
-
-
-@pytest.mark.parametrize("p,h,modulus", [
-    (2, 4, (1 << 16) | 1),                # X^16 + 1 = (X + 1)^16
-    (2, 4, _clmul(0b100011011, 0b100011101)),  # two irreducible octics
-    (3, 3, 3 ** 12 + 2),                  # X^12 - 1 = (X^4 - 1)^3
-])
-def test_subfield_build_rejects_a_reducible_modulus(p, h, modulus):
-    ctx = FieldCtx(p, h, modulus)
-    with pytest.raises(CheckError):
-        ctx.mul(2, 3)
-    assert ctx._sub is None
-
-
 def test_subfield_build_rejects_a_bad_generator(monkeypatch):
-    ref = make_field(3, 3)
-    gamma = ref.subfield_generator(6)
-    for bad in (ref._pow_digits(gamma, 2),     # order (q^2 - 1)/2
-                ref.subfield_generator(12)):   # generates F_{q^4}^*
+    sub, whole = make_field(3, 3), make_field(2, 3)
+    slot, out = "a log slot taken before", "does not map"
+    cases = [
+        (sub, sub._pow_digits(sub.subfield_generator(6), 2), slot),        # order (q^2 - 1)/2
+        (sub, sub.subfield_generator(12), out),                           # generates F_{q^4}^*
+        (whole, whole._pow_digits(whole.subfield_generator(12), 3), slot),  # order (q^4 - 1)/3
+        (whole, whole.subfield_generator(6), slot),                       # generates F_{q^2}^* only
+    ]
+    for ref, bad, reason in cases:
         monkeypatch.setattr(FieldCtx, "subfield_generator", lambda self, m: bad)
-        ctx = FieldCtx(3, 3, ref.modulus)
-        with pytest.raises(CheckError):
+        ctx = FieldCtx(ref.p, ref.h, ref.modulus)
+        with pytest.raises(CheckError, match=reason):
             ctx.mul(2, 3)
-        assert ctx._sub is None
+        _assert_nothing_installed(ctx)
+
+
+def test_whole_field_views_hold_one_int_per_value():
+    # each value above the small-int cache is one object shared by the
+    # exp, log and Zech views, not one per slot
+    for ctx in (make_field(2, 3), make_field(3, 2)):
+        ctx.mul(2, 3)
+        big = [v for view in (ctx._exp, ctx._log, ctx._zech) for v in view if v > 256]
+        assert len(big) > 2 * ctx.order
+        assert len({id(v) for v in big}) == len(set(big))
 
 
 def test_mult_order_bruteforce():

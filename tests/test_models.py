@@ -371,6 +371,17 @@ def test_gsx1_table():
         models.gsx1_genus(3, 2, 9)
 
 
+def test_family_II_genus_is_the_trivial_center_row():
+    # a reported discrepancy: family II is described as the quotient by a
+    # subgroup meeting the center in order p, yet its genus is the row for
+    # subgroups that meet the center trivially
+    rows = {(3, 2): (3, 4), (3, 3): (36, 39), (5, 2): (10, 12), (7, 2): (21, 24)}
+    for (p, h), (trivial, order_p) in rows.items():
+        g = models.genus_formula("family_II", p, h)
+        assert g == models.gsx1_genus(p, h, 1) == trivial
+        assert models.gsx1_genus(p, h, p) == order_p != g
+
+
 # --- admissible b ---
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermquot.gfield import CheckError, ParameterError, make_field
-from hermquot.polyring import BiPoly
+from hermquot.polyring import BiPoly, p_power_exp
 
 
 CTX = make_field(2, 2)
@@ -193,3 +193,10 @@ def test_term_key_is_canonical():
     f = x + y
     g = y + x
     assert f == g
+
+
+def test_p_power_exp():
+    assert [p_power_exp(n, 3) for n in (1, 3, 9, 81)] == [0, 1, 2, 4]
+    assert p_power_exp(6, 3) is None and p_power_exp(8, 2) == 3
+    # 0 is divisible by every power of p; it must end, not loop
+    assert p_power_exp(0, 3) is None and p_power_exp(-9, 3) is None
