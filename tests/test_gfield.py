@@ -242,16 +242,22 @@ def _clmul(a, b):
 
 
 def test_table_build_rejects_a_reducible_modulus():
-    for p, h, modulus in (
-        (2, 1, 0b10001),                          # X^4 + 1 = (X + 1)^4: a whole field
-        (2, 4, (1 << 16) | 1),                    # X^16 + 1 = (X + 1)^16
-        (2, 4, _clmul(0b100011011, 0b100011101)),  # two irreducible octics
-        (3, 3, 3 ** 12 + 2),                      # X^12 - 1 = (X^4 - 1)^3
-    ):
-        ctx = FieldCtx(p, h, modulus)
-        with pytest.raises(CheckError):
-            ctx.mul(2, 3)
-        _assert_nothing_installed(ctx)
+    ctx = FieldCtx(2, 1, 0b10001)  # X^4 + 1 = (X + 1)^4 over F_2
+    with pytest.raises(CheckError):
+        ctx.mul(2, 3)
+    _assert_nothing_installed(ctx)
+
+
+@pytest.mark.parametrize("p,h,modulus", [
+    (2, 4, (1 << 16) | 1),                     # X^16 + 1 = (X + 1)^16
+    (2, 4, _clmul(0b100011011, 0b100011101)),  # two irreducible octics
+    (3, 3, 3 ** 12 + 2),                       # X^12 - 1 = (X^4 - 1)^3
+])
+def test_subfield_build_rejects_a_reducible_modulus(p, h, modulus):
+    ctx = FieldCtx(p, h, modulus)
+    with pytest.raises(CheckError):
+        ctx.mul(2, 3)
+    _assert_nothing_installed(ctx)
 
 
 def test_large_fields_build_no_tables():
