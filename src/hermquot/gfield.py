@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 from array import array
+from itertools import pairwise
 from typing import NamedTuple
 
 DEFAULT_SIZE_BOUND = 1 << 30
@@ -843,8 +844,10 @@ class LinearizedSolver:
     coordinates it is a (4h x m) matrix on the subfield basis.  The row
     reduction is performed once and its operation log replayed per
     right-hand side, which keeps per-fiber work small.  count skips the
-    replay: the zero rows of the reduced system are fixed F_p-combinations
-    of the right-hand side's digits, kept as the solvability checks.
+    replay: a fiber has kernel_size points when rhs lies in Im L and none
+    otherwise.  Im L is the F_p-span of L(basis[c]) over the pivot columns
+    c, enumerated into a frozenset on the first count; a full-rank L is
+    onto the whole field and needs no image.
     """
 
     def __init__(self, ctx: FieldCtx, coeffs, m: int):
@@ -852,34 +855,23 @@ class LinearizedSolver:
         self.m = m
         basis = ctx.subfield_basis(m)
         self.basis = basis
-        cols = []
+        imgs = []
         for bj in basis:
             img = 0
             for i, ci in enumerate(coeffs):
                 if ci:
                     img = ctx.add(img, ctx.mul(ci, ctx.frob(bj, i)))
-            cols.append(ctx._digits(img))
-        deg = ctx.deg
-        mat = [[cols[j][r] for j in range(m)] for r in range(deg)]
+            imgs.append(img)
+        cols = [ctx._digits(img) for img in imgs]
+        mat = [[cols[j][r] for j in range(m)] for r in range(ctx.deg)]
         self.pivots, self.ops = _rref(mat, ctx.p)
         self.rank = len(self.pivots)
         kb = [self._combine(vec) for _, vec in _kernel_vectors(mat, self.pivots, ctx.p)]
         self.kernel_basis = kb
         self.kernel_size = ctx.p ** len(kb)
         self._kernel = None
-        # row r >= rank of the replayed rhs is sum_j units[j][r] * digit_j
-        units = []
-        for j in range(deg):
-            e = [0] * deg
-            e[j] = 1
-            _replay(e, self.ops, ctx.p)
-            units.append(e)
-        checks = [[e[r] for e in units] for r in range(self.rank, deg)]
-        checks = [w for w in checks if any(w)]
-        if ctx.p == 2:
-            # a check is a bit mask; it passes when rhs & mask has even parity
-            checks = [sum(1 << j for j, t in enumerate(w) if t) for w in checks]
-        self._checks = checks
+        self._image_basis = [imgs[c] for _, c in self.pivots]
+        self._image = None
 
     def _combine(self, vec) -> int:
         ctx = self.ctx
@@ -889,36 +881,40 @@ class LinearizedSolver:
                 enc = ctx.add(enc, ctx.scale(self.basis[j], t))
         return enc
 
+    def _span(self, gens) -> list[int]:
+        """All F_p-combinations of gens, ascending; raises CheckError above
+        2^20 of them, or unless they are p^len(gens) distinct elements."""
+        ctx = self.ctx
+        size = ctx.p ** len(gens)
+        if size > (1 << 20):
+            raise CheckError(f"span of {size} elements too large to enumerate")
+        span = [0]
+        for b in gens:
+            layer = list(span)
+            for t in range(1, ctx.p):
+                tb = ctx.scale(b, t)
+                span.extend(ctx.add(x, tb) for x in layer)
+        # sorted and compared in place: a set would cost a kernel's memory
+        span.sort()
+        if any(a == b for a, b in pairwise(span)):
+            raise CheckError(f"span has fewer than {size} elements: "
+                             f"its generators are dependent")
+        return span
+
     def kernel(self) -> list[int]:
         """All kernel elements, ascending, enumerated once and cached."""
         if self._kernel is None:
-            if self.kernel_size > (1 << 20):
-                raise CheckError("kernel too large to enumerate")
-            ctx = self.ctx
-            span = [0]
-            for b in self.kernel_basis:
-                layer = list(span)
-                for t in range(1, ctx.p):
-                    tb = ctx.scale(b, t)
-                    span.extend(ctx.add(x, tb) for x in layer)
-            span.sort()
-            self._kernel = span
+            self._kernel = self._span(self.kernel_basis)
         return self._kernel
 
     def count(self, rhs: int) -> int:
         """Number of solutions: kernel_size, or 0 when inconsistent."""
-        ctx = self.ctx
-        if ctx.p == 2:
-            for mask in self._checks:
-                if (rhs & mask).bit_count() & 1:
-                    return 0
-            return self.kernel_size
-        p = ctx.p
-        v = ctx._digits(rhs)
-        for w in self._checks:
-            if sum(t * d for t, d in zip(w, v)) % p:
-                return 0
-        return self.kernel_size
+        image = self._image
+        if image is None:
+            if self.rank == self.ctx.deg:
+                return self.kernel_size
+            image = self._image = frozenset(self._span(self._image_basis))
+        return self.kernel_size if rhs in image else 0
 
     def solve(self, rhs: int) -> list[int]:
         """Sorted encodings of all solutions; empty when inconsistent."""

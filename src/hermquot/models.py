@@ -198,11 +198,6 @@ def family_II_model(ctx: FieldCtx, b) -> CurveModel:
 
     The quotient by an order-p^2 subgroup meeting the center of the
     Sylow p-subgroup in order p.
-
-    Reported discrepancy: the family's genus (q/p)(q/p - 1)/2 is
-    gsx1_genus(p, h, 1), the row for subgroups that meet the center
-    trivially (3, 36, 10, 21 at (3,2), (3,3), (5,2), (7,2)), not
-    gsx1_genus(p, h, p), the row for order p (4, 39, 12, 24).
     """
     p, h = ctx.p, ctx.h
     bn = check_b(ctx, "II", b)
@@ -407,26 +402,6 @@ def semigroup_gens(family: str, p: int, h: int) -> tuple[int, ...] | None:
     if fam == "I":
         return (p ** (h - 2), q + 1)
     return (q // p, q // p + q // p**2, q + 1)
-
-
-def gsx1_genus(p: int, h: int, z_order: int) -> int:
-    """Genus of an order-p^2 quotient keyed by |H meet Z(S_p)|.
-
-    Informational table: 1 -> (q/p)(q/p-1)/2, p -> (q/p^2)(q-1)/2.
-    Non-integral values mean no such subgroup exists at the parameters.
-    """
-    q = p**h
-    if z_order == 1:
-        num = (q // p) * (q // p - 1)
-    elif z_order == p:
-        if h < 2:
-            raise ParameterError("intersection of order p needs h >= 2")
-        num = (q // p**2) * (q - 1)
-    else:
-        raise ParameterError(f"tabulated intersection orders are 1 and p, not {z_order}")
-    if num % 2:
-        raise ParameterError("formula value is not an integer at these parameters")
-    return num // 2
 
 
 def _axis_and_line_factors(ctx: FieldCtx, p: int):

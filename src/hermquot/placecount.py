@@ -8,10 +8,12 @@ capped at 4096 field elements.  The single place at infinity is added by
 convention; every model here has exactly one, rational over F_{q^2}.
 
 Counting needs only the size of each fiber, which LinearizedSolver.count
-gives without listing solutions.  The x-values are walked multiplicatively:
-with gamma a generator of F_{q^(2k)}^*, x runs through gamma^0, gamma^1, ...,
-and each pure-X term c X^i keeps a running value updated by one multiply
-with gamma^i per step, so no power of x is ever taken.  After q^(2k) - 1
+gives without listing solutions: a fiber holds one coset of ker L when its
+right-hand side lies in Im L, a set enumerated once per walk, and is empty
+otherwise.  The x-values are walked multiplicatively: with gamma a
+generator of F_{q^(2k)}^*, x runs through gamma^0, gamma^1, ..., and each
+pure-X term c X^i keeps a running value updated by one multiply with
+gamma^i per step, so no power of x is ever taken.  After q^(2k) - 1
 steps every running value must be back at its coefficient; the x = 0 fiber
 is the constant term.  iter_fibers keeps the ascending scan with sorted
 solutions for the callers that need the points themselves, and is the

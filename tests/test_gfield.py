@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermquot import models
 from hermquot.gfield import (
     TABLE_ORDER_BOUND,
     CheckError,
@@ -12,6 +15,7 @@ from hermquot.gfield import (
     find_omega,
     make_field,
 )
+from hermquot.polyring import additive_split
 
 
 # ---------------------------------------------------------------- oracles
@@ -101,8 +105,6 @@ CTXS = [make_field(2, 1), make_field(2, 3), make_field(3, 1), make_field(3, 2)]
 
 @pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"p{c.p}h{c.h}")
 def test_field_axioms_exhaustive_small(ctx):
-    if ctx.order > 128:
-        pytest.skip("exhaustive pass only for the smallest context")
     els = range(ctx.order)
     for a in els:
         assert ctx.add(a, 0) == a
@@ -110,10 +112,14 @@ def test_field_axioms_exhaustive_small(ctx):
         assert ctx.add(a, ctx.neg(a)) == 0
         if a:
             assert ctx.mul(a, ctx.inv(a)) == 1
-    for a in els:
-        for b in els:
-            assert ctx.add(a, b) == ctx.add(b, a)
-            assert ctx.mul(a, b) == ctx.mul(b, a)
+    if ctx.order <= 128:
+        pairs = [(a, b) for a in els for b in els]
+    else:
+        rng = random.Random(ctx.order)
+        pairs = [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(4096)]
+    for a, b in pairs:
+        assert ctx.add(a, b) == ctx.add(b, a)
+        assert ctx.mul(a, b) == ctx.mul(b, a)
 
 
 @given(data=st.data())
@@ -427,6 +433,94 @@ def test_solver_fiber_sizes_are_kernel_or_zero():
     sizes = {solver.count(r) for r in ctx.subfield_encodings(2 * ctx.h)}
     assert sizes == {0, solver.kernel_size}
     assert solver.kernel_size == 2  # kernel of y^2 + y is F_2
+
+
+def _count_model_maps(ctx):
+    """The linearized part L of every plane model the point counts walk."""
+    ms = [models.hermitian_model(ctx, v) for v in ("plus", "minus_omega", "plus_one")]
+    ms.append(models.subcover_center(ctx))
+    ms.append(models.subcover_noncenter(ctx) if ctx.p > 2 else models.fpp_char2(ctx))
+    if ctx.h >= 2:
+        ms.append(models.family_I_model(ctx, models.admissible_b(ctx, "I")[0]))
+    if ctx.p > 2:
+        ms.append(models.family_II_model(ctx, models.admissible_b(ctx, "II")[0]))
+    return [split[0] for split in map(additive_split, (m.F for m in ms)) if split]
+
+
+@pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (5, 2)])
+def test_count_matches_solve_on_F_q2(p, h):
+    # solve's zero-row test after the replayed reduction is the oracle
+    ctx = make_field(p, h)
+    for vec in _count_model_maps(ctx):
+        solver = LinearizedSolver(ctx, vec, 2 * h)
+        sizes = set()
+        for rhs in ctx.subfield_encodings(2 * h):
+            n = solver.count(rhs)
+            assert n == solver.kernel_size * bool(solver.solve(rhs))
+            sizes.add(n)
+        onto = solver.rank == 2 * h
+        assert sizes == ({solver.kernel_size} if onto else {0, solver.kernel_size})
+        assert len(solver._image) == p ** solver.rank
+
+
+@pytest.mark.parametrize("p,h", [(3, 2), (2, 7), (5, 3)])
+def test_count_matches_solve_on_sampled_whole_field_rhs(p, h):
+    ctx = make_field(p, h)
+    rng = random.Random(100 * p + h)
+    dom = ctx.subfield_encodings(2 * h)
+    for vec in _count_model_maps(ctx):
+        solver = LinearizedSolver(ctx, vec, 2 * h)
+        rhs = [rng.randrange(ctx.order) for _ in range(40)]
+        rhs += [rng.choice(dom) for _ in range(40)]
+        rhs += [eval_linearized(ctx, vec, rng.choice(dom)) for _ in range(40)]
+        hits = 0
+        for r in rhs:
+            n = solver.count(r)
+            assert n == solver.kernel_size * bool(solver.solve(r))
+            hits += n > 0
+        assert hits >= 40
+
+
+def test_zero_map_image_is_zero():
+    ctx = make_field(3, 2)
+    solver = LinearizedSolver(ctx, [0, 0], 2 * ctx.h)
+    assert solver.rank == 0
+    assert solver.count(0) == solver.kernel_size == ctx.p ** (2 * ctx.h)
+    assert solver._image == frozenset({0})
+    assert not any(solver.count(r) for r in range(1, ctx.order))
+
+
+def test_full_rank_count_builds_no_image():
+    # family I's L over the whole of F_{q^4} at (3, 2), a k = 2 scan, is onto
+    ctx = make_field(3, 2)
+    vec, _ = additive_split(models.family_I_model(ctx, models.admissible_b(ctx, "I")[0]).F)
+    solver = LinearizedSolver(ctx, vec, ctx.deg)
+    assert solver.rank == ctx.deg
+    for rhs in range(0, ctx.order, 7):
+        assert solver.count(rhs) == solver.kernel_size
+    assert solver._image is None
+    for rhs in range(0, ctx.order, 97):
+        assert len(solver.solve(rhs)) == solver.kernel_size
+
+
+def test_span_rejects_oversized_or_dependent_generators(monkeypatch):
+    ctx = make_field(2, 3)
+    solver = LinearizedSolver(ctx, [1, 1], 2 * ctx.h)  # y + y^2
+    b = solver._image_basis[0]
+    monkeypatch.setattr(solver, "_image_basis", [b, b])
+    with pytest.raises(CheckError, match="dependent"):
+        solver.count(1)
+    monkeypatch.setattr(solver, "_image_basis", [b] * 21)
+    with pytest.raises(CheckError, match="too large"):
+        solver.count(1)
+    assert solver._image is None
+    monkeypatch.setattr(solver, "kernel_basis", [1, 1])
+    with pytest.raises(CheckError, match="dependent"):
+        solver.kernel()
+    monkeypatch.setattr(solver, "kernel_basis", [1] * 21)
+    with pytest.raises(CheckError, match="too large"):
+        solver.kernel()
+    assert solver._kernel is None
 
 
 def test_checkerror_is_distinct_from_parametererror():

@@ -9,6 +9,7 @@ from hermquot.gfield import (
     make_field,
     find_omega,
 )
+from hermquot.autgrp import subgroup_types
 from hermquot.polyring import BiPoly
 from hermquot import models
 
@@ -361,25 +362,30 @@ def test_genus_formula_errors():
             models.genus_formula("II", p, h)
 
 
-def test_gsx1_table():
-    assert models.gsx1_genus(3, 2, 1) == 3
-    assert models.gsx1_genus(3, 2, 3) == 4
-    assert models.gsx1_genus(2, 3, 1) == 6
-    with pytest.raises(ParameterError):
-        models.gsx1_genus(2, 2, 2)  # (q/p^2)(q-1)/2 = 3/2, not attained
-    with pytest.raises(ParameterError):
-        models.gsx1_genus(3, 2, 9)
-
-
-def test_family_II_genus_is_the_trivial_center_row():
-    # a reported discrepancy: family II is described as the quotient by a
-    # subgroup meeting the center in order p, yet its genus is the row for
-    # subgroups that meet the center trivially
-    rows = {(3, 2): (3, 4), (3, 3): (36, 39), (5, 2): (10, 12), (7, 2): (21, 24)}
-    for (p, h), (trivial, order_p) in rows.items():
-        g = models.genus_formula("family_II", p, h)
-        assert g == models.gsx1_genus(p, h, 1) == trivial
-        assert models.gsx1_genus(p, h, p) == order_p != g
+def test_family_genus_is_the_hilbert_genus_of_its_subgroup():
+    # Z, the center of the Sylow p-subgroup of Stab(P_inf), is the maps
+    # with a = 0.  Hilbert's different formula for H -> H/G at the one
+    # ramified place: 2g(H) - 2 = p^2 (2g' - 2) + sum_{s != 1} i(s), with
+    # i(s) = q + 2 for a central s and 2 for a non-central one.
+    family = {"U": "family_I", "V": "family_II", "cyclic4": "family_III"}
+    genus_V = {}
+    for p, h in [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)]:
+        q, n = p**h, p * p
+        types = subgroup_types(make_field(p, h))
+        for name, z_order in (("U", n), ("V", p), ("cyclic4", 2)):
+            if name not in types:
+                continue
+            elems = types[name].elements
+            assert all(e.lam == 1 and e.mu == 1 for e in elems)
+            z = sum(e.a == 0 for e in elems)
+            assert z == z_order, (name, p, h)
+            rest = q * (q - 1) - 2 - (z - 1) * (q + 2) - (n - z) * 2
+            assert rest % (2 * n) == 0
+            g = rest // (2 * n) + 1
+            assert g == models.genus_formula(family[name], p, h), (name, p, h)
+            if name == "V":
+                genus_V[(p, h)] = g
+    assert genus_V == {(3, 2): 3, (5, 2): 10, (3, 3): 36}
 
 
 # --- admissible b ---

@@ -111,6 +111,23 @@ def test_large_field_counts_are_frozen(family, p, h, n):
     assert rep["N"] == n and rep["maximal"]
 
 
+@pytest.mark.parametrize("family,p,h,n", [
+    ("family_I", 2, 4, 53248),
+    ("center", 2, 4, 36864),
+    ("family_II", 3, 2, 6075),
+    ("center", 3, 2, 5103),
+])
+def test_k2_counts_are_frozen(family, p, h, n):
+    # k = 2 walks whose fibers are sized by membership in a proper image
+    c = ctx(p, h)
+    if family == "center":
+        m = models.subcover_center(c)
+    else:
+        build = models.family_I_model if family == "family_I" else models.family_II_model
+        m = build(c, models.admissible_b(c, family)[0])
+    assert affine_points(m, 2).affine_points == n
+
+
 def test_family_III_counts():
     frozen = {4: (25, 32, 0, 16), 8: (161, 256, 0, 64)}
     for h in (2, 3):
