@@ -1,16 +1,23 @@
 """Explicit automorphisms as triangular coordinate maps.
 
 Every map here is (x, y) -> (lam x + a, mu y + f(x)), stored as (lam, a, mu,
-f) and composed, applied and inverted in closed form; BiPoly images are built
-only for the pseudo-remainder oracle map_preserves, which decides membership
-in the automorphism group, and for printing.  Every group table gets its
+f) and composed, applied and inverted in closed form; a map carries only
+these parameters, and to_text writes it in the variable names of the model
+it is printed with.  BiPoly images are built only for the pseudo-remainder
+oracle map_preserves, which decides membership in the automorphism group,
+and for printing.  Every group table gets its
 translations (x, y) -> (x + a, y + f(x)) from one solver, _translations,
 which needs a model F = A(x) + L(y) with L additive and solves
-L(f(x)) = A(x) - A(x + a) for each a; the oracle then confirms them (each
-one in families I-III, an evenly spaced sample of the stabilizer's
-q^3(q+1) maps).  Family I's printed map formula is a checked claim: where
-it fails the oracle for some a, the solved maps for that a take its place,
-and details["fallback_used"] counts those a.
+L(f(x)) = A(x) - A(x + a) for each a.  Every table then confirms its
+candidates through one path, _confirm, which sends each to the oracle
+once: the solved translations and the diagonal maps of families I-III,
+the generators of subgroup_types, and the stabilizer's unipotent
+generators and scalar maps.  Products never go to the oracle: if
+F(m) = cF and F(m') = c'F then F(m(m')) = cc'F, so a composite of confirmed
+maps is confirmed.  Family I's printed map formula is a checked claim:
+where some printed map for a is not a confirmed solved translation, the
+solved maps for that a take its place, and details["fallback_used"]
+counts those a.
 """
 
 import math
@@ -38,6 +45,7 @@ from .models import (
 
 CLOSURE_BOUND = 100_000
 ORDER_BOUND = 4096
+_NAMES = ("x", "y")  # the variable names of a map printed without its model
 
 
 def _shift(ctx: FieldCtx, f: dict, c: int, d: int) -> dict:
@@ -61,48 +69,45 @@ class AffineAlgMap:
     constructor parses two BiPoly images and rejects any other shape;
     internal builders use AffineAlgMap.triangular."""
 
-    __slots__ = ("ctx", "names", "lam", "a", "mu", "f", "_key")
+    __slots__ = ("ctx", "lam", "a", "mu", "f", "_key")
 
     def __init__(self, x_image: BiPoly, y_image: BiPoly):
         if x_image.ctx is not y_image.ctx:
             raise ParameterError("map components from different fields")
-        if x_image.names != y_image.names:
-            raise ParameterError("map components use different variable names")
         xt, yt = dict(x_image.terms), dict(y_image.terms)
         lam, a, mu = xt.pop((1, 0), 0), xt.pop((0, 0), 0), yt.pop((0, 1), 0)
         if xt or any(j for _, j in yt):
             raise ParameterError("map is not of the form (lam x + a, mu y + f(x))")
         f = {i: c for (i, _), c in yt.items()}
-        self._fill(x_image.ctx, lam, a, mu, f, x_image.names)
+        self._fill(x_image.ctx, lam, a, mu, f)
 
-    def _fill(self, ctx, lam, a, mu, f, names):
+    def _fill(self, ctx, lam, a, mu, f):
         if not lam or not mu:
             raise ParameterError("triangular map needs lam * mu != 0")
-        self.ctx, self.names = ctx, tuple(names)
+        self.ctx = ctx
         self.lam, self.a, self.mu = lam, a, mu
         self.f = {e: c for e, c in f.items() if c}
         self._key = None
 
     @classmethod
-    def triangular(cls, ctx: FieldCtx, lam: int, a: int, mu: int, f=None,
-                   names=("X", "Y")) -> "AffineAlgMap":
+    def triangular(cls, ctx: FieldCtx, lam: int, a: int, mu: int, f=None) -> "AffineAlgMap":
         """The map with these parameters, all given as encodings."""
         m = cls.__new__(cls)
-        m._fill(ctx, lam, a, mu, f or {}, names)
+        m._fill(ctx, lam, a, mu, f or {})
         return m
 
     @classmethod
-    def identity(cls, ctx: FieldCtx, names=("X", "Y")) -> "AffineAlgMap":
-        return cls.triangular(ctx, 1, 0, 1, None, names)
+    def identity(cls, ctx: FieldCtx) -> "AffineAlgMap":
+        return cls.triangular(ctx, 1, 0, 1)
 
     @property
     def x_image(self) -> BiPoly:
-        return BiPoly.make(self.ctx, {(1, 0): self.lam, (0, 0): self.a}, self.names)
+        return BiPoly.make(self.ctx, {(1, 0): self.lam, (0, 0): self.a}, _NAMES)
 
     @property
     def y_image(self) -> BiPoly:
         terms = {(e, 0): c for e, c in self.f.items()}
-        return BiPoly.make(self.ctx, {**terms, (0, 1): self.mu}, self.names)
+        return BiPoly.make(self.ctx, {**terms, (0, 1): self.mu}, _NAMES)
 
     def key(self):
         if self._key is None:
@@ -123,7 +128,7 @@ class AffineAlgMap:
             f[e] = ctx.add(f.get(e, 0), ctx.mul(self.mu, c))
         lam = ctx.mul(self.lam, other.lam)
         a = ctx.add(ctx.mul(self.lam, other.a), self.a)
-        return AffineAlgMap.triangular(ctx, lam, a, ctx.mul(self.mu, other.mu), f, self.names)
+        return AffineAlgMap.triangular(ctx, lam, a, ctx.mul(self.mu, other.mu), f)
 
     def is_identity(self) -> bool:
         return self.lam == 1 and self.a == 0 and self.mu == 1 and not self.f
@@ -152,13 +157,13 @@ class AffineAlgMap:
         li, mi = ctx.inv(self.lam), ctx.inv(self.mu)
         ai = ctx.neg(ctx.mul(li, self.a))
         f = {e: ctx.neg(ctx.mul(mi, c)) for e, c in _shift(ctx, self.f, li, ai).items()}
-        return AffineAlgMap.triangular(ctx, li, ai, mi, f, self.names)
+        return AffineAlgMap.triangular(ctx, li, ai, mi, f)
 
-    def to_text(self) -> str:
-        nx, ny = self.names
-        return "%s -> %s, %s -> %s" % (
-            nx, self.x_image.to_text(), ny, self.y_image.to_text()
-        )
+    def to_text(self, names=_NAMES) -> str:
+        """The map with its images written in the given variable names."""
+        nx, ny = names
+        x, y = (BiPoly(self.ctx, im.terms, names) for im in (self.x_image, self.y_image))
+        return "%s -> %s, %s -> %s" % (nx, x.to_text(), ny, y.to_text())
 
     def __repr__(self):
         return "AffineAlgMap(%s)" % self.to_text()
@@ -182,6 +187,15 @@ def map_preserves(model: CurveModel, m: AffineAlgMap) -> bool:
     return comp.pseudo_rem(F, k=1).is_zero()
 
 
+def _confirm(model: CurveModel, maps: list, what: str) -> list:
+    """maps, once the membership oracle accepts each one on model; the
+    first refusal raises CheckError naming what was refused."""
+    for m in maps:
+        if not map_preserves(model, m):
+            raise CheckError("%s fails curve preservation" % what)
+    return maps
+
+
 def group_closure(generators, bound: int = CLOSURE_BOUND):
     """Breadth-first closure under composition. Generators must have
     finite order; the result contains the identity."""
@@ -190,7 +204,7 @@ def group_closure(generators, bound: int = CLOSURE_BOUND):
     gens = list(generators)
     for g in gens:
         g.order()  # raises if not of finite order within bound
-    ident = AffineAlgMap.identity(gens[0].ctx, gens[0].names)
+    ident = AffineAlgMap.identity(gens[0].ctx)
     seen = {ident.key(): ident}
     frontier = [ident]
     while frontier:
@@ -256,7 +270,7 @@ def _commutator_closure(elements):
 
 def _spanning_subset(elements):
     """Greedy generating subset of a group given by its full element list."""
-    ident = AffineAlgMap.identity(elements[0].ctx, elements[0].names)
+    ident = AffineAlgMap.identity(elements[0].ctx)
     gens = []
     have = {ident.key()}
     for g in elements:
@@ -310,21 +324,18 @@ def _translations(model: CurveModel) -> list:
         if any(lf.get(n, 0) != rhs.get(n, 0) for n in lf.keys() | rhs.keys() if n):
             continue
         for f0 in solver.solve(rhs.get(0, 0)):
-            out.append(AffineAlgMap.triangular(ctx, 1, a, 1, {**f, 0: f0}, model.variables))
+            out.append(AffineAlgMap.triangular(ctx, 1, a, 1, {**f, 0: f0}))
     return out
 
 
 # --- the point stabilizer on the Hermitian curve ---
 
 
-def stabilizer_map(ctx: FieldCtx, a, b, lam, variant="plus", names=("x", "y")) -> AffineAlgMap:
-    """(x, y) -> (lam x + a, y + s a^q lam x + b), with shear s = omega on
-    the minus_omega variant and 1 on the others."""
+def stabilizer_map(ctx: FieldCtx, a, b, lam) -> AffineAlgMap:
+    """(x, y) -> (lam x + a, y + a^q lam x + b)."""
     an, bn, ln = _as_encoding(ctx, a), _as_encoding(ctx, b), _as_encoding(ctx, lam)
     shear = ctx.mul(ctx.frob(an, ctx.h), ln)
-    if variant == "minus_omega":
-        shear = ctx.mul(find_omega(ctx), shear)
-    return AffineAlgMap.triangular(ctx, ln, an, 1, {1: shear, 0: bn}, names)
+    return AffineAlgMap.triangular(ctx, ln, an, 1, {1: shear, 0: bn})
 
 
 def extract_stabilizer_params(ctx: FieldCtx, m: AffineAlgMap):
@@ -343,8 +354,9 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
     """The mu = 1 part of the stabilizer of the point at infinity of the
     Hermitian model y^q + y = x^(q+1): all maps (x,y) -> (lambda x + a,
     a^q lambda x + y + b) with lambda^(q+1) = 1.  The lambda = 1 maps are
-    the solved translations, each scalar class is listed, and their
-    products are confirmed by the oracle on an evenly spaced sample.
+    the solved translations; the oracle confirms the spanning generators
+    of that unipotent part and the q + 1 scalar maps, and every element is
+    a product of a translation and a scalar map.
 
     Its order is q^3(q+1).  The full stabilizer over F_{q^2} also holds
     (x, y) -> (lambda x, lambda^(q+1) y) for every lambda != 0 and has order
@@ -353,19 +365,21 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
     if q**3 * (q + 1) > CLOSURE_BOUND:
         raise ParameterError("stabilizer of size q^3(q+1) exceeds the bound")
     model = hermitian_model(ctx)
-    names = model.variables
 
     unipotent = _translations(model)
     if len(unipotent) != q**3:
         raise CheckError("unipotent parameter count %d != q^3" % len(unipotent))
+    # a small generating set for the unipotent part
+    gens = _confirm(model, _spanning_subset(unipotent), "unipotent generator")
 
     scalars = [
-        stabilizer_map(ctx, 0, 0, lam, names=names)
+        stabilizer_map(ctx, 0, 0, lam)
         for lam in ctx.subfield_encodings(2 * ctx.h)[1:]
         if ctx.pow(lam, q + 1) == 1
     ]
     if len(scalars) != q + 1:
         raise CheckError("scalar class count %d != q+1" % len(scalars))
+    _confirm(model, scalars, "scalar map")
 
     elements = {}
     for s in scalars:
@@ -375,13 +389,6 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
     elements = list(elements.values())
     if len(elements) != q**3 * (q + 1):
         raise CheckError("stabilizer order mismatch")
-
-    for m in elements[:: max(1, len(elements) // 64)]:
-        if not map_preserves(model, m):
-            raise CheckError("stabilizer map fails curve preservation")
-
-    # a small generating set for the unipotent part, then the center
-    gens = _spanning_subset(unipotent)
 
     central_keys = {
         g.key()
@@ -401,7 +408,7 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
     for _ in range(64):
         g, h = rng.choice(elements), rng.choice(elements)
         a, b, lam = extract_stabilizer_params(ctx, g.compose(h))
-        rebuilt = stabilizer_map(ctx, a, b, lam, names=names)
+        rebuilt = stabilizer_map(ctx, a, b, lam)
         if rebuilt != g.compose(h):
             raise CheckError("parameter re-extraction mismatch")
 
@@ -432,37 +439,32 @@ def subgroup_types(ctx: FieldCtx) -> dict:
 
     if h >= 2:
         model = hermitian_model(ctx, "minus_omega")
-        names = model.variables
         b = admissible_b(ctx, "I")[0]
-        g1 = stabilizer_map(ctx, 0, 1, 1, "minus_omega", names)
-        g2 = stabilizer_map(ctx, 0, b, 1, "minus_omega", names)
+        g1 = stabilizer_map(ctx, 0, 1, 1)
+        g2 = stabilizer_map(ctx, 0, b, 1)
         types.append(("U", model, [g1, g2], p, {"b": b, "central": True}))
     else:
         out["notes"].append("no U type at h=1: F_q has no element outside F_p")
 
     if p > 2:
         model = hermitian_model(ctx, "plus")
-        names = model.variables
         half = ctx.inv(2)
         c = admissible_b(ctx, "II")[0]
-        g1 = stabilizer_map(ctx, 1, half, 1, "plus", names)
-        g2 = stabilizer_map(ctx, 0, c, 1, "plus", names)
+        g1 = stabilizer_map(ctx, 1, half, 1)
+        g2 = stabilizer_map(ctx, 0, c, 1)
         types.append(("V", model, [g1, g2], p, {"c": c, "central": False}))
     else:
         model = hermitian_model(ctx, "plus_one")
-        names = model.variables
         # (x, y) -> (x + 1, y + x + c) with the least c; family III shares
         # the condition c^q + c = 1 but needs h >= 2
         g = next(m for m in _translations(model) if m.a == 1)
         c = g.f[0]
-        if g.compose(g) != stabilizer_map(ctx, 0, 1, 1, "plus_one", names):
+        if g.compose(g) != stabilizer_map(ctx, 0, 1, 1):
             raise CheckError("square of the order-4 generator is wrong")
         types.append(("cyclic4", model, [g], 4, {"c": c, "cyclic": True}))
 
     for name, model, gens, exponent, details in types:
-        for g in gens:
-            if not map_preserves(model, g):
-                raise CheckError("%s generator fails curve preservation" % name)
+        _confirm(model, gens, "%s generator" % name)
         elems = group_closure(gens)
         if len(elems) != p * p or _exponent(elems) != exponent:
             raise CheckError("%s is not of order p^2 and exponent %d" % (name, exponent))
@@ -494,16 +496,10 @@ def _printed_family_I_rho_terms(ctx: FieldCtx, b: int, a: int, w: int):
     return {p * p: c_p2, p: c_p, 1: c_1}
 
 
-def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
-    """The translation-type automorphisms of the family I model, plus the
-    diagonal complement.  For each shift a the paper's printed map formula
-    is a claim checked by the oracle; where it fails, the block for a is
-    the solved translations instead, each confirmed by the oracle, and
-    details["fallback_used"] counts those a."""
-    model = family_I_model(ctx, b)
-    bn = _as_encoding(ctx, b)
+def _printed_family_I_blocks(ctx: FieldCtx, bn: int):
+    """(a, maps) for each a in F_{q^2}, ascending: the maps (xi, rho) ->
+    (xi + a, rho + g(xi)) that the paper's printed formula gives for a."""
     p, q, h = ctx.p, ctx.q, ctx.h
-    names = model.variables
     w = find_omega(ctx)
     u = ctx.sub(ctx.frob(bn, 1), bn)
     up1 = ctx.pow(u, p - 1)
@@ -512,24 +508,37 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
         vp = ctx.sub(ctx.frob(v, 1), v)
         return ctx.sub(ctx.frob(vp, 1), ctx.mul(up1, vp))
 
-    solved = {}
-    for m in _translations(model):
-        solved.setdefault(m.a, []).append(m)
-    printed_solver = LinearizedSolver(ctx, [ctx.neg(1)] + [0] * (h - 1) + [1], 2 * h)
-    V = {}
-    fallback_used = 0
+    solver = LinearizedSolver(ctx, [ctx.neg(1)] + [0] * (h - 1) + [1], 2 * h)
     for a in ctx.subfield_encodings(2 * h):
         rhs = ctx.neg(ctx.mul(w, ctx.pow(a, q + 1))) if a else 0
         printed = _printed_family_I_rho_terms(ctx, bn, a, w) if a else {}
-        block = [AffineAlgMap.triangular(ctx, 1, a, 1, {**printed, 0: lval(v)}, names)
-                 for v in printed_solver.solve(rhs)]
-        if not all(map_preserves(model, m) for m in block):
+        yield a, [AffineAlgMap.triangular(ctx, 1, a, 1, {**printed, 0: lval(v)})
+                  for v in solver.solve(rhs)]
+
+
+def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
+    """The translation-type automorphisms of the family I model, plus the
+    diagonal complement.  The oracle confirms every solved translation and
+    every diagonal map.  For each shift a the paper's printed map formula
+    is a claim: it holds when every printed map for a is a confirmed
+    solved translation; where it fails, the block for a is the solved
+    translations instead, and details["fallback_used"] counts those a."""
+    p, q, h = ctx.p, ctx.q, ctx.h
+    if q**3 // p**2 > CLOSURE_BOUND:
+        raise ParameterError("|V| = q^3/p^2 = %d exceeds the bound" % (q**3 // p**2))
+    model = family_I_model(ctx, b)
+    bn = _as_encoding(ctx, b)
+
+    solved = {}
+    for m in _confirm(model, _translations(model), "solved translation"):
+        solved.setdefault(m.a, []).append(m)
+    V = {}
+    fallback_used = 0
+    for a, block in _printed_family_I_blocks(ctx, bn):
+        if not set(block) <= set(solved.get(a, [])):
             # the printed formula fails at this a; take the solved maps
             fallback_used += 1
             block = solved.get(a, [])
-            for m in block:
-                if not map_preserves(model, m):
-                    raise CheckError("translation candidate fails curve preservation")
         for m in block:
             V[m.key()] = m
     V = list(V.values())
@@ -542,21 +551,19 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
     for lam in ctx.subfield_encodings(2 * h)[1:]:
         mu = ctx.pow(lam, q + 1)
         if ctx.in_subfield(mu, 1):
-            t = AffineAlgMap.triangular(ctx, lam, 0, mu, None, names)
+            t = AffineAlgMap.triangular(ctx, lam, 0, mu)
             Lam.append(t)
             if lam_gen is None or t.order() > lam_gen.order():
                 lam_gen = t
     if len(Lam) != target:
         raise CheckError("|Lambda| = %d, expected %d" % (len(Lam), target))
-    for t in Lam:
-        if not map_preserves(model, t):
-            raise CheckError("diagonal map fails curve preservation")
+    _confirm(model, Lam, "diagonal map")
     if lam_gen.order() != target:
         raise CheckError("diagonal complement is not cyclic")
 
     v_keys = {g.key(): g for g in V}
     lam_keys = {g.key() for g in Lam}
-    ident_key = AffineAlgMap.identity(ctx, names).key()
+    ident_key = AffineAlgMap.identity(ctx).key()
     if set(v_keys) & lam_keys != {ident_key}:
         raise CheckError("V and Lambda overlap beyond the identity")
 
@@ -601,12 +608,6 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
             exponent=_exponent(W), generators=v_gens + [lam_gen], details=details,
         )
 
-    # counted mode: spot-check closure on random products
-    for _ in range(64):
-        g = rng.choice(V).compose(rng.choice(Lam))
-        hmap = rng.choice(V).compose(rng.choice(Lam))
-        if not map_preserves(model, g.compose(hmap)):
-            raise CheckError("spot closure product fails curve preservation")
     details["mode"] = "counted"
     return AutGroupTable(
         model=model, elements=V + Lam, order=order, closed=False,
@@ -632,12 +633,10 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
     p, q = ctx.p, ctx.q
     if q > 9:
         raise ParameterError("family II group tables are limited to q <= 9")
-    names = model.variables
 
     # nu in F_p: the prime field is the encodings below p
     psi = [m for m in _translations(model) if m.f.get(1, 0) < p]
-    if not all(map_preserves(model, m) for m in psi):
-        raise CheckError("solved translation fails curve preservation")
+    _confirm(model, psi, "solved translation")
     if len(psi) != q * q // p:
         raise CheckError("|Psi| = %d, expected q^2/p = %d" % (len(psi), q * q // p))
 
@@ -661,13 +660,11 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
     if {g.key() for g in comm} != set(gamma):
         raise CheckError("commutator subgroup differs from Gamma")
 
-    taus = [
-        AffineAlgMap.triangular(ctx, lam, 0, ctx.mul(lam, lam), None, names)
-        for lam in range(1, p)
-    ]
-    for t in taus:
-        if not map_preserves(model, t):
-            raise CheckError("diagonal map fails curve preservation")
+    taus = _confirm(
+        model,
+        [AffineAlgMap.triangular(ctx, lam, 0, ctx.mul(lam, lam)) for lam in range(1, p)],
+        "diagonal map",
+    )
 
     full = group_closure(psi + taus)
     if len(full) != (p - 1) * q * q // p:
@@ -712,6 +709,12 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
 # --- family III ---
 
 
+def family_III_deck(ctx: FieldCtx, bn: int) -> AffineAlgMap:
+    """The deck involution (x, eta) -> (x + 1, eta + x^2 + x + b^2 + b) of
+    the characteristic-2 central quotient over the family III curve."""
+    return AffineAlgMap.triangular(ctx, 1, 1, 1, {2: 1, 1: 1, 0: ctx.add(ctx.mul(bn, bn), bn)})
+
+
 def family_III_group(ctx: FieldCtx, b) -> dict:
     """Build the verified translation maps on the smooth plane model, find
     the normalizer of the degree-2 deck map, and measure the quotient."""
@@ -720,17 +723,12 @@ def family_III_group(ctx: FieldCtx, b) -> dict:
     if q > 16:
         raise ParameterError("q > 16 exceeds the enumeration budget")
     model = fpp_char2(ctx)
-    names = model.variables
 
-    big_list = _translations(model)
-    if not all(map_preserves(model, m) for m in big_list):
-        raise CheckError("translation candidate fails curve preservation")
+    big_list = _confirm(model, _translations(model), "solved translation")
     if len(big_list) != q**3 // 2:
         raise CheckError("|Psi| = %d, expected q^3/2" % len(big_list))
 
-    # (x, eta) -> (x + 1, eta + x^2 + x + b^2 + b)
-    cc = ctx.add(ctx.mul(bn, bn), bn)
-    deck = AffineAlgMap.triangular(ctx, 1, 1, 1, {2: 1, 1: 1, 0: cc}, names)
+    deck = family_III_deck(ctx, bn)
     if deck.order() != 2:
         raise CheckError("deck map is not of order 2")
 
@@ -757,7 +755,7 @@ def family_III_group(ctx: FieldCtx, b) -> dict:
     if len(reps) != q * q // 2:
         raise CheckError("quotient order %d != q^2/2" % len(reps))
 
-    ident_coset = coset_key(AffineAlgMap.identity(ctx, names))
+    ident_coset = coset_key(AffineAlgMap.identity(ctx))
 
     def coset_order(g):
         acc = g

@@ -205,7 +205,7 @@ def _table_payload(table, extra=None) -> dict:
         "exponent": table.exponent,
         "center_order": table.center_order,
         "commutator_order": table.commutator_order,
-        "generators": [g.to_text() for g in table.generators],
+        "generators": [g.to_text(table.model.variables) for g in table.generators],
         "details": table.details,
     }
     if extra:

@@ -44,13 +44,17 @@ class CurveModel:
     params: dict = field(default_factory=dict)
     claimed_genus: int = 0
     claimed_semigroup_gens: tuple[int, ...] | None = None
-    variables: tuple[str, str] = ("X", "Y")
 
     def __post_init__(self):
         if self.family not in FAMILY_TAGS:
             raise ParameterError(f"unknown family tag {self.family!r}")
         if self.F.is_zero():
             raise ParameterError("zero model polynomial")
+
+    @property
+    def variables(self) -> tuple[str, str]:
+        """The names of the two variables, as F writes them."""
+        return self.F.names
 
     def to_dict(self) -> dict:
         return {
@@ -95,7 +99,6 @@ def hermitian_model(ctx: FieldCtx, variant: str = "plus") -> CurveModel:
         params=params,
         claimed_genus=q * (q - 1) // 2,
         claimed_semigroup_gens=(q, q + 1),
-        variables=("x", "y"),
     )
 
 
@@ -118,7 +121,6 @@ def subcover_center(ctx: FieldCtx) -> CurveModel:
         params={"omega": w},
         claimed_genus=q * (q - p) // (2 * p),
         claimed_semigroup_gens=None,
-        variables=("x", "eta"),
     )
 
 
@@ -143,7 +145,6 @@ def subcover_noncenter(ctx: FieldCtx) -> CurveModel:
         params={},
         claimed_genus=q * (q - 1) // (2 * p),
         claimed_semigroup_gens=None,
-        variables=("xi", "eta"),
     )
 
 
@@ -167,7 +168,6 @@ def fpp_char2(ctx: FieldCtx) -> CurveModel:
         params={},
         claimed_genus=q * (q - 2) // 4,
         claimed_semigroup_gens=None,
-        variables=("x", "eta"),
     )
 
 
@@ -211,8 +211,7 @@ def family_II_model(ctx: FieldCtx, b) -> CurveModel:
     return _family_model(ctx, "II", F, {"b": bn})
 
 
-def _family_model(ctx: FieldCtx, fam: str, F: BiPoly, params: dict,
-                  variables=("xi", "rho")) -> CurveModel:
+def _family_model(ctx: FieldCtx, fam: str, F: BiPoly, params: dict) -> CurveModel:
     """The family's plane model with the genus and the Weierstrass
     generators its rules state; a genus-0 model is flagged rational."""
     g = genus_formula(fam, ctx.p, ctx.h)
@@ -225,7 +224,6 @@ def _family_model(ctx: FieldCtx, fam: str, F: BiPoly, params: dict,
         params=params,
         claimed_genus=g,
         claimed_semigroup_gens=semigroup_gens(fam, ctx.p, ctx.h),
-        variables=variables,
     )
 
 
@@ -303,7 +301,7 @@ def family_III_model(ctx: FieldCtx, b) -> CurveModel:
     F = cl.assemble()
     if F.degree(1) != ctx.q // 2:
         raise CheckError(f"Y-degree {F.degree(1)} != q/2")
-    return _family_model(ctx, "III", F, {"b": cl.b, "c": cl.c}, ("x", "kappa"))
+    return _family_model(ctx, "III", F, {"b": cl.b, "c": cl.c})
 
 
 def family_key(family) -> str:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autgrp import AffineAlgMap, map_preserves
+from .autgrp import AffineAlgMap, family_III_deck, map_preserves
 from .gfield import CheckError, FieldCtx, LinearizedSolver, ParameterError
 from .models import CurveModel, check_b, fpp_char2, genus_formula
 from .polyring import additive_split
@@ -245,10 +245,7 @@ def family_III_place_count(ctx: FieldCtx, b) -> dict:
     bn = check_b(ctx, "III", b)
     q, h = ctx.q, ctx.h
     cover = fpp_char2(ctx)
-    names = cover.variables
-    cc = ctx.add(ctx.mul(bn, bn), bn)
-    deck = AffineAlgMap.triangular(ctx, 1, 1, 1, {2: 1, 1: 1, 0: cc}, names)
-    rep = quotient_places_order2(cover, deck)
+    rep = quotient_places_order2(cover, family_III_deck(ctx, bn))
     g = genus_formula("family_III", 2, h)
     expected = q * q + 2 * g * q + 1
     return {

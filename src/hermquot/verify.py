@@ -248,7 +248,8 @@ def check_unique_fixed_point() -> dict:
             fixed = sum(1 for (x, y) in pts if g.apply(x, y) == (x, y))
             if fixed != 0:
                 violations.append(
-                    {"group": label, "affine_fixed": fixed, "map": g.to_text()}
+                    {"group": label, "affine_fixed": fixed,
+                     "map": g.to_text(model.variables)}
                 )
     return {
         "id": "unique_fixed_point",

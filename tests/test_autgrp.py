@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hermquot import models
 from hermquot.autgrp import (
     AffineAlgMap,
+    _printed_family_I_blocks,
     _translations,
     extract_stabilizer_params,
     family_I_group,
@@ -34,14 +35,13 @@ def ctx(p, h):
 
 def test_identity_and_composition():
     c = ctx(2, 2)
-    names = ("x", "y")
-    ident = AffineAlgMap.identity(c, names)
+    ident = AffineAlgMap.identity(c)
     assert ident.is_identity()
-    m = stabilizer_map(c, 2, 3, 1, "plus", names)
+    m = stabilizer_map(c, 2, 3, 1)
     assert (m.compose(m.inverse())).is_identity()
     assert (m.inverse().compose(m)).is_identity()
     # compose(g) means "apply g first"
-    g = stabilizer_map(c, 0, 1, 1, "plus", names)
+    g = stabilizer_map(c, 0, 1, 1)
     pt = (7, 11)
     via_maps = m.apply(*g.apply(*pt))
     assert m.compose(g).apply(*pt) == via_maps
@@ -49,12 +49,12 @@ def test_identity_and_composition():
 
 def test_order_and_power():
     c = ctx(2, 2)
-    central = stabilizer_map(c, 0, 1, 1, "plus")
+    central = stabilizer_map(c, 0, 1, 1)
     assert central.order() == 2
     assert central.compose(central).is_identity()
     assert central.compose(central).compose(central) == central
     c3 = ctx(3, 1)
-    m = stabilizer_map(c3, 0, _central_b(c3), 1, "plus")
+    m = stabilizer_map(c3, 0, _central_b(c3), 1)
     assert m.order() == 3
     assert m.compose(m) == m.inverse()
     assert len(m.to_text()) > 0
@@ -70,7 +70,7 @@ def _central_b(c):
 def test_map_preserves_examples():
     c = ctx(2, 2)
     hm = models.hermitian_model(c)
-    assert map_preserves(hm, stabilizer_map(c, 0, 1, 1, "plus", hm.variables))
+    assert map_preserves(hm, stabilizer_map(c, 0, 1, 1))
     shift_x = AffineAlgMap(
         BiPoly(c, {(1, 0): 1, (0, 0): 1}, hm.variables),
         BiPoly(c, {(0, 1): 1}, hm.variables),
@@ -100,18 +100,18 @@ def test_map_preserves_rejects_nonconstant_leading_coefficient():
     c = ctx(2, 2)
     fam = models.family_III_model(c, models.admissible_b(c, "family_III")[0])
     with pytest.raises(ParameterError):
-        map_preserves(fam, AffineAlgMap.identity(c, fam.variables))
+        map_preserves(fam, AffineAlgMap.identity(c))
 
 
 def test_group_closure_small_cases():
     c = ctx(2, 2)
     ident = AffineAlgMap.identity(c)
     assert len(group_closure([ident])) == 1
-    central = stabilizer_map(c, 0, 1, 1, "plus")
+    central = stabilizer_map(c, 0, 1, 1)
     assert len(group_closure([central])) == 2
     # two independent central translations span the full a = 0 part
     bs = [e for e in c.subfield_encodings(2 * c.h) if e and c.add(c.frob(e, c.h), e) == 0]
-    gens = [stabilizer_map(c, 0, b, 1, "plus") for b in bs[:2]]
+    gens = [stabilizer_map(c, 0, b, 1) for b in bs[:2]]
     grp = group_closure(gens)
     assert len(grp) == 4
     with pytest.raises(CheckError):
@@ -125,10 +125,10 @@ def test_extract_roundtrip():
     b1 = next(
         e for e in elems if c.add(c.frob(e, c.h), e) == c.pow(a1, c.q + 1)
     )
-    m1 = stabilizer_map(c, a1, b1, 1, "plus")
-    m2 = stabilizer_map(c, 0, 1, 1, "plus")
+    m1 = stabilizer_map(c, a1, b1, 1)
+    m2 = stabilizer_map(c, 0, 1, 1)
     a, b, lam = extract_stabilizer_params(c, m1.compose(m2))
-    rebuilt = stabilizer_map(c, a, b, lam, "plus")
+    rebuilt = stabilizer_map(c, a, b, lam)
     assert rebuilt == m1.compose(m2)
     # triangular, but y -> y + x^2 is not a stabilizer y-image
     with pytest.raises(CheckError):
@@ -174,7 +174,7 @@ def _triangular_map(draw, c):
     scalar = st.one_of(st.just(1), st.integers(1, c.order - 1))
     f = draw(st.dictionaries(st.integers(0, c.q), elem, max_size=4))
     return AffineAlgMap.triangular(
-        c, draw(scalar), draw(elem), draw(scalar), f, ("x", "y")
+        c, draw(scalar), draw(elem), draw(scalar), f
     )
 
 
@@ -248,7 +248,7 @@ def test_stabilizer_table_is_the_mu_1_subgroup():
         t = pgu_stabilizer(c)
         model = models.hermitian_model(c)
         diagonal = [
-            AffineAlgMap.triangular(c, lam, 0, c.pow(lam, q + 1), None, model.variables)
+            AffineAlgMap.triangular(c, lam, 0, c.pow(lam, q + 1), None)
             for lam in c.subfield_encodings(2 * h)[1:]
         ]
         assert len(diagonal) == q * q - 1
@@ -372,7 +372,7 @@ def _family_II_box(model):
         for nu in range(c.p)
         for k in box
         if map_preserves(
-            model, AffineAlgMap.triangular(c, 1, a, 1, {1: nu, 0: k}, model.variables)
+            model, AffineAlgMap.triangular(c, 1, a, 1, {1: nu, 0: k})
         )
     }
 
@@ -454,13 +454,116 @@ def test_every_table_element_preserves_its_model():
     assert all(map_preserves(t.model, g) for g in t.elements)
 
 
+# one confirmation path: every candidate goes to the oracle once, no product
+
+
+@pytest.fixture
+def oracle_tally(monkeypatch):
+    """Counts the membership oracle's calls and acceptances inside autgrp."""
+    from hermquot import autgrp
+
+    oracle = autgrp.map_preserves
+    tally = {"calls": 0, "accepted": 0}
+
+    def counted(model, m):
+        ok = oracle(model, m)
+        tally["calls"] += 1
+        tally["accepted"] += ok
+        return ok
+
+    monkeypatch.setattr(autgrp, "map_preserves", counted)
+    return tally
+
+
+@pytest.mark.parametrize(
+    "family, key, calls",
+    [("I", (2, 2), 21), ("I", (2, 3), 137), ("I", (3, 2), 101), ("II", (3, 2), 29),
+     ("III", (2, 2), 32), ("III", (2, 3), 256)],
+)
+def test_family_tables_confirm_each_candidate_once(oracle_tally, family, key, calls):
+    # I: the solved translations and the diagonal maps, q^3/p^2 + (q+1)(p-1);
+    # II: q^2/p translations and p - 1 diagonal maps; III: q^3/2 translations
+    c = ctx(*key)
+    p, q = c.p, c.q
+    b = models.admissible_b(c, "family_" + family)[0]
+    build = {"I": family_I_group, "II": family_II_group, "III": family_III_group}
+    build[family](c, b)
+    formula = {"I": q**3 // p**2 + (q + 1) * (p - 1), "II": q * q // p + p - 1,
+               "III": q**3 // 2}
+    assert oracle_tally == {"calls": calls, "accepted": calls}
+    assert calls == formula[family]
+
+
+@pytest.mark.parametrize("key", [(2, 1), (3, 1), (2, 2)])
+def test_stabilizer_confirms_generators_and_scalars(oracle_tally, key):
+    c = ctx(*key)
+    t = pgu_stabilizer(c)
+    calls = len(t.generators) + c.q + 1
+    assert oracle_tally == {"calls": calls, "accepted": calls}
+
+
+def _refusing(monkeypatch, refused):
+    # an oracle that refuses every map for which refused(m) holds
+    from hermquot import autgrp
+
+    oracle = autgrp.map_preserves
+    monkeypatch.setattr(
+        autgrp, "map_preserves", lambda model, m: not refused(m) and oracle(model, m)
+    )
+
+
+def test_stabilizer_rejected_map_names_its_stage(monkeypatch):
+    _refusing(monkeypatch, lambda m: m.lam != 1)
+    with pytest.raises(CheckError, match="scalar map"):
+        pgu_stabilizer(ctx(3, 1))
+    _refusing(monkeypatch, lambda m: m.lam == 1 and not m.is_identity())
+    with pytest.raises(CheckError, match="unipotent generator"):
+        pgu_stabilizer(ctx(3, 1))
+
+
+def test_family_I_rejected_map_names_its_stage(monkeypatch):
+    c = ctx(2, 2)
+    b = models.admissible_b(c, "family_I")[0]
+    _refusing(monkeypatch, lambda m: m.lam != 1)
+    with pytest.raises(CheckError, match="diagonal map"):
+        family_I_group(c, b)
+    _refusing(monkeypatch, lambda m: m.a != 0)
+    with pytest.raises(CheckError, match="solved translation"):
+        family_I_group(c, b)
+
+
+def test_family_III_rejected_map_names_its_stage(monkeypatch):
+    c = ctx(2, 2)
+    _refusing(monkeypatch, lambda m: m.a == 1)
+    with pytest.raises(CheckError, match="solved translation"):
+        family_III_group(c, models.admissible_b(c, "family_III")[0])
+
+
+@pytest.mark.parametrize("key, fallbacks", [((2, 2), 14), ((2, 3), 64), ((2, 4), 254),
+                                             ((3, 2), 80)])
+def test_family_I_printed_claim_lookup_matches_the_oracle(key, fallbacks):
+    # the old route stays as the oracle: the printed block for a passes
+    # map_preserves exactly when each of its maps is a solved translation
+    c = ctx(*key)
+    b = models.admissible_b(c, "family_I")[0]
+    model = models.family_I_model(c, b)
+    solved = set(_translations(model))
+    refused = 0
+    for _, block in _printed_family_I_blocks(c, b):
+        by_oracle = all(map_preserves(model, m) for m in block)
+        assert by_oracle == (set(block) <= solved)
+        refused += not by_oracle
+    assert refused == fallbacks
+    assert family_I_group(c, b).details["fallback_used"] == fallbacks
+
+
 # the one translation solver against the laws stated for each family
 
 
 def _law_maps(model, params):
     # maps (x, y) -> (x + a, y + sum_e f_e x^e) from (a, {e: f_e}) pairs
     c = model.ctx
-    return [AffineAlgMap.triangular(c, 1, a, 1, f, model.variables) for a, f in params]
+    return [AffineAlgMap.triangular(c, 1, a, 1, f) for a, f in params]
 
 
 @pytest.mark.parametrize("key", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])

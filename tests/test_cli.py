@@ -98,6 +98,8 @@ def test_semigroup_family_cli_fuzz(family, p, h):
         ("construct", "--family", "I", "--p", "2", "--h", "3", "--b", "-1"),
         ("iso", "--family", "II", "--p", "3", "--h", "2", "--b", "99", "--bbar", "-5"),
         ("verify-lemma-b", "--p", "2", "--h", "2", "--b", "70000"),
+        # a family I group of order |V| = q^3/p^2 = 2^19, over the closure bound
+        ("aut", "--family", "I", "--p", "2", "--h", "7"),
     ],
 )
 def test_out_of_range_argv_is_rejected_at_once(argv):

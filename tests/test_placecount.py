@@ -176,7 +176,7 @@ def test_quotient_by_central_involution_matches_center_subcover():
     # Hermitian q=4 mod (x, y+1) has the same count as the central subcover
     c = ctx(2, 2)
     hm = models.hermitian_model(c)
-    deck = stabilizer_map(c, 0, 1, 1, "plus", hm.variables)
+    deck = stabilizer_map(c, 0, 1, 1)
     rep = quotient_places_order2(hm, deck)
     assert rep == {"affine_cover": 64, "fixed": 0, "twisted": 0, "N": 33}
     assert rep["N"] == rational_places(models.subcover_center(c)).N
@@ -202,7 +202,7 @@ def test_quotient_rejects_identity_deck():
     c = ctx(2, 2)
     hm = models.hermitian_model(c)
     with pytest.raises(CheckError):
-        quotient_places_order2(hm, AffineAlgMap.identity(c, hm.variables))
+        quotient_places_order2(hm, AffineAlgMap.identity(c))
 
 
 def test_quotient_rejects_higher_order_deck():
@@ -214,7 +214,7 @@ def test_quotient_rejects_higher_order_deck():
         for e in c.subfield_encodings(2 * c.h)
         if c.add(c.frob(e, c.h), e) == c.pow(1, c.q + 1)
     )
-    deck = stabilizer_map(c, 1, b, 1, "plus", hm.variables)
+    deck = stabilizer_map(c, 1, b, 1)
     assert deck.order(8) == 4
     with pytest.raises(CheckError):
         quotient_places_order2(hm, deck)
