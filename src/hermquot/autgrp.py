@@ -551,14 +551,14 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
     for lam in ctx.subfield_encodings(2 * h)[1:]:
         mu = ctx.pow(lam, q + 1)
         if ctx.in_subfield(mu, 1):
-            t = AffineAlgMap.triangular(ctx, lam, 0, mu)
-            Lam.append(t)
-            if lam_gen is None or t.order() > lam_gen.order():
-                lam_gen = t
+            Lam.append(AffineAlgMap.triangular(ctx, lam, 0, mu))
+            if lam_gen is None and ctx.mult_order(lam) == target:
+                lam_gen = Lam[-1]
     if len(Lam) != target:
         raise CheckError("|Lambda| = %d, expected %d" % (len(Lam), target))
     _confirm(model, Lam, "diagonal map")
-    if lam_gen.order() != target:
+    # the composed order is the second route to the cyclic claim
+    if lam_gen is None or lam_gen.order() != target:
         raise CheckError("diagonal complement is not cyclic")
 
     v_keys = {g.key(): g for g in V}
@@ -666,7 +666,8 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
         "diagonal map",
     )
 
-    full = group_closure(psi + taus)
+    gens = _spanning_subset(psi) + [t for t in taus if not t.is_identity()]
+    full = group_closure(gens)
     if len(full) != (p - 1) * q * q // p:
         raise CheckError("total order %d != (p-1) q^2/p" % len(full))
 
@@ -699,9 +700,9 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
     return AutGroupTable(
         model=model, elements=full, order=len(full), closed=True,
         exponent=_exponent(full),
-        center_order=_center_order(full, psi + taus),
+        center_order=_center_order(full, gens),
         commutator_order=len(comm),
-        generators=_spanning_subset(psi) + [t for t in taus if not t.is_identity()],
+        generators=gens,
         details=details,
     )
 
