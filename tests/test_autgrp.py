@@ -7,6 +7,7 @@ from hermquot import models
 from hermquot.autgrp import (
     AffineAlgMap,
     _printed_family_I_blocks,
+    _spanning_subset,
     _translations,
     extract_stabilizer_params,
     family_I_group,
@@ -543,18 +544,124 @@ def test_family_III_rejected_map_names_its_stage(monkeypatch):
                                              ((3, 2), 80)])
 def test_family_I_printed_claim_lookup_matches_the_oracle(key, fallbacks):
     # the old route stays as the oracle: the printed block for a passes
-    # map_preserves exactly when each of its maps is a solved translation
+    # map_preserves exactly when each of its maps is a solved translation,
+    # and V is the old assembly of the printed blocks, each replaced by the
+    # solved maps for its a where it fails
     c = ctx(*key)
     b = models.admissible_b(c, "family_I")[0]
     model = models.family_I_model(c, b)
     solved = set(_translations(model))
     refused = 0
-    for _, block in _printed_family_I_blocks(c, b):
+    assembled = set()
+    for a, block in _printed_family_I_blocks(c, b):
         by_oracle = all(map_preserves(model, m) for m in block)
         assert by_oracle == (set(block) <= solved)
         refused += not by_oracle
+        assembled |= set(block) if by_oracle else {m for m in solved if m.a == a}
     assert refused == fallbacks
-    assert family_I_group(c, b).details["fallback_used"] == fallbacks
+    t = family_I_group(c, b)
+    assert t.details["fallback_used"] == fallbacks
+    # V is the lam = 1 part of the table in either mode
+    assert assembled == {g for g in t.elements if g.lam == 1}
+
+
+# every group claim is an exact check
+
+
+def _group_list(what, key):
+    # the stabilizer's U, family I's V and family II's Psi as the solver lists them
+    c = ctx(*key)
+    if what == "U":
+        return _translations(models.hermitian_model(c))
+    if what == "V":
+        return _translations(models.family_I_model(c, models.admissible_b(c, "family_I")[0]))
+    model = models.family_II_model(c, models.admissible_b(c, "family_II")[0])
+    return [m for m in _translations(model) if m.f.get(1, 0) < c.p]
+
+
+@pytest.mark.parametrize(
+    "what, key",
+    [("U", (2, 1)), ("U", (3, 1)), ("U", (2, 2)), ("V", (2, 2)), ("V", (2, 3)),
+     ("V", (3, 2)), ("Psi", (3, 2))],
+)
+def test_spanning_subset_certifies_each_group(what, key):
+    elements = _group_list(what, key)
+    keys = {g.key() for g in elements}
+    gens = _spanning_subset(elements)
+    assert {g.key() for g in group_closure(gens)} == keys
+    # one non-identity element dropped, one diagonal map added
+    dropped = next(g for g in reversed(elements) if not g.is_identity())
+    with pytest.raises(CheckError, match="not closed under composition"):
+        _spanning_subset([g for g in elements if g != dropped])
+    diagonal = AffineAlgMap.triangular(ctx(*key), 2, 0, 1)
+    assert diagonal.key() not in keys
+    with pytest.raises(CheckError, match="not closed under composition"):
+        _spanning_subset(elements + [diagonal])
+    # the precondition: distinct keys, the identity among them
+    with pytest.raises(ParameterError):
+        _spanning_subset(elements + [dropped])
+    with pytest.raises(ParameterError):
+        _spanning_subset([g for g in elements if not g.is_identity()])
+
+
+@pytest.mark.parametrize("key", [(2, 3), (2, 4), (5, 2)])
+def test_family_I_generators_generate_V(key):
+    # (2, 3) is closed, (2, 4) and (5, 2) counted: both modes print v_gens + [lam_gen]
+    c = ctx(*key)
+    b = models.admissible_b(c, "family_I")[0]
+    t = family_I_group(c, b)
+    V = _translations(models.family_I_model(c, b))
+    assert {g.key() for g in group_closure(t.generators[:-1])} == {g.key() for g in V}
+    lam_gen = t.generators[-1]
+    assert lam_gen.lam != 1 and lam_gen.a == 0 and not lam_gen.f
+    assert lam_gen.order() == t.details["Lambda_order"]
+
+
+@pytest.mark.parametrize("key, calls", [((2, 1), 24), ((3, 1), 108), ((2, 2), 320)])
+def test_stabilizer_checks_the_law_on_every_element(monkeypatch, key, calls):
+    from hermquot import autgrp
+
+    extract = autgrp.extract_stabilizer_params
+    seen = []
+
+    def counted(c, m):
+        seen.append(m.key())
+        return extract(c, m)
+
+    monkeypatch.setattr(autgrp, "extract_stabilizer_params", counted)
+    t = pgu_stabilizer(ctx(*key))
+    assert len(seen) == calls == t.order
+    assert set(seen) == {m.key() for m in t.elements}
+
+
+def test_stabilizer_law_refusal_raises(monkeypatch):
+    from hermquot import autgrp
+
+    extract = autgrp.extract_stabilizer_params
+
+    def refuse_one(c, m):
+        # a planted refusal of one non-scalar, non-translation element
+        if m.lam != 1 and m.a == 1:
+            raise CheckError("planted refusal")
+        return extract(c, m)
+
+    monkeypatch.setattr(autgrp, "extract_stabilizer_params", refuse_one)
+    with pytest.raises(CheckError, match="planted refusal"):
+        pgu_stabilizer(ctx(3, 1))
+
+
+def test_stabilizer_needs_a_scalar_map_normalizing_U(monkeypatch):
+    from hermquot import autgrp
+
+    c = ctx(3, 1)
+    # a planted generator outside U: a diagonal map that preserves the curve
+    # but commutes with every scalar map, so no conjugate of it lies in U
+    lam = next(v for v in c.subfield_encodings(2)[1:] if c.pow(v, 4) != 1)
+    foreign = AffineAlgMap.triangular(c, lam, 0, c.pow(lam, 4))
+    spanning = autgrp._spanning_subset
+    monkeypatch.setattr(autgrp, "_spanning_subset", lambda els: spanning(els) + [foreign])
+    with pytest.raises(CheckError, match="normalizes the unipotent part"):
+        pgu_stabilizer(c)
 
 
 # the one translation solver against the laws stated for each family

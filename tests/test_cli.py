@@ -268,8 +268,7 @@ _GOLDEN = pathlib.Path(__file__).parent / "golden"
 def test_aut_stdout_matches_golden(capsys, argv, golden):
     # family I generators with xi^4 and xi^2 terms, the stabilizer's shear,
     # the family II generators, which depend on the order of Psi, and family
-    # I in counted mode, whose generators are the printed a = 0 block in its
-    # printed order
+    # I in counted mode, whose generators span V as in closed mode
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (_GOLDEN / golden).read_text()
 
