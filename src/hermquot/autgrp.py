@@ -8,15 +8,15 @@ oracle map_preserves, which decides membership in the automorphism group,
 and for printing.  Every group table gets its
 translations (x, y) -> (x + a, y + f(x)) from one solver, _translations,
 which needs a model F = A(x) + L(y) with L additive and solves
-L(f(x)) = A(x) - A(x + a) for each a.  Every table then confirms its
-candidates through one path, _confirm, which sends each to the oracle
-once: the solved translations and the diagonal maps of families I-III,
-the generators of subgroup_types, and the stabilizer's unipotent
-generators and scalar maps.  Products never go to the oracle: if
-F(m) = cF and F(m') = c'F then F(m(m')) = cc'F, so a composite of confirmed
-maps is confirmed.  Each group claim is an exact check: _spanning_subset
-certifies that a list of maps is closed under composition.  Family I's V
-is the solved group; its printed map formula is a counted claim, and
+L(f(x)) = A(x) - A(x + a) for each a.  One helper, _confirm, sends each
+candidate to the oracle once: the solved translations and diagonal maps
+of the tables, and the generators of subgroup_types.  Products never go
+to the oracle: if F(m) = cF and F(m') = c'F then F(m(m')) = cc'F, so a
+composite of confirmed maps is confirmed.  The stabilizer and families I
+and II are each a group T D, T the solved translations and D a cyclic
+group of diagonal maps; one builder, _split_group, proves T D a group of
+order |T||D|, and a closed table lists it as the products _products(T, D).
+Family I's printed map formula is a counted claim, and
 details["fallback_used"] counts the shifts a where it fails.
 """
 
@@ -196,13 +196,12 @@ def _confirm(model: CurveModel, maps: list, what: str) -> list:
 
 
 def group_closure(generators, bound: int = CLOSURE_BOUND):
-    """Breadth-first closure under composition. Generators must have
-    finite order; the result contains the identity."""
+    """Breadth-first closure under composition; the result contains the
+    identity.  Every triangular map over a finite field has finite order,
+    so the closure is a group, and bound stops a runaway."""
     if not generators:
         raise ParameterError("no generators")
     gens = list(generators)
-    for g in gens:
-        g.order()  # raises if not of finite order within bound
     ident = AffineAlgMap.identity(gens[0].ctx)
     seen = {ident.key(): ident}
     frontier = [ident]
@@ -247,12 +246,9 @@ def _exponent(elements) -> int:
     return e
 
 
-def _center_order(elements, generators) -> int:
-    n = 0
-    for g in elements:
-        if all(g.compose(t) == t.compose(g) for t in generators):
-            n += 1
-    return n
+def _central(elements, generators) -> list:
+    """The elements that commute with every generator."""
+    return [g for g in elements if all(g.compose(t) == t.compose(g) for t in generators)]
 
 
 def _commutator_closure(elements):
@@ -270,23 +266,58 @@ def _commutator_closure(elements):
 def _spanning_subset(elements):
     """A greedy generating subset of elements; CheckError unless they are a
     group.  Precondition, checked: distinct keys, the identity among them.
-    Every element ends in the closure of the subset, and no closure may
-    outgrow len(elements), so the last one is the list itself; a closure of
-    finite-order maps is a group, so the list is one."""
+    A new generator g composes with each element of the group H found so
+    far, then every generator with each new element until none appears, so
+    H holds every word in the generators.  Every element ends in H, and H
+    may not outgrow len(elements), so the last H is the list itself; a
+    finite set of invertible maps closed under composition is a group."""
     keys = {g.key() for g in elements}
     ident = AffineAlgMap.identity(elements[0].ctx)
     if len(keys) != len(elements) or ident.key() not in keys:
         raise ParameterError("elements need distinct keys and the identity")
     gens = []
-    have = {ident.key()}
+    have = {ident.key(): ident}
     for g in elements:
-        if g.key() not in have:
-            gens.append(g)
-            try:
-                have = {m.key() for m in group_closure(gens, bound=len(elements))}
-            except CheckError as e:
-                raise CheckError("elements are not closed under composition (%s)" % e) from None
+        if g.key() in have:
+            continue
+        gens.append(g)
+        products = [g.compose(m) for m in have.values()]
+        while products:
+            new = {m.key(): m for m in products if m.key() not in have}
+            have.update(new)
+            if len(have) > len(elements):
+                raise CheckError("elements are not closed under composition")
+            products = [t.compose(m) for m in new.values() for t in gens]
     return gens
+
+
+def _products(T, D) -> list:
+    """Every t d, t in T and d in D, with t running fastest."""
+    return [t.compose(d) for d in D for t in T]
+
+
+def _split_group(model: CurveModel, T, D, d_gens) -> list:
+    """T's generators, once T D is proved a group of order |T||D|.
+
+    T is the solved translations and D a group of diagonal maps, each map
+    listed once; the caller vouches that d_gens generate D.  The oracle confirms every map of T
+    and D, so every product is confirmed; _spanning_subset certifies T a
+    group and returns its generators t_gens.  If each d in d_gens conjugates
+    every t in t_gens into T, then d T d^-1 = <d t_gens d^-1> lies in T and,
+    T being finite, equals it; so D normalizes T and T D = D T is a group.
+    As T and D meet only in the identity, |T D| = |T||D|, and
+    _products(T, D) lists it without repeats."""
+    _confirm(model, T, "solved translation")
+    _confirm(model, D, "diagonal map")
+    t_gens = _spanning_subset(T)
+    t_keys = {t.key() for t in T}
+    if t_keys & {d.key() for d in D} != {AffineAlgMap.identity(model.ctx).key()}:
+        raise CheckError("solved translations and diagonal maps overlap beyond the identity")
+    for d in d_gens:
+        d_inv = d.inverse()
+        if any(d.compose(t).compose(d_inv).key() not in t_keys for t in t_gens):
+            raise CheckError("a diagonal map does not normalize the solved translations")
+    return t_gens
 
 
 # --- translations ---
@@ -362,10 +393,10 @@ def extract_stabilizer_params(ctx: FieldCtx, m: AffineAlgMap):
 def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
     """The mu = 1 part of the stabilizer of the point at infinity of the
     Hermitian model y^q + y = x^(q+1): all maps (x,y) -> (lambda x + a,
-    a^q lambda x + y + b) with lambda^(q+1) = 1.  The lambda = 1 maps are
-    the solved translations; the oracle confirms the spanning generators
-    of that unipotent part and the q + 1 scalar maps, and every element is
-    a product of a translation and a scalar map.
+    a^q lambda x + y + b) with lambda^(q+1) = 1.  It is U S, built by
+    _split_group: U is the q^3 solved translations, S the q + 1 scalar maps
+    (x, y) -> (lambda x, y), a cyclic group generated by any s of order
+    q + 1, and every element is checked against the parameter law.
 
     Its order is q^3(q+1).  The full stabilizer over F_{q^2} also holds
     (x, y) -> (lambda x, lambda^(q+1) y) for every lambda != 0 and has order
@@ -381,9 +412,6 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
     unipotent = _translations(model)
     if len(unipotent) != q**3:
         raise CheckError("unipotent parameter count %d != q^3" % len(unipotent))
-    # _spanning_subset certifies that U is a group
-    gens = _confirm(model, _spanning_subset(unipotent), "unipotent generator")
-
     scalars = [
         stabilizer_map(ctx, 0, 0, lam)
         for lam in ctx.subfield_encodings(2 * ctx.h)[1:]
@@ -391,23 +419,15 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
     ]
     if len(scalars) != q + 1:
         raise CheckError("scalar class count %d != q+1" % len(scalars))
-    _confirm(model, scalars, "scalar map")
+    s = next((s for s in scalars if s.order() == q + 1), None)
+    if s is None:
+        raise CheckError("no scalar map has order q+1")
+    gens = _split_group(model, unipotent, scalars, [s])
+    elements = _products(unipotent, scalars)
+    for m in elements:
+        extract_stabilizer_params(ctx, m)
 
-    elements = {}
-    for s in scalars:
-        for u in unipotent:
-            m = u.compose(s)
-            elements[m.key()] = m
-    elements = list(elements.values())
-    if len(elements) != q**3 * (q + 1):
-        raise CheckError("stabilizer order mismatch")
-
-    central_keys = {
-        g.key()
-        for g in unipotent
-        if all(g.compose(t) == t.compose(g) for t in gens)
-    }
-    center = len(central_keys)
+    central_keys = {g.key() for g in _central(unipotent, gens)}
     profile = {}
     for g in unipotent:
         if g.key() in central_keys:
@@ -415,23 +435,13 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
         o = g.order()
         profile[o] = profile.get(o, 0) + 1
 
-    # every element follows the parameter law; the scalar maps are the cyclic
-    # group of one of order q + 1, so if it normalizes U the products are a group
-    for m in elements:
-        extract_stabilizer_params(ctx, m)
-    s = next((s for s in scalars if s.order() == q + 1), None)
-    u_keys = {g.key() for g in unipotent}
-    if s is None or any(s.compose(g).compose(s.inverse()).key() not in u_keys
-                        for g in gens):
-        raise CheckError("no scalar map of order q+1 normalizes the unipotent part")
-
     return AutGroupTable(
         model=model,
         elements=elements,
         order=len(elements),
         closed=True,
         exponent=_exponent(unipotent),
-        center_order=center,
+        center_order=len(central_keys),
         generators=gens,
         details={
             "variant": "plus",
@@ -530,25 +540,21 @@ def _printed_family_I_blocks(ctx: FieldCtx, bn: int):
 
 
 def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
-    """The translation group V of the family I model, plus the diagonal
-    complement.  V is the solved translations, each confirmed by the
-    oracle and certified a group by _spanning_subset; the oracle also
-    confirms every diagonal map.  For each shift a the paper's printed map
-    formula is a counted claim: it holds when every printed map for a lies
-    in V, and details["fallback_used"] counts the a where it does not."""
+    """W = V Lambda, built by _split_group: V is the q^3/p^2 solved
+    translations and Lambda the (q+1)(p-1) maps (x, y) -> (lam x,
+    lam^(q+1) y) with lam^(q+1) in F_p, generated by lam_gen.  Above order
+    2048 the table is counted, elements holding V and Lambda.  The printed
+    map formula for a shift a is a counted claim: details["fallback_used"]
+    counts the a with a printed map outside V."""
     p, q, h = ctx.p, ctx.q, ctx.h
     if q**3 // p**2 > CLOSURE_BOUND:
         raise ParameterError("|V| = q^3/p^2 = %d exceeds the bound" % (q**3 // p**2))
     model = family_I_model(ctx, b)
     bn = _as_encoding(ctx, b)
 
-    V = _confirm(model, _translations(model), "solved translation")
+    V = _translations(model)
     if len(V) != q**3 // p**2:
         raise CheckError("|V| = %d, expected q^3/p^2 = %d" % (len(V), q**3 // p**2))
-    v_gens = _spanning_subset(V)
-    v_keys = {g.key() for g in V}
-    fallback_used = sum(not {m.key() for m in block} <= v_keys
-                        for _, block in _printed_family_I_blocks(ctx, bn))
 
     lam_gen = None
     Lam = []
@@ -561,21 +567,14 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
                 lam_gen = Lam[-1]
     if len(Lam) != target:
         raise CheckError("|Lambda| = %d, expected %d" % (len(Lam), target))
-    _confirm(model, Lam, "diagonal map")
     # the composed order is the second route to the cyclic claim
     if lam_gen is None or lam_gen.order() != target:
         raise CheckError("diagonal complement is not cyclic")
 
-    lam_keys = {g.key() for g in Lam}
-    ident_key = AffineAlgMap.identity(ctx).key()
-    if v_keys & lam_keys != {ident_key}:
-        raise CheckError("V and Lambda overlap beyond the identity")
-
-    # V is a group (_spanning_subset certified it) and Lambda normalizes it
-    tinv = lam_gen.inverse()
-    for g in V:
-        if lam_gen.compose(g).compose(tinv).key() not in v_keys:
-            raise CheckError("V is not normalized by the complement")
+    v_gens = _split_group(model, V, Lam, [lam_gen])
+    v_keys = {g.key() for g in V}
+    fallback_used = sum(not {m.key() for m in block} <= v_keys
+                        for _, block in _printed_family_I_blocks(ctx, bn))
 
     order = len(V) * len(Lam)
     details = {
@@ -598,9 +597,7 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
 
     generators = v_gens + [lam_gen]
     if order <= 2048:
-        W = group_closure(generators)
-        if len(W) != order:
-            raise CheckError("closure order %d != |V||Lambda| = %d" % (len(W), order))
+        W = _products(V, Lam)
         return AutGroupTable(
             model=model, elements=W, order=order, closed=True,
             exponent=_exponent(W), generators=generators, details=details,
@@ -617,9 +614,9 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
 
 
 def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
-    """The translations Psi: (xi, rho) -> (xi + a, rho + nu xi + c) with nu
-    in F_p, solved and each confirmed by the membership oracle, then the
-    diagonal part.
+    """Psi Tau, built by _split_group: Psi the solved translations (xi, rho)
+    -> (xi + a, rho + nu xi + c) with nu in F_p, Tau the group of diagonal
+    maps (xi, rho) -> (lam xi, lam^2 rho) with lam in F_p^*.
 
     F = T(xi)^2 - 2b T(rho) with T(t) = sum_(i<h) t^(p^i), so F(m) - F =
     2(T(a) - nu b) T(xi) + T(a)^2 - 2b T(c) must vanish: T(a) = nu b and
@@ -634,18 +631,17 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
 
     # nu in F_p: the prime field is the encodings below p
     psi = [m for m in _translations(model) if m.f.get(1, 0) < p]
-    _confirm(model, psi, "solved translation")
     if len(psi) != q * q // p:
         raise CheckError("|Psi| = %d, expected q^2/p = %d" % (len(psi), q * q // p))
+    taus = [AffineAlgMap.triangular(ctx, lam, 0, ctx.mul(lam, lam)) for lam in range(1, p)]
+    tau_gens = [t for t in taus if not t.is_identity()]
+    gens = _split_group(model, psi, taus, tau_gens) + tau_gens
+    full = _products(psi, taus)
 
     gamma = {g.key(): g for g in psi if g.a == 0 and 1 not in g.f}
     delta = [g for g in psi if not g.f]
     omega_set = {g.key() for g in psi if 1 not in g.f}
-    prod_keys = set()
-    for g1 in gamma.values():
-        for g2 in delta:
-            prod_keys.add(g1.compose(g2).key())
-    if prod_keys != omega_set:
+    if {g.key() for g in _products(gamma.values(), delta)} != omega_set:
         raise CheckError("Gamma Delta does not match the nu = 0 stratum")
 
     # centralizer profile inside Psi
@@ -657,17 +653,6 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
     comm = _commutator_closure(psi)
     if {g.key() for g in comm} != set(gamma):
         raise CheckError("commutator subgroup differs from Gamma")
-
-    taus = _confirm(
-        model,
-        [AffineAlgMap.triangular(ctx, lam, 0, ctx.mul(lam, lam)) for lam in range(1, p)],
-        "diagonal map",
-    )
-
-    gens = _spanning_subset(psi) + [t for t in taus if not t.is_identity()]
-    full = group_closure(gens)
-    if len(full) != (p - 1) * q * q // p:
-        raise CheckError("total order %d != (p-1) q^2/p" % len(full))
 
     exp_psi = _exponent(psi)
     abelian = profile == {len(psi): len(psi)}
@@ -698,7 +683,7 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
     return AutGroupTable(
         model=model, elements=full, order=len(full), closed=True,
         exponent=_exponent(full),
-        center_order=_center_order(full, gens),
+        center_order=len(_central(full, gens)),
         commutator_order=len(comm),
         generators=gens,
         details=details,

@@ -8,6 +8,7 @@ from hermquot.autgrp import (
     AffineAlgMap,
     _printed_family_I_blocks,
     _spanning_subset,
+    _split_group,
     _translations,
     extract_stabilizer_params,
     family_I_group,
@@ -476,31 +477,31 @@ def oracle_tally(monkeypatch):
     return tally
 
 
+def _build_table(family, c):
+    # the table of one family at its first admissible b; the stabilizer has no b
+    if family == "hermitian":
+        return pgu_stabilizer(c)
+    build = {"I": family_I_group, "II": family_II_group, "III": family_III_group}
+    return build[family](c, models.admissible_b(c, "family_" + family)[0])
+
+
 @pytest.mark.parametrize(
     "family, key, calls",
     [("I", (2, 2), 21), ("I", (2, 3), 137), ("I", (3, 2), 101), ("II", (3, 2), 29),
-     ("III", (2, 2), 32), ("III", (2, 3), 256)],
+     ("III", (2, 2), 32), ("III", (2, 3), 256),
+     ("hermitian", (2, 1), 11), ("hermitian", (3, 1), 31), ("hermitian", (2, 2), 69)],
 )
 def test_family_tables_confirm_each_candidate_once(oracle_tally, family, key, calls):
+    # hermitian: q^3 translations and q + 1 scalar maps;
     # I: the solved translations and the diagonal maps, q^3/p^2 + (q+1)(p-1);
     # II: q^2/p translations and p - 1 diagonal maps; III: q^3/2 translations
     c = ctx(*key)
     p, q = c.p, c.q
-    b = models.admissible_b(c, "family_" + family)[0]
-    build = {"I": family_I_group, "II": family_II_group, "III": family_III_group}
-    build[family](c, b)
-    formula = {"I": q**3 // p**2 + (q + 1) * (p - 1), "II": q * q // p + p - 1,
-               "III": q**3 // 2}
+    _build_table(family, c)
+    formula = {"hermitian": q**3 + q + 1, "I": q**3 // p**2 + (q + 1) * (p - 1),
+               "II": q * q // p + p - 1, "III": q**3 // 2}
     assert oracle_tally == {"calls": calls, "accepted": calls}
     assert calls == formula[family]
-
-
-@pytest.mark.parametrize("key", [(2, 1), (3, 1), (2, 2)])
-def test_stabilizer_confirms_generators_and_scalars(oracle_tally, key):
-    c = ctx(*key)
-    t = pgu_stabilizer(c)
-    calls = len(t.generators) + c.q + 1
-    assert oracle_tally == {"calls": calls, "accepted": calls}
 
 
 def _refusing(monkeypatch, refused):
@@ -515,10 +516,10 @@ def _refusing(monkeypatch, refused):
 
 def test_stabilizer_rejected_map_names_its_stage(monkeypatch):
     _refusing(monkeypatch, lambda m: m.lam != 1)
-    with pytest.raises(CheckError, match="scalar map"):
+    with pytest.raises(CheckError, match="diagonal map"):
         pgu_stabilizer(ctx(3, 1))
     _refusing(monkeypatch, lambda m: m.lam == 1 and not m.is_identity())
-    with pytest.raises(CheckError, match="unipotent generator"):
+    with pytest.raises(CheckError, match="solved translation"):
         pgu_stabilizer(ctx(3, 1))
 
 
@@ -604,6 +605,56 @@ def test_spanning_subset_certifies_each_group(what, key):
         _spanning_subset([g for g in elements if not g.is_identity()])
 
 
+def test_spanning_subset_extends_the_group_in_place(monkeypatch):
+    # a new generator composes with the group found so far, then every
+    # generator with each new element: at (2, 4) certifying V costs at most
+    # |V| composes per generator
+    V = _group_list("V", (2, 4))
+    compose = AffineAlgMap.compose
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(AffineAlgMap, "compose", counted)
+    gens = _spanning_subset(V)
+    assert len(V) == 1024 and len(gens) == 10
+    assert len(calls) <= len(V) * len(gens)
+
+
+@pytest.mark.parametrize(
+    "family, key",
+    [("hermitian", (2, 1)), ("hermitian", (3, 1)), ("hermitian", (2, 2)), ("I", (2, 2)),
+     ("I", (2, 3)), ("I", (3, 2)), ("II", (3, 1)), ("II", (5, 1)), ("II", (3, 2))],
+)
+def test_split_tables_match_the_closure_oracle(family, key):
+    # the breadth-first closure stays as the oracle: the products T D are
+    # distinct and are the closure of T's generators and D's generators
+    c = ctx(*key)
+    t = _build_table(family, c)
+    keys = [g.key() for g in t.elements]
+    assert len(set(keys)) == len(keys) == t.order
+    gens = list(t.generators)
+    if family == "hermitian":
+        # the stabilizer prints U's generators only; add a scalar map of order q + 1
+        gens.append(next(m for m in t.elements
+                         if m.a == 0 and not m.f and m.order() == c.q + 1))
+    assert {g.key() for g in group_closure(gens)} == set(keys)
+
+
+def test_split_group_refuses_an_overlap():
+    # D also holding a non-identity solved translation meets T beyond the identity
+    c = ctx(3, 2)
+    model = models.family_II_model(c, models.admissible_b(c, "family_II")[0])
+    psi = _group_list("Psi", (3, 2))
+    taus = [AffineAlgMap.triangular(c, lam, 0, c.mul(lam, lam)) for lam in range(1, 3)]
+    _split_group(model, psi, taus, taus[1:])
+    shared = next(g for g in psi if not g.is_identity())
+    with pytest.raises(CheckError, match="overlap beyond the identity"):
+        _split_group(model, psi, taus + [shared], taus[1:])
+
+
 @pytest.mark.parametrize("key", [(2, 3), (2, 4), (5, 2)])
 def test_family_I_generators_generate_V(key):
     # (2, 3) is closed, (2, 4) and (5, 2) counted: both modes print v_gens + [lam_gen]
@@ -660,7 +711,7 @@ def test_stabilizer_needs_a_scalar_map_normalizing_U(monkeypatch):
     foreign = AffineAlgMap.triangular(c, lam, 0, c.pow(lam, 4))
     spanning = autgrp._spanning_subset
     monkeypatch.setattr(autgrp, "_spanning_subset", lambda els: spanning(els) + [foreign])
-    with pytest.raises(CheckError, match="normalizes the unipotent part"):
+    with pytest.raises(CheckError, match="does not normalize the solved translations"):
         pgu_stabilizer(c)
 
 
