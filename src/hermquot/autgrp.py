@@ -12,10 +12,13 @@ L(f(x)) = A(x) - A(x + a) for each a.  One helper, _confirm, sends each
 candidate to the oracle once: the solved translations and diagonal maps
 of the tables, and the generators of subgroup_types.  Products never go
 to the oracle: if F(m) = cF and F(m') = c'F then F(m(m')) = cc'F, so a
-composite of confirmed maps is confirmed.  The stabilizer and families I
-and II are each a group T D, T the solved translations and D a cyclic
-group of diagonal maps; one builder, _split_group, proves T D a group of
-order |T||D|, and a closed table lists it as the products _products(T, D).
+composite of confirmed maps is confirmed.  One power walk, _powers, lists
+g^0, ..., g^(n-1); it gives every element order, family III's coset orders
+and the cyclic factors D.  The stabilizer and families I and II are each a
+group T D, T the solved translations and D = <d> the diagonal maps
+(lam x, lam^k y) with lam^n = 1; one builder, _split_group(model, T, n, k),
+builds D from (n, k), proves T D a group of order |T||D|, and a closed
+table lists it as the products _products(T, D).
 Family I's printed map formula is a counted claim, and
 details["fallback_used"] counts the shifts a where it fails.
 """
@@ -141,14 +144,7 @@ class AffineAlgMap:
         return (ctx.add(ctx.mul(self.lam, x), self.a), y)
 
     def order(self, bound: int = ORDER_BOUND) -> int:
-        g = self
-        n = 1
-        while not g.is_identity():
-            g = self.compose(g)
-            n += 1
-            if n > bound:
-                raise CheckError("element order exceeds bound %d" % bound)
-        return n
+        return len(_powers(self, bound))
 
     def inverse(self) -> "AffineAlgMap":
         """(lam^-1 (x - a), mu^-1 (y - f(lam^-1 (x - a))))."""
@@ -166,6 +162,19 @@ class AffineAlgMap:
 
     def __repr__(self):
         return "AffineAlgMap(%s)" % self.to_text()
+
+
+def _powers(g: AffineAlgMap, bound: int = ORDER_BOUND) -> list:
+    """[g^0, g^1, ..., g^(n-1)] for the order n of g; CheckError if n
+    exceeds bound."""
+    out = [AffineAlgMap.identity(g.ctx)]
+    acc = g
+    while not acc.is_identity():
+        out.append(acc)
+        if len(out) > bound:
+            raise CheckError("element order exceeds bound %d" % bound)
+        acc = g.compose(acc)
+    return out
 
 
 def map_preserves(model: CurveModel, m: AffineAlgMap) -> bool:
@@ -296,28 +305,36 @@ def _products(T, D) -> list:
     return [t.compose(d) for d in D for t in T]
 
 
-def _split_group(model: CurveModel, T, D, d_gens) -> list:
-    """T's generators, once T D is proved a group of order |T||D|.
+def _split_group(model: CurveModel, T, n: int, k: int):
+    """(t_gens, D) once T D is proved a group of order |T||D|.
 
-    T is the solved translations and D a group of diagonal maps, each map
-    listed once; the caller vouches that d_gens generate D.  The oracle confirms every map of T
-    and D, so every product is confirmed; _spanning_subset certifies T a
-    group and returns its generators t_gens.  If each d in d_gens conjugates
-    every t in t_gens into T, then d T d^-1 = <d t_gens d^-1> lies in T and,
-    T being finite, equals it; so D normalizes T and T D = D T is a group.
-    As T and D meet only in the identity, |T D| = |T||D|, and
-    _products(T, D) lists it without repeats."""
+    T is the solved translations, each listed once.  D = <d> is built here:
+    d = (zeta x, zeta^k y) with zeta = gamma^((q^2-1)/n) for the generator
+    gamma of F_{q^2}^*, and D = _powers(d), so D is cyclic by construction;
+    CheckError unless |D| = n, which holds exactly when n divides q^2 - 1.
+    The oracle confirms every map of T and D, so every product is
+    confirmed.  T and D must meet only in the identity, so |T D| = |T||D|
+    and _products(T, D) lists it without repeats.  _spanning_subset then
+    certifies T a group and returns its generators t_gens.  If d
+    conjugates every t in t_gens into T, then d T d^-1 = <d t_gens d^-1>
+    lies in T and, T being finite, equals it; so D = <d> normalizes T and
+    T D = D T is a group."""
+    ctx = model.ctx
+    zeta = ctx.pow(ctx.subfield_generator(2 * ctx.h), (ctx.q**2 - 1) // n)
+    d = AffineAlgMap.triangular(ctx, zeta, 0, ctx.pow(zeta, k))
+    D = _powers(d)
+    if len(D) != n:
+        raise CheckError("diagonal group order %d != %d" % (len(D), n))
     _confirm(model, T, "solved translation")
     _confirm(model, D, "diagonal map")
-    t_gens = _spanning_subset(T)
     t_keys = {t.key() for t in T}
-    if t_keys & {d.key() for d in D} != {AffineAlgMap.identity(model.ctx).key()}:
+    if t_keys & {d.key() for d in D} != {D[0].key()}:
         raise CheckError("solved translations and diagonal maps overlap beyond the identity")
-    for d in d_gens:
-        d_inv = d.inverse()
-        if any(d.compose(t).compose(d_inv).key() not in t_keys for t in t_gens):
-            raise CheckError("a diagonal map does not normalize the solved translations")
-    return t_gens
+    t_gens = _spanning_subset(T)
+    d_inv = D[-1]  # d^(n-1)
+    if any(d.compose(t).compose(d_inv).key() not in t_keys for t in t_gens):
+        raise CheckError("a diagonal map does not normalize the solved translations")
+    return t_gens, D
 
 
 # --- translations ---
@@ -394,9 +411,9 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
     """The mu = 1 part of the stabilizer of the point at infinity of the
     Hermitian model y^q + y = x^(q+1): all maps (x,y) -> (lambda x + a,
     a^q lambda x + y + b) with lambda^(q+1) = 1.  It is U S, built by
-    _split_group: U is the q^3 solved translations, S the q + 1 scalar maps
-    (x, y) -> (lambda x, y), a cyclic group generated by any s of order
-    q + 1, and every element is checked against the parameter law.
+    _split_group(model, U, q + 1, q + 1): U is the q^3 solved translations,
+    S the cyclic group of the q + 1 scalar maps (x, y) -> (lambda x, y), and
+    every element is checked against the parameter law.
 
     Its order is q^3(q+1).  The full stabilizer over F_{q^2} also holds
     (x, y) -> (lambda x, lambda^(q+1) y) for every lambda != 0 and has order
@@ -412,17 +429,7 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
     unipotent = _translations(model)
     if len(unipotent) != q**3:
         raise CheckError("unipotent parameter count %d != q^3" % len(unipotent))
-    scalars = [
-        stabilizer_map(ctx, 0, 0, lam)
-        for lam in ctx.subfield_encodings(2 * ctx.h)[1:]
-        if ctx.pow(lam, q + 1) == 1
-    ]
-    if len(scalars) != q + 1:
-        raise CheckError("scalar class count %d != q+1" % len(scalars))
-    s = next((s for s in scalars if s.order() == q + 1), None)
-    if s is None:
-        raise CheckError("no scalar map has order q+1")
-    gens = _split_group(model, unipotent, scalars, [s])
+    gens, scalars = _split_group(model, unipotent, q + 1, q + 1)
     elements = _products(unipotent, scalars)
     for m in elements:
         extract_stabilizer_params(ctx, m)
@@ -540,12 +547,13 @@ def _printed_family_I_blocks(ctx: FieldCtx, bn: int):
 
 
 def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
-    """W = V Lambda, built by _split_group: V is the q^3/p^2 solved
-    translations and Lambda the (q+1)(p-1) maps (x, y) -> (lam x,
-    lam^(q+1) y) with lam^(q+1) in F_p, generated by lam_gen.  Above order
-    2048 the table is counted, elements holding V and Lambda.  The printed
-    map formula for a shift a is a counted claim: details["fallback_used"]
-    counts the a with a printed map outside V."""
+    """W = V Lambda, built by _split_group(model, V, (q+1)(p-1), q + 1): V
+    is the q^3/p^2 solved translations and Lambda the cyclic group of the
+    (q+1)(p-1) maps (x, y) -> (lam x, lam^(q+1) y) with lam^(q+1) in F_p;
+    lam_gen, printed last among the generators, is its generator with the
+    least lam.  Above order 2048 the table is counted, elements holding V
+    and Lambda.  The printed map formula for a shift a is a counted claim:
+    details["fallback_used"] counts the a with a printed map outside V."""
     p, q, h = ctx.p, ctx.q, ctx.h
     if q**3 // p**2 > CLOSURE_BOUND:
         raise ParameterError("|V| = q^3/p^2 = %d exceeds the bound" % (q**3 // p**2))
@@ -556,22 +564,10 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
     if len(V) != q**3 // p**2:
         raise CheckError("|V| = %d, expected q^3/p^2 = %d" % (len(V), q**3 // p**2))
 
-    lam_gen = None
-    Lam = []
-    target = (q + 1) * (p - 1)
-    for lam in ctx.subfield_encodings(2 * h)[1:]:
-        mu = ctx.pow(lam, q + 1)
-        if ctx.in_subfield(mu, 1):
-            Lam.append(AffineAlgMap.triangular(ctx, lam, 0, mu))
-            if lam_gen is None and ctx.mult_order(lam) == target:
-                lam_gen = Lam[-1]
-    if len(Lam) != target:
-        raise CheckError("|Lambda| = %d, expected %d" % (len(Lam), target))
-    # the composed order is the second route to the cyclic claim
-    if lam_gen is None or lam_gen.order() != target:
-        raise CheckError("diagonal complement is not cyclic")
-
-    v_gens = _split_group(model, V, Lam, [lam_gen])
+    n = (q + 1) * (p - 1)
+    v_gens, Lam = _split_group(model, V, n, q + 1)
+    # the generator of Lambda with the least lam
+    lam_gen = min((m for i, m in enumerate(Lam) if math.gcd(i, n) == 1), key=lambda m: m.lam)
     v_keys = {g.key() for g in V}
     fallback_used = sum(not {m.key() for m in block} <= v_keys
                         for _, block in _printed_family_I_blocks(ctx, bn))
@@ -614,9 +610,11 @@ def family_I_group(ctx: FieldCtx, b) -> AutGroupTable:
 
 
 def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
-    """Psi Tau, built by _split_group: Psi the solved translations (xi, rho)
-    -> (xi + a, rho + nu xi + c) with nu in F_p, Tau the group of diagonal
-    maps (xi, rho) -> (lam xi, lam^2 rho) with lam in F_p^*.
+    """Psi Tau, built by _split_group(model, Psi, p - 1, 2): Psi the solved
+    translations (xi, rho) -> (xi + a, rho + nu xi + c) with nu in F_p, Tau
+    the cyclic group of diagonal maps (xi, rho) -> (lam xi, lam^2 rho) with
+    lam in F_p^*.  The printed generators are Psi's, then every tau but the
+    identity in ascending lam.
 
     F = T(xi)^2 - 2b T(rho) with T(t) = sum_(i<h) t^(p^i), so F(m) - F =
     2(T(a) - nu b) T(xi) + T(a)^2 - 2b T(c) must vanish: T(a) = nu b and
@@ -633,9 +631,8 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
     psi = [m for m in _translations(model) if m.f.get(1, 0) < p]
     if len(psi) != q * q // p:
         raise CheckError("|Psi| = %d, expected q^2/p = %d" % (len(psi), q * q // p))
-    taus = [AffineAlgMap.triangular(ctx, lam, 0, ctx.mul(lam, lam)) for lam in range(1, p)]
-    tau_gens = [t for t in taus if not t.is_identity()]
-    gens = _split_group(model, psi, taus, tau_gens) + tau_gens
+    psi_gens, taus = _split_group(model, psi, p - 1, 2)
+    gens = psi_gens + sorted(taus, key=lambda m: m.lam)[1:]
     full = _products(psi, taus)
 
     gamma = {g.key(): g for g in psi if g.a == 0 and 1 not in g.f}
@@ -739,22 +736,12 @@ def family_III_group(ctx: FieldCtx, b) -> dict:
     if len(reps) != q * q // 2:
         raise CheckError("quotient order %d != q^2/2" % len(reps))
 
-    ident_coset = coset_key(AffineAlgMap.identity(ctx))
-
-    def coset_order(g):
-        acc = g
-        n = 1
-        while coset_key(acc) != ident_coset:
-            acc = g.compose(acc)
-            n += 1
-            if n > 64:
-                raise CheckError("coset order runaway")
-        return n
-
     hist = {}
     exponent = 1
     for g in reps.values():
-        n = coset_order(g)
+        # the least n >= 1 with g^n in {1, deck}
+        pw = _powers(g)
+        n = pw.index(deck) if deck in pw else len(pw)
         hist[n] = hist.get(n, 0) + 1
         exponent = math.lcm(exponent, n)
     if exponent != 4:

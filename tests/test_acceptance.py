@@ -122,3 +122,20 @@ def test_fixed_point_check_composes_and_scans_nothing(monkeypatch, fixed_point_t
     r = verify.check_unique_fixed_point()
     assert r["ok"]
     assert r["details"] == {"groups_scanned": 10, "elements_tested": 494, "violations": []}
+
+
+def test_automorphism_groups_reports_measured_family_III(monkeypatch):
+    # a planted quotient order fails the check and shows in its details
+    real = verify.family_III_group
+
+    def planted(ctx, b):
+        return {**real(ctx, b), "quotient_order": 7}
+
+    monkeypatch.setattr(verify, "_GROUPS", {})
+    monkeypatch.setattr(verify, "family_III_group", planted)
+    r = verify.check_automorphism_groups()
+    assert not r["ok"]
+    assert r["details"]["family_III"] == {
+        "q=4": {"quotient_order": 7, "quotient_exponent": 4},
+        "q=8": {"quotient_order": 7, "quotient_exponent": 4},
+    }

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hermquot import models
 from hermquot.autgrp import (
     AffineAlgMap,
+    _powers,
     _printed_family_I_blocks,
     _spanning_subset,
     _split_group,
@@ -60,6 +61,22 @@ def test_order_and_power():
     assert m.order() == 3
     assert m.compose(m) == m.inverse()
     assert len(m.to_text()) > 0
+
+
+def test_power_walk_stops_at_its_bound():
+    # a scalar map of order q + 1 = 4 at q = 3
+    c = ctx(3, 1)
+    lam = next(v for v in c.subfield_encodings(2)[1:] if c.mult_order(v) == 4)
+    s = stabilizer_map(c, 0, 0, lam)
+    pw = _powers(s, 4)
+    assert len(pw) == s.order(4) == 4
+    assert pw[0].is_identity() and pw[1] == s
+    assert all(pw[i] == s.compose(pw[i - 1]) for i in range(1, 4))
+    for walk in (lambda: _powers(s, 3), lambda: s.order(3)):
+        with pytest.raises(CheckError, match="exceeds bound 3"):
+            walk()
+    ident = AffineAlgMap.identity(c)
+    assert _powers(ident, 1) == [ident] and ident.order(1) == 1
 
 
 def _central_b(c):
@@ -644,15 +661,63 @@ def test_split_tables_match_the_closure_oracle(family, key):
 
 
 def test_split_group_refuses_an_overlap():
-    # D also holding a non-identity solved translation meets T beyond the identity
+    # T also holding the non-identity tau = (-x, y) meets D beyond the
+    # identity; the overlap is refused before _spanning_subset sees T
     c = ctx(3, 2)
     model = models.family_II_model(c, models.admissible_b(c, "family_II")[0])
     psi = _group_list("Psi", (3, 2))
-    taus = [AffineAlgMap.triangular(c, lam, 0, c.mul(lam, lam)) for lam in range(1, 3)]
-    _split_group(model, psi, taus, taus[1:])
-    shared = next(g for g in psi if not g.is_identity())
+    _, D = _split_group(model, psi, 2, 2)
+    tau = AffineAlgMap.triangular(c, 2, 0, c.mul(2, 2))
+    assert D == [AffineAlgMap.identity(c), tau]
     with pytest.raises(CheckError, match="overlap beyond the identity"):
-        _split_group(model, psi, taus + [shared], taus[1:])
+        _split_group(model, psi + [tau], 2, 2)
+
+
+def test_split_group_builds_D_of_order_n():
+    # |D| = n exactly when n divides q^2 - 1 = 80: n = 3 gives zeta =
+    # gamma^26 of order 40; n = 4 gives a D of order 4, but (zeta x,
+    # zeta^2 y) with zeta outside F_3 does not preserve the curve
+    c = ctx(3, 2)
+    model = models.family_II_model(c, models.admissible_b(c, "family_II")[0])
+    psi = _group_list("Psi", (3, 2))
+    with pytest.raises(CheckError, match="diagonal group order 40 != 3"):
+        _split_group(model, psi, 3, 2)
+    with pytest.raises(CheckError, match="diagonal map fails"):
+        _split_group(model, psi, 4, 2)
+
+
+def _diagonal_scan(c, n, k):
+    # the old route: a scan of F_{q^2}^* for every lam with lam^n = 1
+    return {AffineAlgMap.triangular(c, lam, 0, c.pow(lam, k)).key()
+            for lam in c.subfield_encodings(2 * c.h)[1:] if c.pow(lam, n) == 1}
+
+
+@pytest.mark.parametrize(
+    "family, key",
+    [("hermitian", (2, 1)), ("hermitian", (3, 1)), ("hermitian", (5, 1)),
+     ("hermitian", (2, 2)), ("hermitian", (3, 2)), ("I", (2, 2)), ("I", (2, 3)),
+     ("I", (3, 2)), ("I", (2, 4)), ("I", (5, 2)), ("II", (3, 1)), ("II", (5, 1)),
+     ("II", (3, 2))],
+)
+def test_split_tables_match_the_diagonal_scan(family, key):
+    # D = <d> against the scans it replaced: its maps, family I's printed
+    # lam_gen (the first lam in ascending order of multiplicative order n)
+    # and family II's printed taus (lam = 2, ..., p - 1)
+    c = ctx(*key)
+    p, q = c.p, c.q
+    n, k = {"hermitian": (q + 1, q + 1), "I": ((q + 1) * (p - 1), q + 1),
+            "II": (p - 1, 2)}[family]
+    t = _build_table(family, c)
+    diagonal = {g.key() for g in t.elements if g.a == 0 and not g.f}
+    assert diagonal == _diagonal_scan(c, n, k) and len(diagonal) == n
+    if family == "I":
+        first = next(lam for lam in c.subfield_encodings(2 * c.h)[1:]
+                     if c.mult_order(lam) == n)
+        assert t.generators[-1].lam == first
+    if family == "II":
+        taus = [g for g in t.generators if g.lam != 1]
+        assert taus == [AffineAlgMap.triangular(c, lam, 0, c.mul(lam, lam))
+                        for lam in range(2, p)]
 
 
 @pytest.mark.parametrize("key", [(2, 3), (2, 4), (5, 2)])

@@ -1,8 +1,9 @@
 """Every imported name is used: an AST scan of the package modules (not the
 __init__ re-exports), the scripts and the tests, with the standard library
-only."""
+only.  Every name the benchmark tracer hooks exists."""
 
 import ast
+import importlib
 import pathlib
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -68,3 +69,23 @@ def test_scan_flags_an_unused_import(tmp_path):
         "from fractions import Fraction\n"
     )
     assert unused_imports(src) == [("os", 2), ("gcd", 4)]
+
+
+def test_tracer_targets_exist():
+    # TARGETS read from the source, not imported, so nothing is written
+    # under perfbench/; a method must sit in its class's own __dict__
+    tree = ast.parse((_ROOT / "perfbench" / "tracer.py").read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    targets = ast.literal_eval(value)
+    assert targets
+    missing = []
+    for mod_name, cls_name, attr, _ in targets:
+        mod = importlib.import_module("hermquot." + mod_name)
+        if cls_name is None:
+            found = callable(getattr(mod, attr, None))
+        else:
+            found = attr in vars(getattr(mod, cls_name, object))
+        if not found:
+            missing.append((mod_name, cls_name, attr))
+    assert missing == []
