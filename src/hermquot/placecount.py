@@ -23,7 +23,11 @@ Models whose plane equation is singular at a rational point (family III) are
 counted through their smooth degree-2 cover instead: rational places of the
 quotient are the deck orbits fixed by the q^2-Frobenius, which splits into
 deck-fixed rational points, swapped rational pairs, and conjugate pairs of
-F_{q^4}-points where Frobenius acts as the deck map.
+F_{q^4}-points where Frobenius acts as the deck map.  The count walk sizes
+the cover's rational points.  The fixed and twisted points are both points
+Q with Frob_{q^2}(Q) = deck(Q); their x solves the F_p-linear equation
+x^(q^2) - lam x = a, so one solve over F_{q^4} lists at most q^2 values of
+x, and only the fibers over those are listed.
 """
 
 from __future__ import annotations
@@ -61,12 +65,10 @@ def _scan_degree(ctx: FieldCtx, k: int) -> int:
     return m
 
 
-def iter_fibers(model: CurveModel, k: int):
-    """Yield (x, sorted solution encodings) for every x in F_{q^(2k)}."""
+def _fibers(model: CurveModel, m: int, xs):
+    """Yield (x, sorted solution encodings in F_{p^m}) for each x in xs."""
     ctx = model.ctx
-    m = _scan_degree(ctx, k)
     prof = additive_split(model.F)
-    xs = ctx.subfield_encodings(m)
     if prof is not None:
         vec, xpart = prof
         solver = LinearizedSolver(ctx, vec, m)
@@ -79,9 +81,15 @@ def iter_fibers(model: CurveModel, k: int):
             f"{EXHAUSTIVE_BOUND} elements"
         )
     F = model.F
-    ys = list(xs)
+    ys = ctx.subfield_encodings(m)
     for x in xs:
         yield x, [y for y in ys if F.evaluate(x, y) == 0]
+
+
+def iter_fibers(model: CurveModel, k: int):
+    """Yield (x, sorted solution encodings) for every x in F_{q^(2k)}."""
+    m = _scan_degree(model.ctx, k)
+    return _fibers(model, m, model.ctx.subfield_encodings(m))
 
 
 def _count_points(model: CurveModel, k: int) -> int:
@@ -120,8 +128,8 @@ def affine_points(model: CurveModel, k: int = 1) -> PlaceTally:
     return PlaceTally(k=k, affine_points=n, places_at_infinity=1, N=n + 1)
 
 
-def singular_rational_points(model: CurveModel, k: int = 1) -> list[tuple[int, int]]:
-    """Affine points over F_{q^(2k)} where both partials vanish."""
+def singular_rational_points(model: CurveModel) -> list[tuple[int, int]]:
+    """Affine F_{q^2}-points where both partials vanish."""
     F = model.F
     fy = F.partial_deriv(1)
     if not fy.is_zero() and fy.total_degree() == 0:
@@ -129,7 +137,7 @@ def singular_rational_points(model: CurveModel, k: int = 1) -> list[tuple[int, i
         return []
     fx = F.partial_deriv(0)
     bad = []
-    for x, ys in iter_fibers(model, k):
+    for x, ys in iter_fibers(model, 1):
         for y in ys:
             if fx.evaluate(x, y) == 0 and fy.evaluate(x, y) == 0:
                 bad.append((x, y))
@@ -143,7 +151,7 @@ def rational_places(model: CurveModel) -> PlaceTally:
     carries an unknown number of places, so those models must go through
     quotient_places_order2 instead.
     """
-    sing = singular_rational_points(model, 1)
+    sing = singular_rational_points(model)
     if sing:
         raise CheckError(
             f"{model.family}: plane model is singular at {len(sing)} rational "
@@ -195,34 +203,39 @@ def quotient_places_order2(model: CurveModel, deck: AffineAlgMap) -> dict:
     rational point pairs, and conjugate pairs of F_{q^4}-points Q with
     Frob_{q^2}(Q) = deck(Q), which descend to rational places invisible over
     F_{q^2} upstairs.  The result is f + (A - f)/2 + I/2 + 1.
+
+    A is the count walk's tally of the cover's affine F_{q^2}-points.  For
+    the deck (lam x + a, mu y + f(x)), a point Q with Frob_{q^2}(Q) = deck(Q)
+    has x^(q^2) - lam x = a and Frob_{q^4}(Q) = deck^2(Q) = Q, so its x is
+    one of the at most q^2 solutions in F_{q^4} of that F_p-linear equation,
+    and only the fibers over them are listed.  Such a Q is deck-fixed when
+    it is rational and twisted otherwise.  F_{q^4} must pass the k = 2 size
+    bound, checked before anything else.
     """
     ctx = model.ctx
+    m = _scan_degree(ctx, 2)
     if deck.ctx is not ctx:
         raise ParameterError("deck map lives over a different field")
     if not map_preserves(model, deck):
         raise CheckError("deck map does not preserve the model")
     if deck.order(8) != 2:
         raise CheckError("deck map is not an involution")
-    if singular_rational_points(model, 1):
+    if singular_rational_points(model):
         raise CheckError("cover model must be smooth at rational points")
 
-    a_count = 0
-    fixed = 0
-    for x, ys in iter_fibers(model, 1):
-        for y in ys:
-            a_count += 1
-            if deck.apply(x, y) == (x, y):
-                fixed += 1
-
+    a_count = _count_points(model, 1)
     s = 2 * ctx.h
-    twisted = 0
-    for x, ys in iter_fibers(model, 2):
+    twist = LinearizedSolver(ctx, [ctx.neg(deck.lam)] + [0] * (s - 1) + [1], m)
+    fixed = twisted = 0
+    for x, ys in _fibers(model, m, twist.solve(deck.a)):
         fx = ctx.frob(x, s)
-        x_rat = fx == x
         for y in ys:
-            if x_rat and ctx.frob(y, s) == y:
+            fy = ctx.frob(y, s)
+            if deck.apply(x, y) != (fx, fy):
                 continue
-            if deck.apply(x, y) == (fx, ctx.frob(y, s)):
+            if fx == x and fy == y:
+                fixed += 1
+            else:
                 twisted += 1
     if (a_count - fixed) % 2 or twisted % 2:
         raise CheckError("deck orbit parity broken; counts are inconsistent")

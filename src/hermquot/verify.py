@@ -408,13 +408,13 @@ CHECKS = [
 ]
 
 # single-process wall-clock budgets in seconds: about ten times each
-# check's measured time (under 1 s for the two at 10 s), 5 s at least
+# check's measured time (under 1 s for the one at 10 s), 5 s at least
 BUDGETS = {
     "hermitian_baseline": 5,
     "family_I_q8": 5,
     "family_I_q27": 5,
     "family_II": 5,
-    "family_III": 10,
+    "family_III": 5,
     "automorphism_groups": 5,
     "unique_fixed_point": 5,
     "isomorphism_classes": 10,

@@ -149,6 +149,19 @@ def test_count_family_III_goes_through_quotient(capsys):
     assert code == 2
 
 
+def test_count_family_III_past_q8(capsys):
+    code, d = run_cli(capsys, "count", "--family", "III", "--p", "2", "--h", "4")
+    assert code == 0
+    assert d["N"] == 1153 and d["maximal"] and d["path"] == "quotient"
+
+
+def test_count_family_III_refuses_a_large_field_at_once():
+    # F_{q^4} at q = 128 is over the k = 2 bound; refused before any fiber
+    code, err, dt = _cli("count", "--family", "III", "--p", "2", "--h", "7")
+    assert code == 2 and "exceeds the k=2 bound" in err
+    assert dt < 2.0
+
+
 def test_genus_formula_and_claimed(capsys):
     code, d = run_cli(capsys, "genus", "--family", "II", "--p", "5", "--h", "2")
     assert code == 0 and d["genus"] == 10

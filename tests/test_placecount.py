@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermquot import models
-from hermquot.autgrp import AffineAlgMap
+from hermquot.autgrp import AffineAlgMap, family_III_deck
 from hermquot.autgrp import stabilizer_map
-from hermquot.gfield import TABLE_ORDER_BOUND, CheckError, FieldCtx, ParameterError, make_field
+from hermquot.gfield import (
+    TABLE_ORDER_BOUND,
+    CheckError,
+    FieldCtx,
+    LinearizedSolver,
+    ParameterError,
+    make_field,
+)
 from hermquot.placecount import (
     affine_points,
     family_III_place_count,
@@ -154,7 +161,7 @@ def test_family_III_model_routes_through_quotient():
 def test_family_III_plane_model_is_singular():
     c = ctx(2, 2)
     m = models.family_III_model(c, models.admissible_b(c, "family_III")[0])
-    assert singular_rational_points(m, 1)
+    assert singular_rational_points(m)
     with pytest.raises(CheckError):
         rational_places(m)
 
@@ -169,7 +176,7 @@ def test_smooth_models_have_no_singular_points():
         models.family_II_model(ctx(3, 2), models.admissible_b(ctx(3, 2), "family_II")[0]),
     ]
     for m in cases:
-        assert singular_rational_points(m, 1) == []
+        assert singular_rational_points(m) == []
 
 
 def test_quotient_by_central_involution_matches_center_subcover():
@@ -196,6 +203,99 @@ def test_quotient_of_center_subcover_matches_family_I():
         direct = rational_places(models.family_I_model(c, bn))
         assert rep["N"] == direct.N == 129
         assert rep["twisted"] == 0
+
+
+# ------------------------------------- the twisted-point solve vs the full scan
+
+
+def _quotient_by_scan(model, deck):
+    """The scans the solve replaces: every F_{q^2}-point for A and the fixed
+    points, then every fiber over F_{q^4} for the twisted points."""
+    c = model.ctx
+    a_count = 0
+    fixed = 0
+    for x, ys in iter_fibers(model, 1):
+        for y in ys:
+            a_count += 1
+            if deck.apply(x, y) == (x, y):
+                fixed += 1
+    s = 2 * c.h
+    twisted = 0
+    for x, ys in iter_fibers(model, 2):
+        fx = c.frob(x, s)
+        x_rat = fx == x
+        for y in ys:
+            if x_rat and c.frob(y, s) == y:
+                continue
+            if deck.apply(x, y) == (fx, c.frob(y, s)):
+                twisted += 1
+    n = fixed + (a_count - fixed) // 2 + twisted // 2 + 1
+    return {"affine_cover": a_count, "fixed": fixed, "twisted": twisted, "N": n}
+
+
+def _scan_cases():
+    for h in (2, 3):
+        c = ctx(2, h)
+        for b in models.admissible_b(c, "family_III"):
+            yield f"III(2,{h}) b={b}", models.fpp_char2(c), family_III_deck(c, b)
+    c = ctx(2, 2)
+    yield "hermitian(2,2) (x, y+1)", models.hermitian_model(c), stabilizer_map(c, 0, 1, 1)
+    c = ctx(2, 3)
+    cen = models.subcover_center(c)
+    for bn in models.admissible_b(c, "family_I")[:2]:
+        u = c.add(c.mul(bn, bn), bn)
+        yield f"center(2,3) b={bn}", cen, AffineAlgMap.triangular(c, 1, 0, 1, {0: u})
+    # lam = -1: x^(q^2) + x = 0, and the q points over x = 0 are deck-fixed
+    for p, h in [(3, 1), (3, 2), (5, 1)]:
+        c = ctx(p, h)
+        deck = AffineAlgMap.triangular(c, c.neg(1), 0, 1)
+        yield f"hermitian({p},{h}) (-x, y)", models.hermitian_model(c), deck
+
+
+def test_quotient_solve_matches_the_full_scan():
+    seen = set()
+    for label, model, deck in _scan_cases():
+        rep = quotient_places_order2(model, deck)
+        assert rep == _quotient_by_scan(model, deck), label
+        seen.add((rep["fixed"] > 0, rep["twisted"] > 0))
+        if deck.lam != 1:
+            assert rep["fixed"] == model.ctx.q and rep["twisted"] == 0, label
+    # both branches of the solve are reached
+    assert seen == {(False, False), (False, True), (True, False)}
+
+
+@pytest.mark.parametrize("h,twisted", [(4, 256), (5, 1024)])
+def test_family_III_survey_past_q8(h, twisted):
+    # past the oracle's reach: its scan lists q^4 = 2^16 fibers per b at
+    # h = 4 and 2^20 at h = 5
+    c = ctx(2, h)
+    q = c.q
+    bs = models.admissible_b(c, "family_III")
+    for b in bs if h == 4 else bs[:1]:
+        rep = family_III_place_count(c, b)
+        assert rep["N"] == rep["closed_form"] == rep["expected"], b
+        assert rep["maximal"] and rep["fixed"] == 0
+        # the cover is maximal of genus q(q - 2)/4: q^2 + 2gq = q^3/2
+        assert rep["affine_cover"] == q**3 // 2
+        assert rep["twisted"] == twisted
+
+
+def test_family_III_count_solves_at_most_q2_plus_one_fibers(monkeypatch):
+    # one solve for the x-coset, then one per fiber over it; the full scan
+    # made q^2 + q^4 = 4160 of them at q = 8
+    calls = []
+    real = LinearizedSolver.solve
+
+    def counted(self, rhs):
+        calls.append(rhs)
+        return real(self, rhs)
+
+    c = ctx(2, 3)
+    b = models.admissible_b(c, "family_III")[0]
+    monkeypatch.setattr(LinearizedSolver, "solve", counted)
+    rep = family_III_place_count(c, b)
+    assert rep["N"] == 161
+    assert len(calls) <= c.q**2 + 1
 
 
 def test_quotient_rejects_identity_deck():
