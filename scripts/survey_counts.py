@@ -3,9 +3,9 @@
 
 Prints one row per (family, p, h): the count N, the maximal-curve target
 q^2 + 2gq + 1, and the genus the target used.  Families I and II take the
-first admissible parameter; family III is counted through its order-2
-quotient.  Pass a size cap (ambient field order) as the only argument to
-trim the sweep, default 600000.
+first admissible parameter; maximality_check counts family III through
+its order-2 quotient.  Pass a size cap (ambient field order) as the only
+argument to trim the sweep, default 600000.
 """
 
 import pathlib
@@ -16,7 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from hermquot import models
 from hermquot.gfield import make_field
-from hermquot.placecount import family_III_place_count, maximality_check
+from hermquot.placecount import maximality_check
 
 SWEEP = [
     ("hermitian", 2, 1),
@@ -63,17 +63,11 @@ def main() -> int:
                 continue
             b = bs[0]
         t0 = time.perf_counter()
-        if fam == "III":
-            rep = family_III_place_count(ctx, b)
-            n, target, g = rep["N"], rep["expected"], rep["genus"]
-            maximal = rep["maximal"]
-        else:
-            rep = maximality_check(BUILDERS[fam](ctx, b))
-            n, target, g = rep["N"], rep["expected"], rep["genus_used"]
-            maximal = rep["maximal"]
+        rep = maximality_check(BUILDERS[fam](ctx, b))
         dt = time.perf_counter() - t0
         print(f"{fam:10} {p:>2} {h:>2} {ctx.q:>3} {b if b is not None else '-':>6} "
-              f"{n:>7} {target:>7} {g:>5}  {'yes' if maximal else 'NO ':3} {dt:6.3f}s")
+              f"{rep['N']:>7} {rep['expected']:>7} {rep['genus_used']:>5}  "
+              f"{'yes' if rep['maximal'] else 'NO ':3} {dt:6.3f}s")
     return 0
 
 

@@ -18,11 +18,14 @@ and the cyclic factors D.  The stabilizer and families I and II are each a
 group T D, T the solved translations and D = <d> the diagonal maps
 (lam x, lam^k y) with lam^n = 1; one builder, _split_group(model, T, n, k),
 builds D from (n, k), proves T D a group of order |T||D|, and a closed
-table lists it as the products _products(T, D).
+table lists it as the products _products(T, D); subgroup_types lists the
+products of power walks.  No builder searches a closure.
 Family I's printed map formula is a counted claim, and
 details["fallback_used"] counts the shifts a where it fails.
 """
 
+import collections
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -205,9 +208,9 @@ def _confirm(model: CurveModel, maps: list, what: str) -> list:
 
 
 def group_closure(generators, bound: int = CLOSURE_BOUND):
-    """Breadth-first closure under composition; the result contains the
-    identity.  Every triangular map over a finite field has finite order,
-    so the closure is a group, and bound stops a runaway."""
+    """Breadth-first closure under composition, identity included: the tests'
+    closure oracle, called by no builder.  Every triangular map over a finite
+    field has finite order, so it is a group; bound stops a runaway."""
     if not generators:
         raise ParameterError("no generators")
     gens = list(generators)
@@ -249,27 +252,20 @@ class AutGroupTable:
 
 
 def _exponent(elements) -> int:
-    e = 1
+    """The lcm of the element orders.  An element met in an earlier walk
+    _powers(g) has order dividing ord(g), so it is skipped."""
+    e, walked = 1, set()
     for g in elements:
-        e = math.lcm(e, g.order())
+        if g.key() not in walked:
+            pw = _powers(g)
+            walked.update(m.key() for m in pw)
+            e = math.lcm(e, len(pw))
     return e
 
 
 def _central(elements, generators) -> list:
     """The elements that commute with every generator."""
     return [g for g in elements if all(g.compose(t) == t.compose(g) for t in generators)]
-
-
-def _commutator_closure(elements):
-    if len(elements) > 256:
-        raise CheckError("commutator scan limited to 256 elements")
-    inv = {g.key(): g.inverse() for g in elements}
-    comms = {}
-    for g in elements:
-        for h in elements:
-            c = g.compose(h).compose(inv[g.key()]).compose(inv[h.key()])
-            comms[c.key()] = c
-    return group_closure(list(comms.values()))
 
 
 def _spanning_subset(elements):
@@ -435,12 +431,8 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
         extract_stabilizer_params(ctx, m)
 
     central_keys = {g.key() for g in _central(unipotent, gens)}
-    profile = {}
-    for g in unipotent:
-        if g.key() in central_keys:
-            continue
-        o = g.order()
-        profile[o] = profile.get(o, 0) + 1
+    profile = dict(collections.Counter(
+        g.order() for g in unipotent if g.key() not in central_keys))
 
     return AutGroupTable(
         model=model,
@@ -461,8 +453,9 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
 
 def subgroup_types(ctx: FieldCtx) -> dict:
     """The order-p^2 subgroups used to cut out the three families, each
-    generator confirmed by the membership oracle on its Hermitian variant
-    and each group re-verified by closure."""
+    generator confirmed by the membership oracle on its Hermitian variant.
+    Each is listed as <g1><g2> (U, V) or <g> (cyclic4) from power walks,
+    checked to hold p^2 maps and certified a group by _spanning_subset."""
     p, h = ctx.p, ctx.h
     out = {"notes": []}
     types = []  # (name, model, generators, exponent, details)
@@ -495,9 +488,10 @@ def subgroup_types(ctx: FieldCtx) -> dict:
 
     for name, model, gens, exponent, details in types:
         _confirm(model, gens, "%s generator" % name)
-        elems = group_closure(gens)
-        if len(elems) != p * p or _exponent(elems) != exponent:
+        elems = functools.reduce(_products, map(_powers, gens))
+        if len({g.key() for g in elems}) != p * p or _exponent(elems) != exponent:
             raise CheckError("%s is not of order p^2 and exponent %d" % (name, exponent))
+        _spanning_subset(elems)
         out[name] = AutGroupTable(
             model=model, elements=elems, order=len(elems), exponent=exponent,
             generators=gens, details=details,
@@ -621,11 +615,15 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
     T(c) = nu^2 b/2.  At h >= 2 the solve forces nu into F_p; at h = 1 (a
     conic) every nu solves, and the table keeps the paper's nu in F_p.
     Gamma is the a = nu = 0 part, Delta the nu = c = 0 part and Omega the
-    nu = 0 part."""
+    nu = 0 part.  One pass over the pairs of Psi gives the centralizer
+    profile and the commutators: by the law (a, nu, c)(a', nu', c') =
+    (a + a', nu + nu', c + c' + nu a') these are the rho-shifts by
+    nu a' - nu' a, checked to be the set Gamma, which _spanning_subset
+    proves a group, so <commutators> = Gamma.  Tables stop at q <= 27."""
     model = family_II_model(ctx, b)
     p, q = ctx.p, ctx.q
-    if q > 9:
-        raise ParameterError("family II group tables are limited to q <= 9")
+    if q > 27:
+        raise ParameterError("family II group tables are limited to q <= 27")
 
     # nu in F_p: the prime field is the encodings below p
     psi = [m for m in _translations(model) if m.f.get(1, 0) < p]
@@ -641,15 +639,22 @@ def family_II_group(ctx: FieldCtx, b) -> AutGroupTable:
     if {g.key() for g in _products(gamma.values(), delta)} != omega_set:
         raise CheckError("Gamma Delta does not match the nu = 0 stratum")
 
-    # centralizer profile inside Psi
-    profile = {}
-    for g in psi:
-        n = sum(1 for hmap in psi if g.compose(hmap) == hmap.compose(g))
-        profile[n] = profile.get(n, 0) + 1
-
-    comm = _commutator_closure(psi)
-    if {g.key() for g in comm} != set(gamma):
-        raise CheckError("commutator subgroup differs from Gamma")
+    # unordered pairs: (h, g) gives the inverse of the commutator of (g, h)
+    centralizer = [1] * len(psi)
+    comm = {AffineAlgMap.identity(ctx).key()}
+    for i, g in enumerate(psi):
+        for j in range(i + 1, len(psi)):
+            gh, hg = g.compose(psi[j]), psi[j].compose(g)
+            if gh == hg:
+                centralizer[i] += 1
+                centralizer[j] += 1
+            else:
+                c = gh.compose(hg.inverse())
+                comm.update((c.key(), c.inverse().key()))
+    profile = dict(collections.Counter(centralizer))
+    if comm != set(gamma):
+        raise CheckError("commutators differ from Gamma")
+    _spanning_subset(list(gamma.values()))
 
     exp_psi = _exponent(psi)
     abelian = profile == {len(psi): len(psi)}

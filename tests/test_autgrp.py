@@ -1,11 +1,14 @@
 """Automorphism layer: affine maps, closures, stabilizer tables, family groups."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermquot import models
 from hermquot.autgrp import (
     AffineAlgMap,
+    _exponent,
     _powers,
     _printed_family_I_blocks,
     _spanning_subset,
@@ -313,6 +316,16 @@ def test_subgroup_types_confirm_every_generator(monkeypatch):
         subgroup_types(ctx(2, 2))
 
 
+@pytest.mark.parametrize("key", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+def test_subgroup_types_match_the_closure_oracle(key):
+    # the products of power walks are the closure of the generators
+    for name, t in subgroup_types(ctx(*key)).items():
+        if name != "notes":
+            keys = [g.key() for g in t.elements]
+            assert len(set(keys)) == len(keys) == t.order
+            assert {g.key() for g in group_closure(t.generators)} == set(keys)
+
+
 # family groups
 
 
@@ -427,6 +440,42 @@ def test_family_II_group_conic():
         t = family_II_group(c, models.admissible_b(c, "family_II")[0])
         assert t.details["Psi_order"] == p
         assert t.details["total_order"] == (p - 1) * p
+
+
+def _family_II_compose_loops(psi):
+    """The replaced route, kept as the oracle: the centralizer profile from
+    two composes per ordered pair, and the closure of every g h g^-1 h^-1."""
+    profile = {}
+    for g in psi:
+        n = sum(1 for hmap in psi if g.compose(hmap) == hmap.compose(g))
+        profile[n] = profile.get(n, 0) + 1
+    inv = {g.key(): g.inverse() for g in psi}
+    comms = {}
+    for g in psi:
+        for hmap in psi:
+            c = g.compose(hmap).compose(inv[g.key()]).compose(inv[hmap.key()])
+            comms[c.key()] = c
+    return profile, group_closure(list(comms.values()))
+
+
+@pytest.mark.parametrize(
+    "key, frozen",
+    [((3, 2), (54, 6, 3, 3, {27: 3, 9: 24})),
+     ((5, 2), (500, 20, 1, 5, {125: 5, 25: 120}))],  # past the old q <= 9 cap
+)
+def test_family_II_one_pass_matches_the_compose_loops(key, frozen):
+    c = ctx(*key)
+    t = family_II_group(c, models.admissible_b(c, "family_II")[0])
+    d = t.details
+    assert (t.order, t.exponent, t.center_order, t.commutator_order,
+            d["centralizer_profile"]) == frozen
+    psi = [g for g in t.elements if g.lam == 1]  # in the solver's order
+    profile, comm = _family_II_compose_loops(psi)
+    # the discrepancy note prints the profile, so its order counts too
+    assert list(d["centralizer_profile"].items()) == list(profile.items())
+    gamma = {g.key() for g in psi if g.a == 0 and 1 not in g.f}
+    assert {g.key() for g in comm} == gamma
+    assert t.commutator_order == len(comm) == d["Gamma_order"]
 
 
 def test_family_III_group_q4():
@@ -584,6 +633,46 @@ def test_family_I_printed_claim_lookup_matches_the_oracle(key, fallbacks):
 
 
 # every group claim is an exact check
+
+
+def test_no_builder_calls_group_closure(monkeypatch):
+    # every table is listed as products and certified by _spanning_subset;
+    # verify's family tables are cached, so they are built here as well
+    from hermquot import autgrp, verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table builder called group_closure")
+
+    monkeypatch.setattr(autgrp, "group_closure", refuse)
+    for family, key in [("hermitian", (2, 1)), ("hermitian", (3, 1)), ("I", (2, 3)),
+                        ("II", (3, 2)), ("III", (2, 2)), ("III", (2, 3))]:
+        _build_table(family, ctx(*key))
+    for key in [(2, 2), (3, 2), (2, 3)]:
+        subgroup_types(ctx(*key))
+    assert all(r["ok"] for r in verify.run_all())
+
+
+def _lcm_of_orders(elements):
+    # the old exponent, one power walk per element, stays as the oracle
+    return math.lcm(*(g.order() for g in elements))
+
+
+@pytest.mark.parametrize(
+    "family, key",
+    [("hermitian", (2, 1)), ("hermitian", (3, 1)), ("I", (2, 2)), ("I", (2, 3)),
+     ("II", (3, 2)), ("types", (2, 2)), ("types", (3, 2)), ("types", (2, 3))],
+)
+def test_exponent_matches_the_lcm_of_element_orders(family, key):
+    c = ctx(*key)
+    if family == "types":
+        tables = [t for name, t in subgroup_types(c).items() if name != "notes"]
+    else:
+        tables = [_build_table(family, c)]
+    for t in tables:
+        assert _exponent(t.elements) == _lcm_of_orders(t.elements)
+        # the stabilizer's exponent describes its translations U alone
+        part = [g for g in t.elements if g.lam == 1] if family == "hermitian" else t.elements
+        assert t.exponent == _lcm_of_orders(part)
 
 
 def _group_list(what, key):

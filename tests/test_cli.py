@@ -100,6 +100,7 @@ def test_semigroup_family_cli_fuzz(family, p, h):
         ("verify-lemma-b", "--p", "2", "--h", "2", "--b", "70000"),
         # a family I group of order |V| = q^3/p^2 = 2^19, over the closure bound
         ("aut", "--family", "I", "--p", "2", "--h", "7"),
+        ("aut", "--family", "II", "--p", "7", "--h", "2"),  # q = 49, over the q <= 27 cap
     ],
 )
 def test_out_of_range_argv_is_rejected_at_once(argv):
@@ -108,6 +109,17 @@ def test_out_of_range_argv_is_rejected_at_once(argv):
     if "--b" in argv:
         assert "outside [0, " in err
     assert dt < 1.0
+
+
+def test_aut_family_II_at_q27(capsys):
+    # order, exponent, center, commutator subgroup and centralizer profile
+    # at the first admissible b, past the old q <= 9 cap; q = 25 is frozen
+    # in test_autgrp
+    code, d = run_cli(capsys, "aut", "--family", "II", "--p", "3", "--h", "3")
+    assert code == 0
+    values = (d["order"], d["exponent"], d["center_order"], d["commutator_order"],
+              d["details"]["centralizer_profile"])
+    assert values == (486, 6, 9, 9, {"243": 9, "81": 72, "27": 162})
 
 
 def test_construct_defaults_to_first_admissible_b(capsys):
