@@ -13,10 +13,12 @@ is no embedding bookkeeping anywhere downstream.
 Every element the package computes or returns is such an int, and all
 arithmetic on it goes through FieldCtx methods; there is no element class.
 
-FieldCtx answers from log/antilog tables over a generator of F_{p^m}^*,
-with Zech logarithms for addition when p is odd (Lidl-Niederreiter,
-Finite Fields, ch. 10).  One builder makes them on the first arithmetic
-call, never in make_field, and reads them two ways:
+FieldCtx keeps four primitives, add, mul, pow and frob, and only they
+read its log/antilog tables over a generator of F_{p^m}^*, with Zech
+logarithms for addition when p is odd (Lidl-Niederreiter, Finite Fields,
+ch. 10); sub, neg, scale, inv and div compose them by field identities.
+One builder makes the tables on the first arithmetic call, never in
+make_field, and the primitives read them two ways:
 
 * fields of order at most TABLE_ORDER_BOUND = 2^13 table the whole field
   (m = 4h) and read it through plain lists indexed by the encoding: in
@@ -35,7 +37,8 @@ call, never in make_field, and reads them two ways:
   per element of F_{q^2} (14 for p = 2): 0.56 MB at (13,2), built in
   about 0.1 s.
 
-The digit kernel is also the reference the tests hold the tables to.
+The digit kernel (one method per primitive) is also the reference the
+tests hold the tables to.
 
 Both read paths stay because each alternative made the acceptance run
 slower: 2.10 s with both paths against 2.52 s with array reads in place
@@ -65,17 +68,6 @@ class ParameterError(ValueError):
 
 class CheckError(ArithmeticError):
     """A verification or internal consistency check failed (exit code 1)."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -289,25 +281,30 @@ class FieldCtx:
 
     Methods take and return raw int encodings.  One builder, _build_tables,
     makes exp and log tables over a generator gamma of F_{p^m}^* and, for
-    odd p, a Zech table zech[d] = log(1 + gamma^d), so that every method is
-    index arithmetic on logs.  m = 4h (the whole field) when the order is
-    at most TABLE_ORDER_BOUND, m = 2h (F_{q^2}) above it.  The log is
-    indexed by idx(a), the m digits of a at the free columns of F_{p^m}'s
-    echelon basis, read off the low m and the high 4h - m base-p digits of
-    a as lo[a % p^m] + hi[a // p^m]; the free columns are disjoint, so the
-    sum never carries, and for m = 4h every column is free, so idx(a) = a.  A
-    nonzero a lies in F_{p^m} exactly when exp[log[idx(a)]] == a.
+    odd p, a Zech table zech[d] = log(1 + gamma^d), so that a product, a
+    power, a Frobenius image or a sum is index arithmetic on logs.  m = 4h
+    (the whole field) when the order is at most TABLE_ORDER_BOUND, m = 2h
+    (F_{q^2}) above it.  The log is indexed by idx(a), the m digits of a at
+    the free columns of F_{p^m}'s echelon basis, read off the low m and the
+    high 4h - m base-p digits of a as lo[a % p^m] + hi[a // p^m]; the free
+    columns are disjoint, so the sum never carries, and for m = 4h every
+    column is free, so idx(a) = a.  A nonzero a lies in F_{p^m} exactly
+    when exp[log[idx(a)]] == a.
 
-    Each method has two read paths over those tables:
+    Four primitives read those tables, add, mul, pow and frob, each by two
+    read paths:
 
     * a whole field is read through list views of exp, log and zech
       indexed by the encoding itself, held in _exp, _log and _zech;
     * a larger field reads the F_{q^2} record in _sub through idx when
       every operand lies in F_{q^2}, and sends any other operand to the
       digit kernel: base-p digit vectors reduced by the modulus,
-      carry-less shift-and-xor when p = 2.  Its private methods
-      (_mul_digits, _add_digits, ...) are also the reference the tests
-      hold the tables to.
+      carry-less shift-and-xor when p = 2.  Its four private methods
+      (_add_digits, _mul_digits, _pow_digits, _frob_digits) are also the
+      reference the tests hold the tables to.
+
+    sub, neg, scale, inv and div read no table: each is one call or two of
+    the primitives, by a field identity.
 
     The tables are built on the first arithmetic call, never in
     make_field, with the digit kernel alone.  Other caches (reduction
@@ -359,11 +356,11 @@ class FieldCtx:
             n = n * self.p + d
         return n
 
-    # ring operations on encodings.  Each method reads the whole-field list
-    # views once they exist, else the record of the tables, which the first
-    # call builds.  An operand outside the tabled field sends the call to
-    # the digit kernel.  0 is no power of gamma, so every method settles it
-    # before it reads a log.
+    # the four primitives: add, mul, pow and frob.  Each reads the
+    # whole-field list views once they exist, else the record of the
+    # tables, which the first call builds.  An operand outside the tabled
+    # field sends the call to the digit kernel.  0 is no power of gamma, so
+    # each settles it before it reads a log.
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -383,57 +380,6 @@ class FieldCtx:
         if exp[la] == a and exp[lb] == b:
             return exp[la + zech[lb - la]]
         return self._add_digits(a, b)
-
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if b == 0:
-            return a
-        log = self._log
-        if log is not None:
-            n1 = self.order - 1
-            lb = (log[b] + n1 // 2) % n1  # log of -b
-            if a == 0:
-                return self._exp[lb]
-            la = log[a]
-            return self._exp[la + self._zech[lb - la]]
-        n, lo, hi, slog, exp, zech = self._sub or self._build_tables()
-        lb = slog[lo[b % n] + hi[b // n]]
-        if exp[lb] == b:
-            lb = (lb + (n - 1) // 2) % (n - 1)  # log of -b
-            if a == 0:
-                return exp[lb]
-            la = slog[lo[a % n] + hi[a // n]]
-            if exp[la] == a:
-                return exp[la + zech[lb - la]]
-        return self._sub_digits(a, b)
-
-    def neg(self, a: int) -> int:
-        if self.p == 2 or a == 0:
-            return a
-        log = self._log
-        if log is not None:
-            return self._exp[log[a] + (self.order - 1) // 2]
-        n, lo, hi, slog, exp, _ = self._sub or self._build_tables()
-        la = slog[lo[a % n] + hi[a // n]]
-        if exp[la] == a:
-            return exp[la + (n - 1) // 2]
-        return self._neg_digits(a)
-
-    def scale(self, a: int, s: int) -> int:
-        """a times a prime-field constant s, 0 <= s < p."""
-        if self.p == 2:
-            return a if s else 0
-        if a == 0 or s == 0:
-            return 0
-        log = self._log
-        if log is not None:
-            return self._exp[log[a] + log[s]]
-        n, lo, hi, slog, exp, _ = self._sub or self._build_tables()
-        la = slog[lo[a % n] + hi[a // n]]
-        if exp[la] == a:
-            return exp[la + slog[lo[s]]]  # idx(s) = lo[s], as s < p
-        return self._scale_digits(a, s)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -462,21 +408,6 @@ class FieldCtx:
             return exp[la * e % (n - 1)]
         return self._pow_digits(a, e)
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("field inverse of 0")
-        log = self._log
-        if log is not None:
-            return self._exp[self.order - 1 - log[a]]
-        n, lo, hi, slog, exp, _ = self._sub or self._build_tables()
-        la = slog[lo[a % n] + hi[a // n]]
-        if exp[la] == a:
-            return exp[n - 1 - la]
-        return self._inv_digits(a)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def frob(self, a: int, k: int = 1) -> int:
         """k-fold p-power Frobenius x -> x^(p^k)."""
         k %= self.deg
@@ -490,6 +421,25 @@ class FieldCtx:
         if exp[la] == a:
             return exp[la * self.p ** k % (n - 1)]
         return self._frob_digits(a, k)
+
+    # built from the primitives: -a = (p - 1) a, a - b = a + (-b),
+    # a^-1 = a^(-1)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def neg(self, a: int) -> int:
+        return a if self.p == 2 else self.mul(a, self.p - 1)
+
+    def scale(self, a: int, s: int) -> int:
+        """a times a prime-field constant s, 0 <= s < p."""
+        return self.mul(a, s)
+
+    def inv(self, a: int) -> int:
+        return self.pow(a, -1)
+
+    def div(self, a: int, b: int) -> int:
+        return self.mul(a, self.inv(b))
 
     # the tables
 
@@ -596,19 +546,6 @@ class FieldCtx:
         return self._undigits([(x + y) % p
                                for x, y in zip(self._digits(a), self._digits(b))])
 
-    def _sub_digits(self, a: int, b: int) -> int:
-        p = self.p
-        return self._undigits([(x - y) % p
-                               for x, y in zip(self._digits(a), self._digits(b))])
-
-    def _neg_digits(self, a: int) -> int:
-        p = self.p
-        return self._undigits([(-x) % p for x in self._digits(a)])
-
-    def _scale_digits(self, a: int, s: int) -> int:
-        p = self.p
-        return self._undigits([(x * s) % p for x in self._digits(a)])
-
     def _mul_digits(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -662,7 +599,9 @@ class FieldCtx:
 
     def _pow_digits(self, a: int, e: int) -> int:
         if e < 0:
-            return self._pow_digits(self._inv_digits(a), -e)
+            if a == 0:
+                raise ZeroDivisionError("field inverse of 0")
+            e %= self.order - 1
         r, base = 1, a
         while e:
             if e & 1:
@@ -671,11 +610,6 @@ class FieldCtx:
             if e:
                 base = self._mul_digits(base, base)
         return r
-
-    def _inv_digits(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("field inverse of 0")
-        return self._pow_digits(a, self.order - 2)
 
     def _frob_digits(self, a: int, k: int) -> int:
         k %= self.deg
@@ -800,7 +734,7 @@ def _checked_prime_power(p, h, k: int, bound: int) -> int:
         power *= p
         if power > bound:
             raise ParameterError(f"{p}^{k * h} exceeds the bound {bound}")
-    if not _is_prime(p):
+    if _factorize(p) != [(p, 1)]:
         raise ParameterError(f"p = {p!r} is not prime")
     return power
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .gfield import CheckError, FieldCtx, ParameterError
-from .models import admissible_b, check_b, family_I_model, family_II_model
+from .models import admissible_b, check_b, family_I_model, family_II_model, family_key
 from .polyring import BiPoly, p_power_exp
 
 INVENTORY_BOUND = 4096
@@ -140,8 +140,10 @@ def class_inventory(family: str, ctx: FieldCtx) -> dict:
 
     Family I partitions with the witness solver and, at desk sizes,
     cross-checks every pair against the classifier; family II partitions by
-    the kappa ratio test.
+    the kappa ratio test.  family is "I" or "II", with or without the
+    "family_" prefix.
     """
+    family = "family_" + family_key(family)
     if family == "family_I":
         bs = admissible_b(ctx, "family_I")
         decide = lambda x, y: family_I_iso(ctx, x, y) is not None

@@ -121,6 +121,17 @@ def test_class_inventory_family_II():
         class_inventory("family_III", ctx(2, 2))
 
 
+def test_class_inventory_takes_either_spelling():
+    c = ctx(2, 3)
+    inv = class_inventory("I", c)
+    assert inv == class_inventory("family_I", c)
+    assert inv["family"] == "family_I"
+    assert class_inventory("II", ctx(3, 2)) == class_inventory("family_II", ctx(3, 2))
+    for family in ("III", "hermitian"):
+        with pytest.raises(ParameterError):
+            class_inventory(family, c)
+
+
 def test_family_II_kappa():
     c = ctx(3, 2)
     bs = models.admissible_b(c, "family_II")
