@@ -411,12 +411,10 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
     S the cyclic group of the q + 1 scalar maps (x, y) -> (lambda x, y), and
     every element is checked against the parameter law.
 
-    Its order is q^3(q+1).  The full stabilizer over F_{q^2} also holds
-    (x, y) -> (lambda x, lambda^(q+1) y) for every lambda != 0 and has order
-    q^3(q^2-1); the two agree only at q = 2.  exponent, center_order and
-    generators describe the unipotent part U alone, not the whole table: at
-    q = 3 the exponent reads 3 where the table's is 12, and the generators
-    close to 27 of its 108 elements (at q = 2: 4 against 12, and 8 of 24)."""
+    Its order is q^3(q+1), short of the full stabilizer's q^3(q^2-1) for
+    q > 2.  exponent, center_order and generators (U's generators, then
+    the scalar map d generating S) describe the table; unipotent_order and
+    noncentral_order_profile describe U."""
     q = ctx.q
     if q**3 * (q + 1) > CLOSURE_BOUND:
         raise ParameterError("stabilizer of size q^3(q+1) exceeds the bound")
@@ -425,12 +423,13 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
     unipotent = _translations(model)
     if len(unipotent) != q**3:
         raise CheckError("unipotent parameter count %d != q^3" % len(unipotent))
-    gens, scalars = _split_group(model, unipotent, q + 1, q + 1)
+    u_gens, scalars = _split_group(model, unipotent, q + 1, q + 1)
+    gens = u_gens + [scalars[1]]
     elements = _products(unipotent, scalars)
     for m in elements:
         extract_stabilizer_params(ctx, m)
 
-    central_keys = {g.key() for g in _central(unipotent, gens)}
+    central_keys = {g.key() for g in _central(unipotent, u_gens)}
     profile = dict(collections.Counter(
         g.order() for g in unipotent if g.key() not in central_keys))
 
@@ -439,8 +438,8 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
         elements=elements,
         order=len(elements),
         closed=True,
-        exponent=_exponent(unipotent),
-        center_order=len(central_keys),
+        exponent=_exponent(elements),
+        center_order=len(_central(elements, [scalars[1]] + u_gens)),
         generators=gens,
         details={
             "variant": "plus",
@@ -718,9 +717,13 @@ def family_III_group(ctx: FieldCtx, b) -> dict:
     if deck.order() != 2:
         raise CheckError("deck map is not of order 2")
 
-    norm = [g for g in big_list if g.compose(deck) == deck.compose(g)]
+    # the coset quotient below needs norm to be a group holding the deck map
+    norm = _central(big_list, [deck])
     if len(norm) != q * q:
         raise CheckError("normalizer order %d != q^2" % len(norm))
+    _spanning_subset(norm)
+    if deck not in norm:
+        raise CheckError("deck map outside its normalizer")
 
     # stated membership criterion, checked as a set identity
     crit = {

@@ -5,7 +5,11 @@ element is a plain int: its base-p digits, least significant first, are
 the coefficients of the residue class in the power basis of the modulus.
 The modulus is the first monic irreducible of degree 4h over F_p in
 ascending integer encoding, so a context is pinned down by (p, h) alone
-and encodings are stable across runs and machines.
+and encodings are stable across runs and machines.  It is found with the
+field's own digit kernel, so there is one polynomial arithmetic: each
+candidate n serves as the modulus of a trial context and is irreducible
+iff X^(p^(4h)) = X mod n and x -> x^p fixes a space of dimension 1
+(Berlekamp's count of the distinct factors of n).
 
 Subfields are cut out by Frobenius, F_{p^m} = {x : x^(p^m) = x}; there
 is no embedding bookkeeping anywhere downstream.
@@ -87,96 +91,22 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _int_digits(n: int, p: int) -> tuple[int, ...]:
-    out = []
-    while n:
-        n, r = divmod(n, p)
-        out.append(r)
-    return tuple(out)
-
-
-# Dense univariate polynomials over F_p as little-endian tuples.  Only
-# used to hunt for the modulus; field arithmetic proper never comes here.
-
-def _pp_trim(f):
-    k = len(f)
-    while k and f[k - 1] == 0:
-        k -= 1
-    return tuple(f[:k])
-
-
-def _pp_rem(f, g, p):
-    f = [c % p for c in f]
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], -1, p)
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i]
-        if c:
-            s = (c * inv_lead) % p
-            for j in range(dg + 1):
-                f[i - dg + j] = (f[i - dg + j] - s * g[j]) % p
-    return _pp_trim(f[:dg])
-
-
-def _pp_mulmod(f, g, m, p):
-    prod = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                prod[i + j] += a * b
-    return _pp_rem([c % p for c in prod], m, p)
-
-
-def _pp_powmod(f, e, m, p):
-    r = (1,)
-    base = _pp_rem(f, m, p)
-    while e:
-        if e & 1:
-            r = _pp_mulmod(r, base, m, p)
-        e >>= 1
-        if e:
-            base = _pp_mulmod(base, base, m, p)
-    return r
-
-
-def _pp_sub(f, g, p):
-    n = max(len(f), len(g))
-    f = tuple(f) + (0,) * (n - len(f))
-    g = tuple(g) + (0,) * (n - len(g))
-    return _pp_trim(tuple((a - b) % p for a, b in zip(f, g)))
-
-
-def _pp_gcd(f, g, p):
-    while g:
-        f, g = g, _pp_rem(f, g, p)
-    return f
-
-
-def _pp_is_irreducible(f, p):
-    """Rabin test for a monic polynomial over F_p."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    x = (0, 1)
-    if _pp_powmod(x, p ** n, f, p) != _pp_rem(x, f, p):
-        return False
-    for ell, _ in _factorize(n):
-        h = _pp_sub(_pp_powmod(x, p ** (n // ell), f, p), x, p)
-        if len(_pp_gcd(f, h, p)) - 1 != 0:
-            return False
-    return True
-
-
 @functools.lru_cache(maxsize=None)
 def _find_modulus(p: int, deg: int) -> int:
-    """First monic irreducible of degree deg over F_p by integer encoding."""
+    """First monic irreducible of degree deg over F_p by integer encoding.
+
+    deg is an ambient degree 4h.  Each candidate n is taken as the modulus
+    of FieldCtx(p, deg // 4, n), whose digit kernel computes mod n whether
+    n is irreducible or not.  n is irreducible iff X^(p^deg) = X mod n,
+    so that n is squarefree with every factor of degree dividing deg, and
+    the fixed space of x -> x^p has dimension 1: Berlekamp's count of the
+    distinct factors of n (Lidl-Niederreiter, Finite Fields, ch. 4)."""
     base = p ** deg
     for n in range(base + 1, 2 * base):
         if n % p == 0:
             continue  # divisible by X
-        if _pp_is_irreducible(_int_digits(n, p), p):
+        ctx = FieldCtx(p, deg // 4, n)
+        if ctx._pow_digits(p, base) == p and len(ctx._frobenius_kernel(1)) == 1:
             return n
     raise CheckError(f"no irreducible of degree {deg} over F_{p}")
 
@@ -468,13 +398,7 @@ class FieldCtx:
         m = deg if whole else 2 * self.h
         n = p ** m
         n1 = n - 1
-        rows = self._frows.get(m) or self._build_frow(m)
-        if p == 2:
-            rows = [self._digits(r) for r in rows]
-        # column i is the image of X^i under x -> x^(p^m) - x
-        mat = [[(rows[i][r] - (i == r)) % p for i in range(deg)] for r in range(deg)]
-        pivots, _ = _rref(mat, p)
-        kernel = _kernel_vectors(mat, pivots, p)
+        kernel = self._frobenius_kernel(m)
         if len(kernel) != m:
             raise CheckError(f"F_(p^{m}) does not have dimension {m}")
         # idx(a) = sum_j (digit f_j of a) p^j over the free columns f_j
@@ -642,6 +566,18 @@ class FieldCtx:
         rows = imgs if self.p == 2 else [self._digits(x) for x in imgs]
         self._frows[k] = rows
         return rows
+
+    def _frobenius_kernel(self, m: int) -> list[tuple[int, list[int]]]:
+        """The fixed space of x -> x^(p^m) on the power basis, as
+        _kernel_vectors lists it, from the digit kernel's Frobenius rows."""
+        p, deg = self.p, self.deg
+        rows = self._frows.get(m) or self._build_frow(m)
+        if p == 2:
+            rows = [self._digits(r) for r in rows]
+        # column i is the image of X^i under x -> x^(p^m) - x
+        mat = [[(rows[i][r] - (i == r)) % p for i in range(deg)] for r in range(deg)]
+        pivots, _ = _rref(mat, p)
+        return _kernel_vectors(mat, pivots, p)
 
     # subfields
 

@@ -7,14 +7,19 @@ Three independent routes to the same answer:
   * a classifier that decides by parameter membership: both parameters
     quadratic over F_p, both cubic, or related by a fractional-linear map
     with F_p coefficients,
-  * a brute-force oracle scanning monomial (tier 1) or triangular (tier 2)
-    coordinate maps.
+  * a brute-force oracle over monomial (tier 1) or triangular (tier 2)
+    coordinate maps (sigma x, c y + c1 x + c2).  Since every y-exponent is
+    a power of p, the image of a model splits into three conditions, one
+    on c, one on c1 and one on c2, once sigma pins the scale factor; each
+    is decided against the values its coefficient can give, listed once,
+    and tier 1 is tier 2 with the shifts c1 and c2 held at 0.
 The three must agree; tests and the acceptance gate compare them pairwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 from .gfield import CheckError, FieldCtx, ParameterError
@@ -188,13 +193,19 @@ def class_inventory(family: str, ctx: FieldCtx) -> dict:
 
 
 def oracle_iso(model_a, model_b, tier: int = 1) -> bool:
-    """Exhaustive search for a coordinate map carrying model_a's polynomial
-    to a nonzero scalar multiple of model_b's.
+    """Exhaustive search for a coordinate map (x, y) -> (sigma*x, c*y +
+    c1*x + c2) carrying model_a's polynomial A to a nonzero multiple lam*B
+    of model_b's: monomial maps (c1 = c2 = 0) at tier 1, triangular ones at
+    tier 2, feasible up to q = 9.
 
-    Tier 1 scans monomial maps (x, y) -> (sigma*x, c*y); tier 2 adds the
-    triangular ones (x, y) -> (sigma*x, c*y + c1*x + c2), feasible up to
-    q = 9.  Models must carry their y-dependence in pure p-power monomials,
-    which keeps the triangular expansion additive.
+    Models must carry their y-dependence in pure p-power monomials, so y^j
+    goes to c^j y^j + c1^j x^j + c2^j.  Once the anchor term pins lam for a
+    sigma, the map exists iff three conditions hold, each on one coefficient:
+    (Y) A_j c^j = lam B_j at each y^j, for some c != 0; (X) A_i sigma^i +
+    A'_i c1^i = lam B_i at each x^i, A'_i being A's y^i coefficient or 0,
+    for some c1; (C) A_0 + sum_j A_j c2^j = lam B_0, for some c2.  The values
+    each coefficient can give are listed once, before the sigma scan; the
+    shifts c1 and c2 range over {0} at tier 1 and over F_{q^2} at tier 2.
     """
     ctx = model_a.ctx
     if model_b.ctx is not ctx:
@@ -204,17 +215,12 @@ def oracle_iso(model_a, model_b, tier: int = 1) -> bool:
     if tier == 2 and ctx.q > 9:
         raise ParameterError("tier 2 search is bounded to q <= 9")
     A, B = model_a.F, model_b.F
-    for F in (A, B):
-        for (i, j) in F.terms:
-            if j and (i or p_power_exp(j, ctx.p) is None):
-                raise ParameterError(
-                    "oracle needs pure p-power y-monomials in both models"
-                )
+    terms = set(A.terms) | set(B.terms)
+    if any(j and (i or p_power_exp(j, ctx.p) is None) for (i, j) in terms):
+        raise ParameterError("oracle needs pure p-power y-monomials in both models")
 
-    y_keys = sorted({j for (_, j) in set(A.terms) | set(B.terms) if j})
-    x_all = sorted(
-        {i for (i, j) in set(A.terms) | set(B.terms) if j == 0 and i} | set(y_keys)
-    )
+    y_keys = sorted({j for (_, j) in terms if j})
+    x_all = sorted({i for (i, j) in terms if j == 0 and i} | set(y_keys))
     a_y = {j: A.coeff(0, j) for j in y_keys}
     b_y = {j: B.coeff(0, j) for j in y_keys}
     a_x = {i: A.coeff(i, 0) for i in x_all}
@@ -229,45 +235,30 @@ def oracle_iso(model_a, model_b, tier: int = 1) -> bool:
     if b_x[ae] == 0 or a_x.get(ae, 0) == 0:
         return False
 
-    field = list(ctx.subfield_encodings(2 * ctx.h))
-    units = [e for e in field if e]
+    field = ctx.subfield_encodings(2 * ctx.h)
+    units = field[1:]
+
+    def y_terms(c):
+        # A_j c^j for each y-exponent j
+        return {j: ctx.mul(a_y[j], ctx.pow(c, j)) for j in y_keys}
+
+    y_images = {tuple(y_terms(c).values()) for c in units}
+    x_shifts, c_shifts = set(), set()
+    for s in field if tier == 2 else [0]:
+        t = y_terms(s)
+        x_shifts.add(tuple(t.get(i, 0) for i in x_all))
+        c_shifts.add(reduce(ctx.add, t.values(), 0))
+
+    anchor = ctx.div(a_x[ae], b_x[ae])
     for sigma in units:
-        sx = {i: ctx.pow(sigma, i) for i in x_all}
-        lam = ctx.div(ctx.mul(a_x[ae], sx[ae]), b_x[ae])
-        for c in units:
-            if any(
-                ctx.mul(a_y[j], ctx.pow(c, j)) != ctx.mul(lam, b_y[j])
-                for j in y_keys
-            ):
-                continue
-            if tier == 1:
-                if any(
-                    ctx.mul(a_x[i], sx[i]) != ctx.mul(lam, b_x[i]) for i in x_all
-                ):
-                    continue
-                if a_0 != ctx.mul(lam, b_0):
-                    continue
-                return True
-            # (c*y + c1*x + c2)^(p^k) splits into three monomials, so the
-            # c1 and c2 constraints separate once sigma and c are fixed
-            found_c1 = False
-            for c1 in field:
-                for i in x_all:
-                    v = ctx.mul(a_x[i], sx[i])
-                    if i in a_y:
-                        v = ctx.add(v, ctx.mul(a_y[i], ctx.pow(c1, i)))
-                    if v != ctx.mul(lam, b_x[i]):
-                        break
-                else:
-                    found_c1 = True
-                    break
-            if not found_c1:
-                continue
-            for c2 in field:
-                v = a_0
-                for j in y_keys:
-                    if a_y[j]:
-                        v = ctx.add(v, ctx.mul(a_y[j], ctx.pow(c2, j)))
-                if v == ctx.mul(lam, b_0):
-                    return True
+        lam = ctx.mul(anchor, ctx.pow(sigma, ae))
+        if (
+            tuple(ctx.mul(lam, b_y[j]) for j in y_keys) in y_images
+            and tuple(
+                ctx.sub(ctx.mul(lam, b_x[i]), ctx.mul(a_x[i], ctx.pow(sigma, i)))
+                for i in x_all
+            ) in x_shifts
+            and ctx.sub(ctx.mul(lam, b_0), a_0) in c_shifts
+        ):
+            return True
     return False

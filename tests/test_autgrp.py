@@ -234,7 +234,7 @@ def test_stabilizer_table_q2():
     assert t.details["unipotent_order"] == 8
     assert t.details["scalar_classes"] == 3
     assert t.details["noncentral_order_profile"] == {4: 6}
-    assert t.exponent == 4
+    assert t.exponent == 12
 
 
 def test_stabilizer_table_q3():
@@ -243,7 +243,15 @@ def test_stabilizer_table_q3():
     assert t.center_order == 3
     assert t.details["unipotent_order"] == 27
     assert t.details["noncentral_order_profile"] == {3: 24}
-    assert t.exponent == 3
+    assert t.exponent == 12
+
+
+@pytest.mark.parametrize("p, h", [(2, 1), (3, 1), (2, 2)])
+def test_stabilizer_generators_span_the_table(p, h):
+    # U's generators and one scalar map generate all of U S
+    t = pgu_stabilizer(ctx(p, h))
+    assert t.generators[-1].lam != 1 and t.generators[-1].a == 0
+    assert {m.key() for m in group_closure(t.generators)} == {m.key() for m in t.elements}
 
 
 def test_stabilizer_table_larger_q():
@@ -504,6 +512,25 @@ def test_family_III_group_q8():
     assert rep["quotient_order_histogram"] == {1: 1, 2: 7, 4: 24}
 
 
+def test_family_III_normalizer_must_be_closed(monkeypatch):
+    # a planted normalizer of the right size that swaps one of its maps for
+    # a translation outside it is not closed, which the certificate finds
+    from hermquot import autgrp
+
+    c = ctx(2, 2)
+    central = autgrp._central
+
+    def swapped(elements, generators):
+        norm = central(elements, generators)
+        keys = {g.key() for g in norm}
+        outside = next(g for g in elements if g.key() not in keys)
+        return norm[:-1] + [outside]
+
+    monkeypatch.setattr(autgrp, "_central", swapped)
+    with pytest.raises(CheckError, match="not closed"):
+        family_III_group(c, models.admissible_b(c, "family_III")[0])
+
+
 def test_family_group_rejects_bad_b():
     with pytest.raises(ParameterError):
         family_I_group(ctx(2, 3), 1)  # b must lie outside F_p
@@ -669,10 +696,7 @@ def test_exponent_matches_the_lcm_of_element_orders(family, key):
     else:
         tables = [_build_table(family, c)]
     for t in tables:
-        assert _exponent(t.elements) == _lcm_of_orders(t.elements)
-        # the stabilizer's exponent describes its translations U alone
-        part = [g for g in t.elements if g.lam == 1] if family == "hermitian" else t.elements
-        assert t.exponent == _lcm_of_orders(part)
+        assert t.exponent == _exponent(t.elements) == _lcm_of_orders(t.elements)
 
 
 def _group_list(what, key):

@@ -11,7 +11,6 @@ from hermquot.gfield import (
     LinearizedSolver,
     ParameterError,
     _find_modulus,
-    _int_digits,
     find_omega,
     make_field,
 )
@@ -19,6 +18,15 @@ from hermquot.polyring import additive_split
 
 
 # ---------------------------------------------------------------- oracles
+
+def int_digits(n, p):
+    # base-p digits of n, least significant first
+    out = []
+    while n:
+        n, r = divmod(n, p)
+        out.append(r)
+    return tuple(out)
+
 
 def poly_mul(f, g, p):
     out = [0] * (len(f) + len(g) - 1)
@@ -43,11 +51,11 @@ def poly_divides(d, f, p):
 
 def monic_polys(deg, p):
     for m in range(p ** deg):
-        yield _int_digits(m, p) + (0,) * (deg - len(_int_digits(m, p))) + (1,)
+        yield int_digits(m, p) + (0,) * (deg - len(int_digits(m, p))) + (1,)
 
 
 def irreducible_by_trial_division(f, p):
-    # independent of the Rabin test in gfield
+    # independent of the Frobenius tests in gfield
     deg = len(f) - 1
     for d in range(1, deg // 2 + 1):
         for cand in monic_polys(d, p):
@@ -59,7 +67,7 @@ def irreducible_by_trial_division(f, p):
 def first_irreducible_bruteforce(p, deg):
     n = p ** deg
     for m in range(n + 1, 2 * n):
-        digs = _int_digits(m, p)
+        digs = int_digits(m, p)
         if irreducible_by_trial_division(digs, p):
             return m
     raise AssertionError
@@ -83,6 +91,22 @@ def test_modulus_frozen_values():
     # X^4 + X + 1 over F_2 and X^4 + X + 2 over F_3, checked offline
     assert _find_modulus(2, 4) == 0b10011 == 19
     assert _find_modulus(3, 4) == 81 + 3 + 2 == 86
+
+
+# the modulus of every field (p, h) the suite and the benchmark build,
+# frozen; the trial-division oracle above reaches only deg <= 12
+_MODULI = {
+    (2, 1): 19, (2, 2): 283, (2, 3): 4105, (2, 4): 65579, (2, 5): 1048585,
+    (2, 6): 16777243, (2, 7): 268435459, (3, 1): 86, (3, 2): 6572,
+    (3, 3): 531452, (3, 4): 43046758, (5, 1): 627, (5, 2): 390627,
+    (5, 3): 244140634, (7, 1): 2409, (7, 2): 5764811, (11, 1): 14654,
+    (11, 2): 214358896, (13, 1): 28563, (13, 2): 815730723,
+}
+
+
+@pytest.mark.parametrize("p, h", sorted(_MODULI))
+def test_modulus_frozen_at_every_field(p, h):
+    assert make_field(p, h).modulus == _find_modulus(p, 4 * h) == _MODULI[(p, h)]
 
 
 def test_make_field_rejects_bad_parameters():

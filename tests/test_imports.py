@@ -1,10 +1,14 @@
 """Every imported name is used: an AST scan of the package modules (not the
 __init__ re-exports), the scripts and the tests, with the standard library
-only.  Every name the benchmark tracer hooks exists."""
+only.  Every module-level function and class of the package is named in
+the package, the scripts or __all__.  Every name the benchmark tracer
+hooks exists."""
 
 import ast
 import importlib
 import pathlib
+
+import hermquot
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -69,6 +73,58 @@ def test_scan_flags_an_unused_import(tmp_path):
         "from fractions import Fraction\n"
     )
     assert unused_imports(src) == [("os", 2), ("gcd", 4)]
+
+
+def _named(tree):
+    """Every identifier read or written, and every attribute read."""
+    return _used(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def unnamed_definitions(modules, users, exported):
+    """(module, name, line) of every module-level function or class of the
+    modules that no module or user names and exported does not hold; an
+    import alone names nothing."""
+    named = set(exported)
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in modules}
+    for tree in trees.values():
+        named |= _named(tree)
+    for path in users:
+        named |= _named(ast.parse(path.read_text(), filename=str(path)))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        (path.name, node.name, node.lineno)
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, kinds) and node.name not in named
+    ]
+
+
+def test_every_definition_is_named():
+    found = unnamed_definitions(
+        sorted((_ROOT / "src" / "hermquot").glob("*.py")),
+        sorted((_ROOT / "scripts").glob("*.py")),
+        hermquot.__all__,
+    )
+    assert found == []
+
+
+def test_scan_flags_an_unnamed_definition(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from math import gcd\n"
+        "def used(x):\n    return gcd(x, 2)\n"
+        "def _leftover(n):\n    return n\n"
+        "class Exported:\n    pass\n"
+        "class _Helper:\n    pass\n"
+        "def called_as_attribute():\n    pass\n"
+    )
+    other = tmp_path / "other.py"
+    other.write_text("from mod import _leftover\nimport mod\nmod.called_as_attribute()\n")
+    script = tmp_path / "script.py"
+    script.write_text("print(used(3))\n")
+    assert unnamed_definitions([mod, other], [script], ["Exported"]) == [
+        ("mod.py", "_leftover", 4), ("mod.py", "_Helper", 8)
+    ]
 
 
 def test_tracer_targets_exist():

@@ -1,9 +1,12 @@
 """Isomorphism decisions: witness solver, membership classifier, brute oracle."""
 
+import dataclasses
+
 import pytest
 
 from hermquot import models
 from hermquot.gfield import FieldCtx, ParameterError, make_field
+from hermquot.polyring import BiPoly
 from hermquot.isocls import (
     IsoWitness,
     _norm_preimage,
@@ -226,3 +229,148 @@ def test_norm_table_stops_once_complete(monkeypatch, p, h):
     assert all(_norm_preimage(c, d) == s for d, s in full.items())
     # the ascending scan ends at the last least preimage
     assert calls[-1] == max(full.values()) and len(calls) < c.q**2
+
+
+# the nested-loop scan oracle_iso replaces, kept as its reference
+
+
+def reference_oracle_iso(model_a, model_b, tier=1):
+    # sigma, then c, then c1 and c2 for each (sigma, c); the preconditions
+    # are oracle_iso's, so only admissible models come here
+    ctx = model_a.ctx
+    A, B = model_a.F, model_b.F
+    y_keys = sorted({j for (_, j) in set(A.terms) | set(B.terms) if j})
+    x_all = sorted(
+        {i for (i, j) in set(A.terms) | set(B.terms) if j == 0 and i} | set(y_keys)
+    )
+    a_y = {j: A.coeff(0, j) for j in y_keys}
+    b_y = {j: B.coeff(0, j) for j in y_keys}
+    a_x = {i: A.coeff(i, 0) for i in x_all}
+    b_x = {i: B.coeff(i, 0) for i in x_all}
+    a_0, b_0 = A.coeff(0, 0), B.coeff(0, 0)
+    ae, _ = max(B.terms, key=lambda k: (k[0] + k[1], k[0]))
+    if b_x[ae] == 0 or a_x.get(ae, 0) == 0:
+        return False
+    field = list(ctx.subfield_encodings(2 * ctx.h))
+    units = [e for e in field if e]
+    for sigma in units:
+        sx = {i: ctx.pow(sigma, i) for i in x_all}
+        lam = ctx.div(ctx.mul(a_x[ae], sx[ae]), b_x[ae])
+        for c in units:
+            if any(
+                ctx.mul(a_y[j], ctx.pow(c, j)) != ctx.mul(lam, b_y[j])
+                for j in y_keys
+            ):
+                continue
+            if tier == 1:
+                if any(
+                    ctx.mul(a_x[i], sx[i]) != ctx.mul(lam, b_x[i]) for i in x_all
+                ):
+                    continue
+                if a_0 != ctx.mul(lam, b_0):
+                    continue
+                return True
+            found_c1 = False
+            for c1 in field:
+                for i in x_all:
+                    v = ctx.mul(a_x[i], sx[i])
+                    if i in a_y:
+                        v = ctx.add(v, ctx.mul(a_y[i], ctx.pow(c1, i)))
+                    if v != ctx.mul(lam, b_x[i]):
+                        break
+                else:
+                    found_c1 = True
+                    break
+            if not found_c1:
+                continue
+            for c2 in field:
+                v = a_0
+                for j in y_keys:
+                    if a_y[j]:
+                        v = ctx.add(v, ctx.mul(a_y[j], ctx.pow(c2, j)))
+                if v == ctx.mul(lam, b_0):
+                    return True
+    return False
+
+
+def _family_models(family, p, h):
+    c = ctx(p, h)
+    build = {"I": models.family_I_model, "II": models.family_II_model}[family]
+    return [build(c, b) for b in models.admissible_b(c, "family_" + family)]
+
+
+@pytest.mark.parametrize(
+    "family, p, h",
+    [("I", 2, 2), ("I", 2, 3), ("I", 3, 2), ("II", 3, 1), ("II", 5, 1), ("II", 3, 2)],
+)
+def test_oracle_matches_nested_scan_on_every_pair(family, p, h):
+    ms = _family_models(family, p, h)
+    for ma in ms:
+        for mb in ms:
+            for tier in (1, 2):
+                assert oracle_iso(ma, mb, tier) == reference_oracle_iso(ma, mb, tier)
+
+
+def _image(model, sigma, c, c1, c2):
+    # the model with A replaced by A(sigma x, c y + c1 x + c2)
+    X, Y = BiPoly.variables(model.ctx, model.variables)
+    fy = Y.cmul(c) + X.cmul(c1) + BiPoly.const(model.ctx, c2, model.variables)
+    return dataclasses.replace(model, F=model.F.substitute(X.cmul(sigma), fy))
+
+
+@pytest.mark.parametrize(
+    "family, p, h", [("I", 2, 2), ("I", 2, 3), ("II", 5, 1), ("II", 3, 2)]
+)
+def test_planted_triangular_images_need_tier_2(family, p, h):
+    # a shift c1 != 0 puts x^j terms on B that no monomial image of A has,
+    # so tier 1 refuses and tier 2 finds the planted map
+    c = ctx(p, h)
+    units = c.subfield_encodings(2 * h)[1:]
+    m = _family_models(family, p, h)[0]
+    for sigma, cy, c1, c2 in [(units[1], units[2], 1, 0), (1, 1, units[-1], units[3]),
+                              (units[4], units[-2], units[5], units[1])]:
+        planted = _image(m, sigma, cy, c1, c2)
+        for a, b in [(m, planted), (planted, m)]:
+            for oracle in (oracle_iso, reference_oracle_iso):
+                assert oracle(a, b, 1) is False
+                assert oracle(a, b, 2) is True
+
+
+@pytest.mark.parametrize("family, p, h", [("I", 2, 3), ("II", 3, 2)])
+def test_constant_outside_the_shift_image_is_refused(family, p, h):
+    # B = A + k.  (Y) and (X) leave only lam in F_p^*, and (C) asks for
+    # L(c2) = lam k with L(c2) = sum_j A_j c2^j, an F_p-linear map that is
+    # not onto here; so k outside Im L is refused at tier 2 and k inside
+    # it is accepted
+    c = ctx(p, h)
+    m = _family_models(family, p, h)[0]
+    field = c.subfield_encodings(2 * h)
+    image = set()
+    for c2 in field:
+        v = 0
+        for (_, j), a in m.F.terms.items():
+            if j:
+                v = c.add(v, c.mul(a, c.pow(c2, j)))
+        image.add(v)
+    assert len(image) < len(field)
+    outside = next(k for k in field if k not in image)
+    inside = max(image)
+    for k, expected in [(outside, False), (inside, True)]:
+        shifted = dataclasses.replace(m, F=m.F + BiPoly.const(c, k, m.variables))
+        for oracle in (oracle_iso, reference_oracle_iso):
+            assert oracle(m, shifted, 1) is False
+            assert oracle(m, shifted, 2) is expected
+
+
+def test_tier_1_family_II_pair_is_one_scan(monkeypatch):
+    # the c-images are listed once, so sigma^i is taken only for a sigma
+    # whose lam passes (Y); the nested scan made 6,960 pow calls here
+    c = ctx(3, 2)
+    bs = models.admissible_b(c, "family_II")
+    other = next(b for b in bs if family_II_iso(c, bs[0], b) is None)
+    ma, mb = models.family_II_model(c, bs[0]), models.family_II_model(c, other)
+    calls = []
+    pow_ = FieldCtx.pow
+    monkeypatch.setattr(FieldCtx, "pow", lambda self, a, e: calls.append(a) or pow_(self, a, e))
+    assert oracle_iso(ma, mb, tier=1) is False
+    assert len(calls) <= 1000
