@@ -18,9 +18,10 @@ Every element the package computes or returns is such an int, and all
 arithmetic on it goes through FieldCtx methods; there is no element class.
 
 FieldCtx keeps four primitives, add, mul, pow and frob, and only they
-read its log/antilog tables over a generator of F_{p^m}^*, with Zech
-logarithms for addition when p is odd (Lidl-Niederreiter, Finite Fields,
-ch. 10); sub, neg, scale, inv and div compose them by field identities.
+and the point count's walk read its log/antilog tables over a generator
+of F_{p^m}^*, with Zech logarithms for addition when p is odd
+(Lidl-Niederreiter, Finite Fields, ch. 10); sub, neg, scale, inv and div
+compose the primitives by field identities.
 One builder makes the tables on the first arithmetic call, never in
 make_field, and the primitives read them two ways:
 
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import functools
 from array import array
-from itertools import pairwise
+from itertools import pairwise, repeat
 from typing import NamedTuple
 
 DEFAULT_SIZE_BOUND = 1 << 30
@@ -236,6 +237,12 @@ class FieldCtx:
     sub, neg, scale, inv and div read no table: each is one call or two of
     the primitives, by a field identity.
 
+    walk streams c gamma_m^(e j) for the point count: where the tables
+    cover F_{p^m} and c it reads each x-power off them, one exp read per
+    step at log c + j e log gamma_m; a field with no table of F_{p^m} (the
+    k = 2 walks over F_{q^4} above the bound) keeps the multiply walk, one
+    mul per step, which is also the reference the tests hold it to.
+
     The tables are built on the first arithmetic call, never in
     make_field, with the digit kernel alone.  Other caches (reduction
     rows, Frobenius rows, subfield generators, the per-subfield solvers of
@@ -370,6 +377,46 @@ class FieldCtx:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
+
+    # the walk of the point count
+
+    def walk(self, c: int, e: int, m: int):
+        """Iterator over c gamma^(e j), j = 0 .. p^m - 2, for the generator
+        gamma = subfield_generator(m) of F_{p^m}^*.
+
+        When the tables cover gamma and c (all of a whole field, F_{q^2} on
+        a larger one), the values are read off them: c gamma^(e j) is
+        exp[(log c + j e log gamma) mod (n - 1)], with no multiply.  This
+        raises CheckError at once unless (p^m - 1) log gamma = 0 mod n - 1.
+        Anywhere else each step is one mul by gamma^e, and the iterator
+        raises CheckError at its end unless the walk came back to c."""
+        gamma = self.subfield_generator(m)
+        steps = self.p ** m - 1
+        if self._log is None and self._sub is None:
+            self._build_tables()
+        if self._log is not None:
+            exp, n1 = self._exp, self.order - 1
+            lc, lg = self._log[c], self._log[gamma]
+        else:
+            n, lo, hi, log, exp, _ = self._sub
+            n1 = n - 1
+            lc, lg = (log[lo[a % n] + hi[a // n]] for a in (c, gamma))
+        # 0 is no power of gamma: exp[log 0] = 1
+        if exp[lc] != c or exp[lg] != gamma:
+            return self._mul_walk(c, self.pow(gamma, e), steps)
+        if steps * lg % n1:
+            raise CheckError(f"gamma^{steps} != 1; the walk would miss elements")
+        step = e * lg % n1
+        logs = range(lc, lc + steps * step, step) if step else repeat(lc, steps)
+        return map(exp.__getitem__, map(n1.__rmod__, logs))
+
+    def _mul_walk(self, c: int, step: int, steps: int):
+        v = c
+        for _ in range(steps):
+            yield v
+            v = self.mul(v, step)
+        if v != c:
+            raise CheckError(f"gamma^{steps} != 1; the walk missed elements")
 
     # the tables
 

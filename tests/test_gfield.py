@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,6 +390,52 @@ def test_whole_field_views_hold_one_int_per_value():
         big = [v for view in (ctx._exp, ctx._log, ctx._zech) for v in view if v > 256]
         assert len(big) > 2 * ctx.order
         assert len({id(v) for v in big}) == len(set(big))
+
+
+# ---------------------------------------------------------------- the count walk
+
+def _digit_walk(ctx, c, e, m):
+    """c gamma^(e j), j = 0, 1, ..., by one digit-kernel multiply per step:
+    the oracle for FieldCtx.walk."""
+    step = ctx._pow_digits(ctx.subfield_generator(m), e)
+    v = c
+    while True:
+        yield v
+        v = ctx._mul_digits(v, step)
+
+
+# (p, h, m): whole-field tables at m = 2h and 4h, F_{q^2} tables at m = 2h
+@pytest.mark.parametrize("p,h,m", [(2, 2, 4), (2, 2, 8), (3, 2, 4), (3, 2, 8),
+                                   (2, 4, 8), (3, 3, 6), (5, 2, 4)])
+def test_walk_matches_one_multiply_per_step(p, h, m, monkeypatch):
+    ctx = make_field(p, h)
+    n = p ** m - 1
+    calls = []
+    real = FieldCtx.mul
+    monkeypatch.setattr(FieldCtx, "mul", lambda self, a, b: calls.append(a) or real(self, a, b))
+    whole = ctx.order <= TABLE_ORDER_BOUND
+    inside = ctx.subfield_encodings(m)[-1]
+    # generates F_{q^4}^*: outside F_{q^2}, so no F_{q^2} table covers it
+    outside = ctx.subfield_generator(4 * h)
+    for c in (1, inside, outside):
+        for e in (0, 1, ctx.q + 1, n - 1, n, 3 * n):
+            calls.clear()
+            got = list(ctx.walk(c, e, m))
+            # gamma^e = 1 when p^m - 1 divides e
+            want = [c] * n if e % n == 0 else list(islice(_digit_walk(ctx, c, e, m), n))
+            assert got == want, (c, e)
+            # the tables answer every step, unless c lies outside them
+            assert len(calls) == (0 if whole or c != outside else n), (c, e)
+
+
+def test_walk_off_the_tables_multiplies_and_checks_its_end():
+    # F_{q^4} at (2, 4) has no table: one mul per step, and the closing
+    # check runs when the walk is exhausted
+    ctx = make_field(2, 4)
+    n = ctx.order - 1
+    walk = ctx.walk(3, 5, 4 * ctx.h)
+    assert list(islice(walk, 500)) == list(islice(_digit_walk(ctx, 3, 5, 4 * ctx.h), 500))
+    assert sum(1 for _ in walk) == n - 500
 
 
 def test_mult_order_bruteforce():

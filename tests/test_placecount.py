@@ -64,17 +64,22 @@ def test_hermitian_k2_count():
 
 
 def test_k2_counts_sit_in_the_weil_window():
+    # maximal over F_{q^2} forces the count over F_{q^4} to the bottom of
+    # the Weil window: N_4 = q^4 + 1 - 2 g q^2
+    def first_b(c, family):
+        return models.admissible_b(c, family)[0]
+
     cases = [
-        (models.hermitian_model(ctx(2, 2)), 4),
-        (models.family_I_model(ctx(2, 3), models.admissible_b(ctx(2, 3), "family_I")[0]), 8),
-        (models.family_II_model(ctx(3, 2), models.admissible_b(ctx(3, 2), "family_II")[0]), 9),
+        (models.hermitian_model(ctx(2, 2)), 65),
+        (models.family_I_model(ctx(2, 2), first_b(ctx(2, 2), "family_I")), 257),
+        (models.family_I_model(ctx(2, 3), first_b(ctx(2, 3), "family_I")), 3585),
+        (models.family_I_model(ctx(3, 2), first_b(ctx(3, 2), "family_I")), 6562),
+        (models.family_II_model(ctx(3, 2), first_b(ctx(3, 2), "family_II")), 6076),
     ]
-    for m, q in cases:
-        n2 = rational_places(m).N
-        n4 = affine_points(m, 2).N
-        g = m.claimed_genus
-        assert n4 >= n2
-        assert abs(n4 - (q**4 + 1)) <= 2 * g * q**2
+    for m, n4 in cases:
+        q, g = m.ctx.q, m.claimed_genus
+        assert rational_places(m).N == q**2 + 2 * g * q + 1
+        assert affine_points(m, 2).N == q**4 + 1 - 2 * g * q**2 == n4, m.family
 
 
 def test_family_I_counts():
@@ -353,7 +358,8 @@ def test_family_III_place_count_rejects_bad_input():
 
 # ---------------------------------------------------- the count walk vs fibers
 
-# table kernel at (2,2) and (3,2), digit kernel at (2,4), (3,3) and (5,2)
+# whole-field tables at (2,2) and (3,2); F_{q^2} tables at (2,4), (3,3) and
+# (5,2), where only a k = 2 walk would leave them for the digit kernel
 _WALK_FIELDS = [(2, 2), (3, 2), (2, 4), (3, 3), (5, 2)]
 
 
@@ -439,9 +445,29 @@ def test_walk_generator_has_exact_order(p, h):
             assert sorted(powers) == list(c.subfield_encodings(m))[1:]
 
 
-def test_count_walk_rejects_a_generator_outside_the_subfield(monkeypatch):
-    c = ctx(3, 2)
+@pytest.mark.parametrize("p,h", [(3, 2), (5, 2)])
+def test_count_walk_rejects_a_generator_outside_the_subfield(p, h, monkeypatch):
+    # (3, 2) tables the whole field, so the walk reads the tables and
+    # refuses gamma before its first step; (5, 2) tables F_{q^2} only,
+    # which gamma leaves, so the walk multiplies and fails its closing check
+    c = ctx(p, h)
+    m = models.hermitian_model(c)
+    affine_points(m, 1)  # builds the tables with the real generator
     outside = c.subfield_generator(4 * c.h)  # generates F_{q^4}^*
     monkeypatch.setattr(FieldCtx, "subfield_generator", lambda self, m: outside)
-    with pytest.raises(CheckError):
-        affine_points(models.hermitian_model(c), 1)
+    with pytest.raises(CheckError, match="gamma"):
+        affine_points(m, 1)
+
+
+@pytest.mark.parametrize("p,h", [(5, 2), (3, 3), (2, 4), (7, 2)])
+def test_warm_count_reads_x_powers_off_the_tables(p, h, monkeypatch):
+    # the walk over F_{q^2}^* makes no multiply per step; the muls left
+    # build the fiber solver and its image
+    c = ctx(p, h)
+    m = models.hermitian_model(c)
+    n = affine_points(m, 1).affine_points
+    calls = []
+    real = FieldCtx.mul
+    monkeypatch.setattr(FieldCtx, "mul", lambda self, a, b: calls.append(a) or real(self, a, b))
+    assert affine_points(m, 1).affine_points == n == c.q**3
+    assert len(calls) < c.q**2 - 1
