@@ -429,7 +429,8 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
     for m in elements:
         extract_stabilizer_params(ctx, m)
 
-    central_keys = {g.key() for g in _central(unipotent, u_gens)}
+    u_center = _central(unipotent, u_gens)
+    central_keys = {g.key() for g in u_center}
     profile = dict(collections.Counter(
         g.order() for g in unipotent if g.key() not in central_keys))
 
@@ -439,7 +440,9 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
         order=len(elements),
         closed=True,
         exponent=_exponent(elements),
-        center_order=len(_central(elements, [scalars[1]] + u_gens)),
+        # lambda != 1 breaks commutation with x + a' for a' != 0, so the
+        # center is the part of U's center that commutes with d
+        center_order=len(_central(u_center, [scalars[1]])),
         generators=gens,
         details={
             "variant": "plus",

@@ -11,8 +11,9 @@ candidate n serves as the modulus of a trial context and is irreducible
 iff X^(p^(4h)) = X mod n and x -> x^p fixes a space of dimension 1
 (Berlekamp's count of the distinct factors of n).
 
-Subfields are cut out by Frobenius, F_{p^m} = {x : x^(p^m) = x}; there
-is no embedding bookkeeping anywhere downstream.
+Subfields are cut out by Frobenius, F_{p^m} = {x : x^(p^m) = x}, as the
+fixed space of the digit kernel's Frobenius rows, which gives each basis
+and enumeration; there is no embedding bookkeeping anywhere downstream.
 
 Every element the package computes or returns is such an int, and all
 arithmetic on it goes through FieldCtx methods; there is no element class.
@@ -90,6 +91,15 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def _first_of_order(pow_, candidates, n: int):
+    """The first g of candidates with multiplicative order exactly n, or
+    None: g^n = 1 and g^(n/r) != 1 for every prime r | n, with pow_(g, e)
+    the field's power."""
+    primes = [r for r, _ in _factorize(n)]
+    return next((g for g in candidates
+                 if pow_(g, n) == 1 and all(pow_(g, n // r) != 1 for r in primes)), None)
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,14 +255,13 @@ class FieldCtx:
 
     The tables are built on the first arithmetic call, never in
     make_field, with the digit kernel alone.  Other caches (reduction
-    rows, Frobenius rows, subfield generators, the per-subfield solvers of
-    x^(p^m) = x that give subfield bases and enumerations, norm preimages)
-    are built lazily as well.
+    rows, Frobenius rows, subfield generators, bases and enumerations, norm
+    preimages) are built lazily as well.
     """
 
     __slots__ = ("p", "h", "q", "deg", "order", "modulus",
                  "_exp", "_log", "_zech", "_sub", "_red", "_frows", "_sbasis",
-                 "_gens", "_ofac", "_omega", "_norm")
+                 "_senc", "_gens", "_omega", "_norm")
 
     def __init__(self, p: int, h: int, modulus: int):
         self.p = p
@@ -268,8 +277,8 @@ class FieldCtx:
         self._red = None
         self._frows = {}
         self._sbasis = {}
+        self._senc = {}
         self._gens = {}
-        self._ofac = None
         self._omega = None
         self._norm = None
 
@@ -424,9 +433,9 @@ class FieldCtx:
         """Table F_{p^m} with the digit kernel alone: the whole field
         (m = 4h) up to TABLE_ORDER_BOUND, F_{q^2} (m = 2h) above it.
 
-        The public methods would come back here, and subfield_basis and
-        subfield_encodings go through them, so F_{p^m} is taken as the
-        kernel of x -> x^(p^m) - x row-reduced from the Frobenius rows.
+        The public methods would come back here, and subfield_encodings
+        goes through them, so F_{p^m} is taken as the kernel of
+        x -> x^(p^m) - x row-reduced from the Frobenius rows.
         gamma = subfield_generator(m) is walked in the m coordinates of
         that kernel: the images of gamma times either half of the
         coordinates are tabled, so a step is one digit-wise sum.  Raises
@@ -615,10 +624,11 @@ class FieldCtx:
         return rows
 
     def _frobenius_kernel(self, m: int) -> list[tuple[int, list[int]]]:
-        """The fixed space of x -> x^(p^m) on the power basis, as
+        """F_{p^m}, the fixed space of x -> x^(p^m) on the power basis, as
         _kernel_vectors lists it, from the digit kernel's Frobenius rows."""
         p, deg = self.p, self.deg
-        rows = self._frows.get(m) or self._build_frow(m)
+        # x^(p^deg) = x, so m = deg reads the identity rows of k = 0
+        rows = self._frows.get(m % deg) or self._build_frow(m % deg)
         if p == 2:
             rows = [self._digits(r) for r in rows]
         # column i is the image of X^i under x -> x^(p^m) - x
@@ -628,6 +638,10 @@ class FieldCtx:
 
     # subfields
 
+    def _check_subfield(self, m: int) -> None:
+        if m < 1 or self.deg % m:
+            raise ParameterError(f"no subfield of degree {m} inside degree {self.deg}")
+
     def subfield_generator(self, m: int) -> int:
         """A generator of F_{p^m}^*, kept per m: gamma = c^((order-1)/(p^m-1))
         for the least c >= 2 that gives gamma order exactly p^m - 1.
@@ -636,63 +650,40 @@ class FieldCtx:
         it; the tables and the point-count walk share it."""
         gamma = self._gens.get(m)
         if gamma is None:
-            if m < 1 or self.deg % m:
-                raise ParameterError(f"no subfield of degree {m} inside degree {self.deg}")
+            self._check_subfield(m)
             n = self.p ** m - 1
             e = (self.order - 1) // n
-            primes = [r for r, _ in _factorize(n)]
             pw = self._pow_digits
-            gamma = next((g for g in (pw(c, e) for c in range(2, self.order))
-                          if pw(g, n) == 1 and all(pw(g, n // r) != 1 for r in primes)),
-                         None)
+            gamma = _first_of_order(pw, (pw(c, e) for c in range(2, self.order)), n)
             if gamma is None:
                 raise CheckError(f"no generator of F_(p^{m})^*; the modulus is not irreducible")
             self._gens[m] = gamma
         return gamma
 
     def in_subfield(self, a: int, m: int) -> bool:
-        if m < 1 or self.deg % m:
-            raise ParameterError(f"no subfield of degree {m} inside degree {self.deg}")
+        self._check_subfield(m)
         return self.frob(a, m) == a
 
-    def _subfield_solver(self, m: int) -> "LinearizedSolver":
-        """The solver of x^(p^m) - x = 0 over the whole field, kept per m:
-        its kernel is F_{p^m}."""
-        if m < 1 or self.deg % m:
-            raise ParameterError(f"no subfield of degree {m} inside degree {self.deg}")
-        solver = self._sbasis.get(m)
-        if solver is None:
-            solver = LinearizedSolver(self, [self.neg(1)] + [0] * (m - 1) + [1], self.deg)
-            if len(solver.kernel_basis) != m:
-                raise CheckError("subfield dimension mismatch")
-            self._sbasis[m] = solver
-        return solver
-
     def subfield_basis(self, m: int) -> list[int]:
-        """F_p-basis of F_{p^m} inside the ambient field."""
-        if m == self.deg:
-            return [self.p ** i for i in range(self.deg)]
-        return self._subfield_solver(m).kernel_basis
+        """F_p-basis of F_{p^m} inside the ambient field, kept per m: the
+        encodings of the _frobenius_kernel(m) vectors."""
+        basis = self._sbasis.get(m)
+        if basis is None:
+            self._check_subfield(m)
+            basis = [self._undigits(v) for _, v in self._frobenius_kernel(m)]
+            if len(basis) != m:
+                raise CheckError(f"F_(p^{m}) does not have dimension {m}")
+            self._sbasis[m] = basis
+        return basis
 
     def subfield_encodings(self, m: int):
-        """All encodings of F_{p^m}, ascending.  Returns range() for m = 4h."""
+        """All encodings of F_{p^m}, ascending, kept per m: the F_p-span of
+        subfield_basis(m).  Returns range() for m = 4h."""
         if m == self.deg:
             return range(self.order)
-        out = self._subfield_solver(m).kernel()
-        if len(out) != self.p ** m:
-            raise CheckError("subfield enumeration mismatch")
-        return out
-
-    def mult_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("multiplicative order of 0")
-        if self._ofac is None:
-            self._ofac = _factorize(self.order - 1)
-        t = self.order - 1
-        for prime, _ in self._ofac:
-            while t % prime == 0 and self.pow(a, t // prime) == 1:
-                t //= prime
-        return t
+        if m not in self._senc:
+            self._senc[m] = _span(self, self.subfield_basis(m))
+        return self._senc[m]
 
 
 @functools.lru_cache(maxsize=None)
@@ -740,18 +731,35 @@ def find_omega(ctx: FieldCtx) -> int:
         if ctx.p == 2:
             w = 1
         else:
-            target = ctx.q * ctx.q - 1
-            w = None
-            for g in ctx.subfield_encodings(2 * ctx.h):
-                if g > 1 and ctx.mult_order(g) == target:
-                    w = ctx.pow(g, (ctx.q + 1) // 2)
-                    break
-            if w is None:
+            units = ctx.subfield_encodings(2 * ctx.h)[2:]  # past 0 and 1
+            g = _first_of_order(ctx.pow, units, ctx.q * ctx.q - 1)
+            if g is None:
                 raise CheckError("no primitive element found")
+            w = ctx.pow(g, (ctx.q + 1) // 2)
         if ctx.pow(w, ctx.q - 1) != ctx.neg(1):
             raise CheckError("omega sanity check failed")
         ctx._omega = w
     return ctx._omega
+
+
+def _span(ctx: FieldCtx, gens) -> list[int]:
+    """All F_p-combinations of gens, ascending; raises CheckError above
+    2^20 of them, or unless they are p^len(gens) distinct elements."""
+    size = ctx.p ** len(gens)
+    if size > (1 << 20):
+        raise CheckError(f"span of {size} elements too large to enumerate")
+    span = [0]
+    for b in gens:
+        layer = list(span)
+        for t in range(1, ctx.p):
+            tb = ctx.scale(b, t)
+            span.extend(ctx.add(x, tb) for x in layer)
+    # sorted and compared in place: a set would cost a kernel's memory
+    span.sort()
+    if any(a == b for a, b in pairwise(span)):
+        raise CheckError(f"span has fewer than {size} elements: "
+                         f"its generators are dependent")
+    return span
 
 
 class LinearizedSolver:
@@ -798,30 +806,10 @@ class LinearizedSolver:
                 enc = ctx.add(enc, ctx.scale(self.basis[j], t))
         return enc
 
-    def _span(self, gens) -> list[int]:
-        """All F_p-combinations of gens, ascending; raises CheckError above
-        2^20 of them, or unless they are p^len(gens) distinct elements."""
-        ctx = self.ctx
-        size = ctx.p ** len(gens)
-        if size > (1 << 20):
-            raise CheckError(f"span of {size} elements too large to enumerate")
-        span = [0]
-        for b in gens:
-            layer = list(span)
-            for t in range(1, ctx.p):
-                tb = ctx.scale(b, t)
-                span.extend(ctx.add(x, tb) for x in layer)
-        # sorted and compared in place: a set would cost a kernel's memory
-        span.sort()
-        if any(a == b for a, b in pairwise(span)):
-            raise CheckError(f"span has fewer than {size} elements: "
-                             f"its generators are dependent")
-        return span
-
     def kernel(self) -> list[int]:
         """All kernel elements, ascending, enumerated once and cached."""
         if self._kernel is None:
-            self._kernel = self._span(self.kernel_basis)
+            self._kernel = _span(self.ctx, self.kernel_basis)
         return self._kernel
 
     def count(self, rhs: int) -> int:
@@ -830,7 +818,7 @@ class LinearizedSolver:
         if image is None:
             if self.rank == self.ctx.deg:
                 return self.kernel_size
-            image = self._image = frozenset(self._span(self._image_basis))
+            image = self._image = frozenset(_span(self.ctx, self._image_basis))
         return self.kernel_size if rhs in image else 0
 
     def solve(self, rhs: int) -> list[int]:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hermquot import models
 from hermquot.autgrp import (
     AffineAlgMap,
+    _central,
     _exponent,
     _powers,
     _printed_family_I_blocks,
@@ -34,6 +35,25 @@ def ctx(p, h):
     if (p, h) not in _CTX:
         _CTX[(p, h)] = make_field(p, h)
     return _CTX[(p, h)]
+
+
+_STAB = {}
+
+
+def _stabilizer(p, h):
+    # one build per field for the tests that only read the table
+    if (p, h) not in _STAB:
+        _STAB[(p, h)] = pgu_stabilizer(ctx(p, h))
+    return _STAB[(p, h)]
+
+
+def _mult_order(c, a):
+    # the least k with a^k = 1, by repeated multiplication
+    acc, k = a, 1
+    while acc != 1:
+        acc = c.mul(acc, a)
+        k += 1
+    return k
 
 
 # affine map plumbing
@@ -69,7 +89,7 @@ def test_order_and_power():
 def test_power_walk_stops_at_its_bound():
     # a scalar map of order q + 1 = 4 at q = 3
     c = ctx(3, 1)
-    lam = next(v for v in c.subfield_encodings(2)[1:] if c.mult_order(v) == 4)
+    lam = next(v for v in c.subfield_encodings(2)[1:] if _mult_order(c, v) == 4)
     s = stabilizer_map(c, 0, 0, lam)
     pw = _powers(s, 4)
     assert len(pw) == s.order(4) == 4
@@ -261,12 +281,19 @@ def test_stabilizer_table_larger_q():
         (3, 2): (7290, 9, {3: 720}, 10),
     }
     for (p, h), (order, z, profile, scal) in frozen.items():
-        t = pgu_stabilizer(ctx(p, h))
+        t = _stabilizer(p, h)
         q = p**h
         assert t.order == q**3 * (q + 1) == order
         assert t.center_order == z
         assert t.details["noncentral_order_profile"] == profile
         assert t.details["scalar_classes"] == scal
+
+
+@pytest.mark.parametrize("p, h, z", [(2, 1, 2), (3, 1, 3), (2, 2, 4), (3, 2, 9), (2, 3, 8)])
+def test_stabilizer_center_is_the_whole_table_scan(p, h, z):
+    # center_order is read off U's center; the scan of all of U S agrees
+    t = _stabilizer(p, h)
+    assert t.center_order == len(_central(t.elements, t.generators)) == z
 
 
 def test_stabilizer_table_is_the_mu_1_subgroup():
@@ -825,7 +852,7 @@ def test_split_tables_match_the_diagonal_scan(family, key):
     assert diagonal == _diagonal_scan(c, n, k) and len(diagonal) == n
     if family == "I":
         first = next(lam for lam in c.subfield_encodings(2 * c.h)[1:]
-                     if c.mult_order(lam) == n)
+                     if _mult_order(c, lam) == n)
         assert t.generators[-1].lam == first
     if family == "II":
         taus = [g for g in t.generators if g.lam != 1]

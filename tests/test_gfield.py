@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import islice
 
@@ -12,6 +13,7 @@ from hermquot.gfield import (
     LinearizedSolver,
     ParameterError,
     _find_modulus,
+    _first_of_order,
     find_omega,
     make_field,
 )
@@ -292,6 +294,10 @@ def test_table_build_rejects_a_reducible_modulus():
     with pytest.raises(CheckError):
         ctx.mul(2, 3)
     _assert_nothing_installed(ctx)
+    # x^4 = x only on F_2 there, so F_4 has no basis
+    with pytest.raises(CheckError, match="does not have dimension 2"):
+        ctx.subfield_basis(2)
+    assert ctx._sbasis == {}
 
 
 @pytest.mark.parametrize("p,h,modulus", [
@@ -358,8 +364,13 @@ def test_subfield_tables_walk_F_q2(ctx):
 
 
 @pytest.mark.parametrize("p,h", [(3, 3), (2, 4)])
-def test_fresh_ctx_can_start_with_subfield_encodings(p, h):
-    # the solver behind subfield_encodings calls mul, which builds the tables
+def test_fresh_ctx_can_start_with_subfield_encodings(p, h, monkeypatch):
+    # the span behind subfield_encodings adds and scales, which builds the
+    # tables; the subfield itself is the Frobenius kernel, with no solver
+    def refuse(*args):
+        raise AssertionError("a subfield was computed by a LinearizedSolver")
+
+    monkeypatch.setattr(LinearizedSolver, "__init__", refuse)
     fresh = FieldCtx(p, h, _find_modulus(p, 4 * h))
     assert fresh.subfield_encodings(2 * h) == make_field(p, h).subfield_encodings(2 * h)
     assert fresh._sub is not None
@@ -438,14 +449,39 @@ def test_walk_off_the_tables_multiplies_and_checks_its_end():
     assert sum(1 for _ in walk) == n - 500
 
 
-def test_mult_order_bruteforce():
-    ctx = make_field(3, 1)
-    for a in range(1, ctx.order):
-        acc, k = a, 1
-        while acc != 1:
-            acc = ctx.mul(acc, a)
-            k += 1
-        assert ctx.mult_order(a) == k
+def _orders_by_walks(ctx, units):
+    # every order by repeated multiplication: one walk a, a^2, ..., a^k = 1
+    # per cyclic subgroup met, and a^j has order k / gcd(j, k)
+    order = {}
+    for a in units:
+        if a not in order:
+            walk = [a]
+            while walk[-1] != 1:
+                walk.append(ctx.mul(walk[-1], a))
+            k = len(walk)
+            for j, x in enumerate(walk, 1):
+                order[x] = k // math.gcd(j, k)
+    return order
+
+
+@pytest.mark.parametrize("p,h", [(3, 1), (2, 2), (3, 2)])
+def test_first_of_order_matches_bruteforce_orders(p, h):
+    ctx = make_field(p, h)
+    for m in (2 * h, 4 * h):
+        n = p ** m - 1
+        units = list(ctx.subfield_encodings(m))[1:]
+        order = _orders_by_walks(ctx, units)
+        assert len(order) == n
+        # the test alone, one candidate at a time, on the tables and on
+        # about 300 elements through the digit kernel
+        for pw, some in ((ctx.pow, units), (ctx._pow_digits, units[::n // 300 + 1])):
+            assert [a for a in some if _first_of_order(pw, [a], n) == a] == \
+                [a for a in some if order[a] == n]
+        # the search, for every order an element of F_{p^m}^* can have
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            first = next(a for a in units if order[a] == d)
+            assert _first_of_order(ctx.pow, units, d) == first
+        assert _first_of_order(ctx.pow, [1], n) is None
 
 
 # ---------------------------------------------------------------- subfields
@@ -469,6 +505,39 @@ def test_prime_subfield_is_the_digit_constants():
     assert list(ctx.subfield_encodings(1)) == [0, 1, 2]
 
 
+def _degrees(ctx):
+    return [m for m in range(1, ctx.deg + 1) if ctx.deg % m == 0]
+
+
+@pytest.mark.parametrize("ctx", TABLE_FIELDS, ids=lambda c: f"p{c.p}h{c.h}")
+def test_subfield_encodings_match_a_frobenius_scan(ctx):
+    for m in _degrees(ctx):
+        fixed = [a for a in range(ctx.order) if ctx._frob_digits(a, m) == a]
+        assert list(ctx.subfield_encodings(m)) == fixed
+
+
+@pytest.mark.parametrize("p,h", [(2, 4), (3, 3), (5, 2), (2, 5), (3, 4)])
+def test_subfields_match_the_solver_of_x_pm_minus_x(p, h):
+    # the solver of x^(p^m) - x = 0 over the power basis of the whole field
+    ctx = make_field(p, h)
+    assert ctx.subfield_basis(ctx.deg) == [p ** i for i in range(ctx.deg)]
+    for m in _degrees(ctx):
+        solver = LinearizedSolver(ctx, [ctx.neg(1)] + [0] * (m - 1) + [1], ctx.deg)
+        assert ctx.subfield_basis(m) == solver.kernel_basis
+        if m < ctx.deg:
+            assert ctx.subfield_encodings(m) == solver.kernel()
+    assert ctx.subfield_encodings(ctx.deg) == range(ctx.order)
+
+
+def test_every_subfield_call_rejects_a_bad_degree():
+    ctx = make_field(2, 3)
+    for m in (0, -1, 5, 24):
+        for call in (ctx.subfield_generator, ctx.subfield_basis, ctx.subfield_encodings,
+                     lambda m: ctx.in_subfield(1, m)):
+            with pytest.raises(ParameterError, match="no subfield of degree"):
+                call(m)
+
+
 # ---------------------------------------------------------------- omega
 
 @pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"p{c.p}h{c.h}")
@@ -482,8 +551,9 @@ def test_omega_defining_property(ctx):
 
 def test_omega_uses_first_primitive_element():
     ctx = make_field(3, 1)
-    target = ctx.q ** 2 - 1
-    g = next(n for n in ctx.subfield_encodings(2) if n > 1 and ctx.mult_order(n) == target)
+    units = ctx.subfield_encodings(2)[1:]
+    order = _orders_by_walks(ctx, units)
+    g = next(n for n in units if order[n] == ctx.q ** 2 - 1)
     assert find_omega(ctx) == ctx.pow(g, (ctx.q + 1) // 2)
 
 

@@ -1,8 +1,9 @@
 """Every imported name is used: an AST scan of the package modules (not the
 __init__ re-exports), the scripts and the tests, with the standard library
 only.  Every module-level function and class of the package is named in
-the package, the scripts or __all__.  Every name the benchmark tracer
-hooks exists."""
+the package, the scripts or __all__, and every method of a package class
+in the package modules, the scripts or the benchmark.  Every name the
+benchmark tracer hooks exists."""
 
 import ast
 import importlib
@@ -80,16 +81,21 @@ def _named(tree):
     return _used(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
 
 
+def _trees(paths):
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+
+
+def _named_in(trees, users):
+    """Every name _named finds in the trees or the user files."""
+    return set().union(*map(_named, trees.values()), *map(_named, _trees(users).values()))
+
+
 def unnamed_definitions(modules, users, exported):
     """(module, name, line) of every module-level function or class of the
     modules that no module or user names and exported does not hold; an
     import alone names nothing."""
-    named = set(exported)
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in modules}
-    for tree in trees.values():
-        named |= _named(tree)
-    for path in users:
-        named |= _named(ast.parse(path.read_text(), filename=str(path)))
+    trees = _trees(modules)
+    named = set(exported) | _named_in(trees, users)
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return [
         (path.name, node.name, node.lineno)
@@ -124,6 +130,49 @@ def test_scan_flags_an_unnamed_definition(tmp_path):
     script.write_text("print(used(3))\n")
     assert unnamed_definitions([mod, other], [script], ["Exported"]) == [
         ("mod.py", "_leftover", 4), ("mod.py", "_Helper", 8)
+    ]
+
+
+def unnamed_methods(modules, users):
+    """(module, class, method, line) of every non-dunder method of a
+    module-level class of the modules that no module or user names."""
+    trees = _trees(modules)
+    named = _named_in(trees, users)
+    return [
+        (path.name, cls.name, node.name, node.lineno)
+        for path, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in named
+    ]
+
+
+def test_every_method_is_named():
+    # the tests do not count: a method only they call is a leftover
+    found = unnamed_methods(
+        [f for f in sorted((_ROOT / "src" / "hermquot").glob("*.py")) if f.name != "__init__.py"],
+        sorted((_ROOT / "scripts").glob("*.py")) + sorted((_ROOT / "perfbench").glob("*.py")),
+    )
+    assert found == []
+
+
+def test_scan_flags_an_unnamed_method(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "class Ctx:\n"
+        "    def __init__(self):\n        self.n = self.used()\n"
+        "    def used(self):\n        return 1\n"
+        "    def _leftover(self):\n        return 2\n"
+        "    def called_elsewhere(self):\n        return 3\n"
+        "    @property\n    def unread(self):\n        return 4\n"
+        "def f(x):\n    return x\n"
+    )
+    script = tmp_path / "script.py"
+    script.write_text("from mod import Ctx\nprint(Ctx().called_elsewhere())\n")
+    assert unnamed_methods([mod], [script]) == [
+        ("mod.py", "Ctx", "_leftover", 6), ("mod.py", "Ctx", "unread", 11)
     ]
 
 
