@@ -2,9 +2,9 @@
 """Survey rational place counts across all families at small parameters.
 
 Prints one row per (family, p, h): the count N, the maximal-curve target
-q^2 + 2gq + 1, and the genus the target used.  Families I and II take the
-first admissible parameter; maximality_check counts family III through
-its order-2 quotient.  Pass a size cap (ambient field order) as the only
+q^2 + 2gq + 1, and the genus the target used.  Families I-III take
+models.default_b, their first admissible b; maximality_check counts
+family III through its order-2 quotient.  Pass a size cap (ambient field order) as the only
 argument to trim the sweep, default 600000.
 """
 
@@ -15,6 +15,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from hermquot import models
+from hermquot.cli import FAMILIES
 from hermquot.gfield import make_field
 from hermquot.placecount import maximality_check
 
@@ -38,16 +39,6 @@ SWEEP = [
     ("III", 2, 3),
 ]
 
-BUILDERS = {
-    "hermitian": lambda ctx, b: models.hermitian_model(ctx),
-    "center": lambda ctx, b: models.subcover_center(ctx),
-    "noncenter": lambda ctx, b: models.subcover_noncenter(ctx),
-    "I": models.family_I_model,
-    "II": models.family_II_model,
-    "III": models.family_III_model,
-}
-
-
 def main() -> int:
     cap = int(sys.argv[1]) if len(sys.argv) > 1 else 600000
     print(f"{'family':10} {'p':>2} {'h':>2} {'q':>3} {'b':>6} {'N':>7} "
@@ -56,15 +47,11 @@ def main() -> int:
         if p ** (4 * h) > cap:
             continue
         ctx = make_field(p, h)
-        b = None
-        if fam in ("I", "II", "III"):
-            bs = models.admissible_b(ctx, f"family_{fam}")
-            if not bs:
-                continue
-            b = bs[0]
         t0 = time.perf_counter()
-        rep = maximality_check(BUILDERS[fam](ctx, b))
+        model = models.build(ctx, FAMILIES[fam])
+        rep = maximality_check(model)
         dt = time.perf_counter() - t0
+        b = model.params.get("b")
         print(f"{fam:10} {p:>2} {h:>2} {ctx.q:>3} {b if b is not None else '-':>6} "
               f"{rep['N']:>7} {rep['expected']:>7} {rep['genus_used']:>5}  "
               f"{'yes' if rep['maximal'] else 'NO ':3} {dt:6.3f}s")

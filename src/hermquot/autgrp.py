@@ -40,8 +40,8 @@ from .gfield import (
 from .polyring import BiPoly, additive_split
 from .models import (
     CurveModel,
-    admissible_b,
     check_b,
+    default_b,
     family_I_model,
     family_II_model,
     fpp_char2,
@@ -464,7 +464,7 @@ def subgroup_types(ctx: FieldCtx) -> dict:
 
     if h >= 2:
         model = hermitian_model(ctx, "minus_omega")
-        b = admissible_b(ctx, "I")[0]
+        b = default_b(ctx, "I")
         g1 = stabilizer_map(ctx, 0, 1, 1)
         g2 = stabilizer_map(ctx, 0, b, 1)
         types.append(("U", model, [g1, g2], p, {"b": b, "central": True}))
@@ -474,7 +474,7 @@ def subgroup_types(ctx: FieldCtx) -> dict:
     if p > 2:
         model = hermitian_model(ctx, "plus")
         half = ctx.inv(2)
-        c = admissible_b(ctx, "II")[0]
+        c = default_b(ctx, "II")
         g1 = stabilizer_map(ctx, 1, half, 1)
         g2 = stabilizer_map(ctx, 0, c, 1)
         types.append(("V", model, [g1, g2], p, {"c": c, "central": False}))
@@ -703,9 +703,10 @@ def family_III_deck(ctx: FieldCtx, bn: int) -> AffineAlgMap:
     return AffineAlgMap.triangular(ctx, 1, 1, 1, {2: 1, 1: 1, 0: ctx.add(ctx.mul(bn, bn), bn)})
 
 
-def family_III_group(ctx: FieldCtx, b) -> dict:
-    """Build the verified translation maps on the smooth plane model, find
-    the normalizer of the degree-2 deck map, and measure the quotient."""
+def family_III_group(ctx: FieldCtx, b) -> AutGroupTable:
+    """The verified translations Psi of the smooth plane model, with the
+    normalizer of the degree-2 deck map in Psi and the quotient of the
+    normalizer by the deck map measured in details."""
     bn = check_b(ctx, "III", b)
     q, h = ctx.q, ctx.h
     if q > 16:
@@ -758,18 +759,17 @@ def family_III_group(ctx: FieldCtx, b) -> dict:
     if exponent != 4:
         raise CheckError("quotient exponent %d != 4" % exponent)
 
-    return {
-        "model": model,
-        "b": bn,
-        "psi_order": len(big_list),
-        "normalizer_order": len(norm),
-        "criterion_matches": True,
-        "deck_order": 2,
-        "quotient_order": len(reps),
-        "quotient_exponent": exponent,
-        "quotient_order_histogram": hist,
-        "elements": big_list,
-        "normalizer": norm,
-        "deck": deck,
-        "discrepancies": [],
-    }
+    return AutGroupTable(
+        model=model, elements=big_list, order=len(big_list),
+        details={
+            "b": bn,
+            "psi_order": len(big_list),
+            "normalizer_order": len(norm),
+            "criterion_matches": True,
+            "deck_order": 2,
+            "quotient_order": len(reps),
+            "quotient_exponent": exponent,
+            "quotient_order_histogram": hist,
+            "discrepancies": [],
+        },
+    )

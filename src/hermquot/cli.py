@@ -56,40 +56,6 @@ def _ctx(ns: argparse.Namespace) -> FieldCtx:
     return make_field(ns.p, ns.h)
 
 
-def _pick_b(ctx: FieldCtx, tag: str, bn) -> int:
-    """Default b: the first admissible parameter, so every command runs
-    without the caller hunting for encodings by hand."""
-    if bn is not None:
-        return bn
-    bs = models.admissible_b(ctx, tag)
-    if not bs:
-        raise ParameterError(
-            f"no admissible b for {tag} at p={ctx.p}, h={ctx.h}"
-        )
-    return bs[0]
-
-
-def _build(ctx: FieldCtx, famkey: str, bn):
-    if famkey not in FAMILIES:
-        raise ParameterError(f"unknown family {famkey!r}")
-    if famkey == "hermitian":
-        return models.hermitian_model(ctx), None
-    if famkey == "center":
-        return models.subcover_center(ctx), None
-    if famkey == "noncenter":
-        return models.subcover_noncenter(ctx), None
-    if famkey == "fpp":
-        return models.fpp_char2(ctx), None
-    tag = FAMILIES[famkey]
-    bn = _pick_b(ctx, tag, bn)
-    builder = {
-        "I": models.family_I_model,
-        "II": models.family_II_model,
-        "III": models.family_III_model,
-    }[famkey]
-    return builder(ctx, bn), bn
-
-
 def cmd_field(ns: argparse.Namespace):
     ctx = _ctx(ns)
     return {
@@ -105,8 +71,7 @@ def cmd_field(ns: argparse.Namespace):
 
 def cmd_construct(ns: argparse.Namespace):
     ctx = _ctx(ns)
-    model, _ = _build(ctx, ns.family, ns.b)
-    payload = model.to_dict()
+    payload = models.build(ctx, FAMILIES[ns.family], ns.b).to_dict()
     payload["version"] = __version__
     payload["modulus"] = ctx.modulus
     payload["q"] = ctx.q
@@ -118,8 +83,7 @@ def cmd_count(ns: argparse.Namespace):
     if ns.family == "III":
         if ns.k != 1:
             raise ParameterError("degree-2 counting is not wired to the quotient path")
-        bn = _pick_b(ctx, "family_III", ns.b)
-        rep = dict(family_III_place_count(ctx, bn))
+        rep = dict(family_III_place_count(ctx, models.default_b(ctx, "family_III", ns.b)))
         rep.update(
             version=__version__,
             modulus=ctx.modulus,
@@ -129,7 +93,7 @@ def cmd_count(ns: argparse.Namespace):
             path="quotient",
         )
         return rep, 0
-    model, bn = _build(ctx, ns.family, ns.b)
+    model = models.build(ctx, FAMILIES[ns.family], ns.b)
     tally = rational_places(model)
     rep = maximality_report(model, tally.N, "direct")
     payload = {
@@ -138,7 +102,7 @@ def cmd_count(ns: argparse.Namespace):
         "family": model.family,
         "p": ctx.p,
         "h": ctx.h,
-        "b": bn,
+        "b": model.params.get("b"),
         "q": ctx.q,
         "N": tally.N,
         "affine": tally.affine_points,
@@ -163,7 +127,7 @@ def cmd_genus(ns: argparse.Namespace):
         payload = {"family": FAMILIES[famkey], "p": ns.p, "h": ns.h, "q": q, "genus": g}
     else:
         ctx = _ctx(ns)
-        model, _ = _build(ctx, famkey, None)
+        model = models.build(ctx, FAMILIES[famkey])
         payload = {
             "family": model.family,
             "p": ctx.p,
@@ -215,76 +179,52 @@ def _table_payload(table, extra=None) -> dict:
 
 def cmd_aut(ns: argparse.Namespace):
     ctx = _ctx(ns)
+    tag = FAMILIES[ns.family]
+    if ns.subgroups and tag != "Hermitian":
+        raise ParameterError("--subgroups needs --family hermitian")
+    bn = models.default_b(ctx, tag, ns.b)
     base = {"version": __version__, "modulus": ctx.modulus, "p": ctx.p, "h": ctx.h}
-    if ns.family == "hermitian":
-        if ns.subgroups:
-            st = subgroup_types(ctx)
-            tables = {
-                name: _table_payload(t)
-                for name, t in st.items()
-                if name != "notes"
-            }
-            return {**base, "family": "Hermitian", "subgroup_types": tables,
-                    "notes": st["notes"]}, 0
-        t = pgu_stabilizer(ctx)
-        return {**base, "family": "Hermitian", "b": None, **_table_payload(t)}, 0
-    if ns.family in ("I", "II"):
-        tag = FAMILIES[ns.family]
-        bn = _pick_b(ctx, tag, ns.b)
-        build = family_I_group if ns.family == "I" else family_II_group
-        return {**base, "family": tag, "b": bn, **_table_payload(build(ctx, bn))}, 0
-    if ns.family == "III":
-        bn = _pick_b(ctx, "family_III", ns.b)
-        rep = dict(family_III_group(ctx, bn))
-        # maps and models are not JSON material; keep the numeric summary
-        for key in ("model", "elements", "normalizer", "deck"):
-            rep.pop(key, None)
-        return {**base, "family": "family_III", **rep}, 0
-    raise ParameterError(f"aut does not handle family {ns.family!r}")
+    if ns.subgroups:
+        st = subgroup_types(ctx)
+        tables = {
+            name: _table_payload(t)
+            for name, t in st.items()
+            if name != "notes"
+        }
+        return {**base, "family": tag, "subgroup_types": tables, "notes": st["notes"]}, 0
+    if tag == "family_III":
+        return {**base, "family": tag, **family_III_group(ctx, bn).details}, 0
+    if tag == "Hermitian":
+        table = pgu_stabilizer(ctx)
+    else:
+        table = (family_I_group if tag == "family_I" else family_II_group)(ctx, bn)
+    return {**base, "family": tag, "b": bn, **_table_payload(table)}, 0
 
 
 def cmd_iso(ns: argparse.Namespace):
     ctx = _ctx(ns)
+    tag = FAMILIES[ns.family]
     base = {"version": __version__, "modulus": ctx.modulus, "p": ctx.p, "h": ctx.h}
     if ns.inventory:
-        if ns.family not in ("I", "II"):
-            raise ParameterError("inventory needs --family I or II")
-        inv = class_inventory(FAMILIES[ns.family], ctx)
-        return {**base, **inv}, 0
+        if ns.b is not None or ns.bbar is not None or ns.oracle:
+            raise ParameterError("--inventory takes no --b, --bbar or --oracle")
+        return {**base, **class_inventory(tag, ctx)}, 0
     if ns.b is None or ns.bbar is None:
         raise ParameterError("iso needs --b and --bbar (or --inventory)")
-    if ns.family == "I":
+    payload = {**base, "family": tag, "b": ns.b, "bbar": ns.bbar}
+    if tag == "family_I":
         w = family_I_iso(ctx, ns.b, ns.bbar)
         cl = family_I_classify(ctx, ns.b, ns.bbar)
         if (w is not None) != cl["iso"]:
             raise CheckError("isomorphism solver and classifier disagree")
-        payload = {
-            **base,
-            "family": "family_I",
-            "b": ns.b,
-            "bbar": ns.bbar,
-            "iso": w is not None,
-            "case": cl["case"],
-            "witness": w.as_dict() if w else None,
-        }
-        model_a = models.family_I_model(ctx, ns.b)
-        model_b = models.family_I_model(ctx, ns.bbar)
-    elif ns.family == "II":
-        kappa = family_II_iso(ctx, ns.b, ns.bbar)
-        payload = {
-            **base,
-            "family": "family_II",
-            "b": ns.b,
-            "bbar": ns.bbar,
-            "iso": kappa is not None,
-            "kappa": kappa,
-        }
-        model_a = models.family_II_model(ctx, ns.b)
-        model_b = models.family_II_model(ctx, ns.bbar)
+        payload.update(iso=w is not None, case=cl["case"],
+                       witness=w.as_dict() if w else None)
     else:
-        raise ParameterError("iso handles families I and II")
+        kappa = family_II_iso(ctx, ns.b, ns.bbar)
+        payload.update(iso=kappa is not None, kappa=kappa)
     if ns.oracle:
-        got = oracle_iso(model_a, model_b, tier=ns.oracle)
+        got = oracle_iso(models.build(ctx, tag, ns.b), models.build(ctx, tag, ns.bbar),
+                         tier=ns.oracle)
         if got != payload["iso"]:
             raise CheckError("isomorphism oracle disagrees with the solver")
         payload["oracle_tier"] = ns.oracle

@@ -29,8 +29,8 @@ make_field, and the primitives read them two ways:
 * fields of order at most TABLE_ORDER_BOUND = 2^13 table the whole field
   (m = 4h) and read it through plain lists indexed by the encoding: in
   the suite that is (2,1), (3,1), (2,2), (2,3) and (3,2), where one
-  acceptance run makes about 3.4 M mul and 1.9 M add calls at (2,3) and
-  2.3 M and 1.5 M at (3,2);
+  acceptance run makes about 154 k mul and 102 k add calls at (2,3) and
+  61 k and 44 k at (3,2), of 298 k mul calls in all;
 * every larger field tables F_{q^2} (m = 2h) and reads it through the
   index of an operand's free echelon digits, falling through to digit
   vectors (carry-less arithmetic when p = 2) for any operand outside
@@ -47,13 +47,15 @@ The digit kernel (one method per primitive) is also the reference the
 tests hold the tables to.
 
 Both read paths stay because each alternative made the acceptance run
-slower: 2.10 s with both paths against 2.52 s with array reads in place
-of the whole-field lists (every array read boxes a fresh int), 4.07 s
-with the F_{q^2}-style index read on every field, and 4.82 s with F_{q^2}
-tables alone, which send every operand outside F_{q^2} at the small
-fields to the digit kernel (in one run of scripts/run_acceptance.py,
-family III's check went from 0.49 s to 1.61 s).  Medians of 3 runs of
-perfbench's acceptance workload on a 2-CPU Intel Xeon Linux machine.
+slower: 0.61 s with both paths against 0.94 s with the F_{q^2}-style
+index read on every field, and 1.27 s with F_{q^2} tables alone, which
+send every operand outside F_{q^2} at the small fields to the digit
+kernel (in two runs of scripts/run_acceptance.py, family III's check went
+from 0.02 s to 0.08-0.09 s).  Array reads in place of the whole-field
+lists (every array read boxes a fresh int) cost less, but were slower in
+each of 5 paired runs: medians 0.67 s against 0.65 s.  Medians of 3 runs
+(5 for the arrays) of perfbench's acceptance run_s on a 2-CPU Intel Xeon
+Linux machine.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ factorization checks.
 Every model is an affine plane equation F(X, Y) = 0 over F_{q^2} wrapped
 with its claimed invariants (genus, Weierstrass generators at the place
 at infinity).  The claims are inputs here; the counting and semigroup
-modules are the ones that re-derive them.
+modules are the ones that re-derive them.  build is the one place that
+turns a family tag into its model, and default_b the one place that
+picks a family's b when none is given.
 """
 
 from __future__ import annotations
@@ -25,15 +27,19 @@ from .gfield import (
 )
 from .polyring import BiPoly
 
-FAMILY_TAGS = (
-    "Hermitian",
-    "center_p",
-    "noncenter_p",
-    "Fpp_char2",
-    "family_I",
-    "family_II",
-    "family_III",
-)
+# family tag -> builder of its model; the three families take a parameter
+# b.  Each lambda looks its builder up by name when called, so a builder
+# wrapped from outside the module is the one build calls.
+_BUILDERS = {
+    "Hermitian": lambda ctx, b: hermitian_model(ctx),
+    "center_p": lambda ctx, b: subcover_center(ctx),
+    "noncenter_p": lambda ctx, b: subcover_noncenter(ctx),
+    "Fpp_char2": lambda ctx, b: fpp_char2(ctx),
+    "family_I": lambda ctx, b: family_I_model(ctx, b),
+    "family_II": lambda ctx, b: family_II_model(ctx, b),
+    "family_III": lambda ctx, b: family_III_model(ctx, b),
+}
+FAMILY_TAGS = tuple(_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,37 @@ class CurveModel:
         }
 
 
+def build(ctx: FieldCtx, family: str, b=None) -> CurveModel:
+    """The model of a family tag.  Families I-III take default_b(ctx,
+    family, b); the other tags take no b."""
+    if family not in _BUILDERS:
+        raise ParameterError(f"unknown family {family!r}")
+    return _BUILDERS[family](ctx, default_b(ctx, family, b))
+
+
+def default_b(ctx: FieldCtx, family: str, b=None) -> int | None:
+    """b when given, else the family's first admissible b, so every command
+    runs without the caller hunting for encodings by hand.  None for a tag
+    that takes no b; ParameterError if such a tag is given a b, or if the
+    family has no admissible b at (p, h)."""
+    if family in _BUILDERS and not family.startswith("family_"):
+        if b is not None:
+            raise ParameterError(f"{family} takes no parameter b")
+        return None
+    if b is not None:
+        return b
+    bs = admissible_b(ctx, family)
+    if not bs:
+        raise ParameterError(f"no admissible b for {family} at p={ctx.p}, h={ctx.h}")
+    return bs[0]
+
+
+def _trace(V: BiPoly, h: int) -> BiPoly:
+    """T(V) = V + V^p + ... + V^(p^(h-1)), the trace polynomial the
+    equations share."""
+    return sum((V ** V.ctx.p**i for i in range(1, h)), V)
+
+
 def hermitian_model(ctx: FieldCtx, variant: str = "plus") -> CurveModel:
     """The Hermitian curve in one of its three sign conventions.
 
@@ -108,12 +145,10 @@ def subcover_center(ctx: FieldCtx) -> CurveModel:
 
     Genus q(q-p)/(2p), pinned by point-count calibration.
     """
-    q, p, h = ctx.q, ctx.p, ctx.h
+    q, p = ctx.q, ctx.p
     w = find_omega(ctx)
     X, Y = BiPoly.variables(ctx, ("x", "eta"))
-    F = (X ** (q + 1)).cmul(w)
-    for i in range(1, h + 1):
-        F = F + Y ** (q // p**i)
+    F = (X ** (q + 1)).cmul(w) + _trace(Y, ctx.h)
     return CurveModel(
         F=F,
         ctx=ctx,
@@ -132,11 +167,9 @@ def subcover_noncenter(ctx: FieldCtx) -> CurveModel:
     """
     if ctx.p == 2:
         raise ParameterError("the non-central order-p quotient needs p > 2")
-    q, p, h = ctx.q, ctx.p, ctx.h
+    q, p = ctx.q, ctx.p
     X, Y = BiPoly.variables(ctx, ("xi", "eta"))
-    T = BiPoly.zero(ctx, ("xi", "eta"))
-    for i in range(1, h + 1):
-        T = T + X ** (q // p**i)
+    T = _trace(X, ctx.h)
     F = Y**q + Y - T * T
     return CurveModel(
         F=F,
@@ -156,11 +189,9 @@ def fpp_char2(ctx: FieldCtx) -> CurveModel:
     """
     if ctx.p != 2:
         raise ParameterError("this model is specific to p = 2")
-    q, h = ctx.q, ctx.h
+    q = ctx.q
     X, Y = BiPoly.variables(ctx, ("x", "eta"))
-    F = X ** (q + 1)
-    for i in range(h):
-        F = F + Y ** (2**i)
+    F = X ** (q + 1) + _trace(Y, ctx.h)
     return CurveModel(
         F=F,
         ctx=ctx,
@@ -199,15 +230,10 @@ def family_II_model(ctx: FieldCtx, b) -> CurveModel:
     The quotient by an order-p^2 subgroup meeting the center of the
     Sylow p-subgroup in order p.
     """
-    p, h = ctx.p, ctx.h
     bn = check_b(ctx, "II", b)
     X, Y = BiPoly.variables(ctx, ("xi", "rho"))
-    TX = BiPoly.zero(ctx, ("xi", "rho"))
-    TY = BiPoly.zero(ctx, ("xi", "rho"))
-    for i in range(1, h + 1):
-        TX = TX + X ** (p ** (i - 1))
-        TY = TY + Y ** (p ** (i - 1))
-    F = TX * TX - TY.cmul(ctx.add(bn, bn))
+    TX = _trace(X, ctx.h)
+    F = TX * TX - _trace(Y, ctx.h).cmul(ctx.add(bn, bn))
     return _family_model(ctx, "II", F, {"b": bn})
 
 
@@ -268,9 +294,7 @@ def family_III_coeffs(ctx: FieldCtx, b) -> CoeffList:
         raise CheckError("c = b + b^2 left F_q")
     names = ("x", "kappa")
     X, _ = BiPoly.variables(ctx, names)
-    T = BiPoly.zero(ctx, names)
-    for i in range(h):
-        T = T + X ** (2**i)
+    T = _trace(X, h)
     A = X + X**q
     B = (X + BiPoly.const(ctx, cn, names)) ** q
     B2 = B * B
@@ -477,11 +501,7 @@ def verify_lemma_b(ctx: FieldCtx, b) -> dict:
     cl = family_III_coeffs(ctx, b)
     names = ("x", "kappa")
     X, Y = BiPoly.variables(ctx, names)
-    TX = BiPoly.zero(ctx, names)
-    TY = BiPoly.zero(ctx, names)
-    for i in range(h):
-        TX = TX + X ** (2**i)
-        TY = TY + Y ** (2**i)
+    TX, TY = _trace(X, h), _trace(Y, h)
     A = X + X**q
     B = (X + BiPoly.const(ctx, cl.c, names)) ** q
     F = (

@@ -20,7 +20,6 @@ from .autgrp import (
 )
 from .gfield import (
     CheckError,
-    FieldCtx,
     LinearizedSolver,
     ParameterError,
     make_field,
@@ -29,10 +28,6 @@ from .isocls import class_inventory, family_I_classify, family_I_iso, family_II_
 from .placecount import family_III_place_count, maximality_check
 
 _GROUPS: dict = {}
-
-
-def _first_b(ctx: FieldCtx, family: str) -> int:
-    return models.admissible_b(ctx, family)[0]
 
 
 def _group(kind: str, p: int, h: int, bn: int):
@@ -115,9 +110,7 @@ def check_family_II() -> dict:
         ns.append(rep["N"])
         ok = ok and rep["N"] == 136 and rep["maximal"]
     ctx5 = make_field(5, 2)
-    rep5 = maximality_check(
-        models.family_II_model(ctx5, models.admissible_b(ctx5, "family_II")[0])
-    )
+    rep5 = maximality_check(models.build(ctx5, "family_II"))
     ok = ok and rep5["N"] == 1126 and rep5["maximal"]
     ok = ok and models.genus_formula("family_II", 5, 2) == 10
     return {
@@ -155,7 +148,7 @@ def check_automorphism_groups() -> dict:
     details: dict = {}
     ok = True
 
-    t1 = _group("I", 2, 3, _first_b(make_field(2, 3), "family_I"))
+    t1 = _group("I", 2, 3, models.default_b(make_field(2, 3), "family_I"))
     d1 = t1.details
     ok = ok and d1["V_order"] == 128 and d1["Lambda_order"] == 9
     ok = ok and t1.order == 1152 and d1["V_normal"] and d1["V_cap_Lambda_trivial"]
@@ -168,7 +161,7 @@ def check_automorphism_groups() -> dict:
         "discrepancies": disc,
     }
 
-    t2 = _group("II", 3, 2, _first_b(make_field(3, 2), "family_II"))
+    t2 = _group("II", 3, 2, models.default_b(make_field(3, 2), "family_II"))
     d2 = t2.details
     ok = ok and d2["Psi_order"] == 27 and d2["total_order"] == 54
     ok = ok and d2["commutator_equals_Gamma"] and d2["Gamma_order"] == 3
@@ -186,14 +179,14 @@ def check_automorphism_groups() -> dict:
         ctx = make_field(2, h)
         q = ctx.q
         bs = models.admissible_b(ctx, "family_III")
-        reps = [_group("III", 2, h, b) for b in (bs if h == 2 else bs[:1])]
-        for rep in reps:
-            ok = ok and rep["quotient_order"] == q * q // 2
-            ok = ok and rep["quotient_exponent"] == 4
+        details3 = [_group("III", 2, h, b).details for b in (bs if h == 2 else bs[:1])]
+        for d3 in details3:
+            ok = ok and d3["quotient_order"] == q * q // 2
+            ok = ok and d3["quotient_exponent"] == 4
         # the first b's measured values
         fam3[f"q={q}"] = {
-            "quotient_order": reps[0]["quotient_order"],
-            "quotient_exponent": reps[0]["quotient_exponent"],
+            "quotient_order": details3[0]["quotient_order"],
+            "quotient_exponent": details3[0]["quotient_exponent"],
         }
     details["family_III"] = fam3
     return {"id": "automorphism_groups", "ok": ok, "details": details}
@@ -203,14 +196,14 @@ def _fixed_point_tables() -> list:
     """(label, model, elements) for each group table check_unique_fixed_point
     reads: families I-III, the order-p^2 subgroup types and the stabilizer."""
     tables = []
-    t = _group("I", 2, 3, _first_b(make_field(2, 3), "family_I"))
+    t = _group("I", 2, 3, models.default_b(make_field(2, 3), "family_I"))
     tables.append(("family_I(2,3)", t.model, t.elements))
-    t = _group("II", 3, 2, _first_b(make_field(3, 2), "family_II"))
+    t = _group("II", 3, 2, models.default_b(make_field(3, 2), "family_II"))
     tables.append(("family_II(3,2)", t.model, t.elements))
     for h in (2, 3):
         ctx = make_field(2, h)
-        rep = _group("III", 2, h, _first_b(ctx, "family_III"))
-        tables.append((f"family_III(q={ctx.q})", rep["model"], rep["elements"]))
+        t = _group("III", 2, h, models.default_b(ctx, "family_III"))
+        tables.append((f"family_III(q={ctx.q})", t.model, t.elements))
     for p, h in [(2, 2), (3, 2)]:
         st = subgroup_types(make_field(p, h))
         tables += [(f"{name}({p},{h})", t.model, t.elements)

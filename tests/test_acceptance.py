@@ -6,6 +6,8 @@ module pins the check list and the time budgets, and keeps the point scan
 that the fixed-point criterion replaced as that criterion's oracle.
 """
 
+import dataclasses
+
 import pytest
 
 from hermquot import placecount, verify
@@ -129,7 +131,8 @@ def test_automorphism_groups_reports_measured_family_III(monkeypatch):
     real = verify.family_III_group
 
     def planted(ctx, b):
-        return {**real(ctx, b), "quotient_order": 7}
+        t = real(ctx, b)
+        return dataclasses.replace(t, details={**t.details, "quotient_order": 7})
 
     monkeypatch.setattr(verify, "_GROUPS", {})
     monkeypatch.setattr(verify, "family_III_group", planted)

@@ -516,7 +516,7 @@ def test_family_II_one_pass_matches_the_compose_loops(key, frozen):
 def test_family_III_group_q4():
     c = ctx(2, 2)
     for b in models.admissible_b(c, "family_III")[:2]:
-        rep = family_III_group(c, b)
+        rep = family_III_group(c, b).details
         assert rep["psi_order"] == 32
         assert rep["deck_order"] == 2
         assert rep["normalizer_order"] == 16
@@ -530,7 +530,7 @@ def test_family_III_group_q4():
 
 def test_family_III_group_q8():
     c = ctx(2, 3)
-    rep = family_III_group(c, models.admissible_b(c, "family_III")[0])
+    rep = family_III_group(c, models.admissible_b(c, "family_III")[0]).details
     assert rep["psi_order"] == 256
     assert rep["normalizer_order"] == 64
     assert rep["criterion_matches"]

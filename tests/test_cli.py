@@ -111,6 +111,24 @@ def test_out_of_range_argv_is_rejected_at_once(argv):
     assert dt < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--family", "hermitian", "--p", "2", "--h", "2", "--b", "5"),
+        ("count", "--family", "hermitian", "--p", "2", "--h", "2", "--b", "5"),
+        ("aut", "--family", "hermitian", "--p", "2", "--h", "2", "--b", "5"),
+        ("aut", "--family", "I", "--p", "2", "--h", "3", "--subgroups"),
+        ("iso", "--family", "I", "--p", "2", "--h", "3", "--inventory", "--b", "1186"),
+        ("iso", "--family", "I", "--p", "2", "--h", "3", "--inventory", "--oracle", "2"),
+        ("iso", "--family", "I", "--p", "2", "--h", "3", "--inventory", "--bbar", "1186"),
+    ],
+)
+def test_a_flag_the_command_would_drop_is_refused(argv):
+    code, err, dt = _cli(*argv)
+    assert code == 2 and err.startswith("parameter error")
+    assert dt < 1.0
+
+
 def test_aut_family_II_at_q27(capsys):
     # order, exponent, center, commutator subgroup and centralizer profile
     # at the first admissible b, past the old q <= 9 cap; q = 25 is frozen
@@ -287,8 +305,9 @@ _GOLDEN = pathlib.Path(__file__).parent / "golden"
          "aut_hermitian_p3_h1.json"),
         (["aut", "--family", "II", "--p", "3", "--h", "2"], "aut_family_II_p3_h2.json"),
         (["aut", "--family", "I", "--p", "2", "--h", "4"], "aut_family_I_p2_h4.json"),
+        (["aut", "--family", "III", "--p", "2", "--h", "3"], "aut_family_III_p2_h3.json"),
     ],
-    ids=["family_I_2_3", "hermitian_3_1", "family_II_3_2", "family_I_2_4"],
+    ids=["family_I_2_3", "hermitian_3_1", "family_II_3_2", "family_I_2_4", "family_III_2_3"],
 )
 def test_aut_stdout_matches_golden(capsys, argv, golden):
     # family I generators with xi^4 and xi^2 terms, the stabilizer's shear,
@@ -312,6 +331,19 @@ def test_count_stdout_matches_golden(capsys, argv, golden):
     # digit-kernel fields and the affine_k2 scan
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (_GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "family, p, h",
+    [("hermitian", 2, 2), ("center", 2, 3), ("noncenter", 3, 2), ("fpp", 2, 3),
+     ("II", 3, 2), ("III", 2, 3)],
+)
+def test_construct_stdout_matches_golden(capsys, family, p, h):
+    # each builder's equation; construct --family I is pinned by the
+    # benchmark references
+    assert cli.main(["construct", "--family", family, "--p", str(p), "--h", str(h)]) == 0
+    golden = _GOLDEN / f"construct_{family}_p{p}_h{h}.json"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_module_entry_point():

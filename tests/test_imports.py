@@ -2,7 +2,8 @@
 __init__ re-exports), the scripts and the tests, with the standard library
 only.  Every module-level function and class of the package is named in
 the package, the scripts or __all__, and every method of a package class
-in the package modules, the scripts or the benchmark.  Every name the
+in the package modules, the scripts or the benchmark.  No function of the
+package or the scripts stores a name it never reads.  Every name the
 benchmark tracer hooks exists."""
 
 import ast
@@ -174,6 +175,63 @@ def test_scan_flags_an_unnamed_method(tmp_path):
     assert unnamed_methods([mod], [script]) == [
         ("mod.py", "Ctx", "_leftover", 6), ("mod.py", "Ctx", "unread", 11)
     ]
+
+
+def _outer_functions(node):
+    """Every function under node that no other function encloses."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+        else:
+            yield from _outer_functions(child)
+
+
+def unused_locals(path):
+    """(function, name, line) of every name a function stores and never
+    reads.  A function's nested functions are part of it, so a name read
+    only in a closure counts as read; `_` and the names a global or
+    nonlocal statement declares are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for fn in _outer_functions(tree):
+        stored, read, exempt = {}, set(), {"_"}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                exempt.update(node.names)
+        found += [(fn.name, name, line) for name, line in stored.items()
+                  if name not in read and name not in exempt]
+    return found
+
+
+def test_no_unused_locals():
+    found = [
+        f"{path.relative_to(_ROOT)}:{line}: {name} in {fn}"
+        for path in sorted((_ROOT / "src" / "hermquot").glob("*.py"))
+        + sorted((_ROOT / "scripts").glob("*.py"))
+        for fn, name, line in unused_locals(path)
+    ]
+    assert found == []
+
+
+def test_scan_flags_an_unused_local(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "_N = 0\n"
+        "def f(ctx, h):\n"
+        "    q, p = ctx.q, ctx.p\n"
+        "    for _ in range(h):\n        pass\n"
+        "    def inner():\n        return q\n"
+        "    with open('x') as stream:\n        pass\n"
+        "    return inner\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        global _N\n        _N = 1\n        total = 0\n        total += 1\n"
+    )
+    assert unused_locals(mod) == [("f", "p", 3), ("f", "stream", 8), ("g", "total", 15)]
 
 
 def test_tracer_targets_exist():

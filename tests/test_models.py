@@ -477,6 +477,65 @@ def test_to_dict_shape():
     assert "rho" in d["poly"]
 
 
+# --- the family registry ---
+
+# a field where each tag's model exists
+_TAG_FIELDS = {
+    "Hermitian": (2, 2), "center_p": (2, 3), "noncenter_p": (3, 2), "Fpp_char2": (2, 3),
+    "family_I": (2, 3), "family_II": (3, 2), "family_III": (2, 3),
+}
+
+
+def test_every_cli_family_is_built_by_the_registry():
+    from hermquot import cli
+
+    assert models.FAMILY_TAGS == tuple(models._BUILDERS)
+    assert sorted(cli.FAMILIES.values()) == sorted(models.FAMILY_TAGS)
+    for tag in cli.FAMILIES.values():
+        assert models.build(make_field(*_TAG_FIELDS[tag]), tag).family == tag
+
+
+@pytest.mark.parametrize("tag", ["family_I", "family_II", "family_III"])
+def test_default_b_is_the_first_admissible_b(tag):
+    ctx = make_field(*_TAG_FIELDS[tag])
+    first = models.admissible_b(ctx, tag)[0]
+    assert models.default_b(ctx, tag) == first
+    assert models.build(ctx, tag).params["b"] == first
+    last = models.admissible_b(ctx, tag)[-1]
+    assert models.default_b(ctx, tag, last) == last
+    assert models.build(ctx, tag, last).params["b"] == last
+
+
+def test_default_b_errors():
+    with pytest.raises(ParameterError, match=r"^no admissible b for family_I at p=2, h=1$"):
+        models.default_b(make_field(2, 1), "family_I")
+    ctx = make_field(2, 2)
+    assert models.default_b(ctx, "Hermitian") is None
+    with pytest.raises(ParameterError, match="takes no parameter b"):
+        models.default_b(ctx, "Hermitian", 5)
+    with pytest.raises(ParameterError, match="takes no parameter b"):
+        models.build(ctx, "center_p", 5)
+    with pytest.raises(ParameterError, match="unknown family"):
+        models.build(ctx, "family_IV")
+
+
+def _trace_loop(V, h):
+    # the loop each builder used to write out, kept as the oracle
+    T = BiPoly.zero(V.ctx, V.names)
+    for i in range(h):
+        T = T + V ** (V.ctx.p**i)
+    return T
+
+
+@pytest.mark.parametrize("key", [(2, 3), (3, 2)])
+def test_trace_matches_the_loop(key):
+    ctx = make_field(*key)
+    X, Y = BiPoly.variables(ctx, ("x", "y"))
+    for V in (X, Y, X + Y, X * Y + 1):
+        for h in range(1, ctx.h + 1):
+            assert models._trace(V, h) == _trace_loop(V, h)
+
+
 # --- appendix lemma A ---
 
 
