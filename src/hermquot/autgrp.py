@@ -19,7 +19,8 @@ group T D, T the solved translations and D = <d> the diagonal maps
 (lam x, lam^k y) with lam^n = 1; one builder, _split_group(model, T, n, k),
 builds D from (n, k), proves T D a group of order |T||D|, and a closed
 table lists it as the products _products(T, D); subgroup_types lists the
-products of power walks.  No builder searches a closure.
+products of power walks.  No builder searches a closure.  group is the
+one place that turns a family tag into its table, through _TABLES.
 Family I's printed map formula is a counted claim, and
 details["fallback_used"] counts the shifts a where it fails.
 """
@@ -464,7 +465,7 @@ def subgroup_types(ctx: FieldCtx) -> dict:
 
     if h >= 2:
         model = hermitian_model(ctx, "minus_omega")
-        b = default_b(ctx, "I")
+        b = default_b(ctx, "family_I")
         g1 = stabilizer_map(ctx, 0, 1, 1)
         g2 = stabilizer_map(ctx, 0, b, 1)
         types.append(("U", model, [g1, g2], p, {"b": b, "central": True}))
@@ -474,7 +475,7 @@ def subgroup_types(ctx: FieldCtx) -> dict:
     if p > 2:
         model = hermitian_model(ctx, "plus")
         half = ctx.inv(2)
-        c = default_b(ctx, "II")
+        c = default_b(ctx, "family_II")
         g1 = stabilizer_map(ctx, 1, half, 1)
         g2 = stabilizer_map(ctx, 0, c, 1)
         types.append(("V", model, [g1, g2], p, {"c": c, "central": False}))
@@ -707,7 +708,7 @@ def family_III_group(ctx: FieldCtx, b) -> AutGroupTable:
     """The verified translations Psi of the smooth plane model, with the
     normalizer of the degree-2 deck map in Psi and the quotient of the
     normalizer by the deck map measured in details."""
-    bn = check_b(ctx, "III", b)
+    bn = check_b(ctx, "family_III", b)
     q, h = ctx.q, ctx.h
     if q > 16:
         raise ParameterError("q > 16 exceeds the enumeration budget")
@@ -773,3 +774,23 @@ def family_III_group(ctx: FieldCtx, b) -> AutGroupTable:
             "discrepancies": [],
         },
     )
+
+
+# family tag -> builder of its table.  Each lambda looks its builder up by
+# name when called, so a builder wrapped from outside the module is the one
+# group calls.
+_TABLES = {
+    "Hermitian": lambda ctx, b: pgu_stabilizer(ctx),
+    "family_I": lambda ctx, b: family_I_group(ctx, b),
+    "family_II": lambda ctx, b: family_II_group(ctx, b),
+    "family_III": lambda ctx, b: family_III_group(ctx, b),
+}
+
+
+def group(ctx: FieldCtx, family: str, b=None) -> AutGroupTable:
+    """The automorphism table of a family tag, at default_b(ctx, family, b):
+    the stabilizer table for Hermitian, the family's group for families
+    I-III."""
+    if family not in _TABLES:
+        raise ParameterError(f"no automorphism table for {family!r}")
+    return _TABLES[family](ctx, default_b(ctx, family, b))

@@ -15,13 +15,7 @@ import time
 
 from . import __version__, models, numsg
 from . import verify as acceptance
-from .autgrp import (
-    family_I_group,
-    family_II_group,
-    family_III_group,
-    pgu_stabilizer,
-    subgroup_types,
-)
+from .autgrp import group, subgroup_types
 from .gfield import CheckError, FieldCtx, ParameterError, make_field
 from .isocls import (
     class_inventory,
@@ -47,7 +41,6 @@ FAMILIES = {
     "II": "family_II",
     "III": "family_III",
 }
-PARAMETRIZED = ("I", "II", "III")
 
 
 def _ctx(ns: argparse.Namespace) -> FieldCtx:
@@ -118,16 +111,16 @@ def cmd_count(ns: argparse.Namespace):
 
 
 def cmd_genus(ns: argparse.Namespace):
-    famkey = ns.family
-    if famkey in PARAMETRIZED:
+    tag = FAMILIES[ns.family]
+    if tag in models.PARAMETRIZED:
         if ns.p <= 0 or ns.h <= 0:
             raise ParameterError("genus needs --p and --h")
-        g = models.genus_formula(FAMILIES[famkey], ns.p, ns.h)
+        g = models.genus_formula(tag, ns.p, ns.h)
         q = ns.p**ns.h
-        payload = {"family": FAMILIES[famkey], "p": ns.p, "h": ns.h, "q": q, "genus": g}
+        payload = {"family": tag, "p": ns.p, "h": ns.h, "q": q, "genus": g}
     else:
         ctx = _ctx(ns)
-        model = models.build(ctx, FAMILIES[famkey])
+        model = models.build(ctx, tag)
         payload = {
             "family": model.family,
             "p": ctx.p,
@@ -141,13 +134,15 @@ def cmd_genus(ns: argparse.Namespace):
 
 def cmd_semigroup(ns: argparse.Namespace):
     if ns.gens:
+        if ns.family is not None or ns.p or ns.h:
+            raise ParameterError("--gens takes no --family, --p or --h")
         try:
             gens = tuple(int(t) for t in ns.gens.split(","))
         except ValueError:
             raise ParameterError(f"cannot parse generator list {ns.gens!r}")
         payload = {"family": "custom", "version": __version__}
     else:
-        if ns.family not in PARAMETRIZED:
+        if ns.family is None:
             raise ParameterError("semigroup needs --family I/II/III or --gens")
         if ns.p <= 0 or ns.h <= 0:
             raise ParameterError("semigroup needs --p and --h")
@@ -192,12 +187,9 @@ def cmd_aut(ns: argparse.Namespace):
             if name != "notes"
         }
         return {**base, "family": tag, "subgroup_types": tables, "notes": st["notes"]}, 0
+    table = group(ctx, tag, bn)
     if tag == "family_III":
-        return {**base, "family": tag, **family_III_group(ctx, bn).details}, 0
-    if tag == "Hermitian":
-        table = pgu_stabilizer(ctx)
-    else:
-        table = (family_I_group if tag == "family_I" else family_II_group)(ctx, bn)
+        return {**base, "family": tag, **table.details}, 0
     return {**base, "family": tag, "b": bn, **_table_payload(table)}, 0
 
 
@@ -251,6 +243,8 @@ def cmd_lemma_b(ns: argparse.Namespace):
 
 
 def cmd_verify(ns: argparse.Namespace):
+    if ns.all and ns.check:
+        raise ParameterError("--all takes no --check")
     if ns.all:
         ids = None
     elif ns.check:

@@ -23,7 +23,7 @@ from functools import reduce
 from itertools import product
 
 from .gfield import CheckError, FieldCtx, ParameterError
-from .models import admissible_b, check_b, family_I_model, family_II_model, family_key
+from .models import admissible_b, check_b, family_I_model, family_II_model
 from .polyring import BiPoly, p_power_exp
 
 INVENTORY_BOUND = 4096
@@ -82,8 +82,8 @@ def _certify_family_I(ctx: FieldCtx, bn: int, be: int, c: int, delta: int, sigma
 def family_I_iso(ctx: FieldCtx, b, bbar) -> IsoWitness | None:
     """Search c in F_q^* for the full condition set; delta is pinned by the
     i = 1 condition, sigma by the norm equation.  None when no pair works."""
-    bn = check_b(ctx, "I", b)
-    be = check_b(ctx, "I", bbar)
+    bn = check_b(ctx, "family_I", b)
+    be = check_b(ctx, "family_I", bbar)
     h = ctx.h
     diffs = [ctx.sub(bn, ctx.frob(bn, i)) for i in range(1, h)]
     diffs_bar = [ctx.sub(be, ctx.frob(be, i)) for i in range(1, h)]
@@ -106,8 +106,8 @@ def family_I_iso(ctx: FieldCtx, b, bbar) -> IsoWitness | None:
 def family_I_classify(ctx: FieldCtx, b, bbar) -> dict:
     """Membership-based decision: quadratic pair, cubic pair, or a
     fractional-linear relation over F_p; anything else is not isomorphic."""
-    bn = check_b(ctx, "I", b)
-    be = check_b(ctx, "I", bbar)
+    bn = check_b(ctx, "family_I", b)
+    be = check_b(ctx, "family_I", bbar)
     if ctx.frob(bn, 2) == bn and ctx.frob(be, 2) == be:
         return {"iso": True, "case": "both_quadratic"}
     if ctx.frob(bn, 3) == bn and ctx.frob(be, 3) == be:
@@ -126,8 +126,8 @@ def family_I_classify(ctx: FieldCtx, b, bbar) -> dict:
 
 def family_II_iso(ctx: FieldCtx, b, bbar) -> int | None:
     """kappa = bbar/b when it lands in F_p^*, certified by substitution."""
-    bn = check_b(ctx, "II", b)
-    be = check_b(ctx, "II", bbar)
+    bn = check_b(ctx, "family_II", b)
+    be = check_b(ctx, "family_II", bbar)
     kappa = ctx.div(be, bn)
     if kappa == 0 or kappa >= ctx.p:
         return None
@@ -145,18 +145,15 @@ def class_inventory(family: str, ctx: FieldCtx) -> dict:
 
     Family I partitions with the witness solver and, at desk sizes,
     cross-checks every pair against the classifier; family II partitions by
-    the kappa ratio test.  family is "I" or "II", with or without the
-    "family_" prefix.
+    the kappa ratio test.  family is the tag family_I or family_II.
     """
-    family = "family_" + family_key(family)
     if family == "family_I":
-        bs = admissible_b(ctx, "family_I")
         decide = lambda x, y: family_I_iso(ctx, x, y) is not None
     elif family == "family_II":
-        bs = admissible_b(ctx, "family_II")
         decide = lambda x, y: family_II_iso(ctx, x, y) is not None
     else:
         raise ParameterError(f"no isomorphism criterion for {family!r}")
+    bs = admissible_b(ctx, family)
     if len(bs) > INVENTORY_BOUND:
         raise ParameterError("parameter space too large to partition")
 

@@ -5,9 +5,11 @@ factorization checks.
 Every model is an affine plane equation F(X, Y) = 0 over F_{q^2} wrapped
 with its claimed invariants (genus, Weierstrass generators at the place
 at infinity).  The claims are inputs here; the counting and semigroup
-modules are the ones that re-derive them.  build is the one place that
-turns a family tag into its model, and default_b the one place that
-picks a family's b when none is given.
+modules are the ones that re-derive them.  A family is named by its tag
+in FAMILY_TAGS and by nothing else; PARAMETRIZED lists the tags that
+take a parameter b.  build is the one place that turns a tag into its
+model, and default_b the one place that picks a family's b when none is
+given.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ _BUILDERS = {
     "family_III": lambda ctx, b: family_III_model(ctx, b),
 }
 FAMILY_TAGS = tuple(_BUILDERS)
+PARAMETRIZED = ("family_I", "family_II", "family_III")
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def default_b(ctx: FieldCtx, family: str, b=None) -> int | None:
     runs without the caller hunting for encodings by hand.  None for a tag
     that takes no b; ParameterError if such a tag is given a b, or if the
     family has no admissible b at (p, h)."""
-    if family in _BUILDERS and not family.startswith("family_"):
+    if family in _BUILDERS and family not in PARAMETRIZED:
         if b is not None:
             raise ParameterError(f"{family} takes no parameter b")
         return None
@@ -211,7 +214,7 @@ def family_I_model(ctx: FieldCtx, b) -> CurveModel:
     is kept and flagged rational instead of rejected.
     """
     q, p, h = ctx.q, ctx.p, ctx.h
-    bn = check_b(ctx, "I", b)
+    bn = check_b(ctx, "family_I", b)
     w = find_omega(ctx)
     X, Y = BiPoly.variables(ctx, ("xi", "rho"))
     F = (X ** (q + 1)).cmul(w)
@@ -220,7 +223,7 @@ def family_I_model(ctx: FieldCtx, b) -> CurveModel:
         F = F + (Y ** (p ** (i - 1))).cmul(ci)
     if ctx.sub(bn, ctx.frob(bn, h - 1)) == 0:
         raise CheckError("leading Y-coefficient b - b^(p^(h-1)) vanished")
-    return _family_model(ctx, "I", F, {"b": bn, "omega": w})
+    return _family_model(ctx, "family_I", F, {"b": bn, "omega": w})
 
 
 def family_II_model(ctx: FieldCtx, b) -> CurveModel:
@@ -230,26 +233,26 @@ def family_II_model(ctx: FieldCtx, b) -> CurveModel:
     The quotient by an order-p^2 subgroup meeting the center of the
     Sylow p-subgroup in order p.
     """
-    bn = check_b(ctx, "II", b)
+    bn = check_b(ctx, "family_II", b)
     X, Y = BiPoly.variables(ctx, ("xi", "rho"))
     TX = _trace(X, ctx.h)
     F = TX * TX - _trace(Y, ctx.h).cmul(ctx.add(bn, bn))
-    return _family_model(ctx, "II", F, {"b": bn})
+    return _family_model(ctx, "family_II", F, {"b": bn})
 
 
-def _family_model(ctx: FieldCtx, fam: str, F: BiPoly, params: dict) -> CurveModel:
+def _family_model(ctx: FieldCtx, family: str, F: BiPoly, params: dict) -> CurveModel:
     """The family's plane model with the genus and the Weierstrass
     generators its rules state; a genus-0 model is flagged rational."""
-    g = genus_formula(fam, ctx.p, ctx.h)
+    g = genus_formula(family, ctx.p, ctx.h)
     if g == 0:
         params["rational"] = True
     return CurveModel(
         F=F,
         ctx=ctx,
-        family="family_" + fam,
+        family=family,
         params=params,
         claimed_genus=g,
-        claimed_semigroup_gens=semigroup_gens(fam, ctx.p, ctx.h),
+        claimed_semigroup_gens=semigroup_gens(family, ctx.p, ctx.h),
     )
 
 
@@ -288,7 +291,7 @@ def family_III_coeffs(ctx: FieldCtx, b) -> CoeffList:
     means the recursion deviated and is reported as a check error.
     """
     q, h = ctx.q, ctx.h
-    bn = check_b(ctx, "III", b)
+    bn = check_b(ctx, "family_III", b)
     cn = ctx.add(bn, ctx.mul(bn, bn))
     if ctx.frob(cn, h) != cn:  # c = b + b^2 must land in F_q
         raise CheckError("c = b + b^2 left F_q")
@@ -325,48 +328,40 @@ def family_III_model(ctx: FieldCtx, b) -> CurveModel:
     F = cl.assemble()
     if F.degree(1) != ctx.q // 2:
         raise CheckError(f"Y-degree {F.degree(1)} != q/2")
-    return _family_model(ctx, "III", F, {"b": cl.b, "c": cl.c})
+    return _family_model(ctx, "family_III", F, {"b": cl.b, "c": cl.c})
 
 
-def family_key(family) -> str:
-    """The short tag I, II or III of a family, given with or without the
-    "family_" prefix."""
-    fam = str(family).replace("family_", "").upper()
-    if fam not in ("I", "II", "III"):
+def _family_domain(family: str, p: int, h: int) -> None:
+    """ParameterError unless family is a tag in PARAMETRIZED that exists at
+    (p, h): family_II needs p > 2, family_III needs p = 2 and h >= 2.
+    family_I exists at every (p, h), with no admissible b at h = 1, where
+    F_q = F_p."""
+    if family not in PARAMETRIZED:
         raise ParameterError(f"unknown family {family!r}")
-    return fam
-
-
-def _family_domain(family, p: int, h: int) -> str:
-    """family_key(family), once the family is checked to exist at (p, h):
-    II needs p > 2, III needs p = 2 and h >= 2.  Family I exists at every
-    (p, h), with no admissible b at h = 1, where F_q = F_p."""
-    fam = family_key(family)
-    if fam == "II" and p == 2:
+    if family == "family_II" and p == 2:
         raise ParameterError("family II needs p > 2")
-    if fam == "III" and (p != 2 or h < 2):
+    if family == "family_III" and (p != 2 or h < 2):
         raise ParameterError("family III needs p = 2 and h >= 2")
-    return fam
 
 
-def check_b(ctx: FieldCtx, family, b) -> int:
+def check_b(ctx: FieldCtx, family: str, b) -> int:
     """The encoding of b when the family admits it, else ParameterError.
 
     I: b in F_q \\ F_p.  II: b != 0 with b^q + b = 0.
     III: b^q + b + 1 = 0.  The family must first exist at (p, h): II
     needs p > 2, III needs p = 2 and h >= 2.
     """
-    fam = _family_domain(family, ctx.p, ctx.h)
+    _family_domain(family, ctx.p, ctx.h)
     bn = _as_encoding(ctx, b)
     bq = ctx.frob(bn, ctx.h)
-    if fam == "I":
+    if family == "family_I":
         ok, rule = bq == bn and not ctx.in_subfield(bn, 1), "b in F_q outside F_p"
-    elif fam == "II":
+    elif family == "family_II":
         ok, rule = bn != 0 and ctx.add(bq, bn) == 0, "b != 0 with b^q + b = 0"
     else:
         ok, rule = ctx.add(ctx.add(bq, bn), 1) == 0, "b^q + b + 1 = 0"
     if not ok:
-        raise ParameterError(f"b encoding {bn} fails {rule} (family {fam})")
+        raise ParameterError(f"b encoding {bn} fails {rule} ({family})")
     return bn
 
 
@@ -377,14 +372,14 @@ def admissible_b(ctx: FieldCtx, family: str) -> list[int]:
     check_b test.  I: F_q minus the prime field.  II: nonzero kernel of
     b^q + b.  III: solutions of b^q + b + 1 = 0.
     """
-    fam = _family_domain(family, ctx.p, ctx.h)
+    _family_domain(family, ctx.p, ctx.h)
     h = ctx.h
-    if fam == "I":
+    if family == "family_I":
         prime = set(ctx.subfield_encodings(1))
         return [x for x in ctx.subfield_encodings(h) if x not in prime]
     # b + b^q as a linearized map on F_{q^2}
     trace = LinearizedSolver(ctx, [1] + [0] * (h - 1) + [1], 2 * h)
-    if fam == "II":
+    if family == "family_II":
         return [x for x in trace.solve(0) if x]
     return trace.solve(1)
 
@@ -400,12 +395,12 @@ def genus_formula(family: str, p: int, h: int) -> int:
     order so that a huge p or h is rejected at once.
     """
     q = _checked_prime_power(p, h, 1, DEFAULT_SIZE_BOUND)
-    fam = _family_domain(family, p, h)
-    if fam == "I":
+    _family_domain(family, p, h)
+    if family == "family_I":
         if h < 2:
             raise ParameterError("family I needs h >= 2")
         return q * (q // p**2 - 1) // 2
-    if fam == "II":
+    if family == "family_II":
         return (q // p) * (q // p - 1) // 2
     return q * (q - 2) // 8
 
@@ -417,11 +412,11 @@ def semigroup_gens(family: str, p: int, h: int) -> tuple[int, ...] | None:
     I:  (p^(h-2), q + 1)
     II: (q/p, q/p + q/p^2, q + 1)
     """
-    fam = _family_domain(family, p, h)
-    if fam == "III" or h < 2:
+    _family_domain(family, p, h)
+    if family == "family_III" or h < 2:
         return None
     q = p**h
-    if fam == "I":
+    if family == "family_I":
         return (p ** (h - 2), q + 1)
     return (q // p, q // p + q // p**2, q + 1)
 

@@ -160,19 +160,18 @@ def semigroup_at_infinity(family: str, p: int, h: int) -> NumSemigroup:
     Where none are stated (family III, family II at h = 1) the request is
     refused rather than guessed at.
     """
-    from .models import family_key, genus_formula, semigroup_gens
+    from .models import genus_formula, semigroup_gens
 
     expect = genus_formula(family, p, h)  # checks p and h first
     gens = semigroup_gens(family, p, h)
-    fam = family_key(family)
     if gens is None:
         raise ParameterError(
-            f"no semigroup generators are stated for family {fam} at p = {p}, h = {h}"
+            f"no semigroup generators are stated for {family} at p = {p}, h = {h}"
         )
     sg = from_generators(gens)
     if sg.genus != expect:
         raise CheckError(
-            f"semigroup genus {sg.genus} != curve genus {expect} for family {fam}"
+            f"semigroup genus {sg.genus} != curve genus {expect} for {family}"
         )
     return sg
 

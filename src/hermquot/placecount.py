@@ -250,7 +250,7 @@ def family_III_place_count(ctx: FieldCtx, b) -> dict:
     characteristic-2 central quotient model by the involution
     (x, eta) -> (x + 1, eta + x^2 + x + b^2 + b).
     """
-    bn = check_b(ctx, "III", b)
+    bn = check_b(ctx, "family_III", b)
     q, h = ctx.q, ctx.h
     cover = fpp_char2(ctx)
     rep = quotient_places_order2(cover, family_III_deck(ctx, bn))

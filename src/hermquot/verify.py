@@ -11,13 +11,7 @@ from __future__ import annotations
 import time
 
 from . import models, numsg
-from .autgrp import (
-    family_I_group,
-    family_II_group,
-    family_III_group,
-    pgu_stabilizer,
-    subgroup_types,
-)
+from .autgrp import group, subgroup_types
 from .gfield import (
     CheckError,
     LinearizedSolver,
@@ -30,16 +24,13 @@ from .placecount import family_III_place_count, maximality_check
 _GROUPS: dict = {}
 
 
-def _group(kind: str, p: int, h: int, bn: int):
-    key = (kind, p, h, bn)
+def _group(family: str, p: int, h: int, b=None):
+    """autgrp.group, memoized on the resolved b, so the checks that read
+    one table share it."""
+    ctx = make_field(p, h)
+    key = (family, p, h, models.default_b(ctx, family, b))
     if key not in _GROUPS:
-        ctx = make_field(p, h)
-        builder = {
-            "I": family_I_group,
-            "II": family_II_group,
-            "III": family_III_group,
-        }[kind]
-        _GROUPS[key] = builder(ctx, bn)
+        _GROUPS[key] = group(ctx, family, key[3])
     return _GROUPS[key]
 
 
@@ -148,7 +139,7 @@ def check_automorphism_groups() -> dict:
     details: dict = {}
     ok = True
 
-    t1 = _group("I", 2, 3, models.default_b(make_field(2, 3), "family_I"))
+    t1 = _group("family_I", 2, 3)
     d1 = t1.details
     ok = ok and d1["V_order"] == 128 and d1["Lambda_order"] == 9
     ok = ok and t1.order == 1152 and d1["V_normal"] and d1["V_cap_Lambda_trivial"]
@@ -161,7 +152,7 @@ def check_automorphism_groups() -> dict:
         "discrepancies": disc,
     }
 
-    t2 = _group("II", 3, 2, models.default_b(make_field(3, 2), "family_II"))
+    t2 = _group("family_II", 3, 2)
     d2 = t2.details
     ok = ok and d2["Psi_order"] == 27 and d2["total_order"] == 54
     ok = ok and d2["commutator_equals_Gamma"] and d2["Gamma_order"] == 3
@@ -179,7 +170,7 @@ def check_automorphism_groups() -> dict:
         ctx = make_field(2, h)
         q = ctx.q
         bs = models.admissible_b(ctx, "family_III")
-        details3 = [_group("III", 2, h, b).details for b in (bs if h == 2 else bs[:1])]
+        details3 = [_group("family_III", 2, h, b).details for b in (bs if h == 2 else bs[:1])]
         for d3 in details3:
             ok = ok and d3["quotient_order"] == q * q // 2
             ok = ok and d3["quotient_exponent"] == 4
@@ -196,20 +187,19 @@ def _fixed_point_tables() -> list:
     """(label, model, elements) for each group table check_unique_fixed_point
     reads: families I-III, the order-p^2 subgroup types and the stabilizer."""
     tables = []
-    t = _group("I", 2, 3, models.default_b(make_field(2, 3), "family_I"))
+    t = _group("family_I", 2, 3)
     tables.append(("family_I(2,3)", t.model, t.elements))
-    t = _group("II", 3, 2, models.default_b(make_field(3, 2), "family_II"))
+    t = _group("family_II", 3, 2)
     tables.append(("family_II(3,2)", t.model, t.elements))
     for h in (2, 3):
-        ctx = make_field(2, h)
-        t = _group("III", 2, h, models.default_b(ctx, "family_III"))
-        tables.append((f"family_III(q={ctx.q})", t.model, t.elements))
+        t = _group("family_III", 2, h)
+        tables.append((f"family_III(q={2**h})", t.model, t.elements))
     for p, h in [(2, 2), (3, 2)]:
         st = subgroup_types(make_field(p, h))
         tables += [(f"{name}({p},{h})", t.model, t.elements)
                    for name, t in st.items() if name != "notes"]
     for p in (2, 3):
-        t = pgu_stabilizer(make_field(p, 1))
+        t = _group("Hermitian", p, 1)
         tables.append((f"stabilizer(q={p})", t.model, t.elements))
     return tables
 

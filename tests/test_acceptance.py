@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from hermquot import placecount, verify
+from hermquot import autgrp, placecount, verify
 from hermquot.autgrp import AffineAlgMap
 from hermquot.gfield import make_field
 from hermquot.models import hermitian_model
@@ -128,14 +128,14 @@ def test_fixed_point_check_composes_and_scans_nothing(monkeypatch, fixed_point_t
 
 def test_automorphism_groups_reports_measured_family_III(monkeypatch):
     # a planted quotient order fails the check and shows in its details
-    real = verify.family_III_group
+    real = autgrp.family_III_group
 
     def planted(ctx, b):
         t = real(ctx, b)
         return dataclasses.replace(t, details={**t.details, "quotient_order": 7})
 
     monkeypatch.setattr(verify, "_GROUPS", {})
-    monkeypatch.setattr(verify, "family_III_group", planted)
+    monkeypatch.setattr(autgrp, "family_III_group", planted)
     r = verify.check_automorphism_groups()
     assert not r["ok"]
     assert r["details"]["family_III"] == {

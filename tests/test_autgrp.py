@@ -19,6 +19,7 @@ from hermquot.autgrp import (
     family_I_group,
     family_II_group,
     family_III_group,
+    group,
     group_closure,
     map_preserves,
     pgu_stabilizer,
@@ -120,7 +121,7 @@ def test_map_preserves_examples():
     assert not map_preserves(hm, shift_x)
 
     c = ctx(2, 3)
-    fam = models.family_I_model(c, models.admissible_b(c, "family_I")[0])
+    fam = models.family_I_model(c, models.default_b(c, "family_I"))
     lam = next(e for e in range(2, c.order) if c.pow(e, c.q + 1) == 1 and e > 1)
     mu = c.pow(lam, c.q + 1)
     scaling = AffineAlgMap(
@@ -140,7 +141,7 @@ def test_map_preserves_examples():
 def test_map_preserves_rejects_nonconstant_leading_coefficient():
     # the family III plane model at (2,2) has Y-leading coefficient x^4 + 188
     c = ctx(2, 2)
-    fam = models.family_III_model(c, models.admissible_b(c, "family_III")[0])
+    fam = models.family_III_model(c, models.default_b(c, "family_III"))
     with pytest.raises(ParameterError):
         map_preserves(fam, AffineAlgMap.identity(c))
 
@@ -366,7 +367,7 @@ def test_subgroup_types_match_the_closure_oracle(key):
 
 def test_family_I_group_2_3():
     c = ctx(2, 3)
-    t = family_I_group(c, models.admissible_b(c, "family_I")[0])
+    t = family_I_group(c, models.default_b(c, "family_I"))
     assert t.order == 1152
     assert t.closed
     assert len(t.elements) == 1152
@@ -386,7 +387,7 @@ def test_family_I_group_2_3():
 
 def test_family_I_group_2_2():
     c = ctx(2, 2)
-    t = family_I_group(c, models.admissible_b(c, "family_I")[0])
+    t = family_I_group(c, models.default_b(c, "family_I"))
     assert t.order == 80
     assert t.exponent == 10
     d = t.details
@@ -399,7 +400,7 @@ def test_family_I_group_2_2():
 def test_family_I_group_3_3_counted():
     # too large to close under composition; orders are still verified
     c = ctx(3, 3)
-    t = family_I_group(c, models.admissible_b(c, "family_I")[0])
+    t = family_I_group(c, models.default_b(c, "family_I"))
     assert t.order == 122472
     assert not t.closed
     d = t.details
@@ -411,7 +412,7 @@ def test_family_I_group_3_3_counted():
 
 def test_family_II_group_3_2():
     c = ctx(3, 2)
-    t = family_II_group(c, models.admissible_b(c, "family_II")[0])
+    t = family_II_group(c, models.default_b(c, "family_II"))
     assert t.order == 54
     assert t.exponent == 6
     d = t.details
@@ -446,7 +447,7 @@ def _family_II_box(model):
 
 def test_family_II_solved_translations_match_box_scan():
     c = ctx(3, 2)
-    t = family_II_group(c, models.admissible_b(c, "family_II")[0])
+    t = family_II_group(c, models.default_b(c, "family_II"))
     # Psi is the lam = 1 part of the table
     psi = [g for g in t.elements if g.lam == 1]
     assert all(g.mu == 1 and set(g.f) <= {0, 1} for g in psi)
@@ -465,14 +466,14 @@ def test_family_II_rejected_solved_map_raises(monkeypatch):
     )
     c = ctx(3, 2)
     with pytest.raises(CheckError, match="solved translation"):
-        family_II_group(c, models.admissible_b(c, "family_II")[0])
+        family_II_group(c, models.default_b(c, "family_II"))
 
 
 def test_family_II_group_conic():
     # at h = 1 the solve lets every nu through; the table keeps nu in F_p
     for p in (3, 5, 7):
         c = ctx(p, 1)
-        t = family_II_group(c, models.admissible_b(c, "family_II")[0])
+        t = family_II_group(c, models.default_b(c, "family_II"))
         assert t.details["Psi_order"] == p
         assert t.details["total_order"] == (p - 1) * p
 
@@ -500,7 +501,7 @@ def _family_II_compose_loops(psi):
 )
 def test_family_II_one_pass_matches_the_compose_loops(key, frozen):
     c = ctx(*key)
-    t = family_II_group(c, models.admissible_b(c, "family_II")[0])
+    t = family_II_group(c, models.default_b(c, "family_II"))
     d = t.details
     assert (t.order, t.exponent, t.center_order, t.commutator_order,
             d["centralizer_profile"]) == frozen
@@ -530,7 +531,7 @@ def test_family_III_group_q4():
 
 def test_family_III_group_q8():
     c = ctx(2, 3)
-    rep = family_III_group(c, models.admissible_b(c, "family_III")[0]).details
+    rep = family_III_group(c, models.default_b(c, "family_III")).details
     assert rep["psi_order"] == 256
     assert rep["normalizer_order"] == 64
     assert rep["criterion_matches"]
@@ -555,7 +556,7 @@ def test_family_III_normalizer_must_be_closed(monkeypatch):
 
     monkeypatch.setattr(autgrp, "_central", swapped)
     with pytest.raises(CheckError, match="not closed"):
-        family_III_group(c, models.admissible_b(c, "family_III")[0])
+        family_III_group(c, models.default_b(c, "family_III"))
 
 
 def test_family_group_rejects_bad_b():
@@ -569,10 +570,10 @@ def test_family_group_rejects_bad_b():
 
 def test_every_table_element_preserves_its_model():
     c = ctx(3, 2)
-    t = family_II_group(c, models.admissible_b(c, "family_II")[0])
+    t = family_II_group(c, models.default_b(c, "family_II"))
     assert all(map_preserves(t.model, g) for g in t.elements)
     c = ctx(2, 2)
-    t = family_I_group(c, models.admissible_b(c, "family_I")[0])
+    t = family_I_group(c, models.default_b(c, "family_I"))
     assert all(map_preserves(t.model, g) for g in t.elements)
 
 
@@ -597,19 +598,31 @@ def oracle_tally(monkeypatch):
     return tally
 
 
-def _build_table(family, c):
-    # the table of one family at its first admissible b; the stabilizer has no b
-    if family == "hermitian":
-        return pgu_stabilizer(c)
-    build = {"I": family_I_group, "II": family_II_group, "III": family_III_group}
-    return build[family](c, models.admissible_b(c, "family_" + family)[0])
+def test_group_calls_each_builder_by_name(monkeypatch):
+    # group looks its builder up when called, so a builder wrapped from
+    # outside the module, as perfbench/tracer.py wraps family_I_group, sees
+    # the call
+    from hermquot import autgrp
+
+    real = autgrp.family_I_group
+    calls = []
+
+    def counted(c, b):
+        calls.append(b)
+        return real(c, b)
+
+    monkeypatch.setattr(autgrp, "family_I_group", counted)
+    c = ctx(2, 2)
+    t = group(c, "family_I")
+    assert calls == [models.default_b(c, "family_I")] and t.order == 80
+    assert set(autgrp._TABLES) <= set(models.FAMILY_TAGS)
 
 
 @pytest.mark.parametrize(
     "family, key, calls",
-    [("I", (2, 2), 21), ("I", (2, 3), 137), ("I", (3, 2), 101), ("II", (3, 2), 29),
-     ("III", (2, 2), 32), ("III", (2, 3), 256),
-     ("hermitian", (2, 1), 11), ("hermitian", (3, 1), 31), ("hermitian", (2, 2), 69)],
+    [("family_I", (2, 2), 21), ("family_I", (2, 3), 137), ("family_I", (3, 2), 101),
+     ("family_II", (3, 2), 29), ("family_III", (2, 2), 32), ("family_III", (2, 3), 256),
+     ("Hermitian", (2, 1), 11), ("Hermitian", (3, 1), 31), ("Hermitian", (2, 2), 69)],
 )
 def test_family_tables_confirm_each_candidate_once(oracle_tally, family, key, calls):
     # hermitian: q^3 translations and q + 1 scalar maps;
@@ -617,9 +630,9 @@ def test_family_tables_confirm_each_candidate_once(oracle_tally, family, key, ca
     # II: q^2/p translations and p - 1 diagonal maps; III: q^3/2 translations
     c = ctx(*key)
     p, q = c.p, c.q
-    _build_table(family, c)
-    formula = {"hermitian": q**3 + q + 1, "I": q**3 // p**2 + (q + 1) * (p - 1),
-               "II": q * q // p + p - 1, "III": q**3 // 2}
+    group(c, family)
+    formula = {"Hermitian": q**3 + q + 1, "family_I": q**3 // p**2 + (q + 1) * (p - 1),
+               "family_II": q * q // p + p - 1, "family_III": q**3 // 2}
     assert oracle_tally == {"calls": calls, "accepted": calls}
     assert calls == formula[family]
 
@@ -645,7 +658,7 @@ def test_stabilizer_rejected_map_names_its_stage(monkeypatch):
 
 def test_family_I_rejected_map_names_its_stage(monkeypatch):
     c = ctx(2, 2)
-    b = models.admissible_b(c, "family_I")[0]
+    b = models.default_b(c, "family_I")
     _refusing(monkeypatch, lambda m: m.lam != 1)
     with pytest.raises(CheckError, match="diagonal map"):
         family_I_group(c, b)
@@ -658,7 +671,7 @@ def test_family_III_rejected_map_names_its_stage(monkeypatch):
     c = ctx(2, 2)
     _refusing(monkeypatch, lambda m: m.a == 1)
     with pytest.raises(CheckError, match="solved translation"):
-        family_III_group(c, models.admissible_b(c, "family_III")[0])
+        family_III_group(c, models.default_b(c, "family_III"))
 
 
 @pytest.mark.parametrize("key, fallbacks", [((2, 2), 14), ((2, 3), 64), ((2, 4), 254),
@@ -669,7 +682,7 @@ def test_family_I_printed_claim_lookup_matches_the_oracle(key, fallbacks):
     # and V is the old assembly of the printed blocks, each replaced by the
     # solved maps for its a where it fails
     c = ctx(*key)
-    b = models.admissible_b(c, "family_I")[0]
+    b = models.default_b(c, "family_I")
     model = models.family_I_model(c, b)
     solved = set(_translations(model))
     refused = 0
@@ -698,9 +711,9 @@ def test_no_builder_calls_group_closure(monkeypatch):
         raise AssertionError("a table builder called group_closure")
 
     monkeypatch.setattr(autgrp, "group_closure", refuse)
-    for family, key in [("hermitian", (2, 1)), ("hermitian", (3, 1)), ("I", (2, 3)),
-                        ("II", (3, 2)), ("III", (2, 2)), ("III", (2, 3))]:
-        _build_table(family, ctx(*key))
+    for family, key in [("Hermitian", (2, 1)), ("Hermitian", (3, 1)), ("family_I", (2, 3)),
+                        ("family_II", (3, 2)), ("family_III", (2, 2)), ("family_III", (2, 3))]:
+        group(ctx(*key), family)
     for key in [(2, 2), (3, 2), (2, 3)]:
         subgroup_types(ctx(*key))
     assert all(r["ok"] for r in verify.run_all())
@@ -713,15 +726,15 @@ def _lcm_of_orders(elements):
 
 @pytest.mark.parametrize(
     "family, key",
-    [("hermitian", (2, 1)), ("hermitian", (3, 1)), ("I", (2, 2)), ("I", (2, 3)),
-     ("II", (3, 2)), ("types", (2, 2)), ("types", (3, 2)), ("types", (2, 3))],
+    [("Hermitian", (2, 1)), ("Hermitian", (3, 1)), ("family_I", (2, 2)), ("family_I", (2, 3)),
+     ("family_II", (3, 2)), ("types", (2, 2)), ("types", (3, 2)), ("types", (2, 3))],
 )
 def test_exponent_matches_the_lcm_of_element_orders(family, key):
     c = ctx(*key)
     if family == "types":
         tables = [t for name, t in subgroup_types(c).items() if name != "notes"]
     else:
-        tables = [_build_table(family, c)]
+        tables = [group(c, family)]
     for t in tables:
         assert t.exponent == _exponent(t.elements) == _lcm_of_orders(t.elements)
 
@@ -732,8 +745,8 @@ def _group_list(what, key):
     if what == "U":
         return _translations(models.hermitian_model(c))
     if what == "V":
-        return _translations(models.family_I_model(c, models.admissible_b(c, "family_I")[0]))
-    model = models.family_II_model(c, models.admissible_b(c, "family_II")[0])
+        return _translations(models.family_I_model(c, models.default_b(c, "family_I")))
+    model = models.family_II_model(c, models.default_b(c, "family_II"))
     return [m for m in _translations(model) if m.f.get(1, 0) < c.p]
 
 
@@ -782,18 +795,19 @@ def test_spanning_subset_extends_the_group_in_place(monkeypatch):
 
 @pytest.mark.parametrize(
     "family, key",
-    [("hermitian", (2, 1)), ("hermitian", (3, 1)), ("hermitian", (2, 2)), ("I", (2, 2)),
-     ("I", (2, 3)), ("I", (3, 2)), ("II", (3, 1)), ("II", (5, 1)), ("II", (3, 2))],
+    [("Hermitian", (2, 1)), ("Hermitian", (3, 1)), ("Hermitian", (2, 2)),
+     ("family_I", (2, 2)), ("family_I", (2, 3)), ("family_I", (3, 2)),
+     ("family_II", (3, 1)), ("family_II", (5, 1)), ("family_II", (3, 2))],
 )
 def test_split_tables_match_the_closure_oracle(family, key):
     # the breadth-first closure stays as the oracle: the products T D are
     # distinct and are the closure of T's generators and D's generators
     c = ctx(*key)
-    t = _build_table(family, c)
+    t = group(c, family)
     keys = [g.key() for g in t.elements]
     assert len(set(keys)) == len(keys) == t.order
     gens = list(t.generators)
-    if family == "hermitian":
+    if family == "Hermitian":
         # the stabilizer prints U's generators only; add a scalar map of order q + 1
         gens.append(next(m for m in t.elements
                          if m.a == 0 and not m.f and m.order() == c.q + 1))
@@ -804,7 +818,7 @@ def test_split_group_refuses_an_overlap():
     # T also holding the non-identity tau = (-x, y) meets D beyond the
     # identity; the overlap is refused before _spanning_subset sees T
     c = ctx(3, 2)
-    model = models.family_II_model(c, models.admissible_b(c, "family_II")[0])
+    model = models.family_II_model(c, models.default_b(c, "family_II"))
     psi = _group_list("Psi", (3, 2))
     _, D = _split_group(model, psi, 2, 2)
     tau = AffineAlgMap.triangular(c, 2, 0, c.mul(2, 2))
@@ -818,7 +832,7 @@ def test_split_group_builds_D_of_order_n():
     # gamma^26 of order 40; n = 4 gives a D of order 4, but (zeta x,
     # zeta^2 y) with zeta outside F_3 does not preserve the curve
     c = ctx(3, 2)
-    model = models.family_II_model(c, models.admissible_b(c, "family_II")[0])
+    model = models.family_II_model(c, models.default_b(c, "family_II"))
     psi = _group_list("Psi", (3, 2))
     with pytest.raises(CheckError, match="diagonal group order 40 != 3"):
         _split_group(model, psi, 3, 2)
@@ -834,10 +848,10 @@ def _diagonal_scan(c, n, k):
 
 @pytest.mark.parametrize(
     "family, key",
-    [("hermitian", (2, 1)), ("hermitian", (3, 1)), ("hermitian", (5, 1)),
-     ("hermitian", (2, 2)), ("hermitian", (3, 2)), ("I", (2, 2)), ("I", (2, 3)),
-     ("I", (3, 2)), ("I", (2, 4)), ("I", (5, 2)), ("II", (3, 1)), ("II", (5, 1)),
-     ("II", (3, 2))],
+    [("Hermitian", (2, 1)), ("Hermitian", (3, 1)), ("Hermitian", (5, 1)),
+     ("Hermitian", (2, 2)), ("Hermitian", (3, 2)), ("family_I", (2, 2)),
+     ("family_I", (2, 3)), ("family_I", (3, 2)), ("family_I", (2, 4)), ("family_I", (5, 2)),
+     ("family_II", (3, 1)), ("family_II", (5, 1)), ("family_II", (3, 2))],
 )
 def test_split_tables_match_the_diagonal_scan(family, key):
     # D = <d> against the scans it replaced: its maps, family I's printed
@@ -845,16 +859,16 @@ def test_split_tables_match_the_diagonal_scan(family, key):
     # and family II's printed taus (lam = 2, ..., p - 1)
     c = ctx(*key)
     p, q = c.p, c.q
-    n, k = {"hermitian": (q + 1, q + 1), "I": ((q + 1) * (p - 1), q + 1),
-            "II": (p - 1, 2)}[family]
-    t = _build_table(family, c)
+    n, k = {"Hermitian": (q + 1, q + 1), "family_I": ((q + 1) * (p - 1), q + 1),
+            "family_II": (p - 1, 2)}[family]
+    t = group(c, family)
     diagonal = {g.key() for g in t.elements if g.a == 0 and not g.f}
     assert diagonal == _diagonal_scan(c, n, k) and len(diagonal) == n
-    if family == "I":
+    if family == "family_I":
         first = next(lam for lam in c.subfield_encodings(2 * c.h)[1:]
                      if _mult_order(c, lam) == n)
         assert t.generators[-1].lam == first
-    if family == "II":
+    if family == "family_II":
         taus = [g for g in t.generators if g.lam != 1]
         assert taus == [AffineAlgMap.triangular(c, lam, 0, c.mul(lam, lam))
                         for lam in range(2, p)]
@@ -864,7 +878,7 @@ def test_split_tables_match_the_diagonal_scan(family, key):
 def test_family_I_generators_generate_V(key):
     # (2, 3) is closed, (2, 4) and (5, 2) counted: both modes print v_gens + [lam_gen]
     c = ctx(*key)
-    b = models.admissible_b(c, "family_I")[0]
+    b = models.default_b(c, "family_I")
     t = family_I_group(c, b)
     V = _translations(models.family_I_model(c, b))
     assert {g.key() for g in group_closure(t.generators[:-1])} == {g.key() for g in V}
@@ -975,7 +989,7 @@ def test_translations_follow_the_family_II_law():
         assert _translations(model) == _family_II_law(model)
     for p in (3, 5):
         c = ctx(p, 1)
-        model = models.family_II_model(c, models.admissible_b(c, "family_II")[0])
+        model = models.family_II_model(c, models.default_b(c, "family_II"))
         solved = _translations(model)
         assert len(solved) == c.q**2  # every nu in F_{q^2} at h = 1
         law = _family_II_law(model)
@@ -1006,7 +1020,7 @@ def test_translations_follow_the_family_III_law(h):
 def test_translations_need_an_additive_y_part():
     c = ctx(2, 2)
     # Y-coefficients that depend on x
-    plane = models.family_III_model(c, models.admissible_b(c, "family_III")[0])
+    plane = models.family_III_model(c, models.default_b(c, "family_III"))
     with pytest.raises(ParameterError):
         _translations(plane)
     # L(y) = y^2 has L'(0) = 0, so the cascade cannot divide

@@ -35,21 +35,10 @@ def test_acceptance_matches_reference():
         assert (r["ok"], details) == (ref[r["id"]]["ok"], ref[r["id"]]["details"]), r["id"]
 
 
-def _count_model(family, ctx):
-    if family == "hermitian":
-        return models.hermitian_model(ctx)
-    if family == "center":
-        return models.subcover_center(ctx)
-    b = models.admissible_b(ctx, family)[0]
-    if family == "I":
-        return models.family_I_model(ctx, b)
-    return models.family_II_model(ctx, b)
-
-
 @pytest.mark.parametrize("idx", range(len(WORKLOADS["COUNT_ITEMS"])))
 def test_count_large_matches_reference(idx):
     family, p, h = WORKLOADS["COUNT_ITEMS"][idx]
-    rep = placecount.maximality_check(_count_model(family, make_field(p, h)))
+    rep = placecount.maximality_check(models.build(make_field(p, h), cli.FAMILIES[family]))
     assert rep["N"] == REF["count_large"][str(idx)]["N"]
     assert rep["maximal"] is True
 

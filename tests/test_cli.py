@@ -77,7 +77,8 @@ def test_semigroup_gens_cli_fuzz(gens):
     _assert_contract(*_cli("semigroup", "--gens", ",".join(map(str, gens))))
 
 
-@given(family=st.sampled_from(cli.PARAMETRIZED), p=_P, h=_H)
+@given(family=st.sampled_from([k for k, tag in cli.FAMILIES.items()
+                                if tag in models.PARAMETRIZED]), p=_P, h=_H)
 @settings(max_examples=40, deadline=None)
 def test_semigroup_family_cli_fuzz(family, p, h):
     _assert_contract(*_cli("semigroup", "--family", family, "--p", p, "--h", h))
@@ -117,10 +118,13 @@ def test_out_of_range_argv_is_rejected_at_once(argv):
         ("construct", "--family", "hermitian", "--p", "2", "--h", "2", "--b", "5"),
         ("count", "--family", "hermitian", "--p", "2", "--h", "2", "--b", "5"),
         ("aut", "--family", "hermitian", "--p", "2", "--h", "2", "--b", "5"),
+        ("aut", "--family", "hermitian", "--p", "2", "--h", "2", "--subgroups", "--b", "5"),
         ("aut", "--family", "I", "--p", "2", "--h", "3", "--subgroups"),
         ("iso", "--family", "I", "--p", "2", "--h", "3", "--inventory", "--b", "1186"),
         ("iso", "--family", "I", "--p", "2", "--h", "3", "--inventory", "--oracle", "2"),
         ("iso", "--family", "I", "--p", "2", "--h", "3", "--inventory", "--bbar", "1186"),
+        ("verify", "--all", "--check", "nonsense"),
+        ("semigroup", "--gens", "3,4", "--family", "I", "--p", "2", "--h", "3"),
     ],
 )
 def test_a_flag_the_command_would_drop_is_refused(argv):
@@ -142,7 +146,7 @@ def test_aut_family_II_at_q27(capsys):
 
 def test_construct_defaults_to_first_admissible_b(capsys):
     ctx = make_field(2, 3)
-    first = models.admissible_b(ctx, "family_I")[0]
+    first = models.default_b(ctx, "family_I")
     code, d = run_cli(capsys, "construct", "--family", "I", "--p", "2", "--h", "3")
     assert code == 0 and d["b"] == first
     code, d2 = run_cli(
@@ -228,7 +232,7 @@ def test_iso_family_I_with_oracle(capsys):
 
 def test_iso_family_II_kappa(capsys):
     ctx = make_field(3, 2)
-    b = models.admissible_b(ctx, "family_II")[0]
+    b = models.default_b(ctx, "family_II")
     bbar = ctx.mul(b, 2)
     code, d = run_cli(
         capsys, "iso", "--family", "II", "--p", "3", "--h", "2",

@@ -596,9 +596,9 @@ def _count_model_maps(ctx):
     ms.append(models.subcover_center(ctx))
     ms.append(models.subcover_noncenter(ctx) if ctx.p > 2 else models.fpp_char2(ctx))
     if ctx.h >= 2:
-        ms.append(models.family_I_model(ctx, models.admissible_b(ctx, "I")[0]))
+        ms.append(models.family_I_model(ctx, models.default_b(ctx, "family_I")))
     if ctx.p > 2:
-        ms.append(models.family_II_model(ctx, models.admissible_b(ctx, "II")[0]))
+        ms.append(models.family_II_model(ctx, models.default_b(ctx, "family_II")))
     return [split[0] for split in map(additive_split, (m.F for m in ms)) if split]
 
 
@@ -648,7 +648,7 @@ def test_zero_map_image_is_zero():
 def test_full_rank_count_builds_no_image():
     # family I's L over the whole of F_{q^4} at (3, 2), a k = 2 scan, is onto
     ctx = make_field(3, 2)
-    vec, _ = additive_split(models.family_I_model(ctx, models.admissible_b(ctx, "I")[0]).F)
+    vec, _ = additive_split(models.family_I_model(ctx, models.default_b(ctx, "family_I")).F)
     solver = LinearizedSolver(ctx, vec, ctx.deg)
     assert solver.rank == ctx.deg
     for rhs in range(0, ctx.order, 7):

@@ -120,19 +120,10 @@ def test_class_inventory_family_II():
     assert inv["count"] == 8
     assert inv["class_count"] == 4
     assert inv["class_sizes"] == [2, 2, 2, 2]
-    with pytest.raises(ParameterError):
-        class_inventory("family_III", ctx(2, 2))
-
-
-def test_class_inventory_takes_either_spelling():
-    c = ctx(2, 3)
-    inv = class_inventory("I", c)
-    assert inv == class_inventory("family_I", c)
-    assert inv["family"] == "family_I"
-    assert class_inventory("II", ctx(3, 2)) == class_inventory("family_II", ctx(3, 2))
-    for family in ("III", "hermitian"):
+    assert inv["family"] == "family_II"
+    for family in ("family_III", "Hermitian"):
         with pytest.raises(ParameterError):
-            class_inventory(family, c)
+            class_inventory(family, ctx(2, 2))
 
 
 def test_family_II_kappa():
@@ -199,7 +190,7 @@ def test_oracle_bounds_and_scope():
     with pytest.raises(ParameterError):
         oracle_iso(m, m, tier=3)
     c2 = ctx(2, 2)
-    m3 = models.family_III_model(c2, models.admissible_b(c2, "family_III")[0])
+    m3 = models.family_III_model(c2, models.default_b(c2, "family_III"))
     with pytest.raises(ParameterError):
         oracle_iso(m3, m3, tier=1)  # mixed x*y terms are out of scope
 
@@ -295,13 +286,13 @@ def reference_oracle_iso(model_a, model_b, tier=1):
 
 def _family_models(family, p, h):
     c = ctx(p, h)
-    build = {"I": models.family_I_model, "II": models.family_II_model}[family]
-    return [build(c, b) for b in models.admissible_b(c, "family_" + family)]
+    return [models.build(c, family, b) for b in models.admissible_b(c, family)]
 
 
 @pytest.mark.parametrize(
     "family, p, h",
-    [("I", 2, 2), ("I", 2, 3), ("I", 3, 2), ("II", 3, 1), ("II", 5, 1), ("II", 3, 2)],
+    [("family_I", 2, 2), ("family_I", 2, 3), ("family_I", 3, 2),
+     ("family_II", 3, 1), ("family_II", 5, 1), ("family_II", 3, 2)],
 )
 def test_oracle_matches_nested_scan_on_every_pair(family, p, h):
     ms = _family_models(family, p, h)
@@ -319,7 +310,8 @@ def _image(model, sigma, c, c1, c2):
 
 
 @pytest.mark.parametrize(
-    "family, p, h", [("I", 2, 2), ("I", 2, 3), ("II", 5, 1), ("II", 3, 2)]
+    "family, p, h",
+    [("family_I", 2, 2), ("family_I", 2, 3), ("family_II", 5, 1), ("family_II", 3, 2)],
 )
 def test_planted_triangular_images_need_tier_2(family, p, h):
     # a shift c1 != 0 puts x^j terms on B that no monomial image of A has,
@@ -336,7 +328,7 @@ def test_planted_triangular_images_need_tier_2(family, p, h):
                 assert oracle(a, b, 2) is True
 
 
-@pytest.mark.parametrize("family, p, h", [("I", 2, 3), ("II", 3, 2)])
+@pytest.mark.parametrize("family, p, h", [("family_I", 2, 3), ("family_II", 3, 2)])
 def test_constant_outside_the_shift_image_is_refused(family, p, h):
     # B = A + k.  (Y) and (X) leave only lam in F_p^*, and (C) asks for
     # L(c2) = lam k with L(c2) = sum_j A_j c2^j, an F_p-linear map that is

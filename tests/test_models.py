@@ -11,11 +11,7 @@ from hermquot.gfield import (
 )
 from hermquot.autgrp import subgroup_types
 from hermquot.polyring import BiPoly
-from hermquot import models
-
-
-def first_b(ctx, family):
-    return models.admissible_b(ctx, family)[0]
+from hermquot import autgrp, isocls, models, numsg
 
 
 # --- Hermitian variants ---
@@ -128,7 +124,7 @@ def test_fpp_covering_identity():
 
 def test_family_I_instantiation_2_3():
     ctx = make_field(2, 3)
-    bn = first_b(ctx, "I")
+    bn = models.default_b(ctx, "family_I")
     m = models.family_I_model(ctx, bn)
     assert m.F.coeff(ctx.q + 1, 0) == 1  # omega = 1 in char 2
     assert m.F.coeff(0, 1) == ctx.sub(bn, ctx.frob(bn, 1))
@@ -140,7 +136,7 @@ def test_family_I_instantiation_2_3():
 
 def test_family_I_h2_rational():
     ctx = make_field(2, 2)
-    m = models.family_I_model(ctx, first_b(ctx, "I"))
+    m = models.family_I_model(ctx, models.default_b(ctx, "family_I"))
     assert m.claimed_genus == 0
     assert m.params.get("rational") is True
     assert m.claimed_semigroup_gens == (1, 5)
@@ -164,7 +160,7 @@ def test_family_I_rejects_b_outside_Fq():
 def test_family_I_smooth_in_rho():
     for p, h in [(2, 3), (3, 3)]:
         ctx = make_field(p, h)
-        for b in models.admissible_b(ctx, "I"):
+        for b in models.admissible_b(ctx, "family_I"):
             d = models.family_I_model(ctx, b).F.partial_deriv(1)
             assert list(d.terms) == [(0, 0)] and d.terms[(0, 0)] != 0
 
@@ -175,7 +171,7 @@ def test_family_I_covering_identity():
     for p, h in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         ctx = make_field(p, h)
         center = models.subcover_center(ctx).F
-        for bn in models.admissible_b(ctx, "I"):
+        for bn in models.admissible_b(ctx, "family_I"):
             fI = models.family_I_model(ctx, bn).F
             uinv = ctx.inv(ctx.sub(ctx.frob(bn, 1), bn))
             X, Y = BiPoly.variables(ctx, center.names)
@@ -188,7 +184,7 @@ def test_family_I_covering_identity():
 
 def test_family_II_instantiation_3_2():
     ctx = make_field(3, 2)
-    b = first_b(ctx, "II")
+    b = models.default_b(ctx, "family_II")
     m = models.family_II_model(ctx, b)
     X, Y = BiPoly.variables(ctx, ("xi", "rho"))
     T = X + X**3
@@ -221,7 +217,7 @@ def test_family_II_rejects_bad_b():
 
 def test_family_II_smooth_in_rho():
     ctx = make_field(3, 2)
-    for b in models.admissible_b(ctx, "II"):
+    for b in models.admissible_b(ctx, "family_II"):
         d = models.family_II_model(ctx, b).F.partial_deriv(1)
         assert list(d.terms) == [(0, 0)]
         assert d.terms[(0, 0)] == ctx.neg(ctx.add(b, b))
@@ -232,7 +228,7 @@ def test_family_II_covered_numeric():
     # rho = (eta/b)^p - eta/b lands on the family II equation
     ctx = make_field(3, 2)
     p, q, h = ctx.p, ctx.q, ctx.h
-    bn = first_b(ctx, "II")
+    bn = models.default_b(ctx, "family_II")
     fII = models.family_II_model(ctx, bn).F
     bp = ctx.pow(bn, p)
     binv = ctx.inv(bn)
@@ -257,7 +253,7 @@ def test_family_II_covered_numeric():
 
 def test_family_III_coeffs_q4_frozen():
     ctx = make_field(2, 2)
-    b = first_b(ctx, "III")
+    b = models.default_b(ctx, "family_III")
     cl = models.family_III_coeffs(ctx, b)
     cn = cl.c
     X, _ = BiPoly.variables(ctx, ("x", "kappa"))
@@ -276,7 +272,7 @@ def test_family_III_model_shape():
     for h in (2, 3):
         ctx = make_field(2, h)
         q = ctx.q
-        for b in models.admissible_b(ctx, "III"):
+        for b in models.admissible_b(ctx, "family_III"):
             m = models.family_III_model(ctx, b)
             assert m.F.degree(1) == q // 2
             assert m.F.coeff(q + 1, 0) == 1
@@ -303,7 +299,7 @@ def test_family_III_covered_numeric():
     for h in (2, 3):
         ctx = make_field(2, h)
         q = ctx.q
-        for b in models.admissible_b(ctx, "III"):
+        for b in models.admissible_b(ctx, "family_III"):
             m = models.family_III_model(ctx, b)
             cn = m.params["c"]
             fiber = LinearizedSolver(ctx, [1] * h, 2 * h)
@@ -329,37 +325,35 @@ def test_family_III_covered_numeric():
 
 
 def test_genus_formula_frozen_values():
-    assert models.genus_formula("I", 2, 3) == 4
-    assert models.genus_formula("I", 3, 3) == 27
-    assert models.genus_formula("I", 2, 2) == 0
-    assert models.genus_formula("II", 3, 2) == 3
-    assert models.genus_formula("II", 5, 2) == 10
-    assert models.genus_formula("III", 2, 2) == 1
-    assert models.genus_formula("III", 2, 3) == 6
-    # long-tag spelling accepted
     assert models.genus_formula("family_I", 2, 3) == 4
+    assert models.genus_formula("family_I", 3, 3) == 27
+    assert models.genus_formula("family_I", 2, 2) == 0
+    assert models.genus_formula("family_II", 3, 2) == 3
+    assert models.genus_formula("family_II", 5, 2) == 10
+    assert models.genus_formula("family_III", 2, 2) == 1
+    assert models.genus_formula("family_III", 2, 3) == 6
     # q = 3^18 is the largest power of 3 under the size bound
-    assert models.genus_formula("II", 3, 18) == 3**17 * (3**17 - 1) // 2
+    assert models.genus_formula("family_II", 3, 18) == 3**17 * (3**17 - 1) // 2
 
 
 def test_genus_formula_errors():
     with pytest.raises(ParameterError):
-        models.genus_formula("I", 2, 1)
+        models.genus_formula("family_I", 2, 1)
     with pytest.raises(ParameterError):
-        models.genus_formula("II", 2, 3)
+        models.genus_formula("family_II", 2, 3)
     with pytest.raises(ParameterError):
-        models.genus_formula("III", 3, 2)
+        models.genus_formula("family_III", 3, 2)
     with pytest.raises(ParameterError):
         models.genus_formula("IV", 2, 3)
     for p, h in [(4, 2), (1, 3), (9, 2)]:
         with pytest.raises(ParameterError, match="not prime"):
-            models.genus_formula("I", p, h)
+            models.genus_formula("family_I", p, h)
     with pytest.raises(ParameterError, match="positive integer"):
-        models.genus_formula("II", 3, 0)
+        models.genus_formula("family_II", 3, 0)
     # the size bound comes first: no 47,000-digit power, no trial division
     for p, h in [(3, 100000), (1000000000000000003, 1)]:
         with pytest.raises(ParameterError, match="exceeds the bound"):
-            models.genus_formula("II", p, h)
+            models.genus_formula("family_II", p, h)
 
 
 def test_family_genus_is_the_hilbert_genus_of_its_subgroup():
@@ -392,49 +386,47 @@ def test_family_genus_is_the_hilbert_genus_of_its_subgroup():
 
 
 def test_admissible_b_counts():
-    assert len(models.admissible_b(make_field(2, 3), "I")) == 6
-    assert len(models.admissible_b(make_field(2, 5), "I")) == 30
-    assert len(models.admissible_b(make_field(3, 2), "II")) == 8
-    assert len(models.admissible_b(make_field(2, 2), "III")) == 4
-    assert len(models.admissible_b(make_field(2, 3), "III")) == 8
+    assert len(models.admissible_b(make_field(2, 3), "family_I")) == 6
+    assert len(models.admissible_b(make_field(2, 5), "family_I")) == 30
+    assert len(models.admissible_b(make_field(3, 2), "family_II")) == 8
+    assert len(models.admissible_b(make_field(2, 2), "family_III")) == 4
+    assert len(models.admissible_b(make_field(2, 3), "family_III")) == 8
 
 
 def test_public_elements_are_plain_ints():
     # the int encoding is the package's one element type, at every boundary
     from hermquot.isocls import family_I_iso, family_II_iso
 
-    for p, h, fam in [(2, 3, "I"), (3, 2, "II"), (2, 2, "III")]:
+    for p, h, fam in [(2, 3, "family_I"), (3, 2, "family_II"), (2, 2, "family_III")]:
         ctx = make_field(p, h)
         bs = models.admissible_b(ctx, fam)
         assert bs and all(type(b) is int for b in bs)
-        build = {"I": models.family_I_model, "II": models.family_II_model,
-                 "III": models.family_III_model}[fam]
-        assert type(build(ctx, bs[0]).params["b"]) is int
+        assert type(models.build(ctx, fam).params["b"]) is int
     for p, h in [(2, 2), (3, 1), (3, 2)]:
         assert type(find_omega(make_field(p, h))) is int
     ctx = make_field(2, 3)
-    b = models.admissible_b(ctx, "I")[0]
+    b = models.default_b(ctx, "family_I")
     w = family_I_iso(ctx, b, b)
     for x in (w.c, w.delta, w.sigma, *w.direction):
         assert type(x) is int
     ctx = make_field(3, 2)
-    b = models.admissible_b(ctx, "II")[0]
+    b = models.default_b(ctx, "family_II")
     assert type(family_II_iso(ctx, b, b)) is int
 
 
 def test_admissible_b_all_accepted():
     ctx = make_field(3, 2)
-    for b in models.admissible_b(ctx, "II"):
+    for b in models.admissible_b(ctx, "family_II"):
         models.family_II_model(ctx, b)
     ctx = make_field(2, 3)
-    for b in models.admissible_b(ctx, "III"):
+    for b in models.admissible_b(ctx, "family_III"):
         models.family_III_coeffs(ctx, b)
     # check_b tests b directly; admissible_b lists by enumeration and by
     # solving: over all of F_{q^2} the two must pick the same b
     for p, h in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]:
         ctx = make_field(p, h)
-        for fam in ("I", "II", "III"):
-            if fam == ("III" if p > 2 else "II"):
+        for fam in models.PARAMETRIZED:
+            if fam == ("family_III" if p > 2 else "family_II"):
                 with pytest.raises(ParameterError):
                     models.admissible_b(ctx, fam)
                 with pytest.raises(ParameterError):
@@ -467,7 +459,7 @@ def test_curve_model_rejects_zero_poly():
 
 def test_to_dict_shape():
     ctx = make_field(2, 3)
-    b = first_b(ctx, "I")
+    b = models.default_b(ctx, "family_I")
     d = models.family_I_model(ctx, b).to_dict()
     assert d["family"] == "family_I"
     assert d["p"] == 2 and d["h"] == 3
@@ -490,6 +482,7 @@ def test_every_cli_family_is_built_by_the_registry():
     from hermquot import cli
 
     assert models.FAMILY_TAGS == tuple(models._BUILDERS)
+    assert set(models.PARAMETRIZED) <= set(models.FAMILY_TAGS)
     assert sorted(cli.FAMILIES.values()) == sorted(models.FAMILY_TAGS)
     for tag in cli.FAMILIES.values():
         assert models.build(make_field(*_TAG_FIELDS[tag]), tag).family == tag
@@ -517,6 +510,34 @@ def test_default_b_errors():
         models.build(ctx, "center_p", 5)
     with pytest.raises(ParameterError, match="unknown family"):
         models.build(ctx, "family_IV")
+
+
+# each library function that takes a family, called with a family tag t,
+# the tag's field c and its default b
+_BY_FAMILY = {
+    "build": lambda c, t, b: models.build(c, t),
+    "default_b": lambda c, t, b: models.default_b(c, t),
+    "check_b": lambda c, t, b: models.check_b(c, t, b),
+    "admissible_b": lambda c, t, b: models.admissible_b(c, t),
+    "genus_formula": lambda c, t, b: models.genus_formula(t, c.p, c.h),
+    "semigroup_gens": lambda c, t, b: models.semigroup_gens(t, c.p, c.h),
+    "semigroup_at_infinity": lambda c, t, b: numsg.semigroup_at_infinity(t, c.p, c.h),
+    "class_inventory": lambda c, t, b: isocls.class_inventory(t, c),
+    "group": lambda c, t, b: autgrp.group(c, t, b),
+}
+
+
+@pytest.mark.parametrize("key", ["I", "II", "III"])
+@pytest.mark.parametrize("name", sorted(_BY_FAMILY))
+def test_a_short_family_key_is_refused(name, key):
+    # the model tag is a family's one spelling: the CLI key is refused at
+    # the field and b where the tag is accepted
+    from hermquot import cli
+
+    tag = cli.FAMILIES[key]
+    c = make_field(*_TAG_FIELDS[tag])
+    with pytest.raises(ParameterError):
+        _BY_FAMILY[name](c, key, models.default_b(c, tag))
 
 
 def _trace_loop(V, h):
@@ -588,7 +609,7 @@ def test_lemma_a_rejects_large_prime():
 def test_lemma_b_all_h_all_b():
     for h in (2, 3, 4):
         ctx = make_field(2, h)
-        bs = models.admissible_b(ctx, "III")
+        bs = models.admissible_b(ctx, "family_III")
         assert len(bs) == ctx.q
         for b in bs:
             r = models.verify_lemma_b(ctx, b)
@@ -601,7 +622,7 @@ def test_lemma_b_y_top_coefficient():
     # what forces the terminal g_(h-1) = (X+c)^q
     ctx = make_field(2, 2)
     q, h = ctx.q, ctx.h
-    b = first_b(ctx, "III")
+    b = models.default_b(ctx, "family_III")
     cl = models.family_III_coeffs(ctx, b)
     X, Y = BiPoly.variables(ctx, ("x", "kappa"))
     TY = Y + Y * Y

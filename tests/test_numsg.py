@@ -54,7 +54,7 @@ def test_gap_set_bounds_the_sieve():
     with pytest.raises(ParameterError, match="exceeds the bound"):
         numsg.gap_set([1000003, 1000033])
     with pytest.raises(ParameterError, match="exceeds the bound"):
-        numsg.semigroup_at_infinity("II", 3, 7)
+        numsg.semigroup_at_infinity("family_II", 3, 7)
 
 
 def test_full_semigroup_has_no_gaps():
@@ -199,40 +199,40 @@ def test_telescopic_trace_bounds_the_membership_sieve():
 
 
 def test_semigroup_at_infinity_family_I():
-    s = numsg.semigroup_at_infinity("I", 2, 3)
+    s = numsg.semigroup_at_infinity("family_I", 2, 3)
     assert s.generators == (2, 9) and s.genus == 4
-    s = numsg.semigroup_at_infinity("I", 3, 3)
+    s = numsg.semigroup_at_infinity("family_I", 3, 3)
     assert s.generators == (3, 28) and s.genus == 27
     # degenerate rational case
-    assert numsg.semigroup_at_infinity("I", 2, 2).genus == 0
+    assert numsg.semigroup_at_infinity("family_I", 2, 2).genus == 0
 
 
 def test_semigroup_at_infinity_family_II():
-    s = numsg.semigroup_at_infinity("II", 3, 2)
+    s = numsg.semigroup_at_infinity("family_II", 3, 2)
     assert s.generators == (3, 4, 10) and s.genus == 3
-    s = numsg.semigroup_at_infinity("II", 5, 2)
+    s = numsg.semigroup_at_infinity("family_II", 5, 2)
     assert s.generators == (5, 6, 26) and s.genus == 10
 
 
 def test_semigroup_at_infinity_family_III_refused():
     with pytest.raises(ParameterError):
-        numsg.semigroup_at_infinity("III", 2, 2)
+        numsg.semigroup_at_infinity("family_III", 2, 2)
 
 
 def test_semigroup_at_infinity_bad_params():
     with pytest.raises(ParameterError):
-        numsg.semigroup_at_infinity("I", 2, 1)
+        numsg.semigroup_at_infinity("family_I", 2, 1)
     with pytest.raises(ParameterError):
-        numsg.semigroup_at_infinity("II", 2, 3)
+        numsg.semigroup_at_infinity("family_II", 2, 3)
     with pytest.raises(ParameterError):
         numsg.semigroup_at_infinity("hermitian", 2, 3)
     with pytest.raises(ParameterError, match="not prime"):
-        numsg.semigroup_at_infinity("I", 4, 3)
+        numsg.semigroup_at_infinity("family_I", 4, 3)
 
 
 def test_semigroup_at_infinity_matches_genus_formula():
     from hermquot.models import genus_formula
 
-    for fam, p, h in [("I", 2, 3), ("I", 2, 4), ("I", 3, 3),
-                      ("II", 3, 2), ("II", 5, 2), ("II", 3, 3)]:
+    for fam, p, h in [("family_I", 2, 3), ("family_I", 2, 4), ("family_I", 3, 3),
+                      ("family_II", 3, 2), ("family_II", 5, 2), ("family_II", 3, 3)]:
         assert numsg.semigroup_at_infinity(fam, p, h).genus == genus_formula(fam, p, h)

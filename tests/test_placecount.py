@@ -66,15 +66,12 @@ def test_hermitian_k2_count():
 def test_k2_counts_sit_in_the_weil_window():
     # maximal over F_{q^2} forces the count over F_{q^4} to the bottom of
     # the Weil window: N_4 = q^4 + 1 - 2 g q^2
-    def first_b(c, family):
-        return models.admissible_b(c, family)[0]
-
     cases = [
         (models.hermitian_model(ctx(2, 2)), 65),
-        (models.family_I_model(ctx(2, 2), first_b(ctx(2, 2), "family_I")), 257),
-        (models.family_I_model(ctx(2, 3), first_b(ctx(2, 3), "family_I")), 3585),
-        (models.family_I_model(ctx(3, 2), first_b(ctx(3, 2), "family_I")), 6562),
-        (models.family_II_model(ctx(3, 2), first_b(ctx(3, 2), "family_II")), 6076),
+        (models.build(ctx(2, 2), "family_I"), 257),
+        (models.build(ctx(2, 3), "family_I"), 3585),
+        (models.build(ctx(3, 2), "family_I"), 6562),
+        (models.build(ctx(3, 2), "family_II"), 6076),
     ]
     for m, n4 in cases:
         q, g = m.ctx.q, m.claimed_genus
@@ -91,7 +88,7 @@ def test_family_I_counts():
         assert rep["maximal"]
         assert rep["path"] == "direct"
     c = ctx(3, 3)
-    rep = maximality_check(models.family_I_model(c, models.admissible_b(c, "family_I")[0]))
+    rep = maximality_check(models.family_I_model(c, models.default_b(c, "family_I")))
     assert rep["N"] == 2188 and rep["maximal"]
 
 
@@ -101,7 +98,7 @@ def test_family_II_counts():
         rep = maximality_check(models.family_II_model(c, b))
         assert rep["N"] == 136 and rep["maximal"]
     c = ctx(5, 2)
-    rep = maximality_check(models.family_II_model(c, models.admissible_b(c, "family_II")[0]))
+    rep = maximality_check(models.family_II_model(c, models.default_b(c, "family_II")))
     assert rep["N"] == 1126 and rep["maximal"]
 
 
@@ -110,34 +107,22 @@ def test_family_II_counts():
     ("family_I", 5, 3, 78126),
     ("family_II", 7, 2, 4460),
     ("family_II", 11, 2, 27952),
-    ("hermitian", 7, 2, 117650),
+    ("Hermitian", 7, 2, 117650),
 ])
 def test_large_field_counts_are_frozen(family, p, h, n):
-    c = ctx(p, h)
-    if family == "hermitian":
-        m = models.hermitian_model(c)
-    else:
-        build = models.family_I_model if family == "family_I" else models.family_II_model
-        m = build(c, models.admissible_b(c, family)[0])
-    rep = maximality_check(m)
+    rep = maximality_check(models.build(ctx(p, h), family))
     assert rep["N"] == n and rep["maximal"]
 
 
 @pytest.mark.parametrize("family,p,h,n", [
     ("family_I", 2, 4, 53248),
-    ("center", 2, 4, 36864),
+    ("center_p", 2, 4, 36864),
     ("family_II", 3, 2, 6075),
-    ("center", 3, 2, 5103),
+    ("center_p", 3, 2, 5103),
 ])
 def test_k2_counts_are_frozen(family, p, h, n):
     # k = 2 walks whose fibers are sized by membership in a proper image
-    c = ctx(p, h)
-    if family == "center":
-        m = models.subcover_center(c)
-    else:
-        build = models.family_I_model if family == "family_I" else models.family_II_model
-        m = build(c, models.admissible_b(c, family)[0])
-    assert affine_points(m, 2).affine_points == n
+    assert affine_points(models.build(ctx(p, h), family), 2).affine_points == n
 
 
 def test_family_III_counts():
@@ -157,7 +142,7 @@ def test_family_III_counts():
 
 def test_family_III_model_routes_through_quotient():
     c = ctx(2, 2)
-    m = models.family_III_model(c, models.admissible_b(c, "family_III")[0])
+    m = models.family_III_model(c, models.default_b(c, "family_III"))
     rep = maximality_check(m)
     assert rep["path"] == "quotient"
     assert rep["N"] == 25 and rep["maximal"]
@@ -165,7 +150,7 @@ def test_family_III_model_routes_through_quotient():
 
 def test_family_III_plane_model_is_singular():
     c = ctx(2, 2)
-    m = models.family_III_model(c, models.admissible_b(c, "family_III")[0])
+    m = models.family_III_model(c, models.default_b(c, "family_III"))
     assert singular_rational_points(m)
     with pytest.raises(CheckError):
         rational_places(m)
@@ -177,8 +162,8 @@ def test_smooth_models_have_no_singular_points():
         models.subcover_center(ctx(2, 3)),
         models.subcover_noncenter(ctx(3, 2)),
         models.fpp_char2(ctx(2, 2)),
-        models.family_I_model(ctx(2, 3), models.admissible_b(ctx(2, 3), "family_I")[0]),
-        models.family_II_model(ctx(3, 2), models.admissible_b(ctx(3, 2), "family_II")[0]),
+        models.family_I_model(ctx(2, 3), models.default_b(ctx(2, 3), "family_I")),
+        models.family_II_model(ctx(3, 2), models.default_b(ctx(3, 2), "family_II")),
     ]
     for m in cases:
         assert singular_rational_points(m) == []
@@ -296,7 +281,7 @@ def test_family_III_count_solves_at_most_q2_plus_one_fibers(monkeypatch):
         return real(self, rhs)
 
     c = ctx(2, 3)
-    b = models.admissible_b(c, "family_III")[0]
+    b = models.default_b(c, "family_III")
     monkeypatch.setattr(LinearizedSolver, "solve", counted)
     rep = family_III_place_count(c, b)
     assert rep["N"] == 161
@@ -344,7 +329,7 @@ def test_scan_bounds():
     # family III fibers are not linearized in Y, so a k=2 scan at q=16
     # would need exhaustive evaluation over 2^16 elements
     c = ctx(2, 4)
-    m3 = models.family_III_model(c, models.admissible_b(c, "family_III")[0])
+    m3 = models.family_III_model(c, models.default_b(c, "family_III"))
     with pytest.raises(ParameterError):
         affine_points(m3, 2)
 
@@ -404,8 +389,7 @@ def test_count_walk_matches_fibers(p, h):
 def test_family_count_walk_matches_fibers(p, h, family, data):
     c = ctx(p, h)
     b = data.draw(st.sampled_from(models.admissible_b(c, family)))
-    build = models.family_I_model if family == "family_I" else models.family_II_model
-    m = build(c, b)
+    m = models.build(c, family, b)
     n1 = _fiber_total(m, 1)
     assert affine_points(m, 1).affine_points == n1
     if 2 in _walk_ks(c):
