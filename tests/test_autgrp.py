@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermquot import models
+from hermquot import cli, models
 from hermquot.autgrp import (
     AffineAlgMap,
     _central,
@@ -28,6 +28,15 @@ from hermquot.autgrp import (
 )
 from hermquot.gfield import CheckError, ParameterError, make_field
 from hermquot.polyring import BiPoly
+
+
+# a case id names its family by its CLI key, as in [I-key2]
+_CLI_KEY = {tag: key for key, tag in cli.FAMILIES.items()}
+
+
+def _cli_key_id(value):
+    return _CLI_KEY.get(value) if isinstance(value, str) else None
+
 
 _CTX = {}
 
@@ -623,6 +632,7 @@ def test_group_calls_each_builder_by_name(monkeypatch):
     [("family_I", (2, 2), 21), ("family_I", (2, 3), 137), ("family_I", (3, 2), 101),
      ("family_II", (3, 2), 29), ("family_III", (2, 2), 32), ("family_III", (2, 3), 256),
      ("Hermitian", (2, 1), 11), ("Hermitian", (3, 1), 31), ("Hermitian", (2, 2), 69)],
+    ids=_cli_key_id,
 )
 def test_family_tables_confirm_each_candidate_once(oracle_tally, family, key, calls):
     # hermitian: q^3 translations and q + 1 scalar maps;
@@ -728,6 +738,7 @@ def _lcm_of_orders(elements):
     "family, key",
     [("Hermitian", (2, 1)), ("Hermitian", (3, 1)), ("family_I", (2, 2)), ("family_I", (2, 3)),
      ("family_II", (3, 2)), ("types", (2, 2)), ("types", (3, 2)), ("types", (2, 3))],
+    ids=_cli_key_id,
 )
 def test_exponent_matches_the_lcm_of_element_orders(family, key):
     c = ctx(*key)
@@ -798,6 +809,7 @@ def test_spanning_subset_extends_the_group_in_place(monkeypatch):
     [("Hermitian", (2, 1)), ("Hermitian", (3, 1)), ("Hermitian", (2, 2)),
      ("family_I", (2, 2)), ("family_I", (2, 3)), ("family_I", (3, 2)),
      ("family_II", (3, 1)), ("family_II", (5, 1)), ("family_II", (3, 2))],
+    ids=_cli_key_id,
 )
 def test_split_tables_match_the_closure_oracle(family, key):
     # the breadth-first closure stays as the oracle: the products T D are
@@ -852,6 +864,7 @@ def _diagonal_scan(c, n, k):
      ("Hermitian", (2, 2)), ("Hermitian", (3, 2)), ("family_I", (2, 2)),
      ("family_I", (2, 3)), ("family_I", (3, 2)), ("family_I", (2, 4)), ("family_I", (5, 2)),
      ("family_II", (3, 1)), ("family_II", (5, 1)), ("family_II", (3, 2))],
+    ids=_cli_key_id,
 )
 def test_split_tables_match_the_diagonal_scan(family, key):
     # D = <d> against the scans it replaced: its maps, family I's printed

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from hermquot import models
+from hermquot import cli, models
 from hermquot.gfield import FieldCtx, ParameterError, make_field
 from hermquot.polyring import BiPoly
 from hermquot.isocls import (
@@ -16,6 +16,14 @@ from hermquot.isocls import (
     family_II_iso,
     oracle_iso,
 )
+
+# a case id names its family by its CLI key, as in [I-key2]
+_CLI_KEY = {tag: key for key, tag in cli.FAMILIES.items()}
+
+
+def _cli_key_id(value):
+    return _CLI_KEY.get(value) if isinstance(value, str) else None
+
 
 _CTX = {}
 
@@ -293,6 +301,7 @@ def _family_models(family, p, h):
     "family, p, h",
     [("family_I", 2, 2), ("family_I", 2, 3), ("family_I", 3, 2),
      ("family_II", 3, 1), ("family_II", 5, 1), ("family_II", 3, 2)],
+    ids=_cli_key_id,
 )
 def test_oracle_matches_nested_scan_on_every_pair(family, p, h):
     ms = _family_models(family, p, h)
@@ -312,6 +321,7 @@ def _image(model, sigma, c, c1, c2):
 @pytest.mark.parametrize(
     "family, p, h",
     [("family_I", 2, 2), ("family_I", 2, 3), ("family_II", 5, 1), ("family_II", 3, 2)],
+    ids=_cli_key_id,
 )
 def test_planted_triangular_images_need_tier_2(family, p, h):
     # a shift c1 != 0 puts x^j terms on B that no monomial image of A has,
@@ -328,7 +338,9 @@ def test_planted_triangular_images_need_tier_2(family, p, h):
                 assert oracle(a, b, 2) is True
 
 
-@pytest.mark.parametrize("family, p, h", [("family_I", 2, 3), ("family_II", 3, 2)])
+@pytest.mark.parametrize(
+    "family, p, h", [("family_I", 2, 3), ("family_II", 3, 2)], ids=_cli_key_id
+)
 def test_constant_outside_the_shift_image_is_refused(family, p, h):
     # B = A + k.  (Y) and (X) leave only lam in F_p^*, and (C) asks for
     # L(c2) = lam k with L(c2) = sum_j A_j c2^j, an F_p-linear map that is

@@ -107,7 +107,7 @@ def test_family_II_counts():
     ("family_I", 5, 3, 78126),
     ("family_II", 7, 2, 4460),
     ("family_II", 11, 2, 27952),
-    ("Hermitian", 7, 2, 117650),
+    pytest.param("Hermitian", 7, 2, 117650, id="hermitian-7-2-117650"),
 ])
 def test_large_field_counts_are_frozen(family, p, h, n):
     rep = maximality_check(models.build(ctx(p, h), family))
@@ -116,9 +116,9 @@ def test_large_field_counts_are_frozen(family, p, h, n):
 
 @pytest.mark.parametrize("family,p,h,n", [
     ("family_I", 2, 4, 53248),
-    ("center_p", 2, 4, 36864),
+    pytest.param("center_p", 2, 4, 36864, id="center-2-4-36864"),
     ("family_II", 3, 2, 6075),
-    ("center_p", 3, 2, 5103),
+    pytest.param("center_p", 3, 2, 5103, id="center-3-2-5103"),
 ])
 def test_k2_counts_are_frozen(family, p, h, n):
     # k = 2 walks whose fibers are sized by membership in a proper image
