@@ -28,13 +28,13 @@ details["fallback_used"] counts the shifts a where it fails.
 import collections
 import functools
 import math
-from dataclasses import dataclass, field
 
 from .gfield import (
     CheckError,
     FieldCtx,
     LinearizedSolver,
     ParameterError,
+    _Record,
     _as_encoding,
     find_omega,
 )
@@ -233,23 +233,20 @@ def group_closure(generators, bound: int = CLOSURE_BOUND):
     return list(seen.values())
 
 
-@dataclass
-class AutGroupTable:
+class AutGroupTable(_Record):
     """A set of verified automorphisms with its measured structure.
 
     closed=True means elements is literally the whole group; otherwise the
     table records a deduplicated generator inventory and order is the
-    claimed product, with the evidence in details."""
+    claimed product, with the evidence in details.  exponent, center_order
+    and commutator_order are None where not measured.  Unlike the other
+    value classes its fields may be reassigned."""
 
-    model: CurveModel
-    elements: list
-    order: int
-    closed: bool = True
-    exponent: int | None = None
-    center_order: int | None = None
-    commutator_order: int | None = None
-    generators: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    __slots__ = ("model", "elements", "order", "closed", "exponent", "center_order",
+                 "commutator_order", "generators", "details")
+    _defaults = {"closed": True, "exponent": None, "center_order": None,
+                 "commutator_order": None, "generators": list, "details": dict}
+    __setattr__ = object.__setattr__
 
 
 def _exponent(elements) -> int:

@@ -43,9 +43,16 @@ FAMILIES = {
 }
 
 
+def _need_pq(ns: argparse.Namespace) -> None:
+    """ParameterError unless argv gave --p, and --h where the command has
+    one, each a positive integer."""
+    flags = [f for f in ("p", "h") if hasattr(ns, f)]
+    if any(getattr(ns, f) is None or getattr(ns, f) <= 0 for f in flags):
+        raise ParameterError(f"{ns.command} needs " + " and ".join("--" + f for f in flags))
+
+
 def _ctx(ns: argparse.Namespace) -> FieldCtx:
-    if ns.p <= 0 or ns.h <= 0:
-        raise ParameterError("this command needs --p and --h")
+    _need_pq(ns)
     return make_field(ns.p, ns.h)
 
 
@@ -113,8 +120,7 @@ def cmd_count(ns: argparse.Namespace):
 def cmd_genus(ns: argparse.Namespace):
     tag = FAMILIES[ns.family]
     if tag in models.PARAMETRIZED:
-        if ns.p <= 0 or ns.h <= 0:
-            raise ParameterError("genus needs --p and --h")
+        _need_pq(ns)
         g = models.genus_formula(tag, ns.p, ns.h)
         q = ns.p**ns.h
         payload = {"family": tag, "p": ns.p, "h": ns.h, "q": q, "genus": g}
@@ -134,7 +140,7 @@ def cmd_genus(ns: argparse.Namespace):
 
 def cmd_semigroup(ns: argparse.Namespace):
     if ns.gens:
-        if ns.family is not None or ns.p or ns.h:
+        if ns.family is not None or ns.p is not None or ns.h is not None:
             raise ParameterError("--gens takes no --family, --p or --h")
         try:
             gens = tuple(int(t) for t in ns.gens.split(","))
@@ -144,8 +150,7 @@ def cmd_semigroup(ns: argparse.Namespace):
     else:
         if ns.family is None:
             raise ParameterError("semigroup needs --family I/II/III or --gens")
-        if ns.p <= 0 or ns.h <= 0:
-            raise ParameterError("semigroup needs --p and --h")
+        _need_pq(ns)
         gens = numsg.semigroup_at_infinity(FAMILIES[ns.family], ns.p, ns.h).generators
         payload = {
             "family": FAMILIES[ns.family],
@@ -225,8 +230,7 @@ def cmd_iso(ns: argparse.Namespace):
 
 
 def cmd_lemma_a(ns: argparse.Namespace):
-    if ns.p <= 0:
-        raise ParameterError("verify-lemma-a needs --p")
+    _need_pq(ns)
     rep = dict(models.verify_lemma_a(ns.p))
     rep["version"] = __version__
     return rep, 0
@@ -250,7 +254,7 @@ def cmd_verify(ns: argparse.Namespace):
     elif ns.check:
         ids = list(ns.check)
     else:
-        return {"results": []}, 0
+        raise ParameterError("verify needs --all or --check ID")
     res = acceptance.run_all(ids)
     for r in res:
         print(f"# {r['id']}: {r.pop('seconds')}s", file=sys.stderr)
@@ -273,9 +277,9 @@ _DISPATCH = {
 
 
 def _add_pq(sp, need_h=True):
-    sp.add_argument("--p", type=int, default=0, help="field characteristic, a prime")
+    sp.add_argument("--p", type=int, help="field characteristic, a prime")
     if need_h:
-        sp.add_argument("--h", type=int, default=0, help="the curve lives over GF(p^(2h))")
+        sp.add_argument("--h", type=int, help="the curve lives over GF(p^(2h))")
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -62,8 +62,8 @@ from __future__ import annotations
 
 import functools
 from array import array
+from collections import namedtuple
 from itertools import pairwise, repeat
-from typing import NamedTuple
 
 DEFAULT_SIZE_BOUND = 1 << 30
 # largest ambient order served by the table kernel (see FieldCtx)
@@ -76,6 +76,34 @@ class ParameterError(ValueError):
 
 class CheckError(ArithmeticError):
     """A verification or internal consistency check failed (exit code 1)."""
+
+
+class _Record:
+    """Base of the package's value classes.  A subclass names its fields in
+    __slots__ and gives the optional ones in _defaults, where a type such
+    as dict is called for a fresh value per instance.  __init__ takes every
+    field by keyword, and the fields are read-only after it.  Equality and
+    hashing are by identity."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, **fields):
+        for name in self.__slots__:
+            if name in fields:
+                value = fields.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+                if isinstance(value, type):
+                    value = value()
+            else:
+                raise TypeError(f"{type(self).__name__} needs {name}")
+            object.__setattr__(self, name, value)
+        if fields:
+            raise TypeError(f"{type(self).__name__} has no field {min(fields)}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -204,15 +232,12 @@ def _digit_form(weights, p: int) -> array:
     return tab
 
 
-class _Tables(NamedTuple):
-    """The log/Zech tables over a generator gamma of F_{p^m} (see FieldCtx)."""
-
-    n: int       # p^m; idx(a) = lo[a % n] + hi[a // n]
-    lo: array
-    hi: array
-    log: array   # log[idx(gamma^i)] = i, and log[0] = 0
-    exp: array   # gamma^0 .. gamma^(n-2) twice, then n-1 zeros for odd p
-    zech: array  # odd p: log(1 + gamma^d), or 2(n-1) where 1 + gamma^d = 0
+# The log/Zech tables over a generator gamma of F_{p^m} (see FieldCtx):
+#   n     p^m; idx(a) = lo[a % n] + hi[a // n]
+#   log   log[idx(gamma^i)] = i, and log[0] = 0
+#   exp   gamma^0 .. gamma^(n-2) twice, then n-1 zeros for odd p
+#   zech  odd p: log(1 + gamma^d), or 2(n-1) where 1 + gamma^d = 0
+_Tables = namedtuple("_Tables", "n lo hi log exp zech")
 
 
 # a log slot the walk has not reached yet; every real log is below 2^15
@@ -618,9 +643,12 @@ class FieldCtx:
         return self._undigits([x % p for x in acc])
 
     def _build_frow(self, k: int):
-        # Frobenius is F_p-linear: rows[i] = image of the basis monomial X^i
-        pk = self.p ** k
-        imgs = [self._pow_digits(self.p ** i, pk) for i in range(self.deg)]
+        # Frobenius is F_p-linear: rows[i] = image of the basis monomial X^i,
+        # (X^(p^k))^i, so one power gives row 1 and a multiply each later row
+        row1 = self._pow_digits(self.p, self.p ** k)
+        imgs = [1]
+        for _ in range(1, self.deg):
+            imgs.append(self._mul_digits(imgs[-1], row1))
         rows = imgs if self.p == 2 else [self._digits(x) for x in imgs]
         self._frows[k] = rows
         return rows

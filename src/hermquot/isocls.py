@@ -18,11 +18,10 @@ The three must agree; tests and the acceptance gate compare them pairwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 
-from .gfield import CheckError, FieldCtx, ParameterError
+from .gfield import CheckError, FieldCtx, ParameterError, _Record
 from .models import admissible_b, check_b, family_I_model, family_II_model
 from .polyring import BiPoly, p_power_exp
 
@@ -50,15 +49,12 @@ def _norm_preimage(ctx: FieldCtx, d: int) -> int:
     return sig
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(_Record):
     """Certificate that (x, y) -> (sigma*x, c*y) carries the b-model onto
-    delta times the bbar-model.  sigma^(q+1) = delta ties the two scalings."""
+    delta times the bbar-model.  sigma^(q+1) = delta ties the two scalings,
+    and direction is the pair (b, bbar)."""
 
-    c: int
-    delta: int
-    sigma: int
-    direction: tuple[int, int]
+    __slots__ = ("c", "delta", "sigma", "direction")
 
     def as_dict(self) -> dict:
         return {

@@ -14,14 +14,13 @@ given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .gfield import (
     DEFAULT_SIZE_BOUND,
     CheckError,
     FieldCtx,
     LinearizedSolver,
     ParameterError,
+    _Record,
     _as_encoding,
     _checked_prime_power,
     find_omega,
@@ -45,16 +44,15 @@ FAMILY_TAGS = tuple(_BUILDERS)
 PARAMETRIZED = ("family_I", "family_II", "family_III")
 
 
-@dataclass(frozen=True)
-class CurveModel:
-    F: BiPoly
-    ctx: FieldCtx
-    family: str
-    params: dict = field(default_factory=dict)
-    claimed_genus: int = 0
-    claimed_semigroup_gens: tuple[int, ...] | None = None
+class CurveModel(_Record):
+    """F(X, Y) = 0 over ctx with its family tag, parameters and claimed
+    invariants; claimed_semigroup_gens is a tuple of ints or None."""
 
-    def __post_init__(self):
+    __slots__ = ("F", "ctx", "family", "params", "claimed_genus", "claimed_semigroup_gens")
+    _defaults = {"params": dict, "claimed_genus": 0, "claimed_semigroup_gens": None}
+
+    def __init__(self, **fields):
+        super().__init__(**fields)
         if self.family not in FAMILY_TAGS:
             raise ParameterError(f"unknown family tag {self.family!r}")
         if self.F.is_zero():
@@ -256,8 +254,7 @@ def _family_model(ctx: FieldCtx, family: str, F: BiPoly, params: dict) -> CurveM
     )
 
 
-@dataclass(frozen=True)
-class CoeffList:
+class CoeffList(_Record):
     """Y-coefficients of the family III model, from the recursion.
 
     coeffs[i] multiplies Y^(2^i); constant is the Y-free term X^(q+1).
@@ -265,11 +262,7 @@ class CoeffList:
     coefficient matched (X + c)^q.
     """
 
-    ctx: FieldCtx
-    b: int
-    c: int
-    constant: BiPoly
-    coeffs: tuple[BiPoly, ...]
+    __slots__ = ("ctx", "b", "c", "constant", "coeffs")
 
     def assemble(self) -> BiPoly:
         """G(X, Y) = X^(q+1) + sum_i coeffs[i] Y^(2^i)."""

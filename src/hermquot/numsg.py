@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
-from .gfield import CheckError, ParameterError
+from .gfield import CheckError, ParameterError, _Record
 
 SIEVE_BOUND = 1 << 20
 
@@ -66,14 +65,11 @@ def _member(n: int, gens) -> bool:
     return bool(reach[n])
 
 
-@dataclass(frozen=True)
-class NumSemigroup:
-    """A numerical semigroup pinned by its gap data."""
+class NumSemigroup(_Record):
+    """A numerical semigroup pinned by its gap data: tuples of generators
+    and gaps, the genus and the conductor."""
 
-    generators: tuple[int, ...]
-    gap_set: tuple[int, ...]
-    genus: int
-    conductor: int
+    __slots__ = ("generators", "gap_set", "genus", "conductor")
 
     def __contains__(self, n) -> bool:
         n = int(n)

@@ -34,11 +34,10 @@ x, and only the fibers over those are listed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat, starmap
 
 from .autgrp import AffineAlgMap, family_III_deck, map_preserves
-from .gfield import CheckError, FieldCtx, LinearizedSolver, ParameterError
+from .gfield import CheckError, FieldCtx, LinearizedSolver, ParameterError, _Record
 from .models import CurveModel, check_b, fpp_char2, genus_formula
 from .polyring import additive_split
 
@@ -48,13 +47,13 @@ K2_BOUND = 1 << 24
 EXHAUSTIVE_BOUND = 4096
 
 
-@dataclass(frozen=True)
-class PlaceTally:
-    k: int
-    affine_points: int
-    places_at_infinity: int
-    N: int
-    singular_rational_points: tuple | None = None
+class PlaceTally(_Record):
+    """Affine F_{q^(2k)}-points of a plane model and its places at infinity,
+    N their sum.  singular_rational_points is () where the model was found
+    smooth, None where that was not checked."""
+
+    __slots__ = ("k", "affine_points", "places_at_infinity", "N", "singular_rational_points")
+    _defaults = {"singular_rational_points": None}
 
 
 def _scan_degree(ctx: FieldCtx, k: int) -> int:

@@ -6,8 +6,6 @@ module pins the check list and the time budgets, and keeps the point scan
 that the fixed-point criterion replaced as that criterion's oracle.
 """
 
-import dataclasses
-
 import pytest
 
 from hermquot import autgrp, placecount, verify
@@ -132,7 +130,12 @@ def test_automorphism_groups_reports_measured_family_III(monkeypatch):
 
     def planted(ctx, b):
         t = real(ctx, b)
-        return dataclasses.replace(t, details={**t.details, "quotient_order": 7})
+        return autgrp.AutGroupTable(
+            model=t.model, elements=t.elements, order=t.order, closed=t.closed,
+            exponent=t.exponent, center_order=t.center_order,
+            commutator_order=t.commutator_order, generators=t.generators,
+            details={**t.details, "quotient_order": 7},
+        )
 
     monkeypatch.setattr(verify, "_GROUPS", {})
     monkeypatch.setattr(autgrp, "family_III_group", planted)

@@ -125,12 +125,30 @@ def test_out_of_range_argv_is_rejected_at_once(argv):
         ("iso", "--family", "I", "--p", "2", "--h", "3", "--inventory", "--bbar", "1186"),
         ("verify", "--all", "--check", "nonsense"),
         ("semigroup", "--gens", "3,4", "--family", "I", "--p", "2", "--h", "3"),
+        # a zero is a flag given, not a flag left out
+        ("semigroup", "--gens", "3,4", "--p", "0"),
+        ("semigroup", "--gens", "3,4", "--h", "0"),
     ],
 )
 def test_a_flag_the_command_would_drop_is_refused(argv):
     code, err, dt = _cli(*argv)
     assert code == 2 and err.startswith("parameter error")
     assert dt < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("field",),
+        ("field", "--p", "2"),
+        ("genus", "--family", "II", "--h", "2"),
+        ("semigroup", "--family", "I", "--p", "2"),
+        ("verify-lemma-a",),
+    ],
+)
+def test_a_missing_field_flag_is_refused(argv):
+    code, err, _ = _cli(*argv)
+    assert code == 2 and err.startswith("parameter error:") and "needs --p" in err
 
 
 def test_aut_family_II_at_q27(capsys):
@@ -271,9 +289,9 @@ def test_verify_single_check(capsys):
     assert "seconds" not in d["results"][0]
 
 
-def test_verify_no_selection_is_empty(capsys):
-    code, d = run_cli(capsys, "verify")
-    assert code == 0 and d == {"results": []}
+def test_verify_no_selection_is_refused():
+    code, err, _ = _cli("verify")
+    assert code == 2 and err.startswith("parameter error:")
 
 
 def test_verify_unknown_id(capsys):

@@ -509,6 +509,22 @@ def _degrees(ctx):
     return [m for m in range(1, ctx.deg + 1) if ctx.deg % m == 0]
 
 
+# the ten fields verify.run_all builds, then two past the table bound
+_FROB_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2),
+                (2, 7), (5, 3)]
+
+
+@pytest.mark.parametrize("p,h", _FROB_FIELDS)
+def test_frobenius_rows_match_per_row_powers(p, h):
+    # the rows come from one power and successive multiplies; the oracle
+    # raises each basis monomial X^i to the p^k by itself
+    ctx = make_field(p, h)
+    for k in sorted({0, 1, h, 2 * h, ctx.deg - 1}):
+        want = [ctx._pow_digits(p ** i, p ** k) for i in range(ctx.deg)]
+        rows = ctx._build_frow(k)
+        assert (rows if p == 2 else [ctx._undigits(r) for r in rows]) == want, k
+
+
 @pytest.mark.parametrize("ctx", TABLE_FIELDS, ids=lambda c: f"p{c.p}h{c.h}")
 def test_subfield_encodings_match_a_frobenius_scan(ctx):
     for m in _degrees(ctx):

@@ -1,7 +1,5 @@
 """Place counts: fiber tallies, singular detection, order-2 quotient counts."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -367,7 +365,10 @@ def _fixed_models(c):
     # no paper model has an X-linear or constant term; this one walks both
     herm = out[0]
     extra = BiPoly(c, {(1, 0): 2, (0, 0): c.p + 1}, herm.F.names)
-    out.append(dataclasses.replace(herm, F=herm.F + extra))
+    out.append(models.CurveModel(
+        F=herm.F + extra, ctx=c, family=herm.family, params=herm.params,
+        claimed_genus=herm.claimed_genus, claimed_semigroup_gens=herm.claimed_semigroup_gens,
+    ))
     return out
 
 
