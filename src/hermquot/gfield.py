@@ -63,7 +63,8 @@ from __future__ import annotations
 import functools
 from array import array
 from collections import namedtuple
-from itertools import pairwise, repeat
+from itertools import islice, pairwise, product, repeat
+from operator import mul as _int_mul
 
 DEFAULT_SIZE_BOUND = 1 << 30
 # largest ambient order served by the table kernel (see FieldCtx)
@@ -274,11 +275,12 @@ class FieldCtx:
     sub, neg, scale, inv and div read no table: each is one call or two of
     the primitives, by a field identity.
 
-    walk streams c gamma_m^(e j) for the point count: where the tables
-    cover F_{p^m} and c it reads each x-power off them, one exp read per
-    step at log c + j e log gamma_m; a field with no table of F_{p^m} (the
-    k = 2 walks over F_{q^4} above the bound) keeps the multiply walk, one
-    mul per step, which is also the reference the tests hold it to.
+    walk streams c gamma_m^(e j), j below a given step count, for the
+    point count, which asks for one period of its x-powers: where the
+    tables cover F_{p^m} and c it reads each x-power off them, one exp read
+    per step at log c + j e log gamma_m; a field with no table of F_{p^m}
+    (the k = 2 walks over F_{q^4} above the bound) keeps the multiply walk,
+    one mul per step, which is also the reference the tests hold it to.
 
     The tables are built on the first arithmetic call, never in
     make_field, with the digit kernel alone.  Other caches (reduction
@@ -416,18 +418,19 @@ class FieldCtx:
 
     # the walk of the point count
 
-    def walk(self, c: int, e: int, m: int):
-        """Iterator over c gamma^(e j), j = 0 .. p^m - 2, for the generator
-        gamma = subfield_generator(m) of F_{p^m}^*.
+    def walk(self, c: int, e: int, m: int, steps: int):
+        """Iterator over c gamma^(e j), j = 0 .. steps - 1, for the generator
+        gamma = subfield_generator(m) of F_{p^m}^*.  The point count asks for
+        one period, (p^m - 1)/g steps with g = gcd(p^m - 1, e, ...); all
+        p^m - 1 steps visit every nonzero x = gamma^j once.
 
         When the tables cover gamma and c (all of a whole field, F_{q^2} on
         a larger one), the values are read off them: c gamma^(e j) is
         exp[(log c + j e log gamma) mod (n - 1)], with no multiply.  This
         raises CheckError at once unless (p^m - 1) log gamma = 0 mod n - 1.
         Anywhere else each step is one mul by gamma^e, and the iterator
-        raises CheckError at its end unless the walk came back to c."""
+        raises CheckError at its end unless c (gamma^e)^steps = c."""
         gamma = self.subfield_generator(m)
-        steps = self.p ** m - 1
         if self._log is None and self._sub is None:
             self._build_tables()
         if self._log is not None:
@@ -440,8 +443,8 @@ class FieldCtx:
         # 0 is no power of gamma: exp[log 0] = 1
         if exp[lc] != c or exp[lg] != gamma:
             return self._mul_walk(c, self.pow(gamma, e), steps)
-        if steps * lg % n1:
-            raise CheckError(f"gamma^{steps} != 1; the walk would miss elements")
+        if (self.p ** m - 1) * lg % n1:
+            raise CheckError(f"gamma^(p^{m} - 1) != 1; the walk would miss elements")
         step = e * lg % n1
         logs = range(lc, lc + steps * step, step) if step else repeat(lc, steps)
         return map(exp.__getitem__, map(n1.__rmod__, logs))
@@ -452,7 +455,7 @@ class FieldCtx:
             yield v
             v = self.mul(v, step)
         if v != c:
-            raise CheckError(f"gamma^{steps} != 1; the walk missed elements")
+            raise CheckError(f"(gamma^e)^{steps} != 1; the walk did not close")
 
     # the tables
 
@@ -755,13 +758,16 @@ def find_omega(ctx: FieldCtx) -> int:
     """omega with omega^(q-1) = -1.
 
     1 in characteristic 2; otherwise g^((q+1)/2) for the first primitive
-    element g of F_{q^2} in ascending encoding order.
+    element g of F_{q^2} in ascending encoding order.  The scan reads
+    F_{q^2} lazily off subfield_basis(2h) through _ascending_span, from its
+    element 2 on, and stops at g: F_{q^2} is never listed.
     """
     if ctx._omega is None:
         if ctx.p == 2:
             w = 1
         else:
-            units = ctx.subfield_encodings(2 * ctx.h)[2:]  # past 0 and 1
+            span = _ascending_span(ctx, ctx.subfield_basis(2 * ctx.h))
+            units = islice(span, 2, None)  # past 0 and 1
             g = _first_of_order(ctx.pow, units, ctx.q * ctx.q - 1)
             if g is None:
                 raise CheckError("no primitive element found")
@@ -770,6 +776,30 @@ def find_omega(ctx: FieldCtx) -> int:
             raise CheckError("omega sanity check failed")
         ctx._omega = w
     return ctx._omega
+
+
+def _ascending_span(ctx: FieldCtx, basis):
+    """Lazy iterator over the F_p-span of basis in ascending encoding
+    order: element i is sum_j d_j basis[j], for the base-p digits d_j of i.
+
+    That order is ascending because the basis is in echelon form by top
+    digit, as _frobenius_kernel gives it: the top base-p digit of basis[j]
+    is a 1 at a column t_j, t_0 < t_1 < ..., and every other basis vector
+    is 0 at t_j.  Raises CheckError, before it yields anything, unless the
+    basis is in that form."""
+    p = ctx.p
+    vecs = [ctx._digits(b) for b in basis]
+    tops = [max((u for u, d in enumerate(v) if d), default=-1) for v in vecs]
+    if any(t <= s for s, t in pairwise([-1] + tops)) or any(
+            v[t] != (i == j) for j, t in enumerate(tops) for i, v in enumerate(vecs)):
+        raise CheckError("basis is not in echelon form by top digit")
+    # product's last coordinate runs fastest: it multiplies basis[0]
+    cols = list(zip(*reversed(vecs)))
+
+    def element(coefs):
+        return ctx._undigits([sum(map(_int_mul, coefs, col)) % p for col in cols])
+
+    return map(element, product(range(p), repeat=len(vecs)))
 
 
 def _span(ctx: FieldCtx, gens) -> list[int]:

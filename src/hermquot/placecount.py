@@ -16,10 +16,15 @@ pure-X term c X^i is streamed by FieldCtx.walk, which reads c gamma^(i j)
 off the field's log tables, one table read per term per step and no
 multiply, and the right-hand sides are their running sums.  Where no table
 covers F_{q^(2k)} (the k = 2 walks above 2^13 elements) walk keeps one
-multiply by gamma^i per step and checks that the walk came back to c.  The
-x = 0 fiber is the constant term.  iter_fibers keeps the ascending scan
-with sorted solutions for the callers that need the points themselves,
-and is the reference the tests hold the walk to.
+multiply by gamma^i per step and checks that the walk closed on c.  The
+walk covers one period: with n = q^(2k) - 1, the right-hand side at
+x = gamma^j depends only on j mod n/g, g = gcd(n, i_1, ..., i_r) over the
+X-exponents, so n/g steps stand for the n nonzero x and each of their
+counts is taken g times.  g = q + 1 for the X^(q+1) models (Hermitian,
+center_p, family I) and 2 for family II.  The x = 0 fiber is the constant
+term.  iter_fibers keeps the ascending scan with sorted solutions for the
+callers that need the points themselves, and is the reference the tests
+hold the walk to.
 
 Models whose plane equation is singular at a rational point (family III) are
 counted through their smooth degree-2 cover instead: rational places of the
@@ -35,6 +40,7 @@ x, and only the fibers over those are listed.
 from __future__ import annotations
 
 from itertools import repeat, starmap
+from math import gcd
 
 from .autgrp import AffineAlgMap, family_III_deck, map_preserves
 from .gfield import CheckError, FieldCtx, LinearizedSolver, ParameterError, _Record
@@ -104,16 +110,24 @@ def _count_points(model: CurveModel, k: int) -> int:
     vec, xpart = prof
     solver = LinearizedSolver(ctx, vec, m)
     const = xpart.terms.get((0, 0), 0)
+    terms = [(i, c) for (i, _), c in sorted(xpart.terms.items()) if i]
+    # x = gamma^j runs over F_{p^m}^* because gamma has exact order n1,
+    # which subfield_generator certifies.  Then sum c_i gamma^(e_i j)
+    # depends only on j mod n1/g, g = gcd(n1, e_1, ..., e_k): one period of
+    # n1/g steps, each standing for g values of x.  With no X-term g = n1.
+    n1 = ctx.p**m - 1
+    g = gcd(n1, *(i for i, _ in terms))
+    steps = n1 // g
     # one walk per pure-X term c X^i: c x^i as x runs through gamma^j
-    walks = [ctx.walk(c, i, m) for (i, _), c in sorted(xpart.terms.items()) if i]
+    walks = [ctx.walk(c, i, m, steps) for i, c in terms]
     # with no constant term the first walk starts the sums: no add of 0 + v
-    rhs = walks.pop(0) if walks and not const else repeat(const, ctx.p**m - 1)
+    rhs = walks.pop(0) if walks and not const else repeat(const, steps)
     for w in walks:
         # strict: a walk that ran to its end makes its closing check
         rhs = starmap(ctx.add, zip(rhs, w, strict=True))
     # L is F_p-linear, so y -> -y maps the solutions of L(y) = -r onto
     # those of L(y) = r: the count of r stands for the fiber's own -r
-    return solver.count(const) + sum(map(solver.count, rhs))  # x = 0, then x = gamma^j
+    return solver.count(const) + g * sum(map(solver.count, rhs))  # x = 0, then x = gamma^j
 
 
 def affine_points(model: CurveModel, k: int = 1) -> PlaceTally:

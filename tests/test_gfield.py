@@ -12,6 +12,7 @@ from hermquot.gfield import (
     FieldCtx,
     LinearizedSolver,
     ParameterError,
+    _ascending_span,
     _find_modulus,
     _first_of_order,
     find_omega,
@@ -431,7 +432,7 @@ def test_walk_matches_one_multiply_per_step(p, h, m, monkeypatch):
     for c in (1, inside, outside):
         for e in (0, 1, ctx.q + 1, n - 1, n, 3 * n):
             calls.clear()
-            got = list(ctx.walk(c, e, m))
+            got = list(ctx.walk(c, e, m, n))
             # gamma^e = 1 when p^m - 1 divides e
             want = [c] * n if e % n == 0 else list(islice(_digit_walk(ctx, c, e, m), n))
             assert got == want, (c, e)
@@ -444,9 +445,13 @@ def test_walk_off_the_tables_multiplies_and_checks_its_end():
     # check runs when the walk is exhausted
     ctx = make_field(2, 4)
     n = ctx.order - 1
-    walk = ctx.walk(3, 5, 4 * ctx.h)
+    walk = ctx.walk(3, 5, 4 * ctx.h, n)
     assert list(islice(walk, 500)) == list(islice(_digit_walk(ctx, 3, 5, 4 * ctx.h), 500))
     assert sum(1 for _ in walk) == n - 500
+    # one period of gamma^5, n / 5 steps, closes; of gamma^3 it does not
+    assert sum(1 for _ in ctx.walk(3, 5, 4 * ctx.h, n // 5)) == n // 5
+    with pytest.raises(CheckError, match="did not close"):
+        sum(1 for _ in ctx.walk(3, 3, 4 * ctx.h, n // 5))
 
 
 def _orders_by_walks(ctx, units):
@@ -571,6 +576,37 @@ def test_omega_uses_first_primitive_element():
     order = _orders_by_walks(ctx, units)
     g = next(n for n in units if order[n] == ctx.q ** 2 - 1)
     assert find_omega(ctx) == ctx.pow(g, (ctx.q + 1) // 2)
+
+
+@pytest.mark.parametrize("ctx", CTXS + SUBFIELD_FIELDS, ids=lambda c: f"p{c.p}h{c.h}")
+def test_ascending_span_lists_each_subfield_in_order(ctx):
+    # the lazy span of the echelon basis against the sorted F_p-span
+    for m in (1, ctx.h, 2 * ctx.h, 4 * ctx.h):
+        if ctx.p ** m <= 1 << 13:
+            got = list(_ascending_span(ctx, ctx.subfield_basis(m)))
+            assert got == list(ctx.subfield_encodings(m)), m
+
+
+def test_ascending_span_refuses_a_basis_out_of_echelon_form():
+    # permuted; nonzero at another top digit; a top digit 2; a zero vector:
+    # each would list the span out of ascending order, or not all of it
+    ctx = make_field(3, 2)
+    b = ctx.subfield_basis(4)
+    for bad in (b[::-1], b[1:] + b[:1], [b[0], ctx.add(b[1], b[0])] + b[2:],
+                [b[0], ctx.scale(b[1], 2)] + b[2:], b[:3] + [0]):
+        with pytest.raises(CheckError, match="echelon"):
+            _ascending_span(ctx, bad)
+
+
+# captured from the sorted listing of F_{q^2} that the lazy scan replaced
+_FROZEN_OMEGA = {(3, 1): 75, (3, 2): 171, (5, 1): 25, (5, 2): 15650, (3, 3): 7371,
+                 (7, 2): 726586, (3, 4): 466353, (5, 3): 60638093, (11, 2): 5144502,
+                 (13, 2): 38615486}
+
+
+@pytest.mark.parametrize("p,h", sorted(_FROZEN_OMEGA))
+def test_omega_is_frozen(p, h):
+    assert find_omega(make_field(p, h)) == _FROZEN_OMEGA[p, h]
 
 
 # ---------------------------------------------------------------- linearized solves

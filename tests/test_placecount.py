@@ -23,7 +23,7 @@ from hermquot.placecount import (
     rational_places,
     singular_rational_points,
 )
-from hermquot.polyring import BiPoly
+from hermquot.polyring import BiPoly, additive_split
 
 _CTX = {}
 
@@ -70,6 +70,8 @@ def test_k2_counts_sit_in_the_weil_window():
         (models.build(ctx(2, 3), "family_I"), 3585),
         (models.build(ctx(3, 2), "family_I"), 6562),
         (models.build(ctx(3, 2), "family_II"), 6076),
+        (models.build(ctx(2, 5), "family_I"), 819201),
+        (models.build(ctx(2, 5), "center_p"), 557057),
     ]
     for m, n4 in cases:
         q, g = m.ctx.q, m.claimed_genus
@@ -427,6 +429,75 @@ def test_walk_generator_has_exact_order(p, h):
                 x = c.mul(x, g)
             assert x == 1
             assert sorted(powers) == list(c.subfield_encodings(m))[1:]
+
+
+# ---------------------------------------------------- the period walk vs the full walk
+
+def _full_walk_count(model, k):
+    """The walk that one period replaces, kept as the oracle: all p^m - 1
+    steps, each nonzero x = gamma^j sized once."""
+    c = model.ctx
+    m = 2 * k * c.h
+    vec, xpart = additive_split(model.F)
+    solver = LinearizedSolver(c, vec, m)
+    n1 = c.p**m - 1
+    const = xpart.terms.get((0, 0), 0)
+    rhs = [const] * n1
+    for (i, _), coef in xpart.terms.items():
+        if i:
+            rhs = list(map(c.add, rhs, c.walk(coef, i, m, n1)))
+    return solver.count(const) + sum(map(solver.count, rhs))
+
+
+def _with_xpart(model, xpart):
+    """model's pure-Y terms with the pure-X part {i: coefficient}."""
+    F = model.F
+    terms = {e: v for e, v in F.terms.items() if e[0] == 0 < e[1]}
+    terms.update(((i, 0), v) for i, v in xpart.items())
+    return models.CurveModel(F=BiPoly(model.ctx, terms, F.names), ctx=model.ctx,
+                             family=model.family)
+
+
+def _period_cases(c, k):
+    """(name, model, g): g = gcd(p^m - 1, every X-exponent), the number of
+    nonzero x that share one right-hand side."""
+    q, n1 = c.q, c.p ** (2 * k * c.h) - 1
+    herm = models.hermitian_model(c)
+    cases = [
+        ("X-linear", _fixed_models(c)[-1], 1),
+        # the first exponent alone would give q + 1
+        ("X^(q+1) + X^(q+2)", _with_xpart(herm, {q + 1: 1, q + 2: 2}), 1),
+        ("Hermitian", herm, q + 1),
+        ("center_p", models.subcover_center(c), q + 1),
+        ("family_I", models.build(c, "family_I"), q + 1),
+        ("constant", _with_xpart(herm, {0: 2}), n1),
+    ]
+    if c.p > 2:
+        cases.append(("family_II", models.build(c, "family_II"), 2))
+    return cases
+
+
+@pytest.mark.parametrize("p,h", _WALK_FIELDS)
+def test_period_walk_matches_the_full_walk(p, h):
+    c = ctx(p, h)
+    for k in _walk_ks(c):
+        for name, m, _ in _period_cases(c, k):
+            assert affine_points(m, k).affine_points == _full_walk_count(m, k), (name, k)
+
+
+@pytest.mark.parametrize("p,h", _WALK_FIELDS)
+def test_count_sizes_one_fiber_per_step_of_the_period(p, h, monkeypatch):
+    # x = 0, then one count per step: 1 + (p^m - 1)/g calls, exactly
+    c = ctx(p, h)
+    calls = []
+    real = LinearizedSolver.count
+    monkeypatch.setattr(LinearizedSolver, "count", lambda self, r: calls.append(r) or real(self, r))
+    for k in _walk_ks(c):
+        n1 = p ** (2 * k * h) - 1
+        for name, m, g in _period_cases(c, k):
+            calls.clear()
+            affine_points(m, k)
+            assert len(calls) == 1 + n1 // g, (name, k)
 
 
 @pytest.mark.parametrize("p,h", [(3, 2), (5, 2)])
