@@ -29,6 +29,8 @@ SWEEP = [
     ("center", 3, 1),
     ("noncenter", 3, 1),
     ("noncenter", 5, 1),
+    ("noncenter", 3, 2),
+    ("noncenter", 5, 2),
     ("I", 2, 2),
     ("I", 2, 3),
     ("I", 2, 4),

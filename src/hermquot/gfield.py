@@ -18,11 +18,11 @@ and enumeration; there is no embedding bookkeeping anywhere downstream.
 Every element the package computes or returns is such an int, and all
 arithmetic on it goes through FieldCtx methods; there is no element class.
 
-FieldCtx keeps four primitives, add, mul, pow and frob, and only they
-and the point count's walk read its log/antilog tables over a generator
-of F_{p^m}^*, with Zech logarithms for addition when p is odd
-(Lidl-Niederreiter, Finite Fields, ch. 10); sub, neg, scale, inv and div
-compose the primitives by field identities.
+FieldCtx keeps four primitives, add, mul, pow and frob, and only they,
+the point count's walk and the span enumeration _span read its
+log/antilog tables over a generator of F_{p^m}^*, with Zech logarithms
+for addition when p is odd (Lidl-Niederreiter, Finite Fields, ch. 10);
+sub, neg, scale, inv and div compose the primitives by field identities.
 One builder makes the tables on the first arithmetic call, never in
 make_field, and the primitives read them two ways:
 
@@ -63,8 +63,9 @@ from __future__ import annotations
 import functools
 from array import array
 from collections import namedtuple
-from itertools import islice, pairwise, product, repeat
-from operator import mul as _int_mul
+from itertools import cycle, islice, pairwise, product, repeat, starmap
+from math import gcd
+from operator import add as _int_add, mul as _int_mul, xor as _xor
 
 DEFAULT_SIZE_BOUND = 1 << 30
 # largest ambient order served by the table kernel (see FieldCtx)
@@ -275,12 +276,18 @@ class FieldCtx:
     sub, neg, scale, inv and div read no table: each is one call or two of
     the primitives, by a field identity.
 
-    walk streams c gamma_m^(e j), j below a given step count, for the
-    point count, which asks for one period of its x-powers: where the
-    tables cover F_{p^m} and c it reads each x-power off them, one exp read
-    per step at log c + j e log gamma_m; a field with no table of F_{p^m}
-    (the k = 2 walks over F_{q^4} above the bound) keeps the multiply walk,
-    one mul per step, which is also the reference the tests hold it to.
+    walk streams the values of a whole pure-X part at x = gamma_m^j, j
+    below a given step count, for the point count, which asks for one
+    period of its x-powers.  Where the tables cover F_{p^m} and every
+    coefficient it stays in the log domain: the terms above the lowest
+    are summed once per residue class by Zech reads (xor for p = 2), and
+    each value is one exp read, with no add and no multiply.  A field with
+    no table of F_{p^m} (the k = 2 walks over F_{q^4} above the bound)
+    keeps one mul per term per step and sums the terms by add, which is
+    also the reference the tests hold it to.  _span, behind
+    subfield_encodings and LinearizedSolver's image and kernel, likewise
+    builds each layer x + t b by Zech reads on logs when the tables cover
+    every generator.
 
     The tables are built on the first arithmetic call, never in
     make_field, with the digit kernel alone.  Other caches (reduction
@@ -418,36 +425,68 @@ class FieldCtx:
 
     # the walk of the point count
 
-    def walk(self, c: int, e: int, m: int, steps: int):
-        """Iterator over c gamma^(e j), j = 0 .. steps - 1, for the generator
-        gamma = subfield_generator(m) of F_{p^m}^*.  The point count asks for
-        one period, (p^m - 1)/g steps with g = gcd(p^m - 1, e, ...); all
-        p^m - 1 steps visit every nonzero x = gamma^j once.
+    def walk(self, terms, m: int, steps: int):
+        """Iterator over the values of the pure-X part terms = {e: c_e}, the
+        constant at e = 0, at x = gamma^j, j = 0 .. steps - 1, for the
+        generator gamma = subfield_generator(m) of F_{p^m}^*.  The point
+        count asks for one period, (p^m - 1)/g steps with g = gcd(p^m - 1,
+        every e); all p^m - 1 steps visit every nonzero x once.
 
-        When the tables cover gamma and c (all of a whole field, F_{q^2} on
-        a larger one), the values are read off them: c gamma^(e j) is
-        exp[(log c + j e log gamma) mod (n - 1)], with no multiply.  This
-        raises CheckError at once unless (p^m - 1) log gamma = 0 mod n - 1.
-        Anywhere else each step is one mul by gamma^e, and the iterator
-        raises CheckError at its end unless c (gamma^e)^steps = c."""
+        When the tables cover gamma and every c_e (all of a whole field,
+        F_{q^2} on a larger one), the sums stay in the log domain, with no
+        add and no multiply.  With e_1 the lowest exponent, the value is
+        c_1 x^(e_1) Q(x), Q(x) = 1 + sum (c_e / c_1) x^(e - e_1), and Q at
+        gamma^j depends only on j mod r, r = (p^m - 1)/D, D = gcd(p^m - 1,
+        every e - e_1), which divides the period.  Q's logs are summed once
+        per residue class by Zech reads, and each value is one exp read at
+        (log c_1 + j e_1 log gamma) mod (n - 1) + log Q, where a zero Q
+        reads exp's zero block.  p = 2 has no Zech table: there each term
+        is one exp read per step, and the terms are xor-ed.  This raises
+        CheckError at once unless (p^m - 1) log gamma = 0 mod n - 1.
+
+        Anywhere else (the k = 2 walks over F_{q^4} above TABLE_ORDER_BOUND,
+        a coefficient outside the tables) each term is one mul per step by
+        gamma^e, the terms are summed by add, and the iterator raises
+        CheckError at its end unless each term closed: c (gamma^e)^steps =
+        c."""
         gamma = self.subfield_generator(m)
-        if self._log is None and self._sub is None:
-            self._build_tables()
-        if self._log is not None:
-            exp, n1 = self._exp, self.order - 1
-            lc, lg = self._log[c], self._log[gamma]
-        else:
-            n, lo, hi, log, exp, _ = self._sub
-            n1 = n - 1
-            lc, lg = (log[lo[a % n] + hi[a // n]] for a in (c, gamma))
-        # 0 is no power of gamma: exp[log 0] = 1
-        if exp[lc] != c or exp[lg] != gamma:
-            return self._mul_walk(c, self.pow(gamma, e), steps)
-        if (self.p ** m - 1) * lg % n1:
+        terms = sorted((e, c) for e, c in terms.items() if c)
+        if not terms:
+            return repeat(0, steps)
+        tables = self._logs([gamma] + [c for _, c in terms])
+        if tables is None:
+            return self._mul_walk_sums(terms, gamma, steps)
+        n1, exp, zech, (lg, *lcs) = tables
+        nm = self.p ** m - 1
+        if nm * lg % n1:
             raise CheckError(f"gamma^(p^{m} - 1) != 1; the walk would miss elements")
-        step = e * lg % n1
-        logs = range(lc, lc + steps * step, step) if step else repeat(lc, steps)
-        return map(exp.__getitem__, map(n1.__rmod__, logs))
+
+        def logs(lc, e, count):
+            # log(c gamma^(e j)), j < count, from lc = log c
+            step = e * lg % n1
+            if not step:
+                return repeat(lc, count)
+            return map(n1.__rmod__, range(lc, lc + count * step, step))
+
+        if self.p == 2:
+            reads = [map(exp.__getitem__, logs(lc, e, steps)) for (e, _), lc in zip(terms, lcs)]
+            return functools.reduce(functools.partial(map, _xor), reads)
+        (e1, _), lc1 = terms[0], lcs[0]
+        r = nm // gcd(nm, *(e - e1 for e, _ in terms[1:]))
+        lq = [0] * r  # log Q(gamma^j), j < r, from Q = 1
+        for (e, _), lc in zip(terms[1:], lcs[1:]):
+            lq = _zech_sums(zech, n1, lq, logs((lc - lc1) % n1, e - e1, r))
+        return map(exp.__getitem__, map(_int_add, logs(lc1, e1, steps), cycle(lq)))
+
+    def _mul_walk_sums(self, terms, gamma: int, steps: int):
+        const = terms[0][1] if terms[0][0] == 0 else 0
+        walks = [self._mul_walk(c, self.pow(gamma, e), steps) for e, c in terms if e]
+        # with no constant term the first walk starts the sums: no add of 0 + v
+        rhs = walks.pop(0) if walks and not const else repeat(const, steps)
+        for w in walks:
+            # strict: a walk that ran to its end makes its closing check
+            rhs = starmap(self.add, zip(rhs, w, strict=True))
+        return rhs
 
     def _mul_walk(self, c: int, step: int, steps: int):
         v = c
@@ -456,6 +495,24 @@ class FieldCtx:
             v = self.mul(v, step)
         if v != c:
             raise CheckError(f"(gamma^e)^{steps} != 1; the walk did not close")
+
+    def _logs(self, elems):
+        """(n - 1, exp, zech, logs): the tables, built first if need be,
+        and the log of each of elems, or None unless the tables cover every
+        one.  a is covered when exp[log[idx(a)]] == a, which 0, no power of
+        gamma, never is (exp[log 0] = 1)."""
+        if self._log is None and self._sub is None:
+            self._build_tables()
+        if self._log is not None:
+            n1, exp, zech = self.order - 1, self._exp, self._zech
+            logs = list(map(self._log.__getitem__, elems))
+        else:
+            n, lo, hi, log, exp, zech = self._sub
+            n1 = n - 1
+            logs = [log[lo[a % n] + hi[a // n]] for a in elems]
+        if any(exp[la] != a for a, la in zip(elems, logs)):
+            return None
+        return n1, exp, zech, logs
 
     # the tables
 
@@ -802,18 +859,59 @@ def _ascending_span(ctx: FieldCtx, basis):
     return map(element, product(range(p), repeat=len(vecs)))
 
 
+def _zech_sums(zech, n1: int, lx, ly) -> list[int]:
+    """log(x + y) for each pair of logs in lx and ly, y != 0, over tables
+    of n1 + 1 elements, with 2 n1 as the log of 0: zech's own mark, at
+    which plus any log below n1 exp reads 0."""
+    zero = 2 * n1
+    out = []
+    for a, b in zip(lx, ly):
+        if a == zero:
+            out.append(b)
+            continue
+        z = zech[b - a]  # b - a > -n1, and a negative index wraps
+        out.append(zero if z == zero else (a + z) % n1)
+    return out
+
+
 def _span(ctx: FieldCtx, gens) -> list[int]:
     """All F_p-combinations of gens, ascending; raises CheckError above
-    2^20 of them, or unless they are p^len(gens) distinct elements."""
-    size = ctx.p ** len(gens)
+    2^20 of them, or unless they are p^len(gens) distinct elements.
+
+    When the tables cover every generator, each layer x + t b is one list
+    comprehension of index arithmetic: xor of encodings for p = 2, and for
+    odd p exp[log x + zech[log(t b) - log x]] on the logs of the nonzero
+    elements.  Any other generator leaves every element to ctx.add."""
+    p = ctx.p
+    size = p ** len(gens)
     if size > (1 << 20):
         raise CheckError(f"span of {size} elements too large to enumerate")
-    span = [0]
-    for b in gens:
-        layer = list(span)
-        for t in range(1, ctx.p):
-            tb = ctx.scale(b, t)
-            span.extend(ctx.add(x, tb) for x in layer)
+    tables = ctx._logs([*gens, *range(1, p)])
+    if tables is None:
+        span = [0]
+        for b in gens:
+            layer = list(span)
+            for t in range(1, p):
+                tb = ctx.scale(b, t)
+                span.extend(ctx.add(x, tb) for x in layer)
+    elif p == 2:
+        span = [0]
+        for b in gens:
+            span += [x ^ b for x in span]
+    else:
+        n1, exp, zech, logs = tables
+        lts = logs[len(gens):]  # log t, t = 1 .. p - 1
+        ls = []  # the logs of the nonzero elements; 0 heads the span
+        for lb in logs[:len(gens)]:
+            layer = ls[:]
+            for lt in lts:
+                ltb = (lb + lt) % n1
+                ls.append(ltb)
+                # x + t b = 0 only for x = -t b, when b lies in the span so
+                # far: zech's mark 2 n1 then wraps to log x, and the
+                # duplicate x fails the distinctness check below
+                ls += [(lx + zech[ltb - lx]) % n1 for lx in layer]
+        span = [0, *map(exp.__getitem__, ls)]
     # sorted and compared in place: a set would cost a kernel's memory
     span.sort()
     if any(a == b for a, b in pairwise(span)):
@@ -831,8 +929,10 @@ class LinearizedSolver:
     right-hand side, which keeps per-fiber work small.  count skips the
     replay: a fiber has kernel_size points when rhs lies in Im L and none
     otherwise.  Im L is the F_p-span of L(basis[c]) over the pivot columns
-    c, enumerated into a frozenset on the first count; a full-rank L is
-    onto the whole field and needs no image.
+    c, enumerated by _span into a frozenset on the first count: by Zech
+    reads on logs when the tables cover every L(basis[c]) (the k = 1 walks,
+    where L maps F_{q^2} into itself), by one add per element otherwise.
+    A full-rank L is onto the whole field and needs no image.
     """
 
     def __init__(self, ctx: FieldCtx, coeffs, m: int):

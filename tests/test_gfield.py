@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import islice
+from itertools import islice, pairwise
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,7 @@ from hermquot.gfield import (
     LinearizedSolver,
     ParameterError,
     _ascending_span,
+    _span,
     _find_modulus,
     _first_of_order,
     find_omega,
@@ -432,12 +433,13 @@ def test_walk_matches_one_multiply_per_step(p, h, m, monkeypatch):
     for c in (1, inside, outside):
         for e in (0, 1, ctx.q + 1, n - 1, n, 3 * n):
             calls.clear()
-            got = list(ctx.walk(c, e, m, n))
+            got = list(ctx.walk({e: c}, m, n))
             # gamma^e = 1 when p^m - 1 divides e
             want = [c] * n if e % n == 0 else list(islice(_digit_walk(ctx, c, e, m), n))
             assert got == want, (c, e)
-            # the tables answer every step, unless c lies outside them
-            assert len(calls) == (0 if whole or c != outside else n), (c, e)
+            # the tables answer every step, unless c lies outside them; a
+            # constant term (e = 0) is no walk
+            assert len(calls) == (0 if whole or c != outside or e == 0 else n), (c, e)
 
 
 def test_walk_off_the_tables_multiplies_and_checks_its_end():
@@ -445,13 +447,13 @@ def test_walk_off_the_tables_multiplies_and_checks_its_end():
     # check runs when the walk is exhausted
     ctx = make_field(2, 4)
     n = ctx.order - 1
-    walk = ctx.walk(3, 5, 4 * ctx.h, n)
+    walk = ctx.walk({5: 3}, 4 * ctx.h, n)
     assert list(islice(walk, 500)) == list(islice(_digit_walk(ctx, 3, 5, 4 * ctx.h), 500))
     assert sum(1 for _ in walk) == n - 500
     # one period of gamma^5, n / 5 steps, closes; of gamma^3 it does not
-    assert sum(1 for _ in ctx.walk(3, 5, 4 * ctx.h, n // 5)) == n // 5
+    assert sum(1 for _ in ctx.walk({5: 3}, 4 * ctx.h, n // 5)) == n // 5
     with pytest.raises(CheckError, match="did not close"):
-        sum(1 for _ in ctx.walk(3, 3, 4 * ctx.h, n // 5))
+        sum(1 for _ in ctx.walk({3: 3}, 4 * ctx.h, n // 5))
 
 
 def _orders_by_walks(ctx, units):
@@ -728,6 +730,74 @@ def test_span_rejects_oversized_or_dependent_generators(monkeypatch):
     with pytest.raises(CheckError, match="too large"):
         solver.kernel()
     assert solver._kernel is None
+
+
+def _add_span(ctx, gens):
+    """The span the log path replaces, kept as its oracle: one ctx.add per
+    element, then the same sort and distinctness check."""
+    span = [0]
+    for b in gens:
+        layer = list(span)
+        for t in range(1, ctx.p):
+            tb = ctx.scale(b, t)
+            span.extend(ctx.add(x, tb) for x in layer)
+    span.sort()
+    if any(a == b for a, b in pairwise(span)):
+        raise CheckError(f"span has fewer than {ctx.p ** len(gens)} elements: "
+                         f"its generators are dependent")
+    return span
+
+
+def _random_in_F_q2(ctx, rng):
+    x = 0
+    for b in ctx.subfield_basis(2 * ctx.h):
+        x = ctx._add_digits(x, ctx._mul_digits(b, rng.randrange(ctx.p)))
+    return x
+
+
+# fields that table F_{q^2} only, so an F_{q^4} generator leaves the tables
+@pytest.mark.parametrize("p,h", [(3, 3), (5, 2), (3, 4), (2, 4)])
+def test_log_span_matches_the_add_span(p, h, monkeypatch):
+    ctx = make_field(p, h)
+    assert ctx.order > TABLE_ORDER_BOUND
+    rng = random.Random(10 * p + h)
+    calls = []
+    real = FieldCtx.add
+    monkeypatch.setattr(FieldCtx, "add", lambda self, a, b: calls.append(a) or real(self, a, b))
+
+    def span_and_adds(gens):
+        calls.clear()
+        try:
+            return _span(ctx, gens), len(calls)
+        except CheckError as err:
+            return str(err), len(calls)
+
+    def oracle(gens):
+        try:
+            return _add_span(ctx, gens)
+        except CheckError as err:
+            return str(err)
+
+    # independent generators in F_{q^2}: every element by table reads
+    independent = 0
+    while independent < 6:
+        gens = [_random_in_F_q2(ctx, rng) for _ in range(rng.randrange(1, 2 * h + 1))]
+        want = oracle(gens)
+        if isinstance(want, str):
+            continue
+        independent += 1
+        assert span_and_adds(gens) == (want, 0)
+    # dependent sets: some x + t b is 0, and later layers add to it
+    a, b, c = (_random_in_F_q2(ctx, rng) for _ in range(3))
+    for gens in ([a, ctx.neg(a)], [a, b, ctx.add(a, ctx.scale(b, p - 1)), c], [a, a, b]):
+        want = oracle(gens)
+        assert "dependent" in want
+        assert span_and_adds(gens) == (want, 0)
+    # 0, or a generator outside F_{q^2}, leaves every element to ctx.add
+    outside = ctx.subfield_generator(4 * h)
+    for gens in ([0, a], [a, outside, b]):
+        got, adds = span_and_adds(gens)
+        assert got == oracle(gens) and adds > 0
 
 
 def test_checkerror_is_distinct_from_parametererror():

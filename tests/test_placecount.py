@@ -108,6 +108,10 @@ def test_family_II_counts():
     ("family_II", 7, 2, 4460),
     ("family_II", 11, 2, 27952),
     pytest.param("Hermitian", 7, 2, 117650, id="hermitian-7-2-117650"),
+    # T(x)^2 X-parts of three terms, summed in the log domain over F_{q^2}
+    ("noncenter_p", 5, 2, 3626),
+    ("noncenter_p", 3, 3, 7048),
+    ("noncenter_p", 7, 2, 18866),
 ])
 def test_large_field_counts_are_frozen(family, p, h, n):
     rep = maximality_check(models.build(ctx(p, h), family))
@@ -445,7 +449,7 @@ def _full_walk_count(model, k):
     rhs = [const] * n1
     for (i, _), coef in xpart.terms.items():
         if i:
-            rhs = list(map(c.add, rhs, c.walk(coef, i, m, n1)))
+            rhs = list(map(c.add, rhs, c.walk({i: coef}, m, n1)))
     return solver.count(const) + sum(map(solver.count, rhs))
 
 
@@ -471,10 +475,25 @@ def _period_cases(c, k):
         ("center_p", models.subcover_center(c), q + 1),
         ("family_I", models.build(c, "family_I"), q + 1),
         ("constant", _with_xpart(herm, {0: 2}), n1),
+        # the constant is the lowest term: Q = 1 + (c_i/2) x^(e_i) is summed
+        # over the residues mod n1/(q+1)
+        ("constant + X^(q+1) + X^(2q+2)",
+         _with_xpart(herm, {0: 2, q + 1: c.p - 1, 2 * q + 2: 1}), q + 1),
+        # D = g = q + 1: nothing folds; N(1 - N), N = x^(q+1), vanishes at N = 1,
+        # and at p = 2 it is N + N^2, summed by xor
+        ("X^(q+1) + (p-1) X^(2q+2)", _with_xpart(herm, {q + 1: 1, 2 * q + 2: c.p - 1}), q + 1),
+        # T(x)^2 = x^2 (1 + x^(p-1))^2 for T(x) = x + x^p: Q = (1 + x^(p-1))^2
+        # vanishes where x^(p-1) = -1, and at p = 2 it is x^2 + x^4
+        ("T(x)^2", _with_xpart(herm, _t_squared(c.p)), 2 if c.p > 2 else 1),
     ]
     if c.p > 2:
         cases.append(("family_II", models.build(c, "family_II"), 2))
     return cases
+
+
+def _t_squared(p):
+    """{e: c} of T(x)^2 = x^2 + 2 x^(p+1) + x^(2p), T(x) = x + x^p."""
+    return {e: v % p for e, v in ((2, 1), (p + 1, 2), (2 * p, 1)) if v % p}
 
 
 @pytest.mark.parametrize("p,h", _WALK_FIELDS)
@@ -498,6 +517,48 @@ def test_count_sizes_one_fiber_per_step_of_the_period(p, h, monkeypatch):
             calls.clear()
             affine_points(m, k)
             assert len(calls) == 1 + n1 // g, (name, k)
+
+
+@pytest.mark.parametrize("p,h", _WALK_FIELDS)
+def test_summed_walk_reads_its_zero_sums(p, h):
+    # the X-parts whose residue sum Q vanishes, value by value against
+    # their terms' own walks summed by add, over all p^m - 1 steps
+    c = ctx(p, h)
+    for k in _walk_ks(c):
+        m = 2 * k * h
+        n1 = p**m - 1
+        for xpart in (_t_squared(p), {c.q + 1: 1, 2 * c.q + 2: p - 1}):
+            want = [0] * n1
+            for e, coef in xpart.items():
+                want = list(map(c.add, want, c.walk({e: coef}, m, n1)))
+            got = list(c.walk(xpart, m, n1))
+            assert got == want, (xpart, k)
+            assert 0 in got, (xpart, k)
+
+
+@pytest.mark.parametrize("family,p,h,adds", [("family_II", 7, 2, 11), ("noncenter_p", 5, 2, 10)])
+def test_warm_count_adds_only_to_build_the_solver(family, p, h, adds, monkeypatch):
+    # with the tables warm the walk sums its three X-terms by Zech reads
+    # and Im L is spanned by Zech reads, so they make 0 add calls: every
+    # add left builds L's images of the basis of F_{q^2} and ker L's basis
+    m = models.build(ctx(p, h), family)
+    n1 = p ** (2 * h) - 1
+    maximality_check(m)
+    calls, build, counts = [], [], []
+    real_add, real_init, real_count = FieldCtx.add, LinearizedSolver.__init__, LinearizedSolver.count
+
+    def init(self, *args):
+        before = len(calls)
+        real_init(self, *args)
+        build.append(len(calls) - before)
+
+    monkeypatch.setattr(FieldCtx, "add", lambda self, a, b: calls.append(a) or real_add(self, a, b))
+    monkeypatch.setattr(LinearizedSolver, "__init__", init)
+    monkeypatch.setattr(LinearizedSolver, "count",
+                        lambda self, r: counts.append(r) or real_count(self, r))
+    assert maximality_check(m)["maximal"]
+    assert build == [adds] and len(calls) == adds
+    assert len(counts) == 1 + n1 // 2  # g = 2 for both X-parts
 
 
 @pytest.mark.parametrize("p,h", [(3, 2), (5, 2)])
