@@ -19,10 +19,11 @@ Every element the package computes or returns is such an int, and all
 arithmetic on it goes through FieldCtx methods; there is no element class.
 
 FieldCtx keeps four primitives, add, mul, pow and frob, and only they,
-the point count's walk and the span enumeration _span read its
-log/antilog tables over a generator of F_{p^m}^*, with Zech logarithms
-for addition when p is odd (Lidl-Niederreiter, Finite Fields, ch. 10);
-sub, neg, scale, inv and div compose the primitives by field identities.
+the point count's walk, the span enumerations _span and _span_indicator
+and LinearizedSolver's images read its log/antilog tables over a
+generator of F_{p^m}^*, with Zech logarithms for addition when p is odd
+(Lidl-Niederreiter, Finite Fields, ch. 10); sub, neg, scale, inv and div
+compose the primitives by field identities.
 One builder makes the tables on the first arithmetic call, never in
 make_field, and the primitives read them two ways:
 
@@ -65,7 +66,7 @@ from array import array
 from collections import namedtuple
 from itertools import cycle, islice, pairwise, product, repeat, starmap
 from math import gcd
-from operator import add as _int_add, mul as _int_mul, xor as _xor
+from operator import add as _int_add, getitem, mod, mul as _int_mul, xor as _xor
 
 DEFAULT_SIZE_BOUND = 1 << 30
 # largest ambient order served by the table kernel (see FieldCtx)
@@ -127,11 +128,13 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 
 def _first_of_order(pow_, candidates, n: int):
     """The first g of candidates with multiplicative order exactly n, or
-    None: g^n = 1 and g^(n/r) != 1 for every prime r | n, with pow_(g, e)
-    the field's power."""
+    None: g^(n/r) != 1 for every prime r | n and g^n = 1, with pow_(g, e)
+    the field's power.  The cheap rejections come first: every candidate
+    drawn from F_{p^m} has g^n = 1 when n = p^m - 1, so that test runs on
+    the winner alone."""
     primes = [r for r, _ in _factorize(n)]
     return next((g for g in candidates
-                 if pow_(g, n) == 1 and all(pow_(g, n // r) != 1 for r in primes)), None)
+                 if all(pow_(g, n // r) != 1 for r in primes) and pow_(g, n) == 1), None)
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,12 +284,14 @@ class FieldCtx:
     period of its x-powers.  Where the tables cover F_{p^m} and every
     coefficient it stays in the log domain: the terms above the lowest
     are summed once per residue class by Zech reads (xor for p = 2), and
-    each value is one exp read, with no add and no multiply.  A field with
-    no table of F_{p^m} (the k = 2 walks over F_{q^4} above the bound)
-    keeps one mul per term per step and sums the terms by add, which is
-    also the reference the tests hold it to.  _span, behind
-    subfield_encodings and LinearizedSolver's image and kernel, likewise
-    builds each layer x + t b by Zech reads on logs when the tables cover
+    each value is one exp read, with no add and no multiply.  Handed
+    LinearizedSolver.indicator, it reads each step's index through that
+    instead of exp, so the count forms no value at all.  A field with no
+    table of F_{p^m} (the k = 2 walks over F_{q^4} above the bound) keeps
+    one mul per term per step and sums the terms by add, which is also
+    the reference the tests hold it to.  _span, behind subfield_encodings
+    and LinearizedSolver's image and kernel, and _span_indicator likewise
+    build each layer x + t b by Zech reads on logs when the tables cover
     every generator.
 
     The tables are built on the first arithmetic call, never in
@@ -425,7 +430,7 @@ class FieldCtx:
 
     # the walk of the point count
 
-    def walk(self, terms, m: int, steps: int):
+    def walk(self, terms, m: int, steps: int, read=None):
         """Iterator over the values of the pure-X part terms = {e: c_e}, the
         constant at e = 0, at x = gamma^j, j = 0 .. steps - 1, for the
         generator gamma = subfield_generator(m) of F_{p^m}^*.  The point
@@ -444,6 +449,14 @@ class FieldCtx:
         is one exp read per step, and the terms are xor-ed.  This raises
         CheckError at once unless (p^m - 1) log gamma = 0 mod n - 1.
 
+        read, when given, is a sequence over exp's index range with one
+        more slot at 2(n - 1) for the value 0, such as
+        LinearizedSolver.indicator: each step then yields read at the index
+        it would read exp at, and no value is formed.  That needs the log
+        domain and one exp read per value, so with read the walk returns
+        None where the tables fall short, and for p = 2 and two or more
+        terms, whose values are xor-ed.
+
         Anywhere else (the k = 2 walks over F_{q^4} above TABLE_ORDER_BOUND,
         a coefficient outside the tables) each term is one mul per step by
         gamma^e, the terms are summed by add, and the iterator raises
@@ -451,32 +464,43 @@ class FieldCtx:
         c."""
         gamma = self.subfield_generator(m)
         terms = sorted((e, c) for e, c in terms.items() if c)
-        if not terms:
+        if not terms and read is None:
             return repeat(0, steps)
         tables = self._logs([gamma] + [c for _, c in terms])
+        if read is not None and (tables is None or self.p == 2 and len(terms) > 1):
+            return None
         if tables is None:
             return self._mul_walk_sums(terms, gamma, steps)
         n1, exp, zech, (lg, *lcs) = tables
         nm = self.p ** m - 1
         if nm * lg % n1:
             raise CheckError(f"gamma^(p^{m} - 1) != 1; the walk would miss elements")
+        if read is None:
+            read = exp
+
+        def reads(idx):
+            # operator.getitem: a C call per read, cheaper than a bound __getitem__
+            return map(getitem, repeat(read), idx)
+
+        if not terms:
+            return reads(repeat(2 * n1, steps))
 
         def logs(lc, e, count):
             # log(c gamma^(e j)), j < count, from lc = log c
             step = e * lg % n1
             if not step:
                 return repeat(lc, count)
-            return map(n1.__rmod__, range(lc, lc + count * step, step))
+            return map(mod, range(lc, lc + count * step, step), repeat(n1))
 
         if self.p == 2:
-            reads = [map(exp.__getitem__, logs(lc, e, steps)) for (e, _), lc in zip(terms, lcs)]
-            return functools.reduce(functools.partial(map, _xor), reads)
+            terms_reads = [reads(logs(lc, e, steps)) for (e, _), lc in zip(terms, lcs)]
+            return functools.reduce(functools.partial(map, _xor), terms_reads)
         (e1, _), lc1 = terms[0], lcs[0]
         r = nm // gcd(nm, *(e - e1 for e, _ in terms[1:]))
         lq = [0] * r  # log Q(gamma^j), j < r, from Q = 1
         for (e, _), lc in zip(terms[1:], lcs[1:]):
             lq = _zech_sums(zech, n1, lq, logs((lc - lc1) % n1, e - e1, r))
-        return map(exp.__getitem__, map(_int_add, logs(lc1, e1, steps), cycle(lq)))
+        return reads(map(_int_add, logs(lc1, e1, steps), cycle(lq)))
 
     def _mul_walk_sums(self, terms, gamma: int, steps: int):
         const = terms[0][1] if terms[0][0] == 0 else 0
@@ -864,14 +888,44 @@ def _zech_sums(zech, n1: int, lx, ly) -> list[int]:
     of n1 + 1 elements, with 2 n1 as the log of 0: zech's own mark, at
     which plus any log below n1 exp reads 0."""
     zero = 2 * n1
-    out = []
-    for a, b in zip(lx, ly):
-        if a == zero:
-            out.append(b)
-            continue
-        z = zech[b - a]  # b - a > -n1, and a negative index wraps
-        out.append(zero if z == zero else (a + z) % n1)
-    return out
+    # b - a > -n1, and a negative index wraps
+    return [b if a == zero else zero if (z := zech[b - a]) == zero else (a + z) % n1
+            for a, b in zip(lx, ly)]
+
+
+def _span_size(p: int, gens) -> int:
+    """p^len(gens); raises CheckError above 2^20."""
+    size = p ** len(gens)
+    if size > (1 << 20):
+        raise CheckError(f"span of {size} elements too large to enumerate")
+    return size
+
+
+def _dependent(size: int) -> CheckError:
+    return CheckError(f"span has fewer than {size} elements: its generators are dependent")
+
+
+def _xor_span(gens) -> list[int]:
+    """The F_2-span of gens, layer by layer, by xor of encodings."""
+    span = [0]
+    for b in gens:
+        span += [x ^ b for x in span]
+    return span
+
+
+def _log_span(n1: int, zech, lgens, lts) -> list[int]:
+    """The logs of the nonzero F_p-combinations of generators with logs
+    lgens, odd p, layer by layer, with lts the logs of t = 1 .. p - 1.
+    x + t b = t (x/t + b), and x/t runs over the span so far as x does, so
+    a layer is one Zech read per element, log(x + b) = log x + zech[log b
+    - log x], then a shift by each log t.  x + b = 0 only for x = -b, when
+    b lies in the span so far: zech's mark 2 n1 then wraps to log x, and
+    the duplicate x fails the caller's distinctness check."""
+    ls = []
+    for lb in lgens:
+        layer = [lb, *[(lx + zech[lb - lx]) % n1 for lx in ls]]
+        ls += [(la + lt) % n1 for lt in lts for la in layer]
+    return ls
 
 
 def _span(ctx: FieldCtx, gens) -> list[int]:
@@ -880,12 +934,10 @@ def _span(ctx: FieldCtx, gens) -> list[int]:
 
     When the tables cover every generator, each layer x + t b is one list
     comprehension of index arithmetic: xor of encodings for p = 2, and for
-    odd p exp[log x + zech[log(t b) - log x]] on the logs of the nonzero
-    elements.  Any other generator leaves every element to ctx.add."""
+    odd p _log_span's Zech reads on the logs of the nonzero elements.  Any
+    other generator leaves every element to ctx.add."""
     p = ctx.p
-    size = p ** len(gens)
-    if size > (1 << 20):
-        raise CheckError(f"span of {size} elements too large to enumerate")
+    size = _span_size(p, gens)
     tables = ctx._logs([*gens, *range(1, p)])
     if tables is None:
         span = [0]
@@ -895,44 +947,76 @@ def _span(ctx: FieldCtx, gens) -> list[int]:
                 tb = ctx.scale(b, t)
                 span.extend(ctx.add(x, tb) for x in layer)
     elif p == 2:
-        span = [0]
-        for b in gens:
-            span += [x ^ b for x in span]
+        span = _xor_span(gens)
     else:
         n1, exp, zech, logs = tables
-        lts = logs[len(gens):]  # log t, t = 1 .. p - 1
-        ls = []  # the logs of the nonzero elements; 0 heads the span
-        for lb in logs[:len(gens)]:
-            layer = ls[:]
-            for lt in lts:
-                ltb = (lb + lt) % n1
-                ls.append(ltb)
-                # x + t b = 0 only for x = -t b, when b lies in the span so
-                # far: zech's mark 2 n1 then wraps to log x, and the
-                # duplicate x fails the distinctness check below
-                ls += [(lx + zech[ltb - lx]) % n1 for lx in layer]
-        span = [0, *map(exp.__getitem__, ls)]
+        k = len(gens)
+        span = [0, *map(exp.__getitem__, _log_span(n1, zech, logs[:k], logs[k:]))]
     # sorted and compared in place: a set would cost a kernel's memory
     span.sort()
     if any(a == b for a, b in pairwise(span)):
-        raise CheckError(f"span has fewer than {size} elements: "
-                         f"its generators are dependent")
+        raise _dependent(size)
     return span
+
+
+def _span_indicator(ctx: FieldCtx, gens):
+    """The F_p-span of gens as bytes over the index range of the tables'
+    exp, or None unless the tables cover every generator.  With n1 the
+    order of the tabled field's unit group, byte i is 1 where exp[i] lies
+    in the span, and slot 2 n1 stands for 0: for odd p it opens exp's zero
+    block, all 1, and for p = 2, whose exp ends at 2 n1, it is one more
+    byte, 1.  The nonzero elements are marked by their logs, from _log_span
+    for odd p and from the xor-ed encodings for p = 2.
+
+    Raises CheckError as _span does: above 2^20 elements, or unless
+    p^len(gens) - 1 nonzero elements are marked."""
+    p = ctx.p
+    size = _span_size(p, gens)
+    tables = ctx._logs([*gens, *range(1, p)])
+    if tables is None:
+        return None
+    n1, _, zech, logs = tables
+    if p == 2:
+        # a dependent set repeats elements, 0 among them, and so marks
+        # fewer than size - 1 slots
+        ls = ctx._logs([a for a in _xor_span(gens) if a])[3]
+    else:
+        k = len(gens)
+        ls = _log_span(n1, zech, logs[:k], logs[k:])
+    ind = bytearray(n1)
+    for la in ls:
+        ind[la] = 1
+    if ind.count(1) != size - 1:
+        raise _dependent(size)
+    return bytes(ind * 2 + b"\1" * (n1 if p > 2 else 1))
 
 
 class LinearizedSolver:
     """Repeated solves of L(y) = rhs with y ranging over F_{p^m}.
 
     L(y) = sum_i coeffs[i] * y^(p^i) is F_p-linear, so over digit
-    coordinates it is a (4h x m) matrix on the subfield basis.  The row
-    reduction is performed once and its operation log replayed per
-    right-hand side, which keeps per-fiber work small.  count skips the
-    replay: a fiber has kernel_size points when rhs lies in Im L and none
-    otherwise.  Im L is the F_p-span of L(basis[c]) over the pivot columns
-    c, enumerated by _span into a frozenset on the first count: by Zech
-    reads on logs when the tables cover every L(basis[c]) (the k = 1 walks,
-    where L maps F_{q^2} into itself), by one add per element otherwise.
-    A full-rank L is onto the whole field and needs no image.
+    coordinates it is a (4h x m) matrix on the subfield basis.  The images
+    L(basis[j]) are summed by Zech reads on logs (xor of exp reads for
+    p = 2) when the tables cover the basis and every nonzero coefficient,
+    by mul, frob and add otherwise.  The row reduction is performed once
+    and its operation log replayed per right-hand side, which keeps
+    per-fiber work small.
+
+    A fiber has kernel_size points when rhs lies in Im L and none
+    otherwise, so counts skip the replay.  Im L is the F_p-span of
+    L(basis[c]) over the pivot columns c, and the count path holds it two
+    ways:
+
+    * indicator(), built on the first call by _span_indicator from the
+      span's logs, is a bytes indicator over the tables' exp index range,
+      which FieldCtx.walk reads its indices through: one byte read sizes a
+      fiber.  It is None unless the tables cover every L(basis[c]) (the
+      k = 1 walks, where L maps F_{q^2} into itself);
+    * count(rhs) tests rhs against a frozenset that _span enumerates on
+      the first count, by Zech reads where the tables cover the basis and
+      one add per element otherwise.  It serves every walk the indicator
+      cannot, and is the tests' oracle for it.  A full-rank L is onto the
+      whole field, so count needs no image there.
     """
 
     def __init__(self, ctx: FieldCtx, coeffs, m: int):
@@ -940,13 +1024,29 @@ class LinearizedSolver:
         self.m = m
         basis = ctx.subfield_basis(m)
         self.basis = basis
-        imgs = []
-        for bj in basis:
-            img = 0
-            for i, ci in enumerate(coeffs):
-                if ci:
+        nz = [(i, c) for i, c in enumerate(coeffs) if c]
+        tables = ctx._logs([*basis, *(c for _, c in nz)])
+        if tables is None:
+            imgs = []
+            for bj in basis:
+                img = 0
+                for i, ci in nz:
                     img = ctx.add(img, ctx.mul(ci, ctx.frob(bj, i)))
-            imgs.append(img)
+                imgs.append(img)
+        else:
+            # log(c_i b^(p^i)) = log c_i + p^i log b, summed over i from 0
+            n1, exp, zech, logs = tables
+            p, lbs = ctx.p, logs[:m]
+            terms = [[(lc + p ** i * lb) % n1 for lb in lbs] for (i, _), lc in zip(nz, logs[m:])]
+            if p == 2:
+                imgs = [0] * m
+                for t in terms:
+                    imgs = list(map(_xor, imgs, map(exp.__getitem__, t)))
+            else:
+                ls = [2 * n1] * m  # zech's mark for 0, where exp reads 0
+                for t in terms:
+                    ls = _zech_sums(zech, n1, ls, t)
+                imgs = list(map(exp.__getitem__, ls))
         cols = [ctx._digits(img) for img in imgs]
         mat = [[cols[j][r] for j in range(m)] for r in range(ctx.deg)]
         self.pivots, self.ops = _rref(mat, ctx.p)
@@ -957,6 +1057,7 @@ class LinearizedSolver:
         self._kernel = None
         self._image_basis = [imgs[c] for _, c in self.pivots]
         self._image = None
+        self._indicator = None
 
     def _combine(self, vec) -> int:
         ctx = self.ctx
@@ -980,6 +1081,13 @@ class LinearizedSolver:
                 return self.kernel_size
             image = self._image = frozenset(_span(self.ctx, self._image_basis))
         return self.kernel_size if rhs in image else 0
+
+    def indicator(self):
+        """Im L as _span_indicator gives it, built once, or None where the
+        tables do not cover the image basis."""
+        if self._indicator is None:
+            self._indicator = _span_indicator(self.ctx, self._image_basis)
+        return self._indicator
 
     def solve(self, rhs: int) -> list[int]:
         """Sorted encodings of all solutions; empty when inconsistent."""

@@ -7,26 +7,37 @@ L(y) = -xpart(x); the remaining case falls back to exhaustive evaluation,
 capped at 4096 field elements.  The single place at infinity is added by
 convention; every model here has exactly one, rational over F_{q^2}.
 
-Counting needs only the size of each fiber, which LinearizedSolver.count
-gives without listing solutions: a fiber holds one coset of ker L when its
-right-hand side lies in Im L, a set enumerated once per walk by Zech reads,
-and is empty otherwise.  The x-values are walked multiplicatively: with
-gamma a generator of F_{q^(2k)}^*, x runs through gamma^0, gamma^1, ...,
-and FieldCtx.walk streams the whole pure-X part's values off the field's
-log tables, with no add or mul call: it factors out the lowest term,
-c_1 x^(e_1), sums the rest Q(x) = 1 + sum (c_i/c_1) x^(e_i - e_1) by Zech
-reads once per residue class of j mod (q^(2k) - 1)/D, D = gcd over the
-e_i - e_1 (1,464 classes for family II at (11, 2), in place of 7,320
-steps), and reads each value at one exp index (p = 2, with no Zech
-table, xors its terms' reads instead).  Where no table covers
-F_{q^(2k)} (the k = 2 walks above 2^13 elements) walk keeps one multiply
-by gamma^i per term per step, sums the terms by add and checks that each
-term's walk closed on its c.  The walk covers one period: with
-n = q^(2k) - 1, the right-hand side at x = gamma^j depends only on
-j mod n/g, g = gcd(n, i_1, ..., i_r) over the X-exponents, so n/g steps
-stand for the n nonzero x and each of their counts is taken g times.
-g = q + 1 for the X^(q+1) models (Hermitian, center_p, family I) and 2 for
-family II.  The x = 0 fiber is the constant term.  iter_fibers keeps the
+Counting needs only the size of each fiber, not its solutions.  A fiber
+holds one coset of ker L when its right-hand side lies in Im L, and is
+empty otherwise.  The x-values are walked multiplicatively: with gamma a
+generator of F_{q^(2k)}^*, x runs through gamma^0, gamma^1, ...
+FieldCtx.walk finds the whole pure-X part at each step on the field's log
+tables, with no add or mul call.  It factors out the lowest term,
+c_1 x^(e_1), and sums the rest, Q(x) = 1 + sum (c_i/c_1) x^(e_i - e_1), by
+Zech reads once per residue class of j mod (q^(2k) - 1)/D, D = gcd over
+the e_i - e_1: 1,464 classes for family II at (11, 2), in place of 7,320
+steps.  Each value then sits at one exp index.
+
+The count never forms those values.  LinearizedSolver.indicator holds
+Im L as one byte per exp index, built once from the span's logs, and the
+walk reads its indices through it: each fiber is one byte read, and a
+period's count is one C-level sum of bytes times |ker L|.  The x = 0 fiber
+is one more read, at the constant's slot.  Some inputs keep the value
+path, with Im L as a frozenset and one LinearizedSolver.count call per
+step:
+
+* the k = 2 walks above 2^13 elements, which no table covers: walk makes
+  one multiply by gamma^i per term per step, sums the terms by add, and
+  checks that each term's walk closed on its c;
+* a coefficient outside the tables;
+* p = 2 and two or more terms: with no Zech table the walk xors its
+  terms' exp reads.
+
+The walk covers one period: with n = q^(2k) - 1, the right-hand side at
+x = gamma^j depends only on j mod n/g, g = gcd(n, i_1, ..., i_r) over the
+X-exponents, so n/g steps stand for the n nonzero x and each of their
+counts is taken g times.  g = q + 1 for the X^(q+1) models (Hermitian,
+center_p, family I) and 2 for family II.  iter_fibers keeps the
 ascending scan with sorted solutions for the callers that need the points
 themselves, and is the reference the tests hold the walk to.
 
@@ -120,10 +131,15 @@ def _count_points(model: CurveModel, k: int) -> int:
     # standing for g values of x.  With no X-term g = n1.
     n1 = ctx.p**m - 1
     g = gcd(n1, *terms)
-    rhs = ctx.walk(terms, m, n1 // g)
     # L is F_p-linear, so y -> -y maps the solutions of L(y) = -r onto
     # those of L(y) = r: the count of r stands for the fiber's own -r
     const = terms.get(0, 0)
+    image = solver.indicator()
+    reads = None if image is None else ctx.walk(terms, m, n1 // g, image)
+    if reads is not None:
+        # x = 0 reads the constant's slot, then one read per step
+        return solver.kernel_size * (sum(ctx.walk({0: const}, m, 1, image)) + g * sum(reads))
+    rhs = ctx.walk(terms, m, n1 // g)
     return solver.count(const) + g * sum(map(solver.count, rhs))  # x = 0, then x = gamma^j
 
 

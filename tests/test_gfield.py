@@ -611,6 +611,19 @@ def test_omega_is_frozen(p, h):
     assert find_omega(make_field(p, h)) == _FROZEN_OMEGA[p, h]
 
 
+# gamma = subfield_generator(m) for each table's m: 4h up to
+# TABLE_ORDER_BOUND, 2h above it.  The tables' logs and every walk depend on it.
+_FROZEN_GAMMA = {(2, 1): 2, (3, 1): 3, (2, 2): 3, (2, 3): 3, (3, 2): 38, (5, 2): 101,
+                 (3, 3): 18, (2, 4): 61715, (2, 5): 573958, (3, 4): 1576521}
+
+
+@pytest.mark.parametrize("p,h", sorted(_FROZEN_GAMMA))
+def test_table_generator_is_frozen(p, h):
+    ctx = make_field(p, h)
+    m = ctx.deg if ctx.order <= TABLE_ORDER_BOUND else 2 * h
+    assert ctx.subfield_generator(m) == _FROZEN_GAMMA[p, h]
+
+
 # ---------------------------------------------------------------- linearized solves
 
 @pytest.mark.parametrize("p,h,m", [(2, 2, 2), (2, 2, 4), (3, 1, 2), (3, 2, 2)])
@@ -670,6 +683,21 @@ def test_count_matches_solve_on_F_q2(p, h):
         onto = solver.rank == 2 * h
         assert sizes == ({solver.kernel_size} if onto else {0, solver.kernel_size})
         assert len(solver._image) == p ** solver.rank
+
+
+# whole-field tables at (2,3) and (3,2), where m = 4h is covered too
+@pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (5, 2), (2, 7), (5, 3)])
+def test_log_images_match_the_value_images(p, h, monkeypatch):
+    # L(basis[j]) summed by Zech reads (xor for p = 2) against mul, frob
+    # and add, which every solver takes when _logs covers nothing
+    ctx = make_field(p, h)
+    ms = (2 * h, ctx.deg) if ctx.order <= TABLE_ORDER_BOUND else (2 * h,)
+    cases = [(vec, m) for m in ms for vec in _count_model_maps(ctx) + [[0, 0]]]
+    by_logs = [LinearizedSolver(ctx, vec, m) for vec, m in cases]
+    monkeypatch.setattr(FieldCtx, "_logs", lambda self, elems: None)
+    for a, (vec, m) in zip(by_logs, cases):
+        b = LinearizedSolver(ctx, vec, m)
+        assert (a.pivots, a._image_basis, a.kernel_basis) == (b.pivots, b._image_basis, b.kernel_basis)
 
 
 @pytest.mark.parametrize("p,h", [(3, 2), (2, 7), (5, 3)])

@@ -12,6 +12,7 @@ from hermquot.gfield import (
     FieldCtx,
     LinearizedSolver,
     ParameterError,
+    _span,
     make_field,
 )
 from hermquot.placecount import (
@@ -103,10 +104,12 @@ def test_family_II_counts():
 
 
 @pytest.mark.parametrize("family,p,h,n", [
+    # families I and II at every admissible b: 78, 120, 48, 120 and 26 of them
     ("family_I", 3, 4, 59050),
     ("family_I", 5, 3, 78126),
     ("family_II", 7, 2, 4460),
     ("family_II", 11, 2, 27952),
+    ("family_II", 3, 3, 2674),
     pytest.param("Hermitian", 7, 2, 117650, id="hermitian-7-2-117650"),
     # T(x)^2 X-parts of three terms, summed in the log domain over F_{q^2}
     ("noncenter_p", 5, 2, 3626),
@@ -114,8 +117,11 @@ def test_family_II_counts():
     ("noncenter_p", 7, 2, 18866),
 ])
 def test_large_field_counts_are_frozen(family, p, h, n):
-    rep = maximality_check(models.build(ctx(p, h), family))
-    assert rep["N"] == n and rep["maximal"]
+    c = ctx(p, h)
+    bs = models.admissible_b(c, family) if family in ("family_I", "family_II") else [None]
+    for b in bs:
+        rep = maximality_check(models.build(c, family, b))
+        assert rep["N"] == n and rep["maximal"], b
 
 
 @pytest.mark.parametrize("family,p,h,n", [
@@ -475,6 +481,8 @@ def _period_cases(c, k):
         ("center_p", models.subcover_center(c), q + 1),
         ("family_I", models.build(c, "family_I"), q + 1),
         ("constant", _with_xpart(herm, {0: 2}), n1),
+        # L(y) = y is onto F_{p^m}: its indicator marks every element
+        ("onto", _onto(c), q + 1),
         # the constant is the lowest term: Q = 1 + (c_i/2) x^(e_i) is summed
         # over the residues mod n1/(q+1)
         ("constant + X^(q+1) + X^(2q+2)",
@@ -491,32 +499,96 @@ def _period_cases(c, k):
     return cases
 
 
+def _onto(c):
+    """Y + X^(q+1) = 0, whose L(y) = y maps F_{p^m} onto itself."""
+    herm = models.hermitian_model(c)
+    F = BiPoly(c, {(0, 1): 1, (c.q + 1, 0): 1}, herm.F.names)
+    return models.CurveModel(F=F, ctx=c, family=herm.family)
+
+
 def _t_squared(p):
     """{e: c} of T(x)^2 = x^2 + 2 x^(p+1) + x^(2p), T(x) = x + x^p."""
     return {e: v % p for e, v in ((2, 1), (p + 1, 2), (2 * p, 1)) if v % p}
 
 
+def _value_path(model):
+    """True where a count at _walk_ks keeps the value path: an X-part
+    coefficient outside the tabled field, or p = 2 and two or more terms,
+    whose walk xors values."""
+    c = model.ctx
+    tabled = c.deg if c.order <= TABLE_ORDER_BOUND else 2 * c.h
+    coefs = additive_split(model.F)[1].terms.values()
+    return not all(c.in_subfield(v, tabled) for v in coefs) or c.p == 2 and len(coefs) > 1
+
+
 @pytest.mark.parametrize("p,h", _WALK_FIELDS)
 def test_period_walk_matches_the_full_walk(p, h):
     c = ctx(p, h)
+    exp = c._logs([1])[1]
     for k in _walk_ks(c):
-        for name, m, _ in _period_cases(c, k):
-            assert affine_points(m, k).affine_points == _full_walk_count(m, k), (name, k)
+        m = 2 * k * h
+        n1 = p**m - 1
+        for name, model, g in _period_cases(c, k):
+            assert affine_points(model, k).affine_points == _full_walk_count(model, k), (name, k)
+            # Im L's indicator against the frozenset count tests, slot by
+            # slot: exp's range, then 0's own slot for p = 2
+            vec, xpart = additive_split(model.F)
+            solver = LinearizedSolver(c, vec, m)
+            image = frozenset(_span(c, solver._image_basis))
+            want = bytes(x in image for x in exp) + (b"\1" if p == 2 else b"")
+            ind = solver.indicator()
+            assert ind == want, (name, k)
+            terms = {i: v for (i, _), v in xpart.terms.items()}
+            reads = c.walk(terms, m, n1 // g, ind)
+            assert (reads is None) == _value_path(model), (name, k)
+            # a dependent image basis fails as _span does
+            basis = solver._image_basis
+            if basis:
+                dependent = basis + basis[-1:]
+                with pytest.raises(CheckError) as want_err:
+                    _span(c, dependent)
+                solver._image_basis, solver._indicator = dependent, None
+                with pytest.raises(CheckError) as err:
+                    solver.indicator()
+                assert str(err.value) == str(want_err.value), (name, k)
+
+
+class _CountingReads:
+    """An indicator that counts its reads."""
+
+    def __init__(self, seq):
+        self.seq, self.reads = seq, 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.seq[i]
 
 
 @pytest.mark.parametrize("p,h", _WALK_FIELDS)
 def test_count_sizes_one_fiber_per_step_of_the_period(p, h, monkeypatch):
-    # x = 0, then one count per step: 1 + (p^m - 1)/g calls, exactly
+    # x = 0, then one fiber per step: 1 + (p^m - 1)/g indicator reads,
+    # exactly, and no count call; the value path makes as many count calls
     c = ctx(p, h)
-    calls = []
-    real = LinearizedSolver.count
-    monkeypatch.setattr(LinearizedSolver, "count", lambda self, r: calls.append(r) or real(self, r))
+    calls, handed = [], []
+    real_count, real_indicator = LinearizedSolver.count, LinearizedSolver.indicator
+
+    def indicator(self):
+        handed.append(_CountingReads(real_indicator(self)))
+        return handed[-1]
+
+    monkeypatch.setattr(LinearizedSolver, "count", lambda self, r: calls.append(r) or real_count(self, r))
+    monkeypatch.setattr(LinearizedSolver, "indicator", indicator)
     for k in _walk_ks(c):
         n1 = p ** (2 * k * h) - 1
         for name, m, g in _period_cases(c, k):
             calls.clear()
+            handed.clear()
             affine_points(m, k)
-            assert len(calls) == 1 + n1 // g, (name, k)
+            reads = sum(ind.reads for ind in handed)
+            if _value_path(m):
+                assert (len(calls), reads) == (1 + n1 // g, 0), (name, k)
+            else:
+                assert (len(calls), reads) == (0, 1 + n1 // g), (name, k)
 
 
 @pytest.mark.parametrize("p,h", _WALK_FIELDS)
@@ -536,13 +608,13 @@ def test_summed_walk_reads_its_zero_sums(p, h):
             assert 0 in got, (xpart, k)
 
 
-@pytest.mark.parametrize("family,p,h,adds", [("family_II", 7, 2, 11), ("noncenter_p", 5, 2, 10)])
+@pytest.mark.parametrize("family,p,h,adds", [("family_II", 7, 2, 3), ("noncenter_p", 5, 2, 2)])
 def test_warm_count_adds_only_to_build_the_solver(family, p, h, adds, monkeypatch):
-    # with the tables warm the walk sums its three X-terms by Zech reads
-    # and Im L is spanned by Zech reads, so they make 0 add calls: every
-    # add left builds L's images of the basis of F_{q^2} and ker L's basis
+    # with the tables warm the walk sums its three X-terms by Zech reads,
+    # L's images of the basis of F_{q^2} and Im L are summed by Zech
+    # reads, and each fiber is one indicator read, so they make 0 add
+    # calls and no count call: every add left combines ker L's basis
     m = models.build(ctx(p, h), family)
-    n1 = p ** (2 * h) - 1
     maximality_check(m)
     calls, build, counts = [], [], []
     real_add, real_init, real_count = FieldCtx.add, LinearizedSolver.__init__, LinearizedSolver.count
@@ -558,7 +630,7 @@ def test_warm_count_adds_only_to_build_the_solver(family, p, h, adds, monkeypatc
                         lambda self, r: counts.append(r) or real_count(self, r))
     assert maximality_check(m)["maximal"]
     assert build == [adds] and len(calls) == adds
-    assert len(counts) == 1 + n1 // 2  # g = 2 for both X-parts
+    assert counts == []
 
 
 @pytest.mark.parametrize("p,h", [(3, 2), (5, 2)])
