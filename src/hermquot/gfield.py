@@ -21,9 +21,9 @@ arithmetic on it goes through FieldCtx methods; there is no element class.
 FieldCtx keeps four primitives, add, mul, pow and frob, and only they,
 the point count's walk, the span enumerations _span and _span_indicator
 and LinearizedSolver's images read its log/antilog tables over a
-generator of F_{p^m}^*, with Zech logarithms for addition when p is odd
-(Lidl-Niederreiter, Finite Fields, ch. 10); sub, neg, scale, inv and div
-compose the primitives by field identities.
+generator of F_{p^m}^*, with Zech logarithms for sums in every
+characteristic (Lidl-Niederreiter, Finite Fields, ch. 10); sub, neg,
+scale, inv and div compose the primitives by field identities.
 One builder makes the tables on the first arithmetic call, never in
 make_field, and the primitives read them two ways:
 
@@ -41,8 +41,7 @@ make_field, and the primitives read them two ways:
   97-99% of the multiplications have both operands there, and one takes
   0.6-1 us by table against 3-32 us by digits.  make_field's cap gives
   q^2 <= 2^15, so every log fits in 16 bits, and the tables take 20 bytes
-  per element of F_{q^2} (14 for p = 2): 0.56 MB at (13,2), built in
-  about 0.1 s.
+  per element of F_{q^2}: 0.56 MB at (13,2), built in about 0.1 s.
 
 The digit kernel (one method per primitive) is also the reference the
 tests hold the tables to.
@@ -66,7 +65,7 @@ from array import array
 from collections import namedtuple
 from itertools import cycle, islice, pairwise, product, repeat, starmap
 from math import gcd
-from operator import add as _int_add, getitem, mod, mul as _int_mul, xor as _xor
+from operator import add as _int_add, mod, mul as _int_mul
 
 DEFAULT_SIZE_BOUND = 1 << 30
 # largest ambient order served by the table kernel (see FieldCtx)
@@ -240,8 +239,8 @@ def _digit_form(weights, p: int) -> array:
 # The log/Zech tables over a generator gamma of F_{p^m} (see FieldCtx):
 #   n     p^m; idx(a) = lo[a % n] + hi[a // n]
 #   log   log[idx(gamma^i)] = i, and log[0] = 0
-#   exp   gamma^0 .. gamma^(n-2) twice, then n-1 zeros for odd p
-#   zech  odd p: log(1 + gamma^d), or 2(n-1) where 1 + gamma^d = 0
+#   exp   gamma^0 .. gamma^(n-2) twice, then n-1 zeros
+#   zech  log(1 + gamma^d), or 2(n-1) where 1 + gamma^d = 0
 _Tables = namedtuple("_Tables", "n lo hi log exp zech")
 
 
@@ -253,10 +252,10 @@ class FieldCtx:
     """Arithmetic context for the ambient field F_{p^(4h)}.
 
     Methods take and return raw int encodings.  One builder, _build_tables,
-    makes exp and log tables over a generator gamma of F_{p^m}^* and, for
-    odd p, a Zech table zech[d] = log(1 + gamma^d), so that a product, a
-    power, a Frobenius image or a sum is index arithmetic on logs.  m = 4h
-    (the whole field) when the order is at most TABLE_ORDER_BOUND, m = 2h
+    makes exp and log tables over a generator gamma of F_{p^m}^* and a
+    Zech table zech[d] = log(1 + gamma^d), so that a product, a power, a
+    Frobenius image or a sum is index arithmetic on logs.  m = 4h (the
+    whole field) when the order is at most TABLE_ORDER_BOUND, m = 2h
     (F_{q^2}) above it.  The log is indexed by idx(a), the m digits of a at
     the free columns of F_{p^m}'s echelon basis, read off the low m and the
     high 4h - m base-p digits of a as lo[a % p^m] + hi[a // p^m]; the free
@@ -265,7 +264,7 @@ class FieldCtx:
     when exp[log[idx(a)]] == a.
 
     Four primitives read those tables, add, mul, pow and frob, each by two
-    read paths:
+    read paths (add for p = 2 is one xor of encodings and reads none):
 
     * a whole field is read through list views of exp, log and zech
       indexed by the encoding itself, held in _exp, _log and _zech;
@@ -279,30 +278,28 @@ class FieldCtx:
     sub, neg, scale, inv and div read no table: each is one call or two of
     the primitives, by a field identity.
 
-    walk streams the values of a whole pure-X part at x = gamma_m^j, j
+    walk gives the exp indices of a whole pure-X part at x = gamma_m^j, j
     below a given step count, for the point count, which asks for one
-    period of its x-powers.  Where the tables cover F_{p^m} and every
-    coefficient it stays in the log domain: the terms above the lowest
-    are summed once per residue class by Zech reads (xor for p = 2), and
-    each value is one exp read, with no add and no multiply.  Handed
-    LinearizedSolver.indicator, it reads each step's index through that
-    instead of exp, so the count forms no value at all.  A field with no
-    table of F_{p^m} (the k = 2 walks over F_{q^4} above the bound) keeps
-    one mul per term per step and sums the terms by add, which is also
-    the reference the tests hold it to.  _span, behind subfield_encodings
-    and LinearizedSolver's image and kernel, and _span_indicator likewise
-    build each layer x + t b by Zech reads on logs when the tables cover
-    every generator.
+    period of its x-powers and reads each index through
+    LinearizedSolver.indicator, so the count forms no value at all.  The
+    terms above the lowest are summed once per residue class by Zech
+    reads, with no add and no multiply.  Where the tables miss gamma_m or a
+    coefficient (the k = 2 walks over F_{q^4} above the bound) walk
+    returns None, and mul_walk gives the values by one mul per term per
+    step, summed by add: the only value path, and the reference the tests
+    hold walk to.  _span, behind subfield_encodings and LinearizedSolver's
+    image and kernel, and _span_indicator likewise build each layer
+    x + t b by Zech reads on logs when the tables cover every generator.
 
     The tables are built on the first arithmetic call, never in
     make_field, with the digit kernel alone.  Other caches (reduction
-    rows, Frobenius rows, subfield generators, bases and enumerations, norm
-    preimages) are built lazily as well.
+    rows, Frobenius rows and kernels, subfield generators, bases and
+    enumerations, norm preimages) are built lazily as well.
     """
 
     __slots__ = ("p", "h", "q", "deg", "order", "modulus",
-                 "_exp", "_log", "_zech", "_sub", "_red", "_frows", "_sbasis",
-                 "_senc", "_gens", "_omega", "_norm")
+                 "_exp", "_log", "_zech", "_sub", "_red", "_frows", "_fker",
+                 "_sbasis", "_senc", "_gens", "_omega", "_norm")
 
     def __init__(self, p: int, h: int, modulus: int):
         self.p = p
@@ -317,6 +314,7 @@ class FieldCtx:
         self._sub = None
         self._red = None
         self._frows = {}
+        self._fker = {}
         self._sbasis = {}
         self._senc = {}
         self._gens = {}
@@ -430,60 +428,36 @@ class FieldCtx:
 
     # the walk of the point count
 
-    def walk(self, terms, m: int, steps: int, read=None):
-        """Iterator over the values of the pure-X part terms = {e: c_e}, the
-        constant at e = 0, at x = gamma^j, j = 0 .. steps - 1, for the
-        generator gamma = subfield_generator(m) of F_{p^m}^*.  The point
-        count asks for one period, (p^m - 1)/g steps with g = gcd(p^m - 1,
-        every e); all p^m - 1 steps visit every nonzero x once.
+    def walk(self, terms, m: int, steps: int):
+        """Iterator over the exp indices of the values of the pure-X part
+        terms = {e: c_e}, the constant at e = 0, at x = gamma^j, j = 0 ..
+        steps - 1, for the generator gamma = subfield_generator(m) of
+        F_{p^m}^*, or None unless the tables cover gamma and every c_e (all
+        of a whole field, F_{q^2} on a larger one).  The value at step j is
+        exp[i] for the j-th index i, which lies below 3(n - 1): exp's zero
+        block reads 0.  The point count asks for one period, (p^m - 1)/g
+        steps with g = gcd(p^m - 1, every e); all p^m - 1 steps visit every
+        nonzero x once.
 
-        When the tables cover gamma and every c_e (all of a whole field,
-        F_{q^2} on a larger one), the sums stay in the log domain, with no
-        add and no multiply.  With e_1 the lowest exponent, the value is
-        c_1 x^(e_1) Q(x), Q(x) = 1 + sum (c_e / c_1) x^(e - e_1), and Q at
-        gamma^j depends only on j mod r, r = (p^m - 1)/D, D = gcd(p^m - 1,
-        every e - e_1), which divides the period.  Q's logs are summed once
-        per residue class by Zech reads, and each value is one exp read at
-        (log c_1 + j e_1 log gamma) mod (n - 1) + log Q, where a zero Q
-        reads exp's zero block.  p = 2 has no Zech table: there each term
-        is one exp read per step, and the terms are xor-ed.  This raises
-        CheckError at once unless (p^m - 1) log gamma = 0 mod n - 1.
-
-        read, when given, is a sequence over exp's index range with one
-        more slot at 2(n - 1) for the value 0, such as
-        LinearizedSolver.indicator: each step then yields read at the index
-        it would read exp at, and no value is formed.  That needs the log
-        domain and one exp read per value, so with read the walk returns
-        None where the tables fall short, and for p = 2 and two or more
-        terms, whose values are xor-ed.
-
-        Anywhere else (the k = 2 walks over F_{q^4} above TABLE_ORDER_BOUND,
-        a coefficient outside the tables) each term is one mul per step by
-        gamma^e, the terms are summed by add, and the iterator raises
-        CheckError at its end unless each term closed: c (gamma^e)^steps =
-        c."""
+        The sums stay in the log domain, with no add and no multiply.  With
+        e_1 the lowest exponent, the value is c_1 x^(e_1) Q(x), Q(x) = 1 +
+        sum (c_e / c_1) x^(e - e_1), and Q at gamma^j depends only on j mod
+        r, r = (p^m - 1)/D, D = gcd(p^m - 1, every e - e_1), which divides
+        the period.  Q's logs are summed once per residue class by Zech
+        reads, and each index is (log c_1 + j e_1 log gamma) mod (n - 1) +
+        log Q, where a zero Q has zech's mark 2(n - 1).  This raises
+        CheckError at once unless (p^m - 1) log gamma = 0 mod n - 1."""
         gamma = self.subfield_generator(m)
         terms = sorted((e, c) for e, c in terms.items() if c)
-        if not terms and read is None:
-            return repeat(0, steps)
         tables = self._logs([gamma] + [c for _, c in terms])
-        if read is not None and (tables is None or self.p == 2 and len(terms) > 1):
-            return None
         if tables is None:
-            return self._mul_walk_sums(terms, gamma, steps)
-        n1, exp, zech, (lg, *lcs) = tables
+            return None
+        n1, _, zech, (lg, *lcs) = tables
         nm = self.p ** m - 1
         if nm * lg % n1:
             raise CheckError(f"gamma^(p^{m} - 1) != 1; the walk would miss elements")
-        if read is None:
-            read = exp
-
-        def reads(idx):
-            # operator.getitem: a C call per read, cheaper than a bound __getitem__
-            return map(getitem, repeat(read), idx)
-
         if not terms:
-            return reads(repeat(2 * n1, steps))
+            return repeat(2 * n1, steps)
 
         def logs(lc, e, count):
             # log(c gamma^(e j)), j < count, from lc = log c
@@ -492,18 +466,23 @@ class FieldCtx:
                 return repeat(lc, count)
             return map(mod, range(lc, lc + count * step, step), repeat(n1))
 
-        if self.p == 2:
-            terms_reads = [reads(logs(lc, e, steps)) for (e, _), lc in zip(terms, lcs)]
-            return functools.reduce(functools.partial(map, _xor), terms_reads)
         (e1, _), lc1 = terms[0], lcs[0]
         r = nm // gcd(nm, *(e - e1 for e, _ in terms[1:]))
         lq = [0] * r  # log Q(gamma^j), j < r, from Q = 1
         for (e, _), lc in zip(terms[1:], lcs[1:]):
             lq = _zech_sums(zech, n1, lq, logs((lc - lc1) % n1, e - e1, r))
-        return reads(map(_int_add, logs(lc1, e1, steps), cycle(lq)))
+        return map(_int_add, logs(lc1, e1, steps), cycle(lq))
 
-    def _mul_walk_sums(self, terms, gamma: int, steps: int):
-        const = terms[0][1] if terms[0][0] == 0 else 0
+    def mul_walk(self, terms, m: int, steps: int):
+        """Iterator over the values of terms at the steps walk takes, on
+        any field: each term is one mul per step by gamma^e, and the terms
+        are summed by add.  It raises CheckError at its end unless each
+        term closed: c (gamma^e)^steps = c.  The point count's value path
+        wherever walk returns None, and the reference the tests hold walk
+        to."""
+        gamma = self.subfield_generator(m)
+        terms = sorted((e, c) for e, c in terms.items() if c)
+        const = terms[0][1] if terms and terms[0][0] == 0 else 0
         walks = [self._mul_walk(c, self.pow(gamma, e), steps) for e, c in terms if e]
         # with no constant term the first walk starts the sums: no add of 0 + v
         rhs = walks.pop(0) if walks and not const else repeat(const, steps)
@@ -592,7 +571,7 @@ class FieldCtx:
         residue = [s % p for s in range(2 * p - 1)]
         log = array("H", [_UNSET]) * n
         log[0] = 0
-        exp = array("I", [0]) * ((2 if p == 2 else 3) * n1)
+        exp = array("I", [0]) * (3 * n1)
         x = 1
         for i in range(n1):
             v = lo[x % n] + hi[x // n]
@@ -607,15 +586,14 @@ class FieldCtx:
         if p != 2 and exp[n1 // 2] != p - 1:
             raise CheckError(f"gamma^((p^{m}-1)/2) is not -1")
         exp[n1:2 * n1] = exp[:n1]
-        zech = array("H")
-        if p != 2:
-            # 1 + x only changes the lowest base-p digit of x
-            def zech_log(x):
-                if x == p - 1:
-                    return 2 * n1
-                y = x + 1 if x % p != p - 1 else x - p + 1
-                return log[lo[y % n] + hi[y // n]]
-            zech.extend(map(zech_log, exp[:n1]))
+
+        # 1 + x only changes the lowest base-p digit of x
+        def zech_log(x):
+            if x == p - 1:
+                return 2 * n1
+            y = x + 1 if x % p != p - 1 else x - p + 1
+            return log[lo[y % n] + hi[y // n]]
+        zech = array("H", map(zech_log, exp[:n1]))
         tables = _Tables(n, lo, hi, log, exp, zech)
         if not whole:
             self._sub = tables
@@ -739,16 +717,21 @@ class FieldCtx:
 
     def _frobenius_kernel(self, m: int) -> list[tuple[int, list[int]]]:
         """F_{p^m}, the fixed space of x -> x^(p^m) on the power basis, as
-        _kernel_vectors lists it, from the digit kernel's Frobenius rows."""
-        p, deg = self.p, self.deg
-        # x^(p^deg) = x, so m = deg reads the identity rows of k = 0
-        rows = self._frows.get(m % deg) or self._build_frow(m % deg)
-        if p == 2:
-            rows = [self._digits(r) for r in rows]
-        # column i is the image of X^i under x -> x^(p^m) - x
-        mat = [[(rows[i][r] - (i == r)) % p for i in range(deg)] for r in range(deg)]
-        pivots, _ = _rref(mat, p)
-        return _kernel_vectors(mat, pivots, p)
+        _kernel_vectors lists it, from the digit kernel's Frobenius rows;
+        kept per m, so the table build and subfield_basis share one row
+        reduction."""
+        kernel = self._fker.get(m)
+        if kernel is None:
+            p, deg = self.p, self.deg
+            # x^(p^deg) = x, so m = deg reads the identity rows of k = 0
+            rows = self._frows.get(m % deg) or self._build_frow(m % deg)
+            if p == 2:
+                rows = [self._digits(r) for r in rows]
+            # column i is the image of X^i under x -> x^(p^m) - x
+            mat = [[(rows[i][r] - (i == r)) % p for i in range(deg)] for r in range(deg)]
+            pivots, _ = _rref(mat, p)
+            kernel = self._fker[m] = _kernel_vectors(mat, pivots, p)
+        return kernel
 
     # subfields
 
@@ -905,17 +888,9 @@ def _dependent(size: int) -> CheckError:
     return CheckError(f"span has fewer than {size} elements: its generators are dependent")
 
 
-def _xor_span(gens) -> list[int]:
-    """The F_2-span of gens, layer by layer, by xor of encodings."""
-    span = [0]
-    for b in gens:
-        span += [x ^ b for x in span]
-    return span
-
-
 def _log_span(n1: int, zech, lgens, lts) -> list[int]:
     """The logs of the nonzero F_p-combinations of generators with logs
-    lgens, odd p, layer by layer, with lts the logs of t = 1 .. p - 1.
+    lgens, layer by layer, with lts the logs of t = 1 .. p - 1.
     x + t b = t (x/t + b), and x/t runs over the span so far as x does, so
     a layer is one Zech read per element, log(x + b) = log x + zech[log b
     - log x], then a shift by each log t.  x + b = 0 only for x = -b, when
@@ -933,9 +908,9 @@ def _span(ctx: FieldCtx, gens) -> list[int]:
     2^20 of them, or unless they are p^len(gens) distinct elements.
 
     When the tables cover every generator, each layer x + t b is one list
-    comprehension of index arithmetic: xor of encodings for p = 2, and for
-    odd p _log_span's Zech reads on the logs of the nonzero elements.  Any
-    other generator leaves every element to ctx.add."""
+    comprehension of index arithmetic, _log_span's Zech reads on the logs
+    of the nonzero elements.  Any other generator leaves every element to
+    ctx.add."""
     p = ctx.p
     size = _span_size(p, gens)
     tables = ctx._logs([*gens, *range(1, p)])
@@ -946,8 +921,6 @@ def _span(ctx: FieldCtx, gens) -> list[int]:
             for t in range(1, p):
                 tb = ctx.scale(b, t)
                 span.extend(ctx.add(x, tb) for x in layer)
-    elif p == 2:
-        span = _xor_span(gens)
     else:
         n1, exp, zech, logs = tables
         k = len(gens)
@@ -963,10 +936,8 @@ def _span_indicator(ctx: FieldCtx, gens):
     """The F_p-span of gens as bytes over the index range of the tables'
     exp, or None unless the tables cover every generator.  With n1 the
     order of the tabled field's unit group, byte i is 1 where exp[i] lies
-    in the span, and slot 2 n1 stands for 0: for odd p it opens exp's zero
-    block, all 1, and for p = 2, whose exp ends at 2 n1, it is one more
-    byte, 1.  The nonzero elements are marked by their logs, from _log_span
-    for odd p and from the xor-ed encodings for p = 2.
+    in the span, so exp's zero block, from slot 2 n1 on, is all 1.  The
+    nonzero elements are marked by their logs, from _log_span.
 
     Raises CheckError as _span does: above 2^20 elements, or unless
     p^len(gens) - 1 nonzero elements are marked."""
@@ -976,19 +947,13 @@ def _span_indicator(ctx: FieldCtx, gens):
     if tables is None:
         return None
     n1, _, zech, logs = tables
-    if p == 2:
-        # a dependent set repeats elements, 0 among them, and so marks
-        # fewer than size - 1 slots
-        ls = ctx._logs([a for a in _xor_span(gens) if a])[3]
-    else:
-        k = len(gens)
-        ls = _log_span(n1, zech, logs[:k], logs[k:])
+    k = len(gens)
     ind = bytearray(n1)
-    for la in ls:
+    for la in _log_span(n1, zech, logs[:k], logs[k:]):
         ind[la] = 1
     if ind.count(1) != size - 1:
         raise _dependent(size)
-    return bytes(ind * 2 + b"\1" * (n1 if p > 2 else 1))
+    return bytes(ind * 2 + b"\1" * n1)
 
 
 class LinearizedSolver:
@@ -996,11 +961,10 @@ class LinearizedSolver:
 
     L(y) = sum_i coeffs[i] * y^(p^i) is F_p-linear, so over digit
     coordinates it is a (4h x m) matrix on the subfield basis.  The images
-    L(basis[j]) are summed by Zech reads on logs (xor of exp reads for
-    p = 2) when the tables cover the basis and every nonzero coefficient,
-    by mul, frob and add otherwise.  The row reduction is performed once
-    and its operation log replayed per right-hand side, which keeps
-    per-fiber work small.
+    L(basis[j]) are summed by Zech reads on logs when the tables cover the
+    basis and every nonzero coefficient, by mul, frob and add otherwise.
+    The row reduction is performed once and its operation log replayed per
+    right-hand side, which keeps per-fiber work small.
 
     A fiber has kernel_size points when rhs lies in Im L and none
     otherwise, so counts skip the replay.  Im L is the F_p-span of
@@ -1009,8 +973,8 @@ class LinearizedSolver:
 
     * indicator(), built on the first call by _span_indicator from the
       span's logs, is a bytes indicator over the tables' exp index range,
-      which FieldCtx.walk reads its indices through: one byte read sizes a
-      fiber.  It is None unless the tables cover every L(basis[c]) (the
+      which the point count reads FieldCtx.walk's indices through: one
+      byte read sizes a fiber.  It is None unless the tables cover every L(basis[c]) (the
       k = 1 walks, where L maps F_{q^2} into itself);
     * count(rhs) tests rhs against a frozenset that _span enumerates on
       the first count, by Zech reads where the tables cover the basis and
@@ -1037,16 +1001,10 @@ class LinearizedSolver:
             # log(c_i b^(p^i)) = log c_i + p^i log b, summed over i from 0
             n1, exp, zech, logs = tables
             p, lbs = ctx.p, logs[:m]
-            terms = [[(lc + p ** i * lb) % n1 for lb in lbs] for (i, _), lc in zip(nz, logs[m:])]
-            if p == 2:
-                imgs = [0] * m
-                for t in terms:
-                    imgs = list(map(_xor, imgs, map(exp.__getitem__, t)))
-            else:
-                ls = [2 * n1] * m  # zech's mark for 0, where exp reads 0
-                for t in terms:
-                    ls = _zech_sums(zech, n1, ls, t)
-                imgs = list(map(exp.__getitem__, ls))
+            ls = [2 * n1] * m  # zech's mark for 0, where exp reads 0
+            for (i, _), lc in zip(nz, logs[m:]):
+                ls = _zech_sums(zech, n1, ls, [(lc + p ** i * lb) % n1 for lb in lbs])
+            imgs = list(map(exp.__getitem__, ls))
         cols = [ctx._digits(img) for img in imgs]
         mat = [[cols[j][r] for j in range(m)] for r in range(ctx.deg)]
         self.pivots, self.ops = _rref(mat, ctx.p)

@@ -12,26 +12,23 @@ holds one coset of ker L when its right-hand side lies in Im L, and is
 empty otherwise.  The x-values are walked multiplicatively: with gamma a
 generator of F_{q^(2k)}^*, x runs through gamma^0, gamma^1, ...
 FieldCtx.walk finds the whole pure-X part at each step on the field's log
-tables, with no add or mul call.  It factors out the lowest term,
-c_1 x^(e_1), and sums the rest, Q(x) = 1 + sum (c_i/c_1) x^(e_i - e_1), by
-Zech reads once per residue class of j mod (q^(2k) - 1)/D, D = gcd over
-the e_i - e_1: 1,464 classes for family II at (11, 2), in place of 7,320
-steps.  Each value then sits at one exp index.
+tables, with no add or mul call, in every characteristic.  It factors out
+the lowest term, c_1 x^(e_1), and sums the rest, Q(x) = 1 + sum (c_i/c_1)
+x^(e_i - e_1), by Zech reads once per residue class of j mod
+(q^(2k) - 1)/D, D = gcd over the e_i - e_1: 1,464 classes for family II at
+(11, 2), in place of 7,320 steps.  Each value then sits at one exp index,
+which is all the walk yields.
 
 The count never forms those values.  LinearizedSolver.indicator holds
 Im L as one byte per exp index, built once from the span's logs, and the
-walk reads its indices through it: each fiber is one byte read, and a
-period's count is one C-level sum of bytes times |ker L|.  The x = 0 fiber
-is one more read, at the constant's slot.  Some inputs keep the value
-path, with Im L as a frozenset and one LinearizedSolver.count call per
-step:
-
-* the k = 2 walks above 2^13 elements, which no table covers: walk makes
-  one multiply by gamma^i per term per step, sums the terms by add, and
-  checks that each term's walk closed on its c;
-* a coefficient outside the tables;
-* p = 2 and two or more terms: with no Zech table the walk xors its
-  terms' exp reads.
+count reads the walk's indices through it: each fiber is one byte read,
+and a period's count is one C-level sum of bytes times |ker L|.  The
+x = 0 fiber is one more read, at the constant's slot.  The k = 2 walks
+above 2^13 elements, which no table covers, keep the value path (as would
+a coefficient outside the tables, which no paper model has), with Im L as
+a frozenset and one LinearizedSolver.count call per step:
+FieldCtx.mul_walk makes one multiply by gamma^i per term per step, sums
+the terms by add, and checks that each term's walk closed on its c.
 
 The walk covers one period: with n = q^(2k) - 1, the right-hand side at
 x = gamma^j depends only on j mod n/g, g = gcd(n, i_1, ..., i_r) over the
@@ -54,7 +51,9 @@ x, and only the fibers over those are listed.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
+from operator import getitem
 
 from .autgrp import AffineAlgMap, family_III_deck, map_preserves
 from .gfield import CheckError, FieldCtx, LinearizedSolver, ParameterError, _Record
@@ -135,11 +134,13 @@ def _count_points(model: CurveModel, k: int) -> int:
     # those of L(y) = r: the count of r stands for the fiber's own -r
     const = terms.get(0, 0)
     image = solver.indicator()
-    reads = None if image is None else ctx.walk(terms, m, n1 // g, image)
-    if reads is not None:
-        # x = 0 reads the constant's slot, then one read per step
-        return solver.kernel_size * (sum(ctx.walk({0: const}, m, 1, image)) + g * sum(reads))
-    rhs = ctx.walk(terms, m, n1 // g)
+    idx = ctx.walk(terms, m, n1 // g)
+    if image is not None and idx is not None:
+        # x = 0 reads the constant's slot, then one read per step;
+        # operator.getitem is a C call per read, cheaper than a bound __getitem__
+        zero = image[next(ctx.walk({0: const}, m, 1))]
+        return solver.kernel_size * (zero + g * sum(map(getitem, repeat(image), idx)))
+    rhs = ctx.mul_walk(terms, m, n1 // g)
     return solver.count(const) + g * sum(map(solver.count, rhs))  # x = 0, then x = gamma^j
 
 

@@ -5,7 +5,7 @@ from itertools import islice, pairwise
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermquot import models
+from hermquot import gfield, models
 from hermquot.gfield import (
     TABLE_ORDER_BOUND,
     CheckError,
@@ -280,6 +280,16 @@ def test_table_kernel_edge_cases(ctx):
     for a in (gamma, outside):
         for e in (-1, -2, -n, n - 1, n, 3 * n + 1, -ctx.order, ctx.order - 1):
             assert ctx.pow(a, e) == ctx._pow_digits(a, e)
+    # the Zech table, for every p: exp[zech[d]] = 1 + gamma^d by the digit
+    # kernel, zech's mark 2(n - 1) exactly where that sum is 0, and exp's
+    # zero block reads 0 throughout
+    n1, exp, zech, _ = ctx._logs([1])
+    assert len(zech) == n1 and len(exp) == 3 * n1
+    for d in range(n1):
+        one_plus = ctx._add_digits(1, exp[d])
+        assert exp[zech[d]] == one_plus, d
+        assert (zech[d] == 2 * n1) == (one_plus == 0), d
+    assert not any(exp[2 * n1:])
 
 
 def _clmul(a, b):
@@ -300,6 +310,21 @@ def test_table_build_rejects_a_reducible_modulus():
     with pytest.raises(CheckError, match="does not have dimension 2"):
         ctx.subfield_basis(2)
     assert ctx._sbasis == {}
+
+
+def test_table_build_and_subfield_basis_share_one_row_reduction(monkeypatch):
+    # (2, 7) tables F_{q^2}, the Frobenius kernel of m = 14, which
+    # subfield_basis(14) then reads without a second _rref
+    ref = make_field(2, 7)
+    want = ref.subfield_basis(14)
+    calls = []
+    real = gfield._rref
+    monkeypatch.setattr(gfield, "_rref", lambda mat, p: calls.append(p) or real(mat, p))
+    ctx = FieldCtx(2, 7, ref.modulus)
+    ctx.mul(2, 3)
+    assert ctx._sub is not None and len(calls) == 1
+    assert ctx.subfield_basis(14) == want
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p,h,modulus", [
@@ -427,33 +452,42 @@ def test_walk_matches_one_multiply_per_step(p, h, m, monkeypatch):
     real = FieldCtx.mul
     monkeypatch.setattr(FieldCtx, "mul", lambda self, a, b: calls.append(a) or real(self, a, b))
     whole = ctx.order <= TABLE_ORDER_BOUND
+    exp = ctx._logs([1])[1]
     inside = ctx.subfield_encodings(m)[-1]
     # generates F_{q^4}^*: outside F_{q^2}, so no F_{q^2} table covers it
     outside = ctx.subfield_generator(4 * h)
     for c in (1, inside, outside):
         for e in (0, 1, ctx.q + 1, n - 1, n, 3 * n):
-            calls.clear()
-            got = list(ctx.walk({e: c}, m, n))
             # gamma^e = 1 when p^m - 1 divides e
             want = [c] * n if e % n == 0 else list(islice(_digit_walk(ctx, c, e, m), n))
-            assert got == want, (c, e)
-            # the tables answer every step, unless c lies outside them; a
-            # constant term (e = 0) is no walk
-            assert len(calls) == (0 if whole or c != outside or e == 0 else n), (c, e)
+            calls.clear()
+            assert list(ctx.mul_walk({e: c}, m, n)) == want, (c, e)
+            # one mul per step; a constant term (e = 0) is no walk
+            assert len(calls) == (0 if e == 0 else n), (c, e)
+            calls.clear()
+            idx = ctx.walk({e: c}, m, n)
+            # the tables cover c unless it lies outside them
+            assert (idx is None) == (not whole and c == outside), (c, e)
+            if idx is not None:
+                assert list(map(exp.__getitem__, idx)) == want, (c, e)
+            assert calls == [], (c, e)
 
 
 def test_walk_off_the_tables_multiplies_and_checks_its_end():
-    # F_{q^4} at (2, 4) has no table: one mul per step, and the closing
-    # check runs when the walk is exhausted
+    # F_{q^4} at (2, 4) has no table: walk gives no index, and the multiply
+    # walk makes one mul per step, with its closing check when exhausted
     ctx = make_field(2, 4)
     n = ctx.order - 1
-    walk = ctx.walk({5: 3}, 4 * ctx.h, n)
+    assert ctx.walk({5: 3}, 4 * ctx.h, n) is None
+    assert ctx.walk({}, 4 * ctx.h, n) is None
+    walk = ctx.mul_walk({5: 3}, 4 * ctx.h, n)
     assert list(islice(walk, 500)) == list(islice(_digit_walk(ctx, 3, 5, 4 * ctx.h), 500))
     assert sum(1 for _ in walk) == n - 500
     # one period of gamma^5, n / 5 steps, closes; of gamma^3 it does not
-    assert sum(1 for _ in ctx.walk({5: 3}, 4 * ctx.h, n // 5)) == n // 5
+    assert sum(1 for _ in ctx.mul_walk({5: 3}, 4 * ctx.h, n // 5)) == n // 5
     with pytest.raises(CheckError, match="did not close"):
-        sum(1 for _ in ctx.walk({3: 3}, 4 * ctx.h, n // 5))
+        sum(1 for _ in ctx.mul_walk({3: 3}, 4 * ctx.h, n // 5))
+    assert list(ctx.mul_walk({}, 4 * ctx.h, 3)) == [0, 0, 0]
 
 
 def _orders_by_walks(ctx, units):

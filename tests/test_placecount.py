@@ -455,7 +455,7 @@ def _full_walk_count(model, k):
     rhs = [const] * n1
     for (i, _), coef in xpart.terms.items():
         if i:
-            rhs = list(map(c.add, rhs, c.walk({i: coef}, m, n1)))
+            rhs = list(map(c.add, rhs, c.mul_walk({i: coef}, m, n1)))
     return solver.count(const) + sum(map(solver.count, rhs))
 
 
@@ -513,12 +513,11 @@ def _t_squared(p):
 
 def _value_path(model):
     """True where a count at _walk_ks keeps the value path: an X-part
-    coefficient outside the tabled field, or p = 2 and two or more terms,
-    whose walk xors values."""
+    coefficient outside the tabled field."""
     c = model.ctx
     tabled = c.deg if c.order <= TABLE_ORDER_BOUND else 2 * c.h
     coefs = additive_split(model.F)[1].terms.values()
-    return not all(c.in_subfield(v, tabled) for v in coefs) or c.p == 2 and len(coefs) > 1
+    return not all(c.in_subfield(v, tabled) for v in coefs)
 
 
 @pytest.mark.parametrize("p,h", _WALK_FIELDS)
@@ -531,16 +530,20 @@ def test_period_walk_matches_the_full_walk(p, h):
         for name, model, g in _period_cases(c, k):
             assert affine_points(model, k).affine_points == _full_walk_count(model, k), (name, k)
             # Im L's indicator against the frozenset count tests, slot by
-            # slot: exp's range, then 0's own slot for p = 2
+            # slot over exp's range, its zero block included
             vec, xpart = additive_split(model.F)
             solver = LinearizedSolver(c, vec, m)
             image = frozenset(_span(c, solver._image_basis))
-            want = bytes(x in image for x in exp) + (b"\1" if p == 2 else b"")
+            want = bytes(x in image for x in exp)
             ind = solver.indicator()
             assert ind == want, (name, k)
             terms = {i: v for (i, _), v in xpart.terms.items()}
-            reads = c.walk(terms, m, n1 // g, ind)
-            assert (reads is None) == _value_path(model), (name, k)
+            idx = c.walk(terms, m, n1 // g)
+            assert (idx is None) == _value_path(model), (name, k)
+            if idx is not None:
+                # each index reads the value the multiply walk forms
+                values = list(c.mul_walk(terms, m, n1 // g))
+                assert list(map(exp.__getitem__, idx)) == values, (name, k)
             # a dependent image basis fails as _span does
             basis = solver._image_basis
             if basis:
@@ -567,7 +570,9 @@ class _CountingReads:
 @pytest.mark.parametrize("p,h", _WALK_FIELDS)
 def test_count_sizes_one_fiber_per_step_of_the_period(p, h, monkeypatch):
     # x = 0, then one fiber per step: 1 + (p^m - 1)/g indicator reads,
-    # exactly, and no count call; the value path makes as many count calls
+    # exactly, and no count call; the value path makes as many count calls.
+    # p = 2 X-parts of two or more terms are summed by Zech reads too, and
+    # each count equals the fiber scan's at k = 1
     c = ctx(p, h)
     calls, handed = [], []
     real_count, real_indicator = LinearizedSolver.count, LinearizedSolver.indicator
@@ -578,32 +583,40 @@ def test_count_sizes_one_fiber_per_step_of_the_period(p, h, monkeypatch):
 
     monkeypatch.setattr(LinearizedSolver, "count", lambda self, r: calls.append(r) or real_count(self, r))
     monkeypatch.setattr(LinearizedSolver, "indicator", indicator)
+    zech_summed = set()
     for k in _walk_ks(c):
         n1 = p ** (2 * k * h) - 1
         for name, m, g in _period_cases(c, k):
             calls.clear()
             handed.clear()
-            affine_points(m, k)
+            n = affine_points(m, k).affine_points
             reads = sum(ind.reads for ind in handed)
             if _value_path(m):
                 assert (len(calls), reads) == (1 + n1 // g, 0), (name, k)
             else:
                 assert (len(calls), reads) == (0, 1 + n1 // g), (name, k)
+            if p == 2 and len(additive_split(m.F)[1].terms) > 1 and not _value_path(m):
+                zech_summed.add(name)
+                if k == 1:
+                    assert n == _fiber_total(m, 1), name
+    # at (2, 4) the other X-parts of two or more terms have a coefficient
+    # outside F_{q^2}, which keeps them on the value path
+    assert zech_summed >= ({"T(x)^2", "X^(q+1) + (p-1) X^(2q+2)"} if p == 2 else set())
 
 
 @pytest.mark.parametrize("p,h", _WALK_FIELDS)
 def test_summed_walk_reads_its_zero_sums(p, h):
-    # the X-parts whose residue sum Q vanishes, value by value against
-    # their terms' own walks summed by add, over all p^m - 1 steps
+    # the X-parts whose residue sum Q vanishes, value by value: exp reads
+    # of the walk's indices against the multiply walk, which sums its
+    # terms by add, over all p^m - 1 steps
     c = ctx(p, h)
+    exp = c._logs([1])[1]
     for k in _walk_ks(c):
         m = 2 * k * h
         n1 = p**m - 1
         for xpart in (_t_squared(p), {c.q + 1: 1, 2 * c.q + 2: p - 1}):
-            want = [0] * n1
-            for e, coef in xpart.items():
-                want = list(map(c.add, want, c.walk({e: coef}, m, n1)))
-            got = list(c.walk(xpart, m, n1))
+            want = list(c.mul_walk(xpart, m, n1))
+            got = list(map(exp.__getitem__, c.walk(xpart, m, n1)))
             assert got == want, (xpart, k)
             assert 0 in got, (xpart, k)
 
