@@ -5,11 +5,14 @@ element is a plain int: its base-p digits, least significant first, are
 the coefficients of the residue class in the power basis of the modulus.
 The modulus is the first monic irreducible of degree 4h over F_p in
 ascending integer encoding, so a context is pinned down by (p, h) alone
-and encodings are stable across runs and machines.  It is found with the
-field's own digit kernel, so there is one polynomial arithmetic: each
-candidate n serves as the modulus of a trial context and is irreducible
-iff X^(p^(4h)) = X mod n and x -> x^p fixes a space of dimension 1
-(Berlekamp's count of the distinct factors of n).
+and encodings are stable across runs and machines.  Each candidate n is
+tested cheapest first: a root in F_p, found by Horner on its digits,
+rejects it; a survivor serves as the modulus of a trial context, whose
+digit kernel builds the rows of x -> x^p by shifts alone, and is
+irreducible iff X^(p^(4h)) = X mod n, by 4h applications of those rows,
+and x -> x^p fixes a space of dimension 1 (Berlekamp's count of the
+distinct factors of n).  No candidate costs a multiply, so make_field
+takes at most a few ms at every field.
 
 Subfields are cut out by Frobenius, F_{p^m} = {x : x^(p^m) = x}, as the
 fixed space of the digit kernel's Frobenius rows, which gives each basis
@@ -138,22 +141,51 @@ def _first_of_order(pow_, candidates, n: int):
 
 @functools.lru_cache(maxsize=None)
 def _find_modulus(p: int, deg: int) -> int:
-    """First monic irreducible of degree deg over F_p by integer encoding.
-
-    deg is an ambient degree 4h.  Each candidate n is taken as the modulus
-    of FieldCtx(p, deg // 4, n), whose digit kernel computes mod n whether
-    n is irreducible or not.  n is irreducible iff X^(p^deg) = X mod n,
-    so that n is squarefree with every factor of degree dividing deg, and
-    the fixed space of x -> x^p has dimension 1: Berlekamp's count of the
-    distinct factors of n (Lidl-Niederreiter, Finite Fields, ch. 4)."""
+    """First monic irreducible of degree deg over F_p by integer encoding:
+    the first candidate, ascending, that _irreducible accepts.  deg is an
+    ambient degree 4h."""
     base = p ** deg
     for n in range(base + 1, 2 * base):
-        if n % p == 0:
-            continue  # divisible by X
-        ctx = FieldCtx(p, deg // 4, n)
-        if ctx._pow_digits(p, base) == p and len(ctx._frobenius_kernel(1)) == 1:
+        if _irreducible(p, deg, n):
             return n
     raise CheckError(f"no irreducible of degree {deg} over F_{p}")
+
+
+def _irreducible(p: int, deg: int, n: int) -> bool:
+    """Whether the monic n of degree deg = 4h over F_p is irreducible, by
+    three tests, cheapest first (small factors first, the order of Ben-Or,
+    "Probabilistic algorithms in finite fields", FOCS 1981):
+
+    1. no root in F_p, by Horner on n's base-p digits in plain ints;
+    2. X^(p^deg) = X mod n, so that n is squarefree with every factor of
+       degree dividing deg, by deg applications of the Frobenius rows of
+       FieldCtx(p, deg // 4, n), whose digit kernel computes mod n whether
+       n is irreducible or not;
+    3. the fixed space of x -> x^p has dimension 1: Berlekamp's count of
+       the distinct factors of n (Lidl-Niederreiter, Finite Fields, ch. 4).
+
+    Tests 2 and 3 decide alone, as X^(p^deg) = X and Berlekamp's count
+    together hold exactly for irreducible n; test 1 only rejects early (a
+    root is a linear factor, and deg > 1).  None multiplies in the digit
+    kernel: the rows of x -> x^p are built by shifts (FieldCtx._build_frow),
+    and the trial context builds no table."""
+    digits = []
+    m = n
+    while m:
+        m, d = divmod(m, p)
+        digits.append(d)
+    digits.reverse()
+    for a in range(p):
+        v = 0
+        for d in digits:
+            v = (v * a + d) % p
+        if v == 0:
+            return False
+    ctx = FieldCtx(p, deg // 4, n)
+    x = p
+    for _ in range(deg):
+        x = ctx._frob_digits(x, 1)
+    return x == p and len(ctx._frobenius_kernel(1)) == 1
 
 
 def _rref(mat: list[list[int]], p: int):
@@ -223,6 +255,16 @@ def _kernel_vectors(mat, pivots, p: int) -> list[tuple[int, list[int]]]:
             for r, c in pivots:
                 vec[c] = (-mat[r][f]) % p
             out.append((f, vec))
+    return out
+
+
+def _times_x(row: list[int], red: list[int], p: int) -> list[int]:
+    """The base-p digits of X * row mod a modulus of degree len(row), where
+    red holds the digits of X^len(row) mod that modulus."""
+    c = row[-1]
+    out = [0] + row[:-1]
+    if c:
+        out = [(x + c * y) % p for x, y in zip(out, red)]
     return out
 
 
@@ -652,19 +694,15 @@ class FieldCtx:
 
     def _build_red(self):
         # row t holds the digits of X^(deg+t) reduced by the modulus
-        p, deg = self.p, self.deg
-        low = self._digits(self.modulus - p ** deg)
-        rows = [[(-c) % p for c in low]]
-        for _ in range(deg - 2):
-            prev = rows[-1]
-            nxt = [0] + prev[:-1]
-            carry = prev[-1]
-            if carry:
-                first = rows[0]
-                for u in range(deg):
-                    nxt[u] = (nxt[u] + carry * first[u]) % p
-            rows.append(nxt)
+        rows = [self._x_to_the_deg()]
+        for _ in range(self.deg - 2):
+            rows.append(_times_x(rows[-1], rows[0], self.p))
         self._red = rows
+
+    def _x_to_the_deg(self) -> list[int]:
+        # the digits of X^deg mod the modulus: minus its low digits
+        p = self.p
+        return [(-c) % p for c in self._digits(self.modulus - p ** self.deg)]
 
     def _pow_digits(self, a: int, e: int) -> int:
         if e < 0:
@@ -706,12 +744,35 @@ class FieldCtx:
 
     def _build_frow(self, k: int):
         # Frobenius is F_p-linear: rows[i] = image of the basis monomial X^i,
-        # (X^(p^k))^i, so one power gives row 1 and a multiply each later row
-        row1 = self._pow_digits(self.p, self.p ** k)
-        imgs = [1]
-        for _ in range(1, self.deg):
-            imgs.append(self._mul_digits(imgs[-1], row1))
-        rows = imgs if self.p == 2 else [self._digits(x) for x in imgs]
+        # (X^(p^k))^i.  For k = 1 each row is the one before times X^p, p
+        # one-digit shifts each reduced by the modulus, with no multiply:
+        # the modulus search builds these rows for every candidate it tests.
+        # For any other k one power gives row 1 and a multiply each later row.
+        p, deg = self.p, self.deg
+        if k == 1 and p == 2:
+            m, top = self.modulus, 1 << deg
+            rows = [1]
+            for _ in range(1, deg):
+                x = rows[-1]
+                for _ in range(2):
+                    x <<= 1
+                    if x & top:
+                        x ^= m
+                rows.append(x)
+        elif k == 1:
+            rows = [[1] + [0] * (deg - 1)]
+            red = self._x_to_the_deg()
+            for _ in range(1, deg):
+                x = rows[-1]
+                for _ in range(p):
+                    x = _times_x(x, red, p)
+                rows.append(x)
+        else:
+            row1 = self._pow_digits(p, p ** k)
+            imgs = [1]
+            for _ in range(1, deg):
+                imgs.append(self._mul_digits(imgs[-1], row1))
+            rows = imgs if p == 2 else [self._digits(x) for x in imgs]
         self._frows[k] = rows
         return rows
 

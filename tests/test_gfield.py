@@ -114,6 +114,65 @@ def test_modulus_frozen_at_every_field(p, h):
     assert make_field(p, h).modulus == _find_modulus(p, 4 * h) == _MODULI[(p, h)]
 
 
+def irreducible_by_power_and_berlekamp(p, deg, n):
+    # the modulus search's former predicate, all on the digit kernel's
+    # multiply: X^(p^deg) = X by square-and-multiply, and Berlekamp's count
+    # on Frobenius rows from one power and successive multiplies
+    ctx = FieldCtx(p, deg // 4, n)
+    row1 = ctx._pow_digits(p, p)
+    imgs = [1]
+    for _ in range(1, deg):
+        imgs.append(ctx._mul_digits(imgs[-1], row1))
+    ctx._frows[1] = imgs if p == 2 else [ctx._digits(x) for x in imgs]
+    return ctx._pow_digits(p, p ** deg) == p and len(ctx._frobenius_kernel(1)) == 1
+
+
+@pytest.mark.parametrize("p,deg", [(2, 4), (2, 8), (3, 4), (5, 4)])
+def test_irreducible_matches_trial_division_on_every_candidate(p, deg):
+    # the reducible candidates too, those divisible by X among them
+    base = p ** deg
+    verdicts = [gfield._irreducible(p, deg, n) for n in range(base, 2 * base)]
+    assert verdicts == [irreducible_by_trial_division(f, p) for f in monic_polys(deg, p)]
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("p,deg,n", [
+    (2, 4, 21),                 # X^4 + X^2 + 1 = (X^2 + X + 1)^2
+    (2, 8, 261),                # X^8 + X^2 + 1 = (X^4 + X + 1)^2
+    (3, 4, 81 + 2 * 9 + 1),     # X^4 + 2X^2 + 1 = (X^2 + 1)^2
+])
+def test_irreducible_rejects_a_square_by_the_power_test(p, deg, n):
+    # no root, and one distinct factor, so only X^(p^deg) != X rejects it
+    ctx = FieldCtx(p, deg // 4, n)
+    assert len(ctx._frobenius_kernel(1)) == 1
+    x = p
+    for _ in range(deg):
+        x = ctx._frob_digits(x, 1)
+    assert x != p
+    assert not gfield._irreducible(p, deg, n)
+    assert not irreducible_by_trial_division(int_digits(n, p), p)
+
+
+@pytest.mark.parametrize("p, h", sorted(_MODULI))
+def test_irreducible_matches_the_former_predicate_up_to_the_modulus(p, h):
+    deg = 4 * h
+    for n in range(p ** deg + 1, _MODULI[(p, h)] + 1):
+        assert gfield._irreducible(p, deg, n) == irreducible_by_power_and_berlekamp(p, deg, n), n
+
+
+def test_modulus_search_makes_no_kernel_multiply(monkeypatch):
+    # the shift rows and the row-applied power test replace every multiply
+    calls = []
+    for name in ("_mul_digits", "_pow_digits"):
+        monkeypatch.setattr(FieldCtx, name, lambda self, *args, name=name: calls.append(name))
+    for p, h in [(2, 7), (3, 4), (5, 3), (7, 2), (11, 2), (13, 2)]:
+        assert _find_modulus.__wrapped__(p, 4 * h) == _MODULI[(p, h)]
+    assert calls == []
+    # and the field it gives still builds every table lazily
+    fresh = FieldCtx(3, 4, _find_modulus.__wrapped__(3, 16))
+    assert fresh._log is None and fresh._sub is None and fresh._gens == {}
+
+
 def test_make_field_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         make_field(4, 1)
@@ -557,8 +616,9 @@ _FROB_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), 
 
 @pytest.mark.parametrize("p,h", _FROB_FIELDS)
 def test_frobenius_rows_match_per_row_powers(p, h):
-    # the rows come from one power and successive multiplies; the oracle
-    # raises each basis monomial X^i to the p^k by itself
+    # the rows come from shifts for k = 1, else from one power and
+    # successive multiplies; the oracle raises each basis monomial X^i to
+    # the p^k by itself
     ctx = make_field(p, h)
     for k in sorted({0, 1, h, 2 * h, ctx.deg - 1}):
         want = [ctx._pow_digits(p ** i, p ** k) for i in range(ctx.deg)]

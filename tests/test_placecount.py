@@ -16,6 +16,8 @@ from hermquot.gfield import (
     make_field,
 )
 from hermquot.placecount import (
+    K2_BOUND,
+    _scan_degree,
     affine_points,
     family_III_place_count,
     iter_fibers,
@@ -164,6 +166,19 @@ def test_family_III_plane_model_is_singular():
     assert singular_rational_points(m)
     with pytest.raises(CheckError):
         rational_places(m)
+
+
+def test_family_III_singular_points_match_a_scan_of_both_partials():
+    # oracle: every (x, y) in F_{q^2} x F_{q^2}, in the fibers' order, where
+    # F and both partials vanish
+    c = ctx(2, 2)
+    m = models.family_III_model(c, models.default_b(c, "family_III"))
+    F, fx, fy = m.F, m.F.partial_deriv(0), m.F.partial_deriv(1)
+    elems = c.subfield_encodings(2 * c.h)
+    brute = [(x, y) for x in elems for y in elems
+             if F.evaluate(x, y) == 0 and fx.evaluate(x, y) == 0 and fy.evaluate(x, y) == 0]
+    assert singular_rational_points(m) == brute
+    assert len(brute) == 1
 
 
 def test_smooth_models_have_no_singular_points():
@@ -342,6 +357,14 @@ def test_scan_bounds():
     m3 = models.family_III_model(c, models.default_b(c, "family_III"))
     with pytest.raises(ParameterError):
         affine_points(m3, 2)
+
+
+def test_k2_scan_bound_admits_a_field_of_exactly_K2_BOUND():
+    # the check alone, with no count: q^4 = 2^24 is admitted, 3^16 is not
+    assert 2**24 == K2_BOUND
+    assert _scan_degree(ctx(2, 6), 2) == 24
+    with pytest.raises(ParameterError):
+        _scan_degree(ctx(3, 4), 2)
 
 
 def test_family_III_place_count_rejects_bad_input():
