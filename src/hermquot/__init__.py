@@ -59,51 +59,3 @@ from .placecount import (
 from .polyring import BiPoly
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineAlgMap",
-    "AutGroupTable",
-    "BiPoly",
-    "CheckError",
-    "CurveModel",
-    "FieldCtx",
-    "IsoWitness",
-    "LinearizedSolver",
-    "NumSemigroup",
-    "ParameterError",
-    "PlaceTally",
-    "admissible_b",
-    "affine_points",
-    "class_inventory",
-    "family_III_place_count",
-    "family_I_classify",
-    "family_I_group",
-    "family_I_iso",
-    "family_I_model",
-    "family_II_group",
-    "family_II_iso",
-    "family_II_model",
-    "family_III_group",
-    "family_III_model",
-    "find_omega",
-    "fpp_char2",
-    "from_generators",
-    "genus_formula",
-    "group_closure",
-    "hermitian_model",
-    "make_field",
-    "map_preserves",
-    "maximality_check",
-    "oracle_iso",
-    "pgu_stabilizer",
-    "quotient_places_order2",
-    "rational_places",
-    "semigroup_at_infinity",
-    "stabilizer_map",
-    "subcover_center",
-    "subcover_noncenter",
-    "subgroup_types",
-    "verify_lemma_a",
-    "verify_lemma_b",
-    "__version__",
-]

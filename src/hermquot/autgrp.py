@@ -239,14 +239,13 @@ class AutGroupTable(_Record):
     closed=True means elements is literally the whole group; otherwise the
     table records a deduplicated generator inventory and order is the
     claimed product, with the evidence in details.  exponent, center_order
-    and commutator_order are None where not measured.  Unlike the other
-    value classes its fields may be reassigned."""
+    and commutator_order are None where not measured.  Like every value
+    class its fields are read-only."""
 
     __slots__ = ("model", "elements", "order", "closed", "exponent", "center_order",
                  "commutator_order", "generators", "details")
     _defaults = {"closed": True, "exponent": None, "center_order": None,
                  "commutator_order": None, "generators": list, "details": dict}
-    __setattr__ = object.__setattr__
 
 
 def _exponent(elements) -> int:
@@ -452,10 +451,13 @@ def pgu_stabilizer(ctx: FieldCtx) -> AutGroupTable:
 
 
 def subgroup_types(ctx: FieldCtx) -> dict:
-    """The order-p^2 subgroups used to cut out the three families, each
-    generator confirmed by the membership oracle on its Hermitian variant.
-    Each is listed as <g1><g2> (U, V) or <g> (cyclic4) from power walks,
-    checked to hold p^2 maps and certified a group by _spanning_subset."""
+    """The order-p^2 subgroups used to cut out the three families.
+
+    Every generator is a stabilizer_map of the Hermitian curve, confirmed
+    by the membership oracle on the model in the sign convention of its
+    family: minus_omega for U, plus for V and cyclic4.  Each type is listed
+    as <g1><g2> (U, V) or <g> (cyclic4) from power walks, checked to hold
+    p^2 maps and certified a group by _spanning_subset."""
     p, h = ctx.p, ctx.h
     out = {"notes": []}
     types = []  # (name, model, generators, exponent, details)
@@ -469,19 +471,18 @@ def subgroup_types(ctx: FieldCtx) -> dict:
     else:
         out["notes"].append("no U type at h=1: F_q has no element outside F_p")
 
+    model = hermitian_model(ctx, "plus")  # V's and cyclic4's
     if p > 2:
-        model = hermitian_model(ctx, "plus")
         half = ctx.inv(2)
         c = default_b(ctx, "family_II")
         g1 = stabilizer_map(ctx, 1, half, 1)
         g2 = stabilizer_map(ctx, 0, c, 1)
         types.append(("V", model, [g1, g2], p, {"c": c, "central": False}))
     else:
-        model = hermitian_model(ctx, "plus_one")
-        # (x, y) -> (x + 1, y + x + c) with the least c; family III shares
-        # the condition c^q + c = 1 but needs h >= 2
-        g = next(m for m in _translations(model) if m.a == 1)
-        c = g.f[0]
+        # (x, y) -> (x + 1, y + x + c) with the least c of c^q + c = 1;
+        # family III shares the condition but needs h >= 2
+        c = LinearizedSolver(ctx, [1] + [0] * (h - 1) + [1], 2 * h).solve(1)[0]
+        g = stabilizer_map(ctx, 1, c, 1)
         if g.compose(g) != stabilizer_map(ctx, 0, 1, 1):
             raise CheckError("square of the order-4 generator is wrong")
         types.append(("cyclic4", model, [g], 4, {"c": c, "cyclic": True}))

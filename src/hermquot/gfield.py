@@ -50,15 +50,16 @@ The digit kernel (one method per primitive) is also the reference the
 tests hold the tables to.
 
 Both read paths stay because each alternative made the acceptance run
-slower: 0.61 s with both paths against 0.94 s with the F_{q^2}-style
-index read on every field, and 1.27 s with F_{q^2} tables alone, which
+slower: verify.run_all() took 0.49 s with both paths (0.41-0.67 s)
+against 0.78 s with the F_{q^2}-style index read on every field
+(0.59-0.99 s), and 1.06 s with F_{q^2} tables alone (0.84-1.38 s), which
 send every operand outside F_{q^2} at the small fields to the digit
-kernel (in two runs of scripts/run_acceptance.py, family III's check went
-from 0.02 s to 0.08-0.09 s).  Array reads in place of the whole-field
-lists (every array read boxes a fresh int) cost less, but were slower in
-each of 5 paired runs: medians 0.67 s against 0.65 s.  Medians of 3 runs
-(5 for the arrays) of perfbench's acceptance run_s on a 2-CPU Intel Xeon
-Linux machine.
+kernel (family III's check went from 0.017 s to 0.060 s).  Medians and
+ranges of 10 alternating fresh processes each, on a shared 2-CPU Intel
+Xeon Linux machine.  Array reads in place of the whole-field lists
+(every array read boxes a fresh int) cost less, but were slower in each
+of 5 paired runs of perfbench's acceptance run_s: medians 0.67 s against
+0.65 s.
 """
 
 from __future__ import annotations

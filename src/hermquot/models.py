@@ -111,11 +111,12 @@ def _trace(V: BiPoly, h: int) -> BiPoly:
 
 
 def hermitian_model(ctx: FieldCtx, variant: str = "plus") -> CurveModel:
-    """The Hermitian curve in one of its three sign conventions.
+    """The Hermitian curve in one of its two sign conventions.
 
     plus:        Y^q + Y - X^(q+1)
     minus_omega: Y^q - Y + omega X^(q+1)
-    plus_one:    Y^q + Y + X^(q+1)
+
+    At p = 2 they are one polynomial, as omega = 1 there.
     """
     q = ctx.q
     X, Y = BiPoly.variables(ctx, ("x", "y"))
@@ -126,8 +127,6 @@ def hermitian_model(ctx: FieldCtx, variant: str = "plus") -> CurveModel:
         w = find_omega(ctx)
         params["omega"] = w
         F = Y**q - Y + (X ** (q + 1)).cmul(w)
-    elif variant == "plus_one":
-        F = Y**q + Y + X ** (q + 1)
     else:
         raise ParameterError(f"unknown Hermitian variant {variant!r}")
     return CurveModel(

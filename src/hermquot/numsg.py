@@ -51,8 +51,6 @@ def gap_set(gens) -> list[int]:
 
 
 def _member(n: int, gens) -> bool:
-    if n == 0:
-        return True
     if n > SIEVE_BOUND:
         raise ParameterError(f"membership sieve of {n} entries exceeds the bound {SIEVE_BOUND}")
     reach = bytearray(n + 1)

@@ -60,29 +60,29 @@ from .gfield import CheckError, FieldCtx, LinearizedSolver, ParameterError, _Rec
 from .models import CurveModel, check_b, fpp_char2, genus_formula
 from .polyring import additive_split
 
-# q^2 <= 2^16 for k = 1 scans, q^4 <= 2^24 for k = 2
-K1_BOUND = 1 << 16
+# q^4 <= 2^24 for k = 2 scans; make_field's cap already keeps the k = 1
+# scans at q^2 <= 2^15
 K2_BOUND = 1 << 24
 EXHAUSTIVE_BOUND = 4096
 
 
 class PlaceTally(_Record):
     """Affine F_{q^(2k)}-points of a plane model and its places at infinity,
-    N their sum.  singular_rational_points is () where the model was found
+    N their sum.  places_at_infinity is a class constant: every model here
+    has one.  singular_rational_points is () where the model was found
     smooth, None where that was not checked."""
 
-    __slots__ = ("k", "affine_points", "places_at_infinity", "N", "singular_rational_points")
+    __slots__ = ("k", "affine_points", "N", "singular_rational_points")
     _defaults = {"singular_rational_points": None}
+    places_at_infinity = 1
 
 
 def _scan_degree(ctx: FieldCtx, k: int) -> int:
     if k not in (1, 2):
         raise ParameterError("only k = 1 and k = 2 scans are supported")
     m = 2 * k * ctx.h
-    size = ctx.p**m
-    bound = K1_BOUND if k == 1 else K2_BOUND
-    if size > bound:
-        raise ParameterError(f"field size {size} exceeds the k={k} bound {bound}")
+    if k == 2 and ctx.p**m > K2_BOUND:
+        raise ParameterError(f"field size {ctx.p**m} exceeds the k=2 bound {K2_BOUND}")
     return m
 
 
@@ -147,7 +147,7 @@ def _count_points(model: CurveModel, k: int) -> int:
 def affine_points(model: CurveModel, k: int = 1) -> PlaceTally:
     """Affine F_{q^(2k)}-point tally of the plane model, singular or not."""
     n = _count_points(model, k)
-    return PlaceTally(k=k, affine_points=n, places_at_infinity=1, N=n + 1)
+    return PlaceTally(k=k, affine_points=n, N=n + 1)
 
 
 def singular_rational_points(model: CurveModel) -> list[tuple[int, int]]:
@@ -183,7 +183,6 @@ def rational_places(model: CurveModel) -> PlaceTally:
     return PlaceTally(
         k=1,
         affine_points=n,
-        places_at_infinity=1,
         N=n + 1,
         singular_rational_points=(),
     )

@@ -188,14 +188,9 @@ class BiPoly:
     def __eq__(self, other):
         if isinstance(other, BiPoly):
             return other.ctx is self.ctx and other.terms == self.terms
-        if other == 0:
-            return not self.terms
         return NotImplemented
 
     __hash__ = None
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms

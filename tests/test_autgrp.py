@@ -356,9 +356,25 @@ def test_subgroup_types_confirm_every_generator(monkeypatch):
     monkeypatch.setattr(autgrp, "map_preserves", refuse("plus"))
     with pytest.raises(CheckError, match="V generator"):
         subgroup_types(ctx(3, 2))
-    monkeypatch.setattr(autgrp, "map_preserves", refuse("plus_one"))
+    monkeypatch.setattr(autgrp, "map_preserves", refuse("plus"))
     with pytest.raises(CheckError, match="cyclic4 generator"):
         subgroup_types(ctx(2, 2))
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_cyclic4_generator_matches_the_solved_translations(monkeypatch, h):
+    # oracle: the first map with a = 1 among every solved translation
+    from hermquot import autgrp
+
+    c = ctx(2, h)
+    g = next(m for m in _translations(models.hermitian_model(c, "plus")) if m.a == 1)
+    calls = []
+    monkeypatch.setattr(autgrp, "_translations",
+                        lambda model: calls.append(model) or _translations(model))
+    t = subgroup_types(c)["cyclic4"]
+    assert calls == []
+    assert [m.key() for m in t.generators] == [g.key()]
+    assert t.details["c"] == g.f[0]
 
 
 @pytest.mark.parametrize("key", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])

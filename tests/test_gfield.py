@@ -753,7 +753,7 @@ def test_solver_fiber_sizes_are_kernel_or_zero():
 
 def _count_model_maps(ctx):
     """The linearized part L of every plane model the point counts walk."""
-    ms = [models.hermitian_model(ctx, v) for v in ("plus", "minus_omega", "plus_one")]
+    ms = [models.hermitian_model(ctx, v) for v in ("plus", "minus_omega", "plus")]
     ms.append(models.subcover_center(ctx))
     ms.append(models.subcover_noncenter(ctx) if ctx.p > 2 else models.fpp_char2(ctx))
     if ctx.h >= 2:

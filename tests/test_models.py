@@ -35,7 +35,7 @@ def test_hermitian_q3_plus():
 def test_hermitian_char2_sign_collapse():
     ctx = make_field(2, 2)
     a = models.hermitian_model(ctx, "minus_omega")
-    b = models.hermitian_model(ctx, "plus_one")
+    b = models.hermitian_model(ctx, "plus")
     assert a.F == b.F
     assert a.params["omega"] == 1
 
@@ -114,7 +114,7 @@ def test_fpp_covering_identity():
     for h in (2, 3):
         ctx = make_field(2, h)
         fpp = models.fpp_char2(ctx).F
-        herm = models.hermitian_model(ctx, "plus_one").F
+        herm = models.hermitian_model(ctx, "plus").F
         X, Y = BiPoly.variables(ctx, fpp.names)
         assert fpp.substitute(X, Y * Y + Y) == herm
 

@@ -1,5 +1,7 @@
 """Place counts: fiber tallies, singular detection, order-2 quotient counts."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from hermquot import models
 from hermquot.autgrp import AffineAlgMap, family_III_deck
 from hermquot.autgrp import stabilizer_map
 from hermquot.gfield import (
+    DEFAULT_SIZE_BOUND,
     TABLE_ORDER_BOUND,
     CheckError,
     FieldCtx,
@@ -181,8 +184,15 @@ def test_family_III_singular_points_match_a_scan_of_both_partials():
     assert len(brute) == 1
 
 
+def _parabola(c):
+    # Y^2 - X is smooth, yet F_y = 2Y vanishes at its rational point (0, 0)
+    X, Y = BiPoly.variables(c, ("x", "y"))
+    return models.CurveModel(F=Y * Y - X, ctx=c, family="Hermitian")
+
+
 def test_smooth_models_have_no_singular_points():
     cases = [
+        *(_parabola(ctx(p, h)) for p, h in ((3, 1), (5, 1), (3, 2))),
         models.hermitian_model(ctx(2, 2)),
         models.subcover_center(ctx(2, 3)),
         models.subcover_noncenter(ctx(3, 2)),
@@ -359,6 +369,27 @@ def test_scan_bounds():
         affine_points(m3, 2)
 
 
+def test_make_field_cap_keeps_every_k1_scan_within_2_to_the_15():
+    # k = 1 scans have no bound of their own: make_field's cap p^(4h) <=
+    # DEFAULT_SIZE_BOUND = 2^30 keeps q^2 <= 2^15.  A larger cap breaks
+    # this test and asks for a k = 1 bound back.
+    p, primes = 1, []  # every prime p with p^4 under the cap, and the next
+    while not primes or primes[-1] ** 4 <= DEFAULT_SIZE_BOUND:
+        p += 1
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            primes.append(p)
+    assert primes[-2:] == [181, 191]
+    for p in primes:
+        h = 1
+        while p ** (4 * h) <= DEFAULT_SIZE_BOUND:
+            assert p ** (2 * h) <= 2**15
+            assert _scan_degree(FieldCtx(p, h, modulus=None), 1) == 2 * h
+            h += 1
+        # the first size past the cap is refused before any modulus search
+        with pytest.raises(ParameterError, match="exceeds the bound"):
+            make_field(p, h)
+
+
 def test_k2_scan_bound_admits_a_field_of_exactly_K2_BOUND():
     # the check alone, with no count: q^4 = 2^24 is admitted, 3^16 is not
     assert 2**24 == K2_BOUND
@@ -394,7 +425,7 @@ def _walk_ks(c):
 
 
 def _fixed_models(c):
-    out = [models.hermitian_model(c, v) for v in ("plus", "minus_omega", "plus_one")]
+    out = [models.hermitian_model(c, v) for v in ("plus", "minus_omega", "plus")]
     out.append(models.subcover_center(c))
     out.append(models.subcover_noncenter(c) if c.p > 2 else models.fpp_char2(c))
     # no paper model has an X-linear or constant term; this one walks both

@@ -195,6 +195,13 @@ def test_term_key_is_canonical():
     assert f == g
 
 
+def test_equality_needs_one_context_and_the_same_terms():
+    x, y = BiPoly.variables(CTX)
+    assert x != y and x != BiPoly.variables(CTX3)[0]
+    # an int is no polynomial: zero is asked of is_zero
+    assert BiPoly.zero(CTX) != 0 and BiPoly.zero(CTX).is_zero()
+
+
 def test_p_power_exp():
     assert [p_power_exp(n, 3) for n in (1, 3, 9, 81)] == [0, 1, 2, 4]
     assert p_power_exp(6, 3) is None and p_power_exp(8, 2) == 3

@@ -10,7 +10,8 @@ import pytest
 _SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("name", ["run_acceptance.py", "survey_counts.py", "iso_census.py"])
+@pytest.mark.parametrize("name", ["run_acceptance.py", "survey_counts.py", "iso_census.py",
+                                  "mutation_audit.py"])
 def test_script_imports_from_another_directory(tmp_path, name):
     # run the module body (imports included) but not main()
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
