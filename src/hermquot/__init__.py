@@ -26,7 +26,6 @@ from .gfield import (
     make_field,
 )
 from .isocls import (
-    IsoWitness,
     class_inventory,
     family_I_classify,
     family_I_iso,

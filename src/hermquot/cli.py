@@ -1,9 +1,11 @@
 """Command line front end.
 
 Every subcommand prints exactly one JSON document to stdout, with keys sorted,
-so repeated runs of the same command are byte-identical.  Timings and
-diagnostics go to stderr.  Exit codes: 0 on success, 1 when a mathematical
-check fails (CheckError), 2 on invalid input (ParameterError or bad usage).
+so repeated runs of the same command are byte-identical.  Each cmd_* returns
+its payload and exit code; main stamps the payload with "version" and prints
+it.  Timings and diagnostics go to stderr.  Exit codes: 0 on success, 1 when
+a mathematical check fails (CheckError), 2 on invalid input (ParameterError
+or bad usage).
 """
 
 from __future__ import annotations
@@ -56,26 +58,20 @@ def _ctx(ns: argparse.Namespace) -> FieldCtx:
     return make_field(ns.p, ns.h)
 
 
+def _head(ctx: FieldCtx) -> dict:
+    """The field a report over ctx names: its modulus, p and h."""
+    return {"modulus": ctx.modulus, "p": ctx.p, "h": ctx.h}
+
+
 def cmd_field(ns: argparse.Namespace):
     ctx = _ctx(ns)
-    return {
-        "version": __version__,
-        "p": ctx.p,
-        "h": ctx.h,
-        "q": ctx.q,
-        "deg": ctx.deg,
-        "order": ctx.order,
-        "modulus": ctx.modulus,
-    }, 0
+    return {**_head(ctx), "q": ctx.q, "deg": ctx.deg, "order": ctx.order}, 0
 
 
 def cmd_construct(ns: argparse.Namespace):
     ctx = _ctx(ns)
-    payload = models.build(ctx, FAMILIES[ns.family], ns.b).to_dict()
-    payload["version"] = __version__
-    payload["modulus"] = ctx.modulus
-    payload["q"] = ctx.q
-    return payload, 0
+    return {**models.build(ctx, FAMILIES[ns.family], ns.b).to_dict(), **_head(ctx),
+            "q": ctx.q}, 0
 
 
 def cmd_count(ns: argparse.Namespace):
@@ -83,34 +79,16 @@ def cmd_count(ns: argparse.Namespace):
     if ns.family == "III":
         if ns.k != 1:
             raise ParameterError("degree-2 counting is not wired to the quotient path")
-        rep = dict(family_III_place_count(ctx, models.default_b(ctx, "family_III", ns.b)))
-        rep.update(
-            version=__version__,
-            modulus=ctx.modulus,
-            family="family_III",
-            p=ctx.p,
-            h=ctx.h,
-            path="quotient",
-        )
-        return rep, 0
+        rep = family_III_place_count(ctx, models.default_b(ctx, "family_III", ns.b))
+        return {**rep, **_head(ctx), "family": "family_III", "path": "quotient"}, 0
     model = models.build(ctx, FAMILIES[ns.family], ns.b)
     tally = rational_places(model)
-    rep = maximality_report(model, tally.N, "direct")
     payload = {
-        "version": __version__,
-        "modulus": ctx.modulus,
-        "family": model.family,
-        "p": ctx.p,
-        "h": ctx.h,
+        **maximality_report(model, tally.N, "direct"),
+        **_head(ctx),
         "b": model.params.get("b"),
-        "q": ctx.q,
-        "N": tally.N,
         "affine": tally.affine_points,
         "infinity": tally.places_at_infinity,
-        "expected": rep["expected"],
-        "maximal": rep["maximal"],
-        "genus_used": rep["genus_used"],
-        "path": rep["path"],
     }
     if ns.k == 2:
         payload["affine_k2"] = affine_points(model, 2).affine_points
@@ -122,20 +100,9 @@ def cmd_genus(ns: argparse.Namespace):
     if tag in models.PARAMETRIZED:
         _need_pq(ns)
         g = models.genus_formula(tag, ns.p, ns.h)
-        q = ns.p**ns.h
-        payload = {"family": tag, "p": ns.p, "h": ns.h, "q": q, "genus": g}
     else:
-        ctx = _ctx(ns)
-        model = models.build(ctx, tag)
-        payload = {
-            "family": model.family,
-            "p": ctx.p,
-            "h": ctx.h,
-            "q": ctx.q,
-            "genus": model.claimed_genus,
-        }
-    payload["version"] = __version__
-    return payload, 0
+        g = models.build(_ctx(ns), tag).claimed_genus
+    return {"family": tag, "p": ns.p, "h": ns.h, "q": ns.p**ns.h, "genus": g}, 0
 
 
 def cmd_semigroup(ns: argparse.Namespace):
@@ -146,24 +113,19 @@ def cmd_semigroup(ns: argparse.Namespace):
             gens = tuple(int(t) for t in ns.gens.split(","))
         except ValueError:
             raise ParameterError(f"cannot parse generator list {ns.gens!r}")
-        payload = {"family": "custom", "version": __version__}
+        payload = {"family": "custom"}
     else:
         if ns.family is None:
             raise ParameterError("semigroup needs --family I/II/III or --gens")
         _need_pq(ns)
         gens = numsg.semigroup_at_infinity(FAMILIES[ns.family], ns.p, ns.h).generators
-        payload = {
-            "family": FAMILIES[ns.family],
-            "p": ns.p,
-            "h": ns.h,
-            "version": __version__,
-        }
+        payload = {"family": FAMILIES[ns.family], "p": ns.p, "h": ns.h}
     payload.update(numsg.summary(gens))
     return payload, 0
 
 
-def _table_payload(table, extra=None) -> dict:
-    payload = {
+def _table_payload(table) -> dict:
+    return {
         "order": table.order,
         "closed": table.closed,
         "exponent": table.exponent,
@@ -172,9 +134,6 @@ def _table_payload(table, extra=None) -> dict:
         "generators": [g.to_text(table.model.variables) for g in table.generators],
         "details": table.details,
     }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 def cmd_aut(ns: argparse.Namespace):
@@ -183,39 +142,33 @@ def cmd_aut(ns: argparse.Namespace):
     if ns.subgroups and tag != "Hermitian":
         raise ParameterError("--subgroups needs --family hermitian")
     bn = models.default_b(ctx, tag, ns.b)
-    base = {"version": __version__, "modulus": ctx.modulus, "p": ctx.p, "h": ctx.h}
     if ns.subgroups:
         st = subgroup_types(ctx)
-        tables = {
-            name: _table_payload(t)
-            for name, t in st.items()
-            if name != "notes"
-        }
-        return {**base, "family": tag, "subgroup_types": tables, "notes": st["notes"]}, 0
+        tables = {name: _table_payload(t) for name, t in st.items() if name != "notes"}
+        return {**_head(ctx), "family": tag, "subgroup_types": tables,
+                "notes": st["notes"]}, 0
     table = group(ctx, tag, bn)
     if tag == "family_III":
-        return {**base, "family": tag, **table.details}, 0
-    return {**base, "family": tag, "b": bn, **_table_payload(table)}, 0
+        return {**_head(ctx), "family": tag, **table.details}, 0
+    return {**_head(ctx), "family": tag, "b": bn, **_table_payload(table)}, 0
 
 
 def cmd_iso(ns: argparse.Namespace):
     ctx = _ctx(ns)
     tag = FAMILIES[ns.family]
-    base = {"version": __version__, "modulus": ctx.modulus, "p": ctx.p, "h": ctx.h}
     if ns.inventory:
         if ns.b is not None or ns.bbar is not None or ns.oracle:
             raise ParameterError("--inventory takes no --b, --bbar or --oracle")
-        return {**base, **class_inventory(tag, ctx)}, 0
+        return {**_head(ctx), **class_inventory(tag, ctx)}, 0
     if ns.b is None or ns.bbar is None:
         raise ParameterError("iso needs --b and --bbar (or --inventory)")
-    payload = {**base, "family": tag, "b": ns.b, "bbar": ns.bbar}
+    payload = {**_head(ctx), "family": tag, "b": ns.b, "bbar": ns.bbar}
     if tag == "family_I":
         w = family_I_iso(ctx, ns.b, ns.bbar)
         cl = family_I_classify(ctx, ns.b, ns.bbar)
         if (w is not None) != cl["iso"]:
             raise CheckError("isomorphism solver and classifier disagree")
-        payload.update(iso=w is not None, case=cl["case"],
-                       witness=w.as_dict() if w else None)
+        payload.update(iso=w is not None, case=cl["case"], witness=w)
     else:
         kappa = family_II_iso(ctx, ns.b, ns.bbar)
         payload.update(iso=kappa is not None, kappa=kappa)
@@ -231,9 +184,7 @@ def cmd_iso(ns: argparse.Namespace):
 
 def cmd_lemma_a(ns: argparse.Namespace):
     _need_pq(ns)
-    rep = dict(models.verify_lemma_a(ns.p))
-    rep["version"] = __version__
-    return rep, 0
+    return models.verify_lemma_a(ns.p), 0
 
 
 def cmd_lemma_b(ns: argparse.Namespace):
@@ -243,7 +194,7 @@ def cmd_lemma_b(ns: argparse.Namespace):
     else:
         bs = models.admissible_b(ctx, "family_III")
     results = [models.verify_lemma_b(ctx, bn) for bn in bs]
-    return {"version": __version__, "modulus": ctx.modulus, "results": results}, 0
+    return {"modulus": ctx.modulus, "results": results}, 0
 
 
 def cmd_verify(ns: argparse.Namespace):
@@ -259,7 +210,7 @@ def cmd_verify(ns: argparse.Namespace):
     for r in res:
         print(f"# {r['id']}: {r.pop('seconds')}s", file=sys.stderr)
     all_ok = all(r["ok"] for r in res)
-    return {"version": __version__, "results": res, "all_ok": all_ok}, 0 if all_ok else 1
+    return {"results": res, "all_ok": all_ok}, 0 if all_ok else 1
 
 
 _DISPATCH = {
@@ -357,7 +308,7 @@ def main(argv=None) -> int:
     except CheckError as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps({**payload, "version": __version__}, indent=2, sort_keys=True))
     return code
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import product
 
-from .gfield import CheckError, FieldCtx, ParameterError, _Record
+from .gfield import CheckError, FieldCtx, ParameterError
 from .models import admissible_b, check_b, family_I_model, family_II_model
 from .polyring import BiPoly, p_power_exp
 
@@ -49,23 +49,6 @@ def _norm_preimage(ctx: FieldCtx, d: int) -> int:
     return sig
 
 
-class IsoWitness(_Record):
-    """Certificate that (x, y) -> (sigma*x, c*y) carries the b-model onto
-    delta times the bbar-model.  sigma^(q+1) = delta ties the two scalings,
-    and direction is the pair (b, bbar)."""
-
-    __slots__ = ("c", "delta", "sigma", "direction")
-
-    def as_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "delta": self.delta,
-            "sigma": self.sigma,
-            "b": self.direction[0],
-            "bbar": self.direction[1],
-        }
-
-
 def _certify_family_I(ctx: FieldCtx, bn: int, be: int, c: int, delta: int, sigma: int):
     ma = family_I_model(ctx, bn)
     mb = family_I_model(ctx, be)
@@ -75,9 +58,13 @@ def _certify_family_I(ctx: FieldCtx, bn: int, be: int, c: int, delta: int, sigma
         raise CheckError("isomorphism witness fails the substitution check")
 
 
-def family_I_iso(ctx: FieldCtx, b, bbar) -> IsoWitness | None:
-    """Search c in F_q^* for the full condition set; delta is pinned by the
-    i = 1 condition, sigma by the norm equation.  None when no pair works."""
+def family_I_iso(ctx: FieldCtx, b, bbar) -> dict | None:
+    """The witness that the map (x, y) -> (sigma*x, c*y) carries the b-model
+    onto delta times the bbar-model, as {"c", "delta", "sigma", "b", "bbar"}
+    with b and bbar resolved; None when no pair works.
+
+    Searches c in F_q^* for the full condition set; delta is pinned by the
+    i = 1 condition, and sigma by the norm equation sigma^(q+1) = delta."""
     bn = check_b(ctx, "family_I", b)
     be = check_b(ctx, "family_I", bbar)
     h = ctx.h
@@ -95,7 +82,7 @@ def family_I_iso(ctx: FieldCtx, b, bbar) -> IsoWitness | None:
             continue
         sigma = _norm_preimage(ctx, delta)
         _certify_family_I(ctx, bn, be, c, delta, sigma)
-        return IsoWitness(c=c, delta=delta, sigma=sigma, direction=(bn, be))
+        return {"c": c, "delta": delta, "sigma": sigma, "b": bn, "bbar": be}
     return None
 
 

@@ -274,21 +274,19 @@ def family_III_place_count(ctx: FieldCtx, b) -> dict:
 
     The plane model is singular, but the curve is the quotient of the
     characteristic-2 central quotient model by the involution
-    (x, eta) -> (x + 1, eta + x^2 + x + b^2 + b).
+    (x, eta) -> (x + 1, eta + x^2 + x + b^2 + b).  The report is
+    quotient_places_order2's, with q, b, the genus, the expected and
+    closed-form counts and maximality added.
     """
     bn = check_b(ctx, "family_III", b)
-    q, h = ctx.q, ctx.h
-    cover = fpp_char2(ctx)
-    rep = quotient_places_order2(cover, family_III_deck(ctx, bn))
-    g = genus_formula("family_III", 2, h)
+    q = ctx.q
+    rep = quotient_places_order2(fpp_char2(ctx), family_III_deck(ctx, bn))
+    g = genus_formula("family_III", 2, ctx.h)
     expected = q * q + 2 * g * q + 1
     return {
+        **rep,
         "q": q,
         "b": bn,
-        "N": rep["N"],
-        "affine_cover": rep["affine_cover"],
-        "fixed": rep["fixed"],
-        "twisted": rep["twisted"],
         "genus": g,
         "expected": expected,
         "closed_form": q * q * (q + 2) // 4 + 1,

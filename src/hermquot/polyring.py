@@ -115,12 +115,6 @@ class BiPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self):
         if self.ctx.p == 2:
             return self

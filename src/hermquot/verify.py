@@ -1,9 +1,10 @@
 """The acceptance suite: ten end-to-end checks, each reproducing one family of
 finite-checkable claims at desk-size parameters.
 
-Every check returns {"id", "ok", "details"} and never raises on a failed
-mathematical comparison; run_all adds wall-clock seconds per check.  The CLI
-`verify` subcommand and the acceptance test module both drive run_all.
+Every check returns (ok, details) and never raises on a failed mathematical
+comparison.  run_all builds each report {"id", "ok", "details", "seconds"},
+taking the id from CHECKS and the wall-clock seconds from its own timer.  The
+CLI `verify` subcommand and the acceptance test module both drive run_all.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def _group(family: str, p: int, h: int, b=None):
     return _GROUPS[key]
 
 
-def check_hermitian_baseline() -> dict:
+def check_hermitian_baseline() -> tuple[bool, dict]:
     counts = {}
     ok = True
     for p, h in [(2, 1), (3, 1), (2, 2), (2, 3)]:
@@ -45,10 +46,10 @@ def check_hermitian_baseline() -> dict:
         counts[f"q={q}"] = rep["N"]
         ok = ok and rep["N"] == q**3 + 1 and rep["maximal"]
         ok = ok and m.claimed_genus == q * (q - 1) // 2
-    return {"id": "hermitian_baseline", "ok": ok, "details": {"counts": counts}}
+    return ok, {"counts": counts}
 
 
-def check_family_I_q8() -> dict:
+def check_family_I_q8() -> tuple[bool, dict]:
     ctx = make_field(2, 3)
     q = ctx.q
     sg = numsg.semigroup_at_infinity("family_I", 2, 3)
@@ -61,14 +62,10 @@ def check_family_I_q8() -> dict:
         ok = ok and rep["N"] == 129 and rep["maximal"]
         ok = ok and (rep["N"] - q * q - 1) % (2 * q) == 0
         ok = ok and (rep["N"] - q * q - 1) // (2 * q) == g
-    return {
-        "id": "family_I_q8",
-        "ok": ok,
-        "details": {"genus": g, "semigroup": list(sg.generators), "counts": ns},
-    }
+    return ok, {"genus": g, "semigroup": list(sg.generators), "counts": ns}
 
 
-def check_family_I_q27() -> dict:
+def check_family_I_q27() -> tuple[bool, dict]:
     ctx = make_field(3, 3)
     sg = numsg.semigroup_at_infinity("family_I", 3, 3)
     g = models.genus_formula("family_I", 3, 3)
@@ -78,14 +75,10 @@ def check_family_I_q27() -> dict:
         rep = maximality_check(models.family_I_model(ctx, b))
         ns.append(rep["N"])
         ok = ok and rep["N"] == 2188 and rep["maximal"]
-    return {
-        "id": "family_I_q27",
-        "ok": ok,
-        "details": {"genus": g, "counts": ns},
-    }
+    return ok, {"genus": g, "counts": ns}
 
 
-def check_family_II() -> dict:
+def check_family_II() -> tuple[bool, dict]:
     ctx = make_field(3, 2)
     sg = numsg.semigroup_at_infinity("family_II", 3, 2)
     g = models.genus_formula("family_II", 3, 2)
@@ -104,19 +97,10 @@ def check_family_II() -> dict:
     rep5 = maximality_check(models.build(ctx5, "family_II"))
     ok = ok and rep5["N"] == 1126 and rep5["maximal"]
     ok = ok and models.genus_formula("family_II", 5, 2) == 10
-    return {
-        "id": "family_II",
-        "ok": ok,
-        "details": {
-            "genus": g,
-            "largest_gap": lg,
-            "counts_q9": ns,
-            "count_q25": rep5["N"],
-        },
-    }
+    return ok, {"genus": g, "largest_gap": lg, "counts_q9": ns, "count_q25": rep5["N"]}
 
 
-def check_family_III() -> dict:
+def check_family_III() -> tuple[bool, dict]:
     ok = True
     per = {}
     for h in (2, 3):
@@ -132,10 +116,10 @@ def check_family_III() -> dict:
             ok = ok and rep["N"] == q * q + 2 * g * q + 1
             ok = ok and rep["maximal"]
         per[f"q={q}"] = ns
-    return {"id": "family_III", "ok": ok, "details": {"counts": per}}
+    return ok, {"counts": per}
 
 
-def check_automorphism_groups() -> dict:
+def check_automorphism_groups() -> tuple[bool, dict]:
     details: dict = {}
     ok = True
 
@@ -180,7 +164,7 @@ def check_automorphism_groups() -> dict:
             "quotient_exponent": details3[0]["quotient_exponent"],
         }
     details["family_III"] = fam3
-    return {"id": "automorphism_groups", "ok": ok, "details": details}
+    return ok, details
 
 
 def _fixed_point_tables() -> list:
@@ -204,7 +188,7 @@ def _fixed_point_tables() -> list:
     return tables
 
 
-def check_unique_fixed_point() -> dict:
+def check_unique_fixed_point() -> tuple[bool, dict]:
     """Nontrivial p-power-order elements must fix no point of the curve
     except the place at infinity, over the algebraic closure.
 
@@ -229,18 +213,14 @@ def check_unique_fixed_point() -> dict:
             tested += 1
             if g.a == 0 and set(g.f) != {0}:
                 violations.append({"group": label, "map": g.to_text(model.variables)})
-    return {
-        "id": "unique_fixed_point",
-        "ok": not violations,
-        "details": {
-            "groups_scanned": len(tables),
-            "elements_tested": tested,
-            "violations": violations,
-        },
+    return not violations, {
+        "groups_scanned": len(tables),
+        "elements_tested": tested,
+        "violations": violations,
     }
 
 
-def check_isomorphism_classes() -> dict:
+def check_isomorphism_classes() -> tuple[bool, dict]:
     ok = True
     inv23 = class_inventory("family_I", make_field(2, 3))
     ok = ok and inv23["class_sizes"] == [6] and inv23["classifier_agreement"]
@@ -295,21 +275,17 @@ def check_isomorphism_classes() -> dict:
             witness_ok = witness_ok and lhs == rhs
         witness_ok = witness_ok and family_I_iso(fc, b, binv) is not None
     ok = ok and witness_ok
-    return {
-        "id": "isomorphism_classes",
-        "ok": ok,
-        "details": {
-            "family_I_2_3": inv23["class_sizes"],
-            "family_I_2_5": inv25["class_sizes"],
-            "family_II_3_2": inv2["class_sizes"],
-            "three_way_pairs": pairs,
-            "three_way_agree": agree,
-            "explicit_witness": witness_ok,
-        },
+    return ok, {
+        "family_I_2_3": inv23["class_sizes"],
+        "family_I_2_5": inv25["class_sizes"],
+        "family_II_3_2": inv2["class_sizes"],
+        "three_way_pairs": pairs,
+        "three_way_agree": agree,
+        "explicit_witness": witness_ok,
     }
 
 
-def check_factorization_lemmas() -> dict:
+def check_factorization_lemmas() -> tuple[bool, dict]:
     ok = True
     degs = {}
     for p, want in [(2, 22), (3, 66)]:
@@ -325,14 +301,10 @@ def check_factorization_lemmas() -> dict:
             rep = models.verify_lemma_b(ctx, b)
             ok = ok and rep["terminal_ok"] and rep["identity_ok"]
             ok = ok and rep["divisions"] == h
-    return {
-        "id": "factorization_lemmas",
-        "ok": ok,
-        "details": {"degrees": degs, "b_tested": bcounts},
-    }
+    return ok, {"degrees": degs, "b_tested": bcounts}
 
 
-def check_oracle_suites() -> dict:
+def check_oracle_suites() -> tuple[bool, dict]:
     ok = True
     seqs = {
         (2, 9): 4,
@@ -370,11 +342,7 @@ def check_oracle_suites() -> dict:
             if solver.solve(rhs) != sorted(table.get(rhs, [])):
                 ok = False
             probes += 1
-    return {
-        "id": "oracle_suites",
-        "ok": ok,
-        "details": {"telescopic_genera": genera, "solver_probes": probes},
-    }
+    return ok, {"telescopic_genera": genera, "solver_probes": probes}
 
 
 CHECKS = [
@@ -423,9 +391,9 @@ def run_all(ids=None) -> list[dict]:
             continue
         t0 = time.perf_counter()
         try:
-            res = fn()
+            ok, details = fn()
         except (CheckError, ParameterError) as e:
-            res = {"id": cid, "ok": False, "details": {"error": str(e)}}
-        res["seconds"] = round(time.perf_counter() - t0, 3)
-        out.append(res)
+            ok, details = False, {"error": str(e)}
+        out.append({"id": cid, "ok": ok, "details": details,
+                    "seconds": round(time.perf_counter() - t0, 3)})
     return out

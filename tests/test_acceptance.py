@@ -84,17 +84,18 @@ def _check_planted(monkeypatch, model, *maps):
 def test_fixed_point_check_names_a_planted_violation(monkeypatch):
     c = make_field(3, 1)
     model = hermitian_model(c)
-    r = _check_planted(monkeypatch, model, AffineAlgMap.triangular(c, 1, 0, 1, {1: 1}))
-    assert not r["ok"]
-    assert r["details"] == {
+    ok, details = _check_planted(monkeypatch, model,
+                                 AffineAlgMap.triangular(c, 1, 0, 1, {1: 1}))
+    assert not ok
+    assert details == {
         "groups_scanned": 1,
         "elements_tested": 1,
         "violations": [{"group": "planted", "map": "x -> x, y -> x + y"}],
     }
     # (x + 1, y) moves every point; (x, 2y) has order 2, so it is not tested
-    r = _check_planted(monkeypatch, model, AffineAlgMap.triangular(c, 1, 1, 1),
-                       AffineAlgMap.triangular(c, 1, 0, 2))
-    assert r["ok"] and r["details"]["elements_tested"] == 1
+    ok, details = _check_planted(monkeypatch, model, AffineAlgMap.triangular(c, 1, 1, 1),
+                                 AffineAlgMap.triangular(c, 1, 0, 2))
+    assert ok and details["elements_tested"] == 1
 
 
 def test_fixed_point_check_sees_points_the_rational_scan_misses(monkeypatch):
@@ -107,8 +108,8 @@ def test_fixed_point_check_sees_points_the_rational_scan_misses(monkeypatch):
     n = next(t for t in F9 if t not in squares)
     g = AffineAlgMap.triangular(c, 1, 0, 1, {2: 1, 0: c.neg(n)})
     assert all(g.apply(x, y) != (x, y) for x, y in _affine_points(model))
-    r = _check_planted(monkeypatch, model, g)
-    assert not r["ok"] and len(r["details"]["violations"]) == 1
+    ok, details = _check_planted(monkeypatch, model, g)
+    assert not ok and len(details["violations"]) == 1
 
 
 def test_fixed_point_check_composes_and_scans_nothing(monkeypatch, fixed_point_tables):
@@ -119,9 +120,9 @@ def test_fixed_point_check_composes_and_scans_nothing(monkeypatch, fixed_point_t
     for name in ("order", "apply", "compose"):
         monkeypatch.setattr(AffineAlgMap, name, refuse)
     monkeypatch.setattr(placecount, "iter_fibers", refuse)
-    r = verify.check_unique_fixed_point()
-    assert r["ok"]
-    assert r["details"] == {"groups_scanned": 10, "elements_tested": 494, "violations": []}
+    ok, details = verify.check_unique_fixed_point()
+    assert ok
+    assert details == {"groups_scanned": 10, "elements_tested": 494, "violations": []}
 
 
 def test_automorphism_groups_reports_measured_family_III(monkeypatch):
@@ -139,9 +140,9 @@ def test_automorphism_groups_reports_measured_family_III(monkeypatch):
 
     monkeypatch.setattr(verify, "_GROUPS", {})
     monkeypatch.setattr(autgrp, "family_III_group", planted)
-    r = verify.check_automorphism_groups()
-    assert not r["ok"]
-    assert r["details"]["family_III"] == {
+    ok, details = verify.check_automorphism_groups()
+    assert not ok
+    assert details["family_III"] == {
         "q=4": {"quotient_order": 7, "quotient_exponent": 4},
         "q=8": {"quotient_order": 7, "quotient_exponent": 4},
     }

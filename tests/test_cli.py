@@ -144,6 +144,7 @@ def test_a_flag_the_command_would_drop_is_refused(argv):
         ("genus", "--family", "II", "--h", "2"),
         ("semigroup", "--family", "I", "--p", "2"),
         ("verify-lemma-a",),
+        ("field", "--p", "0", "--h", "1"),  # a flag must be a positive integer
     ],
 )
 def test_a_missing_field_flag_is_refused(argv):
@@ -269,6 +270,9 @@ def test_iso_inventory(capsys):
 def test_iso_requires_b_pair_or_inventory(capsys):
     code, _ = run_cli(capsys, "iso", "--family", "I", "--p", "2", "--h", "3")
     assert code == 2
+    for flag in ("--b", "--bbar"):
+        code, err, _ = _cli("iso", "--family", "I", "--p", "2", "--h", "3", flag, "1186")
+        assert code == 2 and "iso needs --b and --bbar" in err
 
 
 def test_lemma_subcommands(capsys):
@@ -346,11 +350,34 @@ def test_aut_stdout_matches_golden(capsys, argv, golden):
         (["count", "--family", "I", "--p", "3", "--h", "3"], "count_I_p3_h3.json"),
         (["count", "--family", "hermitian", "--p", "2", "--h", "4", "--k", "2"],
          "count_hermitian_p2_h4_k2.json"),
+        (["count", "--family", "III", "--p", "2", "--h", "3"], "count_III_p2_h3.json"),
     ],
-    ids=["family_II_5_2", "family_I_3_3", "hermitian_2_4_k2"],
+    ids=["family_II_5_2", "family_I_3_3", "hermitian_2_4_k2", "family_III_2_3"],
 )
 def test_count_stdout_matches_golden(capsys, argv, golden):
-    # digit-kernel fields and the affine_k2 scan
+    # digit-kernel fields, the affine_k2 scan and family III's quotient report
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (_GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["genus", "--family", "center", "--p", "3", "--h", "2"],
+         "genus_center_p3_h2.json"),
+        (["iso", "--family", "II", "--p", "3", "--h", "2", "--b", "99", "--bbar", "171"],
+         "iso_II_p3_h2_iso.json"),
+        (["iso", "--family", "I", "--p", "2", "--h", "4", "--b", "1842", "--bbar", "10266"],
+         "iso_I_p2_h4_noniso.json"),
+        (["verify", "--check", "hermitian_baseline", "--check", "unique_fixed_point"],
+         "verify_baseline_fixed_point.json"),
+    ],
+    ids=["genus_center_3_2", "iso_II_3_2", "iso_I_2_4_noniso", "verify_two_checks"],
+)
+def test_report_stdout_matches_golden(capsys, argv, golden):
+    # a genus read off a built model, an isomorphic family II pair, a family
+    # I pair in different classes (witness null) and the verify envelope;
+    # verify's seconds go to stderr
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (_GOLDEN / golden).read_text()
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from hermquot import autgrp, isocls, models, numsg, placecount
+from hermquot import autgrp, models, numsg, placecount
 from hermquot.gfield import make_field
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -34,7 +34,6 @@ _FROZEN = {
     "CurveModel": _hermitian,
     "CoeffList": lambda: models.family_III_coeffs(
         make_field(2, 2), models.default_b(make_field(2, 2), "family_III")),
-    "IsoWitness": lambda: isocls.IsoWitness(c=1, delta=1, sigma=1, direction=(2, 3)),
     "NumSemigroup": lambda: numsg.from_generators((2, 3)),
     "PlaceTally": lambda: placecount.affine_points(_hermitian()),
 }

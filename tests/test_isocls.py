@@ -6,7 +6,6 @@ from hermquot import cli, models
 from hermquot.gfield import FieldCtx, ParameterError, make_field
 from hermquot.polyring import BiPoly
 from hermquot.isocls import (
-    IsoWitness,
     _norm_preimage,
     class_inventory,
     family_I_classify,
@@ -40,9 +39,9 @@ def test_self_witness_is_identity_scaling():
     c = ctx(2, 3)
     b = fam_I_params(c)[0]
     w = family_I_iso(c, b, b)
-    assert isinstance(w, IsoWitness)
-    assert w.c == 1 and w.delta == 1
-    assert w.as_dict()["b"] == w.as_dict()["bbar"] == b
+    assert set(w) == {"c", "delta", "sigma", "b", "bbar"}
+    assert w["c"] == 1 and w["delta"] == 1
+    assert w["b"] == w["bbar"] == b
 
 
 def test_family_I_h3_all_pairs_isomorphic():

@@ -18,7 +18,9 @@ from hermquot.gfield import (
     _span,
     make_field,
 )
+from hermquot import placecount
 from hermquot.placecount import (
+    EXHAUSTIVE_BOUND,
     K2_BOUND,
     _scan_degree,
     affine_points,
@@ -396,6 +398,47 @@ def test_k2_scan_bound_admits_a_field_of_exactly_K2_BOUND():
     assert _scan_degree(ctx(2, 6), 2) == 24
     with pytest.raises(ParameterError):
         _scan_degree(ctx(3, 4), 2)
+
+
+def test_exhaustive_fibers_admit_a_field_of_exactly_EXHAUSTIVE_BOUND():
+    # family III is not linearized in Y, so its k = 2 fibers are listed by
+    # evaluation: F_{2^12} at q = 8 is admitted, F_{2^16} at q = 16 is not
+    assert 2**12 == EXHAUSTIVE_BOUND
+    c = ctx(2, 3)
+    x, ys = next(iter_fibers(models.family_III_model(c, models.default_b(c, "family_III")), 2))
+    assert x == 0 and ys
+    c = ctx(2, 4)
+    with pytest.raises(ParameterError):
+        next(iter_fibers(models.family_III_model(c, models.default_b(c, "family_III")), 2))
+
+
+def test_quotient_tells_twisted_points_with_a_rational_y_from_fixed_ones():
+    # F = Y^2 + Y + (X^2 + X)^3 at q = 2 with the deck (x + 1, y): every
+    # point with Frob(Q) = deck(Q) has y rational and x not, so none is fixed
+    c = ctx(2, 1)
+    X, Y = BiPoly.variables(c, ("x", "y"))
+    model = models.CurveModel(F=Y * Y + Y + (X * X + X) ** 3, ctx=c, family="Hermitian")
+    deck = AffineAlgMap.triangular(c, 1, 1, 1)
+    rep = quotient_places_order2(model, deck)
+    assert rep == {"affine_cover": 8, "fixed": 0, "twisted": 8, "N": 9}
+    assert rep == _quotient_by_scan(model, deck)
+    s = 2 * c.h
+    twisted = [(x, y) for x, ys in iter_fibers(model, 2) for y in ys
+               if c.frob(x, s) != x and deck.apply(x, y) == (c.frob(x, s), c.frob(y, s))]
+    assert len(twisted) == 8 and all(c.frob(y, s) == y for _, y in twisted)
+
+
+def test_quotient_refuses_an_odd_count_of_moved_points(monkeypatch):
+    # one affine point too many leaves A - f odd while I stays even
+    c = ctx(2, 2)
+    real = placecount._count_points
+
+    def one_more(model, k):
+        return real(model, k) + (k == 1)
+
+    monkeypatch.setattr(placecount, "_count_points", one_more)
+    with pytest.raises(CheckError, match="parity"):
+        quotient_places_order2(models.hermitian_model(c), stabilizer_map(c, 0, 1, 1))
 
 
 def test_family_III_place_count_rejects_bad_input():

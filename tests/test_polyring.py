@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermquot.gfield import CheckError, ParameterError, make_field
-from hermquot.polyring import BiPoly, p_power_exp
+from hermquot.polyring import BiPoly, additive_split, p_power_exp
 
 
 CTX = make_field(2, 2)
@@ -86,6 +86,9 @@ def test_partial_deriv_product_rule():
         lhs = (f * g).partial_deriv(k)
         rhs = f.partial_deriv(k) * g + f * g.partial_deriv(k)
         assert lhs == rhs
+    # f is not symmetric in x and y, so each k names its variable
+    assert f.partial_deriv(0).terms == {(1, 1): 2, (0, 0): 5}
+    assert f.partial_deriv(1).terms == {(2, 0): 1}
 
 
 def test_partial_deriv_kills_p_powers():
@@ -154,15 +157,36 @@ def test_coerce_rules():
     ctx = CTX3
     x, y = BiPoly.variables(ctx)
     f = x + 2          # prime-field constant is fine
-    assert f.coeff(0, 0) == 2
+    assert f.coeff(0, 0) == 2 and x + 0 == x
     assert x.cmul(11).coeff(1, 0) == 11
     with pytest.raises(TypeError):
         x + 5          # bare encodings are not accepted
     with pytest.raises(TypeError):
         x * 11
+    for bad in (3, -1):  # just past either end of F_3
+        with pytest.raises(TypeError):
+            x + bad
     other_x, _ = BiPoly.variables(make_field(2, 1))
     with pytest.raises(ParameterError):
         x + other_x
+
+
+def test_make_refuses_a_negative_exponent_in_either_coordinate():
+    for key in ((-1, 0), (0, -1)):
+        with pytest.raises(ParameterError, match="negative exponent"):
+            BiPoly.make(CTX3, {key: 1})
+
+
+def test_additive_split():
+    # F = X^4 + 2 + Y^9 + Y over F_3: L = [1, 0, 1], the missing Y^3 as 0
+    x, y = BiPoly.variables(CTX3)
+    vec, xpart = additive_split(x ** 4 + 2 + y ** 9 + y)
+    assert vec == [1, 0, 1] and xpart == x ** 4 + 2
+    vec, xpart = additive_split(y ** 3)
+    assert vec == [0, 1] and xpart.is_zero()
+    # a mixed term, a Y-exponent that is no power of p, no Y at all
+    for F in (y ** 3 + x * y, y ** 3 + y ** 2, x ** 4 + x):
+        assert additive_split(F) is None
 
 
 def test_degrees_and_coeff_access():
