@@ -21,14 +21,15 @@ and enumeration; there is no embedding bookkeeping anywhere downstream.
 Every element the package computes or returns is such an int, and all
 arithmetic on it goes through FieldCtx methods; there is no element class.
 
-FieldCtx keeps four primitives, add, mul, pow and frob, and only they,
-the point count's walk, the span enumerations _span and _span_indicator
-and LinearizedSolver's images read its log/antilog tables over a
-generator of F_{p^m}^*, with Zech logarithms for sums in every
-characteristic (Lidl-Niederreiter, Finite Fields, ch. 10); sub, neg,
-scale, inv and div compose the primitives by field identities.
-One builder makes the tables on the first arithmetic call, never in
-make_field, and the primitives read them two ways:
+FieldCtx keeps log/antilog tables over a generator of F_{p^m}^*, with
+Zech logarithms for sums in every characteristic (Lidl-Niederreiter,
+Finite Fields, ch. 10).  Only the four primitives add, mul, pow and frob
+and the point count's build (walk, LinearizedSolver's images and
+_span_indicator) read them.  Every other value comes from the primitives,
+each listed span (subfield encodings, a solver's kernel and image, the
+lazy scans for omega and isocls' norm table) by _layers.  One builder
+makes the tables on the first arithmetic call, never in make_field, and
+the primitives read them:
 
 * fields of order at most TABLE_ORDER_BOUND = 2^13 table the whole field
   (m = 4h) and read it through plain lists indexed by the encoding: in
@@ -50,16 +51,12 @@ The digit kernel (one method per primitive) is also the reference the
 tests hold the tables to.
 
 Both read paths stay because each alternative made the acceptance run
-slower: verify.run_all() took 0.49 s with both paths (0.41-0.67 s)
-against 0.78 s with the F_{q^2}-style index read on every field
-(0.59-0.99 s), and 1.06 s with F_{q^2} tables alone (0.84-1.38 s), which
-send every operand outside F_{q^2} at the small fields to the digit
-kernel (family III's check went from 0.017 s to 0.060 s).  Medians and
-ranges of 10 alternating fresh processes each, on a shared 2-CPU Intel
-Xeon Linux machine.  Array reads in place of the whole-field lists
-(every array read boxes a fresh int) cost less, but were slower in each
-of 5 paired runs of perfbench's acceptance run_s: medians 0.67 s against
-0.65 s.
+slower: verify.run_all() took 0.49 s (0.41-0.67 s) with both, 0.78 s
+(0.59-0.99 s) with the F_{q^2}-style index read on every field and 1.06 s
+(0.84-1.38 s) with F_{q^2} tables alone, medians and ranges of 10
+alternating fresh processes each on a shared 2-CPU Intel Xeon Linux
+machine.  Array reads in place of the whole-field lists (each boxes a
+fresh int) were slower in each of 5 paired perfbench acceptance runs.
 """
 
 from __future__ import annotations
@@ -67,9 +64,9 @@ from __future__ import annotations
 import functools
 from array import array
 from collections import namedtuple
-from itertools import cycle, islice, pairwise, product, repeat, starmap
+from itertools import cycle, islice, pairwise, repeat, starmap
 from math import gcd
-from operator import add as _int_add, mod, mul as _int_mul
+from operator import add as _int_add, mod
 
 DEFAULT_SIZE_BOUND = 1 << 30
 # largest ambient order served by the table kernel (see FieldCtx)
@@ -306,20 +303,23 @@ class FieldCtx:
     column is free, so idx(a) = a.  A nonzero a lies in F_{p^m} exactly
     when exp[log[idx(a)]] == a.
 
-    Four primitives read those tables, add, mul, pow and frob, each by two
-    read paths (add for p = 2 is one xor of encodings and reads none):
+    Every context keeps that record in _sub.  Four primitives read the
+    tables, add, mul, pow and frob, each by two read paths (add for p = 2
+    is one xor of encodings and reads none):
 
     * a whole field is read through list views of exp, log and zech
       indexed by the encoding itself, held in _exp, _log and _zech;
-    * a larger field reads the F_{q^2} record in _sub through idx when
+    * a larger field reads the F_{q^2} record through idx when
       every operand lies in F_{q^2}, and sends any other operand to the
       digit kernel: base-p digit vectors reduced by the modulus,
       carry-less shift-and-xor when p = 2.  Its four private methods
       (_add_digits, _mul_digits, _pow_digits, _frob_digits) are also the
       reference the tests hold the tables to.
 
-    sub, neg, scale, inv and div read no table: each is one call or two of
-    the primitives, by a field identity.
+    Besides the primitives only the count's build reads the tables, all
+    through _logs: walk, LinearizedSolver's images and _span_indicator.
+    Every other value comes from the primitives: sub, neg, scale, inv and
+    div by a field identity each, every listed span by _layers.
 
     walk gives the exp indices of a whole pure-X part at x = gamma_m^j, j
     below a given step count, for the point count, which asks for one
@@ -330,9 +330,7 @@ class FieldCtx:
     coefficient (the k = 2 walks over F_{q^4} above the bound) walk
     returns None, and mul_walk gives the values by one mul per term per
     step, summed by add: the only value path, and the reference the tests
-    hold walk to.  _span, behind subfield_encodings and LinearizedSolver's
-    image and kernel, and _span_indicator likewise build each layer
-    x + t b by Zech reads on logs when the tables cover every generator.
+    hold walk to.
 
     The tables are built on the first arithmetic call, never in
     make_field, with the digit kernel alone.  Other caches (reduction
@@ -543,22 +541,15 @@ class FieldCtx:
             raise CheckError(f"(gamma^e)^{steps} != 1; the walk did not close")
 
     def _logs(self, elems):
-        """(n - 1, exp, zech, logs): the tables, built first if need be,
-        and the log of each of elems, or None unless the tables cover every
-        one.  a is covered when exp[log[idx(a)]] == a, which 0, no power of
-        gamma, never is (exp[log 0] = 1)."""
-        if self._log is None and self._sub is None:
-            self._build_tables()
-        if self._log is not None:
-            n1, exp, zech = self.order - 1, self._exp, self._zech
-            logs = list(map(self._log.__getitem__, elems))
-        else:
-            n, lo, hi, log, exp, zech = self._sub
-            n1 = n - 1
-            logs = [log[lo[a % n] + hi[a // n]] for a in elems]
+        """(n - 1, exp, zech, logs) from the tables' record, built first if
+        need be, with the log of each of elems, or None unless the tables
+        cover every one: the count's build reads the tables only here.  a is
+        covered when exp[log[idx(a)]] == a; 0 never is (exp[log 0] = 1)."""
+        n, lo, hi, log, exp, zech = self._sub or self._build_tables()
+        logs = [log[lo[a % n] + hi[a // n]] for a in elems]
         if any(exp[la] != a for a, la in zip(elems, logs)):
             return None
-        return n1, exp, zech, logs
+        return n - 1, exp, zech, logs
 
     # the tables
 
@@ -578,9 +569,9 @@ class FieldCtx:
         elements of F_{p^m}, and idx is injective on them), it ends at 1
         and, for odd p, gamma^((p^m - 1)/2) = -1.
 
-        F_{q^2}'s record is kept in _sub.  A whole field keeps list views
-        of exp, log and zech instead, which share one int object per value,
-        and only the call that built the tables reads its record.
+        The record is kept in _sub.  A whole field's record holds list
+        views of exp, log and zech, which share one int object per value,
+        and which the primitives read as _exp, _log and _zech.
         """
         p, deg = self.p, self.deg
         whole = self.order <= TABLE_ORDER_BOUND
@@ -637,17 +628,15 @@ class FieldCtx:
             y = x + 1 if x % p != p - 1 else x - p + 1
             return log[lo[y % n] + hi[y // n]]
         zech = array("H", map(zech_log, exp[:n1]))
-        tables = _Tables(n, lo, hi, log, exp, zech)
-        if not whole:
-            self._sub = tables
-            return tables
-        # lists, not arrays: an array read boxes a fresh int on every call.
-        # The views take their ints from one list, so each value is one
-        # object (the sentinel 2(n-1) is the only value above n - 1).
-        ints = list(range(n))
-        self._exp = list(map(ints.__getitem__, exp))
-        self._zech = [ints[z] if z < n else z for z in zech]
-        self._log = list(map(ints.__getitem__, log))
+        if whole:
+            # lists, not arrays: an array read boxes a fresh int on every
+            # call.  The views take their ints from one list, so each value
+            # is one object (the sentinel 2(n-1) is the only value above n - 1).
+            ints = list(range(n))
+            exp = self._exp = list(map(ints.__getitem__, exp))
+            zech = self._zech = [ints[z] if z < n else z for z in zech]
+            log = self._log = list(map(ints.__getitem__, log))
+        tables = self._sub = _Tables(n, lo, hi, log, exp, zech)
         return tables
 
     # the digit kernel: every operand no table covers, and the reference
@@ -886,7 +875,7 @@ def find_omega(ctx: FieldCtx) -> int:
     1 in characteristic 2; otherwise g^((q+1)/2) for the first primitive
     element g of F_{q^2} in ascending encoding order.  The scan reads
     F_{q^2} lazily off subfield_basis(2h) through _ascending_span, from its
-    element 2 on, and stops at g: F_{q^2} is never listed.
+    element 2 on, and stops in the layer that holds g.
     """
     if ctx._omega is None:
         if ctx.p == 2:
@@ -906,26 +895,35 @@ def find_omega(ctx: FieldCtx) -> int:
 
 def _ascending_span(ctx: FieldCtx, basis):
     """Lazy iterator over the F_p-span of basis in ascending encoding
-    order: element i is sum_j d_j basis[j], for the base-p digits d_j of i.
-
-    That order is ascending because the basis is in echelon form by top
-    digit, as _frobenius_kernel gives it: the top base-p digit of basis[j]
-    is a 1 at a column t_j, t_0 < t_1 < ..., and every other basis vector
-    is 0 at t_j.  Raises CheckError, before it yields anything, unless the
-    basis is in that form."""
-    p = ctx.p
+    order: _layers over basis, which lists sum_j d_j basis[j] at position
+    sum_j d_j p^j.  That order is ascending when the basis is in echelon
+    form by top digit, as _frobenius_kernel gives it: the top base-p digit
+    of basis[j] is a 1 at a column t_j, t_0 < t_1 < ..., and every other
+    basis vector is 0 at t_j.  Two elements whose d first differ, from the
+    top, at d_j agree above t_j, which only later generators reach, and
+    hold d_j at t_j.  Raises CheckError, before it yields anything, unless
+    the basis is in that form."""
     vecs = [ctx._digits(b) for b in basis]
     tops = [max((u for u, d in enumerate(v) if d), default=-1) for v in vecs]
     if any(t <= s for s, t in pairwise([-1] + tops)) or any(
             v[t] != (i == j) for j, t in enumerate(tops) for i, v in enumerate(vecs)):
         raise CheckError("basis is not in echelon form by top digit")
-    # product's last coordinate runs fastest: it multiplies basis[0]
-    cols = list(zip(*reversed(vecs)))
+    return _layers(ctx, basis)
 
-    def element(coefs):
-        return ctx._undigits([sum(map(_int_mul, coefs, col)) % p for col in cols])
 
-    return map(element, product(range(p), repeat=len(vecs)))
+def _layers(ctx: FieldCtx, gens):
+    """Lazy iterator over the F_p-combinations of gens, layer by layer: 0,
+    then x + t b for each generator b in turn, each t = 1 .. p - 1 and each
+    x listed before b, by ctx.scale and ctx.add.  The one way a span is
+    listed."""
+    listed = [0]
+    yield 0
+    for b in gens:
+        layer = listed[:]
+        for t in range(1, ctx.p):
+            new = list(map(ctx.add, layer, repeat(ctx.scale(b, t))))
+            listed += new
+            yield from new
 
 
 def _zech_sums(zech, n1: int, lx, ly) -> list[int]:
@@ -950,45 +948,13 @@ def _dependent(size: int) -> CheckError:
     return CheckError(f"span has fewer than {size} elements: its generators are dependent")
 
 
-def _log_span(n1: int, zech, lgens, lts) -> list[int]:
-    """The logs of the nonzero F_p-combinations of generators with logs
-    lgens, layer by layer, with lts the logs of t = 1 .. p - 1.
-    x + t b = t (x/t + b), and x/t runs over the span so far as x does, so
-    a layer is one Zech read per element, log(x + b) = log x + zech[log b
-    - log x], then a shift by each log t.  x + b = 0 only for x = -b, when
-    b lies in the span so far: zech's mark 2 n1 then wraps to log x, and
-    the duplicate x fails the caller's distinctness check."""
-    ls = []
-    for lb in lgens:
-        layer = [lb, *[(lx + zech[lb - lx]) % n1 for lx in ls]]
-        ls += [(la + lt) % n1 for lt in lts for la in layer]
-    return ls
-
-
 def _span(ctx: FieldCtx, gens) -> list[int]:
-    """All F_p-combinations of gens, ascending; raises CheckError above
-    2^20 of them, or unless they are p^len(gens) distinct elements.
-
-    When the tables cover every generator, each layer x + t b is one list
-    comprehension of index arithmetic, _log_span's Zech reads on the logs
-    of the nonzero elements.  Any other generator leaves every element to
-    ctx.add."""
-    p = ctx.p
-    size = _span_size(p, gens)
-    tables = ctx._logs([*gens, *range(1, p)])
-    if tables is None:
-        span = [0]
-        for b in gens:
-            layer = list(span)
-            for t in range(1, p):
-                tb = ctx.scale(b, t)
-                span.extend(ctx.add(x, tb) for x in layer)
-    else:
-        n1, exp, zech, logs = tables
-        k = len(gens)
-        span = [0, *map(exp.__getitem__, _log_span(n1, zech, logs[:k], logs[k:]))]
-    # sorted and compared in place: a set would cost a kernel's memory
-    span.sort()
+    """All F_p-combinations of gens, ascending, as _layers lists them;
+    raises CheckError above 2^20 of them, or unless they are p^len(gens)
+    distinct elements."""
+    size = _span_size(ctx.p, gens)
+    # sorted and compared pairwise: a set would cost a kernel's memory
+    span = sorted(_layers(ctx, gens))
     if any(a == b for a, b in pairwise(span)):
         raise _dependent(size)
     return span
@@ -996,10 +962,17 @@ def _span(ctx: FieldCtx, gens) -> list[int]:
 
 def _span_indicator(ctx: FieldCtx, gens):
     """The F_p-span of gens as bytes over the index range of the tables'
-    exp, or None unless the tables cover every generator.  With n1 the
-    order of the tabled field's unit group, byte i is 1 where exp[i] lies
-    in the span, so exp's zero block, from slot 2 n1 on, is all 1.  The
-    nonzero elements are marked by their logs, from _log_span.
+    exp, or None unless the tables cover every generator; part of the
+    count's build, so it reads logs.  With n1 the order of the tabled
+    field's unit group, byte i is 1 where exp[i] lies in the span, so
+    exp's zero block, from slot 2 n1 on, is all 1.
+
+    The nonzero elements are marked by their logs, layer by layer.
+    x + t b = t (x/t + b), and x/t runs over the span so far as x does, so
+    a layer is one Zech read per element, log(x + b) = log x + zech[log b
+    - log x], then a shift by each log t, t = 1 .. p - 1.  x + b = 0 only
+    for x = -b, when b lies in the span so far: zech's mark 2 n1 then
+    wraps to log x, which is marked twice.
 
     Raises CheckError as _span does: above 2^20 elements, or unless
     p^len(gens) - 1 nonzero elements are marked."""
@@ -1009,9 +982,12 @@ def _span_indicator(ctx: FieldCtx, gens):
     if tables is None:
         return None
     n1, _, zech, logs = tables
-    k = len(gens)
+    k, ls = len(gens), []
+    for lb in logs[:k]:
+        layer = [lb, *[(lx + zech[lb - lx]) % n1 for lx in ls]]
+        ls += [(la + lt) % n1 for lt in logs[k:] for la in layer]
     ind = bytearray(n1)
-    for la in _log_span(n1, zech, logs[:k], logs[k:]):
+    for la in ls:
         ind[la] = 1
     if ind.count(1) != size - 1:
         raise _dependent(size)
@@ -1023,26 +999,25 @@ class LinearizedSolver:
 
     L(y) = sum_i coeffs[i] * y^(p^i) is F_p-linear, so over digit
     coordinates it is a (4h x m) matrix on the subfield basis.  The images
-    L(basis[j]) are summed by Zech reads on logs when the tables cover the
-    basis and every nonzero coefficient, by mul, frob and add otherwise.
-    The row reduction is performed once and its operation log replayed per
-    right-hand side, which keeps per-fiber work small.
+    L(basis[j]), part of the count's build, are summed by Zech reads on
+    logs when the tables cover the basis and every nonzero coefficient, by
+    mul, frob and add otherwise.  The row reduction is performed once and
+    its operation log replayed per right-hand side.  The kernel, like
+    every listed span, comes from _span, by the primitives.
 
     A fiber has kernel_size points when rhs lies in Im L and none
     otherwise, so counts skip the replay.  Im L is the F_p-span of
-    L(basis[c]) over the pivot columns c, and the count path holds it two
-    ways:
+    L(basis[c]) over the pivot columns c, held two ways:
 
-    * indicator(), built on the first call by _span_indicator from the
-      span's logs, is a bytes indicator over the tables' exp index range,
-      which the point count reads FieldCtx.walk's indices through: one
-      byte read sizes a fiber.  It is None unless the tables cover every L(basis[c]) (the
+    * indicator(), built once by _span_indicator from the span's logs, is
+      a bytes indicator over the tables' exp index range, which the point
+      count reads FieldCtx.walk's indices through: one byte read sizes a
+      fiber.  It is None unless the tables cover every L(basis[c]) (the
       k = 1 walks, where L maps F_{q^2} into itself);
-    * count(rhs) tests rhs against a frozenset that _span enumerates on
-      the first count, by Zech reads where the tables cover the basis and
-      one add per element otherwise.  It serves every walk the indicator
-      cannot, and is the tests' oracle for it.  A full-rank L is onto the
-      whole field, so count needs no image there.
+    * count(rhs) tests rhs against a frozenset that _span lists on the
+      first count.  It serves every walk the indicator cannot, and is the
+      tests' oracle for it.  A full-rank L is onto the whole field, so
+      count needs no image there.
     """
 
     def __init__(self, ctx: FieldCtx, coeffs, m: int):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import product
 
-from .gfield import CheckError, FieldCtx, ParameterError
+from .gfield import CheckError, FieldCtx, ParameterError, _ascending_span
 from .models import admissible_b, check_b, family_I_model, family_II_model
 from .polyring import BiPoly, p_power_exp
 
@@ -34,11 +34,12 @@ def _norm_preimage(ctx: FieldCtx, d: int) -> int:
     """Some sigma in F_{q^2} with sigma^(q+1) = d; the norm is onto F_q.
 
     The table keeps the least preimage of each norm, so the ascending scan
-    stops once all q values have one."""
+    stops once all q values have one.  It reads F_{q^2} lazily, as omega's
+    scan does, and lists none of it past that point."""
     tab = ctx._norm
     if tab is None:
         tab = {}
-        for s in ctx.subfield_encodings(2 * ctx.h):
+        for s in _ascending_span(ctx, ctx.subfield_basis(2 * ctx.h)):
             tab.setdefault(ctx.pow(s, ctx.q + 1), s)
             if len(tab) == ctx.q:
                 break
@@ -95,10 +96,10 @@ def family_I_classify(ctx: FieldCtx, b, bbar) -> dict:
         return {"iso": True, "case": "both_quadratic"}
     if ctx.frob(bn, 3) == bn and ctx.frob(be, 3) == be:
         return {"iso": True, "case": "both_cubic"}
+    # a singular matrix needs no skip: it sends bn into F_p or to a zero
+    # denominator, and be lies outside F_p
     p = ctx.p
     for al, bt, ga, de in product(range(p), repeat=4):
-        if (al * de - bt * ga) % p == 0:
-            continue
         den = ctx.add(ctx.scale(bn, ga), de)
         if den == 0:
             continue

@@ -29,6 +29,16 @@ def test_field_payload(capsys):
     assert d["version"]
 
 
+def test_aut_subgroups_payload(capsys):
+    # every subgroup type is a table payload, and the notes stay a list
+    code, d = run_cli(capsys, "aut", "--family", "hermitian", "--p", "2", "--h", "2",
+                      "--subgroups")
+    assert code == 0
+    assert set(d) == {"modulus", "p", "h", "family", "subgroup_types", "notes", "version"}
+    assert set(d["subgroup_types"]) == {"U", "cyclic4"}
+    assert d["notes"] == []
+
+
 def _cli(*argv):
     """(exit code, stderr, seconds) of an in-process run of argv."""
     err = io.StringIO()

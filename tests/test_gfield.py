@@ -14,6 +14,7 @@ from hermquot.gfield import (
     ParameterError,
     _ascending_span,
     _span,
+    _span_indicator,
     _find_modulus,
     _first_of_order,
     find_omega,
@@ -296,9 +297,9 @@ def test_table_kernel_matches_digit_kernel(data):
     else:
         assert ctx.pow(0, abs(e)) == ctx._pow_digits(0, abs(e))
     # pow always answers from the tables: whole-field lists up to the bound,
-    # the F_{q^2} record above it
+    # the F_{q^2} record above it; every context keeps its record in _sub
     whole = ctx.order <= TABLE_ORDER_BOUND
-    assert (ctx._log is not None) == whole and (ctx._sub is None) == whole
+    assert (ctx._log is not None) == whole and ctx._sub is not None
 
 
 def _assert_nothing_installed(ctx):
@@ -855,8 +856,8 @@ def test_span_rejects_oversized_or_dependent_generators(monkeypatch):
 
 
 def _add_span(ctx, gens):
-    """The span the log path replaces, kept as its oracle: one ctx.add per
-    element, then the same sort and distinctness check."""
+    """The oracle for _span and _span_indicator: one ctx.add per element
+    in nested loops, then the same sort and distinctness check."""
     span = [0]
     for b in gens:
         layer = list(span)
@@ -900,7 +901,7 @@ def test_log_span_matches_the_add_span(p, h, monkeypatch):
         except CheckError as err:
             return str(err)
 
-    # independent generators in F_{q^2}: every element by table reads
+    # independent generators in F_{q^2}
     independent = 0
     while independent < 6:
         gens = [_random_in_F_q2(ctx, rng) for _ in range(rng.randrange(1, 2 * h + 1))]
@@ -908,18 +909,96 @@ def test_log_span_matches_the_add_span(p, h, monkeypatch):
         if isinstance(want, str):
             continue
         independent += 1
-        assert span_and_adds(gens) == (want, 0)
+        assert span_and_adds(gens)[0] == want
     # dependent sets: some x + t b is 0, and later layers add to it
     a, b, c = (_random_in_F_q2(ctx, rng) for _ in range(3))
     for gens in ([a, ctx.neg(a)], [a, b, ctx.add(a, ctx.scale(b, p - 1)), c], [a, a, b]):
         want = oracle(gens)
         assert "dependent" in want
-        assert span_and_adds(gens) == (want, 0)
-    # 0, or a generator outside F_{q^2}, leaves every element to ctx.add
+        assert span_and_adds(gens)[0] == want
+    # 0, or a generator outside F_{q^2}, which no table covers
     outside = ctx.subfield_generator(4 * h)
     for gens in ([0, a], [a, outside, b]):
         got, adds = span_and_adds(gens)
         assert got == oracle(gens) and adds > 0
+
+
+@pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (3, 3)])
+def test_count_build_on_a_fresh_context_builds_the_tables_once(p, h, monkeypatch):
+    # the count's build may be the first to read the tables: _logs builds
+    # the record then, and reads it after that
+    ref = make_field(p, h)
+    elems = [1, ref.subfield_generator(2 * h), ref.order - 1]
+    want = ref._logs(elems[:2])
+    calls = []
+    real = FieldCtx._build_tables
+    monkeypatch.setattr(FieldCtx, "_build_tables", lambda self: calls.append(1) or real(self))
+    fresh = FieldCtx(p, h, ref.modulus)
+    got = fresh._logs(elems[:2])
+    assert (got[0], got[3]) == (want[0], want[3])
+    assert (fresh._logs(elems) is None) == (ref.order > TABLE_ORDER_BOUND)
+    assert len(calls) == 1 and fresh._sub is not None
+
+
+@pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (2, 4), (3, 3), (5, 2)])
+def test_span_indicator_marks_the_listed_span(p, h):
+    # the count's log-domain span against _add_span's values, read through
+    # exp: byte i is 1 exactly where exp[i] lies in the span
+    ctx = make_field(p, h)
+    exp = ctx._logs([1])[1]
+    rng = random.Random(20 * p + h)
+    a, b = _random_in_F_q2(ctx, rng), _random_in_F_q2(ctx, rng)
+    for gens in ([1], [a, b], ctx.subfield_basis(h), ctx.subfield_basis(2 * h)[:3]):
+        try:
+            span = set(_add_span(ctx, gens))
+        except CheckError:
+            with pytest.raises(CheckError, match="dependent"):
+                _span_indicator(ctx, gens)
+            continue
+        assert _span_indicator(ctx, gens) == bytes(x in span for x in exp)
+    with pytest.raises(CheckError, match="dependent"):
+        _span_indicator(ctx, [a, ctx.neg(a)])
+    # F_{q^4}'s generator lies outside an F_{q^2} record
+    outside = _span_indicator(ctx, [ctx.subfield_generator(4 * h)])
+    assert (outside is None) == (ctx.order > TABLE_ORDER_BOUND)
+
+
+# whole-field tables at (2,3) and (3,2), F_{q^2} records above the bound
+@pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (2, 4), (3, 3), (5, 2)])
+def test_listed_spans_read_no_logs(p, h, monkeypatch):
+    # one rule: besides the primitives only the count's build reads the
+    # tables, through _logs, so every listed span keeps its values with
+    # _logs refused once the tables exist
+    ref = make_field(p, h)
+    fresh = FieldCtx(p, h, ref.modulus)
+    fresh.mul(2, 3)  # builds the tables
+    solvers = [LinearizedSolver(ctx, vec, 2 * h)
+               for ctx in (ref, fresh) for vec in _count_model_maps(ctx)]
+    rng = random.Random(100 * p + h)
+    rhs = [_random_in_F_q2(ref, rng) for _ in range(30)]
+
+    def refuse(self, elems):
+        raise AssertionError("a listed span read the logs")
+
+    monkeypatch.setattr(FieldCtx, "_logs", refuse)
+    for ctx in (ref, fresh):
+        basis = ctx.subfield_basis(2 * h)
+        assert _span(ctx, basis) == _add_span(ctx, basis)
+        assert _span(ctx, basis[1:]) == _add_span(ctx, basis[1:])
+    for m in sorted({1, h, 2 * h}):
+        got = fresh.subfield_encodings(m)
+        assert got == _add_span(fresh, fresh.subfield_basis(m)) == ref.subfield_encodings(m)
+        assert len(got) == p ** m and all(fresh._frob_digits(x, m) == x for x in got)
+    for solver in solvers:
+        ctx = solver.ctx
+        assert solver.kernel() == _add_span(ctx, solver.kernel_basis)
+        image = frozenset(_add_span(ctx, solver._image_basis))
+        for r in rhs:
+            n = solver.count(r)
+            assert n == solver.kernel_size * (r in image)
+            assert n == solver.kernel_size * bool(solver.solve(r))
+    if p > 2:
+        assert find_omega(fresh) == _FROZEN_OMEGA[p, h]
 
 
 def test_checkerror_is_distinct_from_parametererror():

@@ -1,9 +1,11 @@
 """Isomorphism decisions: witness solver, membership classifier, brute oracle."""
 
+from itertools import product
+
 import pytest
 
-from hermquot import cli, models
-from hermquot.gfield import FieldCtx, ParameterError, make_field
+from hermquot import cli, isocls, models
+from hermquot.gfield import CheckError, FieldCtx, ParameterError, make_field
 from hermquot.polyring import BiPoly
 from hermquot.isocls import (
     _norm_preimage,
@@ -103,6 +105,22 @@ def test_classifier_membership_cases():
         "iso": True,
         "case": "both_cubic",
     }
+    # one cubic parameter makes no cubic pair: a fractional-linear image of
+    # a cubic b stays in F_8, which holds neither gen nor a quadratic b
+    for x, y in ((cubs[0], gen), (gen, cubs[0]), (quads[0], cubs[0])):
+        assert family_I_classify(c, x, y) == {"iso": False, "case": "not_isomorphic"}
+
+
+@pytest.mark.parametrize("p, h", [(2, 4), (3, 2), (5, 2)])
+def test_no_singular_matrix_relates_two_parameters(p, h):
+    # a singular [[al, bt], [ga, de]] sends b into F_p, or to a zero
+    # denominator, and no family I parameter lies in F_p
+    c = ctx(p, h)
+    for b in fam_I_params(c):
+        for al, bt, ga, de in product(range(p), repeat=4):
+            if (al * de - bt * ga) % p == 0:
+                den = c.add(c.scale(b, ga), de)
+                assert den == 0 or c.div(c.add(c.scale(b, al), bt), den) < p
 
 
 def test_class_inventories_family_I():
@@ -118,6 +136,32 @@ def test_class_inventories_family_I():
         assert inv["class_sizes"] == sizes
         assert inv["classifier_agreement"] is True
         assert sum(inv["class_sizes"]) == inv["count"]
+
+
+def test_inventory_bounds_admit_a_count_equal_to_them(monkeypatch):
+    c = ctx(2, 4)
+    n = len(fam_I_params(c))
+    monkeypatch.setattr(isocls, "INVENTORY_BOUND", n)
+    monkeypatch.setattr(isocls, "MATRIX_BOUND", n)
+    assert class_inventory("family_I", c)["classifier_agreement"] is True
+    monkeypatch.setattr(isocls, "MATRIX_BOUND", n - 1)
+    assert class_inventory("family_I", c)["classifier_agreement"] is None
+    monkeypatch.setattr(isocls, "INVENTORY_BOUND", n - 1)
+    with pytest.raises(ParameterError, match="too large"):
+        class_inventory("family_I", c)
+
+
+def test_inventory_cross_check_sees_every_pair(monkeypatch):
+    # a classifier that is wrong about one pair alone breaks the agreement
+    c = ctx(2, 4)
+    bs = fam_I_params(c)
+    classify = isocls.family_I_classify
+    for pair in ((bs[0], bs[2]), (bs[3], bs[-1])):
+        def lying(ctx_, x, y, pair=pair):
+            got = classify(ctx_, x, y)
+            return {**got, "iso": not got["iso"]} if {x, y} == set(pair) else got
+        monkeypatch.setattr(isocls, "family_I_classify", lying)
+        assert class_inventory("family_I", c)["classifier_agreement"] is False
 
 
 def test_class_inventory_family_II():
@@ -200,6 +244,30 @@ def test_oracle_bounds_and_scope():
         oracle_iso(m3, m3, tier=1)  # mixed x*y terms are out of scope
 
 
+def test_oracle_reads_the_terms_of_both_models():
+    # A's X^2 is no term of B, and 2 is no y-exponent: no monomial map
+    # clears it, whichever model carries it
+    c = ctx(3, 1)
+    m = models.hermitian_model(c)
+    X, _ = BiPoly.variables(c, m.variables)
+    extra = _with_F(m, m.F + X * X)
+    assert oracle_iso(m, m, tier=1)
+    assert not oracle_iso(extra, m, tier=1)
+    assert not oracle_iso(m, extra, tier=1)
+
+
+def test_oracle_refuses_a_model_with_no_usable_anchor():
+    # the anchor is B's grlex-largest term, a pure-X term whose exponent is
+    # no power of p: Y^4 outranks X^3, X^4 is a power of 2, and a constant
+    # is no X-term
+    c = ctx(2, 2)
+    m = models.hermitian_model(c)
+    X, Y = BiPoly.variables(c, m.variables)
+    for F in (Y**4 + Y + X**3, Y**2 + Y + X**4, BiPoly.const(c, 1, m.variables)):
+        with pytest.raises(CheckError, match="no usable anchor"):
+            oracle_iso(m, _with_F(m, F), tier=1)
+
+
 def test_parameter_validation():
     c = ctx(2, 3)
     with pytest.raises(ParameterError):
@@ -225,6 +293,9 @@ def test_norm_table_stops_once_complete(monkeypatch, p, h):
     assert all(_norm_preimage(c, d) == s for d, s in full.items())
     # the ascending scan ends at the last least preimage
     assert calls[-1] == max(full.values()) and len(calls) < c.q**2
+    # and reads F_{q^2} lazily: a fresh context lists none of it
+    fresh = FieldCtx(p, h, c.modulus)
+    assert _norm_preimage(fresh, 1) == full[1] == 1 and 2 * h not in fresh._senc
 
 
 # the nested-loop scan oracle_iso replaces, kept as its reference

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermquot.gfield import ParameterError
+from hermquot.gfield import CheckError, ParameterError
 from hermquot import numsg
 
 
@@ -196,6 +196,41 @@ def test_telescopic_trace_bounds_the_membership_sieve():
     with pytest.raises(ParameterError, match="exceeds the bound"):
         numsg.is_telescopic([3, 10**13])
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_telescopic_trace_records_each_quotient():
+    # the third step scales the prefix by d = 2 and tests 4/2 = 2 in <3, 5>
+    assert numsg.telescopic_trace([6, 10, 4])["steps"][2] == {
+        "a": 4, "d": 2, "scaled_prev": [3, 5], "quotient": 2, "member": False}
+
+
+def test_membership_sieve_admits_exactly_SIEVE_BOUND_entries():
+    # 2^21 / gcd(2, 2^21) = 2^20, a sieve of SIEVE_BOUND + 1 entries
+    t = numsg.telescopic_trace([2, 2**21])
+    assert t["steps"][1]["quotient"] == numsg.SIEVE_BOUND
+    assert t["steps"][1]["member"] is True
+
+
+def test_summary_refuses_a_telescopic_genus_the_sieve_disagrees_with(monkeypatch):
+    # the largest gap agrees, so only the genus clause can catch it
+    monkeypatch.setattr(numsg, "telescopic_genus", lambda gens: 4)
+    with pytest.raises(CheckError, match="disagrees with the gap sieve"):
+        numsg.summary([3, 4, 10])
+
+
+def test_gap_sieve_stops_before_its_cap():
+    # Schur's bound puts the conductor c at or below (m - 1)(M - 1), for m
+    # and M the least and largest generator, so the sieve returns at
+    # n = c + m - 1 <= (m - 1) M, below cap - 1 = M^2 + 2M - 1: the sieve
+    # never reads or writes its last two slots
+    for M in range(2, 40):
+        for m in range(2, M + 1):
+            for mid in (None, (m + M) // 2):
+                gens = [m, M] if mid is None else [m, mid, M]
+                if reduce(math.gcd, gens) != 1:
+                    continue
+                gaps = numsg.gap_set(gens)
+                assert (gaps[-1] + 1 if gaps else 0) + m - 1 <= (m - 1) * M < M * M + 2 * M - 1
 
 
 def test_semigroup_at_infinity_family_I():
